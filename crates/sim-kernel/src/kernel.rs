@@ -5,7 +5,9 @@
 use crate::config::{Engine, EngineConfig, FaultSession, ProfSession};
 use crate::net::Net;
 use crate::nr;
-use crate::process::{FdEntry, Pid, Process, SeccompAction, SigAction, Thread, ThreadState, Tid, Wait};
+use crate::process::{
+    FdEntry, Pid, Process, SeccompAction, SigAction, Source, Thread, ThreadState, Tid, Wait,
+};
 use crate::ptrace_if::{Stop, TraceOpts, Tracer, TracerAction};
 use crate::record::{
     inject_passthrough, BoundaryAction, Checkpoint, PageSnap, RecordModeKind, RecordSession,
@@ -166,8 +168,10 @@ pub struct Kernel {
     pub clock: u64,
     /// The filesystem.
     pub vfs: Vfs,
-    /// Loopback networking state.
-    pub net: Net,
+    /// Loopback networking state. Crate-private: every channel, backlog
+    /// and listener change must pass a wake point, which also marks the
+    /// epoll members following it (see `Kernel::mark_readiness`).
+    pub(crate) net: Net,
     /// Scheduler slice, in instructions.
     pub slice: u32,
     procs: BTreeMap<Pid, Process>,
@@ -334,6 +338,12 @@ impl Kernel {
     /// The process with `pid`, mutably.
     pub fn process_mut(&mut self, pid: Pid) -> Option<&mut Process> {
         self.procs.get_mut(&pid)
+    }
+
+    /// The networking state and the process with `pid`, mutably, at once
+    /// (epoll evaluates readiness while updating the process's instances).
+    pub(crate) fn net_and_process_mut(&mut self, pid: Pid) -> (&Net, Option<&mut Process>) {
+        (&self.net, self.procs.get_mut(&pid))
     }
 
     /// All live pids.
@@ -868,12 +878,28 @@ impl Kernel {
         }
     }
 
+    /// Marks, in every process's epoll instances, the members whose
+    /// readiness follows `src`: they become candidates of the next wait,
+    /// and their edge memory drops the bits the fd no longer has. Called
+    /// after every change to a channel, backlog, listener or eventfd
+    /// counter, so members outside the candidate sets stay quiet.
+    pub(crate) fn mark_readiness(&mut self, src: Source) {
+        let net = &self.net;
+        for p in self.procs.values_mut() {
+            let (fds, eventfds) = (&p.fds, &p.eventfds);
+            for ep in p.epolls.values_mut() {
+                ep.mark(src, |fd| Kernel::fd_readiness(net, fds, eventfds, fd));
+            }
+        }
+    }
+
     /// Wakes threads blocked on `chan` (readers and bounded-buffer writers),
     /// plus every `epoll_wait` parker: readiness on the channel may satisfy
     /// an interest set, and parked epoll waiters deterministically recompute
     /// and re-block when it doesn't (cheap spurious wakeups instead of
     /// kernel-side waiter bookkeeping).
     pub fn wake_channel(&mut self, chan: usize) {
+        self.mark_readiness(Source::chan(chan));
         self.wake_where(|_, w| {
             matches!(w,
                 Wait::ChannelReadable { chan: c, .. } | Wait::ChannelWritable { chan: c, .. }
@@ -885,13 +911,16 @@ impl Kernel {
     /// Wakes threads blocked accepting on `port` (and epoll waiters, for
     /// listeners registered in an interest set).
     pub fn wake_accept(&mut self, port: u16) {
+        self.mark_readiness(Source::port(port));
         self.wake_where(|_, w| {
             matches!(w, Wait::Accept { port: p } if *p == port) || matches!(w, Wait::Epoll)
         });
     }
 
-    /// Wakes connectors parked on a full accept backlog for `port`.
+    /// Wakes connectors parked on a full accept backlog for `port`. Epoll
+    /// waiters stay parked, but members watching the port are marked.
     pub fn wake_backlog(&mut self, port: u16) {
+        self.mark_readiness(Source::port(port));
         self.wake_where(|_, w| matches!(w, Wait::Backlog { port: p } if *p == port));
     }
 
@@ -904,6 +933,7 @@ impl Kernel {
     /// collisions only cause a harmless deterministic recompute) and epoll
     /// waiters.
     pub fn wake_eventfd(&mut self, id: usize) {
+        self.mark_readiness(Source::eventfd(id));
         self.wake_where(|_, w| {
             matches!(w, Wait::EventFd { id: i } if *i == id) || matches!(w, Wait::Epoll)
         });
@@ -3196,50 +3226,106 @@ mod tests {
         assert!(k.clock >= 5_000);
     }
 
-    /// Emits `pipe(&0x8_0100)`, one byte written into it, and an epoll
-    /// instance watching the read end with `events`. Leaves rfd in r12,
-    /// wfd in r13, epfd in rbp.
-    fn emit_watched_pipe(a: &mut Asm, events: u64) {
+    /// Emits `exit_group(code)`.
+    fn emit_exit(a: &mut Asm, code: u64) {
+        a.mov_imm(Reg::Rdi, code);
+        a.mov_imm(Reg::Rax, nr::SYS_EXIT_GROUP);
+        a.syscall();
+    }
+
+    /// Emits `pipe(&0x8_0100)` and one byte written into it. Leaves the
+    /// read end in `rfd`, the write end in `wfd`.
+    fn emit_pipe_with_byte(a: &mut Asm, rfd: Reg, wfd: Reg) {
         a.mov_imm(Reg::Rdi, 0x8_0100);
         a.mov_imm(Reg::Rax, nr::SYS_PIPE);
         a.syscall();
         a.mov_imm(Reg::R11, 0x8_0100);
-        a.inst(sim_isa::Inst::Load(Reg::R12, Reg::R11, 0));
-        a.mov_reg(Reg::R13, Reg::R12);
-        a.shl_imm(Reg::R12, 32);
-        a.shr_imm(Reg::R12, 32); // rfd
-        a.shr_imm(Reg::R13, 32); // wfd
-        a.mov_reg(Reg::Rdi, Reg::R13);
+        a.inst(sim_isa::Inst::Load(rfd, Reg::R11, 0));
+        a.mov_reg(wfd, rfd);
+        a.shl_imm(rfd, 32);
+        a.shr_imm(rfd, 32);
+        a.shr_imm(wfd, 32);
+        a.mov_reg(Reg::Rdi, wfd);
         a.mov_imm(Reg::Rsi, 0x8_0200);
         a.mov_imm(Reg::Rdx, 1);
         a.mov_imm(Reg::Rax, nr::SYS_WRITE);
         a.syscall();
-        a.mov_imm(Reg::Rdi, 0);
-        a.mov_imm(Reg::Rax, nr::SYS_EPOLL_CREATE1);
-        a.syscall();
-        a.mov_reg(Reg::Rbp, Reg::Rax);
+    }
+
+    /// `epoll_ctl(rbp, EPOLL_CTL_ADD, fd, events)`.
+    fn emit_epoll_add(a: &mut Asm, fd: Reg, events: u64) {
         a.mov_reg(Reg::Rdi, Reg::Rbp);
         a.mov_imm(Reg::Rsi, nr::EPOLL_CTL_ADD);
-        a.mov_reg(Reg::Rdx, Reg::R12);
+        a.mov_reg(Reg::Rdx, fd);
         a.mov_imm(Reg::R10, events);
         a.mov_imm(Reg::Rax, nr::SYS_EPOLL_CTL);
         a.syscall();
     }
 
+    /// Emits `pipe(&0x8_0100)`, one byte written into it, and an epoll
+    /// instance watching the read end with `events`. Leaves rfd in r12,
+    /// wfd in r13, epfd in rbp.
+    fn emit_watched_pipe(a: &mut Asm, events: u64) {
+        emit_pipe_with_byte(a, Reg::R12, Reg::R13);
+        a.mov_imm(Reg::Rdi, 0);
+        a.mov_imm(Reg::Rax, nr::SYS_EPOLL_CREATE1);
+        a.syscall();
+        a.mov_reg(Reg::Rbp, Reg::Rax);
+        emit_epoll_add(a, Reg::R12, events);
+    }
+
+    /// `epoll_wait(rbp, 0x8_0400, maxevents)`; exits with `bad` unless it
+    /// returned exactly `count` events.
+    fn emit_wait_expect(a: &mut Asm, maxevents: u64, count: i32, bad: u64, ok: &str) {
+        a.mov_reg(Reg::Rdi, Reg::Rbp);
+        a.mov_imm(Reg::Rsi, 0x8_0400);
+        a.mov_imm(Reg::Rdx, maxevents);
+        a.mov_imm(Reg::Rax, nr::SYS_EPOLL_WAIT);
+        a.syscall();
+        a.cmp_imm(Reg::Rax, count);
+        a.jz(ok);
+        emit_exit(a, bad);
+        a.label(ok);
+    }
+
     /// `epoll_wait(rbp, 0x8_0400, 8)`; exits with `bad` unless it
     /// returned exactly one event.
     fn emit_wait_expect_one(a: &mut Asm, bad: u64, ok: &str) {
-        a.mov_reg(Reg::Rdi, Reg::Rbp);
-        a.mov_imm(Reg::Rsi, 0x8_0400);
-        a.mov_imm(Reg::Rdx, 8);
-        a.mov_imm(Reg::Rax, nr::SYS_EPOLL_WAIT);
-        a.syscall();
-        a.cmp_imm(Reg::Rax, 1);
+        emit_wait_expect(a, 8, 1, bad, ok);
+    }
+
+    /// Exits with `bad` unless field `word` (0 = fd, 1 = events) of the
+    /// `rec`-th record the last wait wrote equals register `want`.
+    fn emit_expect_record(a: &mut Asm, rec: i32, word: i32, want: Reg, bad: u64, ok: &str) {
+        a.mov_imm(Reg::R11, 0x8_0400);
+        a.load(Reg::Rcx, Reg::R11, rec * 16 + word * 8);
+        a.cmp_reg(Reg::Rcx, want);
         a.jz(ok);
-        a.mov_imm(Reg::Rdi, bad);
-        a.mov_imm(Reg::Rax, nr::SYS_EXIT_GROUP);
-        a.syscall();
+        emit_exit(a, bad);
         a.label(ok);
+    }
+
+    /// `rax = nr_(fd, arg)` (the simplified socket ABI: bind/connect take
+    /// a port, listen a backlog, accept nothing).
+    fn emit_fd_call(a: &mut Asm, nr_: u64, fd: Reg, arg: u64) {
+        a.mov_reg(Reg::Rdi, fd);
+        a.mov_imm(Reg::Rsi, arg);
+        a.mov_imm(Reg::Rax, nr_);
+        a.syscall();
+    }
+
+    /// `dst = socket()`.
+    fn emit_socket(a: &mut Asm, dst: Reg) {
+        a.mov_imm(Reg::Rax, nr::SYS_SOCKET);
+        a.syscall();
+        a.mov_reg(dst, Reg::Rax);
+    }
+
+    /// `dst` = a socket bound to `port` and listening.
+    fn emit_listener(a: &mut Asm, dst: Reg, port: u64) {
+        emit_socket(a, dst);
+        emit_fd_call(a, nr::SYS_BIND, dst, port);
+        emit_fd_call(a, nr::SYS_LISTEN, dst, 0);
     }
 
     /// Level-triggered interest re-delivers as long as the fd stays
@@ -3269,8 +3355,9 @@ mod tests {
     }
 
     /// Edge-triggered interest fires once per not-ready -> ready
-    /// transition: the second wait on undrained data parks forever, and a
-    /// drain + rewrite produces a fresh edge.
+    /// transition: a drain + rewrite with no wait in between produces a
+    /// fresh edge (the edge re-arms at the drain itself), and the next
+    /// wait on undrained data parks forever.
     #[test]
     fn edge_triggered_epoll_fires_once_per_edge() {
         let mut a = Asm::new();
@@ -3289,6 +3376,8 @@ mod tests {
         a.mov_imm(Reg::Rax, nr::SYS_WRITE);
         a.syscall();
         emit_wait_expect_one(&mut a, 2, "w2");
+        // Marker: the second delivery happened.
+        a.mov_imm(Reg::R14, 0x77);
         // Same edge again, no drain: this wait must park forever.
         a.mov_reg(Reg::Rdi, Reg::Rbp);
         a.mov_imm(Reg::Rsi, 0x8_0400);
@@ -3301,7 +3390,10 @@ mod tests {
         let (mut k, pid) = kernel_with(a.finish());
         assert_eq!(k.run(10_000_000_000), RunExit::Deadlock);
         // Parked, not exited: the checks before the final wait passed.
-        assert_eq!(k.process(pid).unwrap().exit_status, None);
+        let p = k.process(pid).unwrap();
+        assert_eq!(p.exit_status, None);
+        // ...and it parked in the final wait, not in w2.
+        assert_eq!(p.threads[0].cpu.get(Reg::R14), 0x77, "refill gave no fresh edge");
     }
 
     /// EPOLLONESHOT disarms after one delivery (the second wait parks on
@@ -3383,5 +3475,147 @@ mod tests {
         let (mut k, pid) = kernel_with(a.finish());
         assert_eq!(k.run(10_000_000_000), RunExit::Deadlock);
         assert_eq!(k.process(pid).unwrap().exit_status, None);
+    }
+
+    /// Port the socket tests listen on.
+    const TEST_PORT: u64 = 7070;
+
+    /// A socket registered for `EPOLLOUT` while still unbound is quiet, so
+    /// the first wait drops it from the candidate set; `connect` re-types
+    /// it without waking anyone, and the next wait must still report it.
+    #[test]
+    fn epoll_reports_socket_connected_after_registration() {
+        let mut a = Asm::new();
+        emit_watched_pipe(&mut a, nr::EPOLLIN);
+        emit_listener(&mut a, Reg::R14, TEST_PORT);
+        emit_socket(&mut a, Reg::R15);
+        emit_epoll_add(&mut a, Reg::R15, nr::EPOLLOUT);
+        emit_wait_expect(&mut a, 8, 1, 1, "w1");
+        emit_fd_call(&mut a, nr::SYS_CONNECT, Reg::R15, TEST_PORT);
+        emit_wait_expect(&mut a, 8, 2, 2, "w2");
+        emit_expect_record(&mut a, 1, 0, Reg::R15, 3, "fd_ok");
+        a.mov_imm(Reg::Rbx, nr::EPOLLOUT);
+        emit_expect_record(&mut a, 1, 1, Reg::Rbx, 4, "events_ok");
+        emit_exit(&mut a, 0);
+        let (mut k, pid) = kernel_with(a.finish());
+        assert_eq!(k.run(10_000_000_000), RunExit::AllExited);
+        assert_eq!(k.process(pid).unwrap().exit_status, Some(0));
+    }
+
+    /// An eventfd reports `EPOLLIN` after a write and stops after a `read`
+    /// resets its counter. A `dup` of it watched edge-triggered leaves the
+    /// candidate set once its edge is reported; the reset must re-arm that
+    /// edge although it wakes nobody, so the next write fires it again.
+    #[test]
+    fn epoll_tracks_eventfd_write_and_read_reset() {
+        let mut a = Asm::new();
+        emit_watched_pipe(&mut a, nr::EPOLLIN);
+        a.mov_imm(Reg::Rdi, 0);
+        a.mov_imm(Reg::Rsi, 0);
+        a.mov_imm(Reg::Rax, nr::SYS_EVENTFD2);
+        a.syscall();
+        a.mov_reg(Reg::R14, Reg::Rax);
+        emit_epoll_add(&mut a, Reg::R14, nr::EPOLLIN);
+        emit_fd_call(&mut a, nr::SYS_DUP, Reg::R14, 0);
+        a.mov_reg(Reg::R15, Reg::Rax);
+        emit_epoll_add(&mut a, Reg::R15, nr::EPOLLIN | nr::EPOLLET);
+        emit_wait_expect(&mut a, 8, 1, 1, "w1");
+        // Counter += 1: both views become readable.
+        a.mov_imm(Reg::R11, 0x8_0300);
+        a.mov_imm(Reg::Rcx, 1);
+        a.store(Reg::R11, 0, Reg::Rcx);
+        a.mov_reg(Reg::Rdi, Reg::R14);
+        a.mov_imm(Reg::Rsi, 0x8_0300);
+        a.mov_imm(Reg::Rdx, 8);
+        a.mov_imm(Reg::Rax, nr::SYS_WRITE);
+        a.syscall();
+        emit_wait_expect(&mut a, 8, 3, 2, "w2");
+        // Level-triggered redelivers, edge-triggered does not.
+        emit_wait_expect(&mut a, 8, 2, 3, "w3");
+        // Reset the counter (reads back the 1 into 0x8_0300).
+        a.mov_reg(Reg::Rdi, Reg::R14);
+        a.mov_imm(Reg::Rsi, 0x8_0300);
+        a.mov_imm(Reg::Rdx, 8);
+        a.mov_imm(Reg::Rax, nr::SYS_READ);
+        a.syscall();
+        emit_wait_expect(&mut a, 8, 1, 4, "w4");
+        a.mov_reg(Reg::Rdi, Reg::R14);
+        a.mov_imm(Reg::Rsi, 0x8_0300);
+        a.mov_imm(Reg::Rdx, 8);
+        a.mov_imm(Reg::Rax, nr::SYS_WRITE);
+        a.syscall();
+        emit_wait_expect(&mut a, 8, 3, 5, "w5");
+        emit_exit(&mut a, 0);
+        let (mut k, pid) = kernel_with(a.finish());
+        assert_eq!(k.run(10_000_000_000), RunExit::AllExited);
+        assert_eq!(k.process(pid).unwrap().exit_status, Some(0));
+    }
+
+    /// An edge-triggered listener fires again when `accept` drains its
+    /// backlog and a new `connect` refills it, with no wait in between.
+    #[test]
+    fn edge_triggered_listener_refires_after_accept_and_refill() {
+        let mut a = Asm::new();
+        emit_watched_pipe(&mut a, nr::EPOLLIN);
+        emit_listener(&mut a, Reg::R14, TEST_PORT);
+        emit_epoll_add(&mut a, Reg::R14, nr::EPOLLIN | nr::EPOLLET);
+        emit_socket(&mut a, Reg::R15);
+        emit_fd_call(&mut a, nr::SYS_CONNECT, Reg::R15, TEST_PORT);
+        emit_wait_expect(&mut a, 8, 2, 1, "w1");
+        emit_fd_call(&mut a, nr::SYS_ACCEPT, Reg::R14, 0);
+        emit_socket(&mut a, Reg::Rbx);
+        emit_fd_call(&mut a, nr::SYS_CONNECT, Reg::Rbx, TEST_PORT);
+        emit_wait_expect(&mut a, 8, 2, 2, "w2");
+        emit_expect_record(&mut a, 1, 0, Reg::R14, 3, "fd_ok");
+        emit_exit(&mut a, 0);
+        let (mut k, pid) = kernel_with(a.finish());
+        assert_eq!(k.run(10_000_000_000), RunExit::AllExited);
+        assert_eq!(k.process(pid).unwrap().exit_status, Some(0));
+    }
+
+    /// Three ready edge-triggered pipes and `maxevents = 2`: the first wait
+    /// reports the two lowest fds, and the one cut off stays pending for
+    /// the next wait.
+    #[test]
+    fn edge_triggered_maxevents_cut_defers_the_rest() {
+        let mut a = Asm::new();
+        emit_watched_pipe(&mut a, nr::EPOLLIN | nr::EPOLLET);
+        emit_pipe_with_byte(&mut a, Reg::R14, Reg::R15);
+        emit_epoll_add(&mut a, Reg::R14, nr::EPOLLIN | nr::EPOLLET);
+        emit_pipe_with_byte(&mut a, Reg::Rbx, Reg::R8);
+        emit_epoll_add(&mut a, Reg::Rbx, nr::EPOLLIN | nr::EPOLLET);
+        emit_wait_expect(&mut a, 2, 2, 1, "w1");
+        emit_expect_record(&mut a, 0, 0, Reg::R12, 2, "first_ok");
+        emit_expect_record(&mut a, 1, 0, Reg::R14, 3, "second_ok");
+        emit_wait_expect(&mut a, 2, 1, 4, "w2");
+        emit_expect_record(&mut a, 0, 0, Reg::Rbx, 5, "third_ok");
+        emit_exit(&mut a, 0);
+        let (mut k, pid) = kernel_with(a.finish());
+        assert_eq!(k.run(10_000_000_000), RunExit::AllExited);
+        assert_eq!(k.process(pid).unwrap().exit_status, Some(0));
+    }
+
+    /// A disarmed `EPOLLONESHOT` member leaves the candidate set at the
+    /// next wait; `EPOLL_CTL_MOD` must put it back, or the re-armed member
+    /// would never be evaluated again.
+    #[test]
+    fn epoll_mod_rearms_a_member_that_left_the_candidates() {
+        let mut a = Asm::new();
+        emit_watched_pipe(&mut a, nr::EPOLLIN);
+        emit_pipe_with_byte(&mut a, Reg::R14, Reg::R15);
+        emit_epoll_add(&mut a, Reg::R14, nr::EPOLLIN | nr::EPOLLONESHOT);
+        emit_wait_expect(&mut a, 8, 2, 1, "w1");
+        emit_wait_expect(&mut a, 8, 1, 2, "w2");
+        a.mov_reg(Reg::Rdi, Reg::Rbp);
+        a.mov_imm(Reg::Rsi, nr::EPOLL_CTL_MOD);
+        a.mov_reg(Reg::Rdx, Reg::R14);
+        a.mov_imm(Reg::R10, nr::EPOLLIN | nr::EPOLLONESHOT);
+        a.mov_imm(Reg::Rax, nr::SYS_EPOLL_CTL);
+        a.syscall();
+        emit_wait_expect(&mut a, 8, 2, 3, "w3");
+        emit_exit(&mut a, 0);
+        let (mut k, pid) = kernel_with(a.finish());
+        assert_eq!(k.run(10_000_000_000), RunExit::AllExited);
+        assert_eq!(k.process(pid).unwrap().exit_status, Some(0));
     }
 }

@@ -1,8 +1,9 @@
 //! Processes, threads, file descriptors, and per-thread SUD state.
 
+use crate::nr;
 use sim_cpu::Cpu;
 use sim_mem::AddressSpace;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Process identifier.
 pub type Pid = u64;
@@ -110,8 +111,10 @@ pub enum Wait {
     },
     /// Readiness on any member of an epoll interest set. Deliberately
     /// payload-free: readiness transitions wake *all* epoll waiters, which
-    /// deterministically recompute their ready sets and re-block if still
-    /// empty (spurious wakeups are cheap; waiter bookkeeping is not).
+    /// deterministically re-evaluate their instance's candidate members
+    /// (see [`Epoll`]) and re-block if nothing is ready. Simulated context
+    /// switches depend on this wake policy, so it stays broad even though
+    /// the re-evaluation itself only touches candidates.
     Epoll,
     /// A nonzero eventfd counter (`read` on an empty eventfd).
     EventFd {
@@ -247,14 +250,131 @@ pub struct EpollEntry {
     pub seen: u64,
 }
 
+impl EpollEntry {
+    /// The per-entry rule of `epoll_wait`, given the fd's current readiness
+    /// `cur`: returns `(fresh, seen)`, the events this entry would report
+    /// (before the `maxevents` cut) and its edge memory with the bits that
+    /// stopped being ready re-armed. A disarmed entry reports nothing and
+    /// keeps its memory.
+    pub(crate) fn poll(&self, cur: u64) -> (u64, u64) {
+        if !self.armed {
+            return (0, self.seen);
+        }
+        let seen = self.seen & cur;
+        let wanted = cur & (self.events | nr::EPOLLHUP | nr::EPOLLERR);
+        let fresh = if self.events & nr::EPOLLET != 0 {
+            wanted & !seen
+        } else {
+            wanted
+        };
+        (fresh, seen)
+    }
+}
+
+/// What an fd's readiness follows, packed into one word for the epoll
+/// member index: the top two bits name the kind (channel, listening port,
+/// eventfd counter), the rest its channel index, port or eventfd id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Source(u64);
+
+impl Source {
+    /// A channel, by index.
+    pub(crate) fn chan(chan: usize) -> Source {
+        Source(chan as u64)
+    }
+
+    /// A listening port.
+    pub(crate) fn port(port: u16) -> Source {
+        Source(1 << 62 | u64::from(port))
+    }
+
+    /// An eventfd counter, by per-process id.
+    pub(crate) fn eventfd(id: usize) -> Source {
+        Source(2 << 62 | id as u64)
+    }
+
+    /// The source `entry`'s readiness follows; `None` when it cannot change
+    /// while the fd keeps its type (files and the console are always
+    /// ready, an unbound socket never is).
+    pub(crate) fn of(entry: &FdEntry) -> Option<Source> {
+        match entry {
+            FdEntry::ChannelRead { chan, .. }
+            | FdEntry::ChannelWrite { chan, .. }
+            | FdEntry::Socket { chan, .. } => Some(Source::chan(*chan)),
+            FdEntry::Listener { port } => Some(Source::port(*port)),
+            FdEntry::EventFd { id } => Some(Source::eventfd(*id)),
+            _ => None,
+        }
+    }
+}
+
 /// An epoll instance: interest set keyed by member fd (BTreeMap iteration
 /// order makes `epoll_wait` output deterministic and fd-ordered).
+///
+/// `epoll_wait` evaluates only the *candidate* members. Every other armed
+/// member is *quiet*: the per-entry rule would give it no event and no
+/// `seen`/armed update. A member becomes a candidate when `epoll_ctl`
+/// adds or modifies it, or when the kernel marks its readiness source
+/// (see `Kernel::mark_readiness`); it leaves when a wait finds it quiet.
+/// Both structures live here so that fork's clone and process exit carry
+/// them along with the interest set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Epoll {
     /// Member fd → registration.
     pub interest: BTreeMap<i64, EpollEntry>,
     /// Open descriptor count (dup shares the instance).
     pub refs: u32,
+    /// Members the next wait must evaluate, in fd order.
+    pub(crate) candidates: BTreeSet<i64>,
+    /// `(source, fd)` for every member whose readiness follows a source.
+    pub(crate) index: BTreeSet<(Source, i64)>,
+}
+
+impl Epoll {
+    /// Registers `fd`, whose readiness follows `src`, as a candidate.
+    /// Returns false, changing nothing, if it is already a member.
+    pub(crate) fn add(&mut self, fd: i64, src: Option<Source>, reg: EpollEntry) -> bool {
+        if self.interest.contains_key(&fd) {
+            return false;
+        }
+        self.interest.insert(fd, reg);
+        self.candidates.insert(fd);
+        if let Some(src) = src {
+            self.index.insert((src, fd));
+        }
+        true
+    }
+
+    /// Drops member `fd`, whose readiness follows `src`.
+    pub(crate) fn remove(&mut self, fd: i64, src: Option<Source>) -> Option<EpollEntry> {
+        let reg = self.interest.remove(&fd)?;
+        self.candidates.remove(&fd);
+        if let Some(src) = src {
+            self.index.remove(&(src, fd));
+        }
+        Some(reg)
+    }
+
+    /// Indexes member `fd` under `src` once its fd gained a source: `bind`
+    /// or `connect` on a registered unbound socket, which had none.
+    pub(crate) fn index_member(&mut self, fd: i64, src: Source) {
+        if self.interest.contains_key(&fd) {
+            self.index.insert((src, fd));
+        }
+    }
+
+    /// Makes every member following `src` a candidate and clears from its
+    /// edge memory the bits its fd no longer has (`readiness` gives an
+    /// fd's current mask): an edge re-arms at the readiness change itself,
+    /// so a drain and refill between two waits still yields a fresh edge.
+    pub(crate) fn mark(&mut self, src: Source, readiness: impl Fn(i64) -> u64) {
+        for &(_, fd) in self.index.range((src, i64::MIN)..=(src, i64::MAX)) {
+            self.candidates.insert(fd);
+            if let Some(e) = self.interest.get_mut(&fd) {
+                e.seen &= readiness(fd);
+            }
+        }
+    }
 }
 
 /// Per-process statistics (observability for tests and experiments).
@@ -439,8 +559,8 @@ impl Process {
         self.epolls.insert(
             id,
             Epoll {
-                interest: BTreeMap::new(),
                 refs: 1,
+                ..Epoll::default()
             },
         );
         id

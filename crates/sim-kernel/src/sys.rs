@@ -1,11 +1,12 @@
 //! Syscall implementations.
 
 use crate::kernel::Kernel;
-use crate::net::End;
+use crate::net::{End, Net};
 use crate::nr::{self, err};
-use crate::process::{EpollEntry, FdEntry, Pid, SigAction, ThreadState, Tid, Wait};
+use crate::process::{EpollEntry, FdEntry, Pid, SigAction, Source, ThreadState, Tid, Wait};
 use crate::process::{Sud, Wait::*};
 use sim_isa::Reg;
+use std::collections::BTreeMap;
 
 /// How a syscall dispatch concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -403,6 +404,8 @@ impl Kernel {
                 if let Some((v, _)) = self.process_mut(pid).and_then(|p| p.eventfds.get_mut(&id)) {
                     *v = 0;
                 }
+                // The reset wakes nobody, but watchers' readiness dropped.
+                self.mark_readiness(Source::eventfd(id));
                 if let Err(e) = self.guest_write(pid, buf, &val.to_le_bytes()) {
                     return Disp::Ret(e);
                 }
@@ -540,8 +543,9 @@ impl Kernel {
         // set; with per-process single-description fds that means: on close.
         if let Some(p) = self.process_mut(pid) {
             p.nonblock.remove(&fd);
+            let src = Source::of(&entry);
             for ep in p.epolls.values_mut() {
-                ep.interest.remove(&fd);
+                ep.remove(fd, src);
             }
         }
         match entry {
@@ -755,17 +759,33 @@ impl Kernel {
         if self.net.listeners.contains_key(&port) {
             return Disp::Ret(err(nr::EADDRINUSE));
         }
-        let Some(p) = self.process_mut(pid) else {
+        let Some(p) = self.process(pid) else {
             return Disp::Ret(err(nr::ENOENT));
         };
-        match p.fds.get_mut(&fd) {
-            Some(e @ FdEntry::SocketUnbound) => {
-                *e = FdEntry::Listener { port };
+        match p.fds.get(&fd) {
+            Some(FdEntry::SocketUnbound) => {
+                self.retype_socket(pid, fd, FdEntry::Listener { port });
                 Disp::Ret(0)
             }
             Some(_) => Disp::Ret(err(nr::EINVAL)),
             None => Disp::Ret(err(nr::EBADF)),
         }
+    }
+
+    /// Replaces unbound socket `fd`'s entry with `new_entry` (a listener
+    /// or a connected end), indexes it in every epoll instance watching
+    /// it, and marks its new source: the fd's readiness may have changed,
+    /// and no wake point covers a re-type.
+    fn retype_socket(&mut self, pid: Pid, fd: i64, new_entry: FdEntry) {
+        let Some(p) = self.process_mut(pid) else {
+            return;
+        };
+        let src = Source::of(&new_entry).expect("a bound or connected socket has a source");
+        p.fds.insert(fd, new_entry);
+        for ep in p.epolls.values_mut() {
+            ep.index_member(fd, src);
+        }
+        self.mark_readiness(src);
     }
 
     fn sys_listen(&mut self, pid: Pid, args: [u64; 6]) -> Disp {
@@ -807,11 +827,7 @@ impl Kernel {
             .expect("listener checked")
             .backlog
             .push_back(chan);
-        if let Some(p) = self.process_mut(pid) {
-            if let Some(e) = p.fds.get_mut(&fd) {
-                *e = FdEntry::Socket { chan, end: End::A };
-            }
-        }
+        self.retype_socket(pid, fd, FdEntry::Socket { chan, end: End::A });
         self.wake_accept(port);
         Disp::Ret(0)
     }
@@ -1083,37 +1099,37 @@ impl Kernel {
         if fd == epfd {
             return Disp::Ret(err(nr::EINVAL));
         }
-        match p.fds.get(&fd) {
+        let src = match p.fds.get(&fd) {
             None => return Disp::Ret(err(nr::EBADF)),
             // No epoll-on-epoll nesting.
             Some(FdEntry::Epoll { .. }) => return Disp::Ret(err(nr::EINVAL)),
-            Some(_) => {}
-        }
+            Some(e) => Source::of(e),
+        };
         let ep = p.epolls.get_mut(&id).expect("live epoll behind an open fd");
         let (disp, wake) = match op {
-            nr::EPOLL_CTL_ADD => match ep.interest.entry(fd) {
-                std::collections::btree_map::Entry::Occupied(_) => {
+            nr::EPOLL_CTL_ADD => {
+                let reg = EpollEntry {
+                    events,
+                    armed: true,
+                    seen: 0,
+                };
+                if ep.add(fd, src, reg) {
+                    (Disp::Ret(0), true)
+                } else {
                     (Disp::Ret(err(nr::EEXIST)), false)
                 }
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(EpollEntry {
-                        events,
-                        armed: true,
-                        seen: 0,
-                    });
-                    (Disp::Ret(0), true)
-                }
-            },
+            }
             nr::EPOLL_CTL_MOD => match ep.interest.get_mut(&fd) {
                 Some(e) => {
                     e.events = events;
                     e.armed = true;
                     e.seen = 0;
+                    ep.candidates.insert(fd);
                     (Disp::Ret(0), true)
                 }
                 None => (Disp::Ret(err(nr::ENOENT)), false),
             },
-            nr::EPOLL_CTL_DEL => match ep.interest.remove(&fd) {
+            nr::EPOLL_CTL_DEL => match ep.remove(fd, src) {
                 Some(_) => (Disp::Ret(0), false),
                 None => (Disp::Ret(err(nr::ENOENT)), false),
             },
@@ -1127,13 +1143,16 @@ impl Kernel {
         disp
     }
 
-    /// The current readiness mask of one fd (level state; edge memory lives
-    /// in the epoll entry).
-    fn fd_readiness(&self, pid: Pid, fd: i64) -> u64 {
-        let Some(p) = self.process(pid) else {
-            return 0;
-        };
-        let Some(entry) = p.fds.get(&fd) else {
+    /// The current readiness mask of `fd` in a process with fd table `fds`
+    /// and eventfd counters `eventfds` (level state; edge memory lives in the
+    /// epoll entry).
+    pub(crate) fn fd_readiness(
+        net: &Net,
+        fds: &BTreeMap<i64, FdEntry>,
+        eventfds: &BTreeMap<usize, (u64, u32)>,
+        fd: i64,
+    ) -> u64 {
+        let Some(entry) = fds.get(&fd) else {
             return 0;
         };
         match entry {
@@ -1141,7 +1160,7 @@ impl Kernel {
                 nr::EPOLLIN | nr::EPOLLOUT
             }
             FdEntry::ChannelRead { chan, end } | FdEntry::Socket { chan, end } => {
-                let c = &self.net.channels[*chan];
+                let c = &net.channels[*chan];
                 let mut r = 0;
                 if c.readable(*end) > 0 {
                     r |= nr::EPOLLIN;
@@ -1156,7 +1175,7 @@ impl Kernel {
                 r
             }
             FdEntry::ChannelWrite { chan, end } => {
-                let c = &self.net.channels[*chan];
+                let c = &net.channels[*chan];
                 let mut r = 0;
                 if c.space(*end) > 0 {
                     r |= nr::EPOLLOUT;
@@ -1166,13 +1185,13 @@ impl Kernel {
                 }
                 r
             }
-            FdEntry::Listener { port } => match self.net.listeners.get(port) {
+            FdEntry::Listener { port } => match net.listeners.get(port) {
                 Some(l) if !l.backlog.is_empty() => nr::EPOLLIN,
                 _ => 0,
             },
             FdEntry::EventFd { id } => {
                 let mut r = nr::EPOLLOUT;
-                if p.eventfds.get(id).map(|(v, _)| *v > 0).unwrap_or(false) {
+                if eventfds.get(id).map(|(v, _)| *v > 0).unwrap_or(false) {
                     r |= nr::EPOLLIN;
                 }
                 r
@@ -1184,9 +1203,22 @@ impl Kernel {
     /// `epoll_wait(epfd, buf, maxevents)` — simplified ABI: each ready fd
     /// writes one 16-byte record `[fd: u64][events: u64]`; returns the
     /// record count, or parks on [`Wait::Epoll`] when nothing is ready.
+    ///
+    /// Only the instance's candidate members are evaluated, in fd order,
+    /// under the per-entry rule ([`EpollEntry::poll`]); every other member
+    /// is quiet, so the delivered records and updates are those of a scan
+    /// over the whole interest set, and the cost is O(candidates) host
+    /// time instead of O(members). A candidate found quiet leaves the set;
+    /// one that is reported, cut off by `maxevents` or updated stays. A
+    /// wait that parks drops its `seen`/armed updates (the retry after the
+    /// wake recomputes them), so those members stay candidates too.
     fn sys_epoll_wait(&mut self, pid: Pid, args: [u64; 6]) -> Disp {
         let (epfd, buf, maxevents) = (args[0] as i64, args[1], args[2] as usize);
-        let id = match self.process(pid).and_then(|p| p.fds.get(&epfd)) {
+        let (net, p) = self.net_and_process_mut(pid);
+        let Some(p) = p else {
+            return Disp::Ret(err(nr::EBADF));
+        };
+        let id = match p.fds.get(&epfd) {
             Some(FdEntry::Epoll { id }) => *id,
             Some(_) => return Disp::Ret(err(nr::EINVAL)),
             None => return Disp::Ret(err(nr::EBADF)),
@@ -1194,51 +1226,50 @@ impl Kernel {
         if maxevents == 0 {
             return Disp::Ret(err(nr::EINVAL));
         }
-        // Snapshot the interest set (BTreeMap order → deterministic,
-        // fd-ordered delivery), then compute readiness per member.
-        let interest: Vec<(i64, EpollEntry)> = self
-            .process(pid)
-            .and_then(|p| p.epolls.get(&id))
-            .map(|ep| ep.interest.iter().map(|(f, e)| (*f, *e)).collect())
-            .unwrap_or_default();
+        let Some(ep) = p.epolls.get_mut(&id) else {
+            return Disp::Block(Epoll);
+        };
+        let (fds, eventfds) = (&p.fds, &p.eventfds);
+        let readiness = |fd| Kernel::fd_readiness(net, fds, eventfds, fd);
+        // Every member outside the candidate set is quiet: no event, no
+        // update. Debug builds check it with the full scan the set avoids.
+        debug_assert!(
+            ep.interest
+                .iter()
+                .all(|(fd, e)| ep.candidates.contains(fd) || e.poll(readiness(*fd)) == (0, e.seen)),
+            "epoll member outside the candidate set is not quiet"
+        );
         let mut out: Vec<(i64, u64)> = Vec::new();
         let mut updates: Vec<(i64, u64, bool)> = Vec::new();
-        for (fd, ent) in &interest {
-            if !ent.armed {
-                continue;
-            }
-            let cur = self.fd_readiness(pid, *fd);
-            // A bit that stopped being ready re-arms its edge.
-            let mut seen = ent.seen & cur;
-            let wanted = cur & (ent.events | nr::EPOLLHUP | nr::EPOLLERR);
-            let fresh = if ent.events & nr::EPOLLET != 0 {
-                wanted & !seen
-            } else {
-                wanted
+        let interest = &ep.interest;
+        ep.candidates.retain(|&fd| {
+            let Some(ent) = interest.get(&fd) else {
+                return false;
             };
-            let mut armed = true;
+            let (fresh, mut seen) = ent.poll(readiness(fd));
+            let mut armed = ent.armed;
             if fresh != 0 && out.len() < maxevents {
-                out.push((*fd, fresh));
+                out.push((fd, fresh));
                 seen |= fresh;
                 if ent.events & nr::EPOLLONESHOT != 0 {
                     armed = false;
                 }
             }
-            if seen != ent.seen || armed != ent.armed {
-                updates.push((*fd, seen, armed));
+            let updated = seen != ent.seen || armed != ent.armed;
+            if updated {
+                updates.push((fd, seen, armed));
             }
-        }
+            fresh != 0 || updated
+        });
         if out.is_empty() {
             // Nothing ready: park. Deferred `seen` updates are recomputed
-            // identically on the post-wake retry.
+            // on the post-wake retry.
             return Disp::Block(Epoll);
         }
-        if let Some(ep) = self.process_mut(pid).and_then(|p| p.epolls.get_mut(&id)) {
-            for (fd, seen, armed) in updates {
-                if let Some(e) = ep.interest.get_mut(&fd) {
-                    e.seen = seen;
-                    e.armed = armed;
-                }
+        for (fd, seen, armed) in updates {
+            if let Some(e) = ep.interest.get_mut(&fd) {
+                e.seen = seen;
+                e.armed = armed;
             }
         }
         let mut bytes = Vec::with_capacity(out.len() * 16);

@@ -47,6 +47,25 @@ cargo run --release -q -p bench --bin simprof -- --smoke
 echo "==> simrecord smoke (record on trace, replay on stepwise, bisection, navigation)"
 cargo run --release -q -p bench --bin simrecord -- --smoke
 
+echo "==> perfbench self-tests (the benchmark still builds against the crates' public API)"
+cargo test --manifest-path perfbench/Cargo.toml
+
+# One short run at standard sizes; the result line reads "correct": true only
+# if the workload's checks pass and its sim_digest equals the recorded value,
+# so a host-time fast path that changes any simulated output fails here.
+perfbench_correct() {
+    local line
+    line=$(cargo run --release -q --manifest-path perfbench/Cargo.toml -- "$@" --seconds 1 | tail -n 1)
+    if ! grep -q '^{"correct": true,' <<<"$line"; then
+        echo "perfbench $*: result not correct: $line" >&2
+        exit 1
+    fi
+}
+
+echo "==> perfbench epoll-10k + observed-server (simulated output vs recorded sim_digest)"
+perfbench_correct --workload epoll-10k
+perfbench_correct --workload observed-server --seed 1
+
 echo "==> bench gate (profiler counts vs BENCH_simprof.json, engine throughput + determinism vs BENCH_simperf.json)"
 scripts/bench_gate.sh
 
