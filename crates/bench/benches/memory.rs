@@ -1,9 +1,9 @@
 //! Criterion benches of the simulator memory hot path: the page-run fast
-//! engine vs the retained byte-at-a-time reference, for data access and
-//! instruction fetch.
+//! engine vs the retained byte-at-a-time `*_ref` twins, for data access
+//! and instruction fetch.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sim_mem::{AddressSpace, MemMode, Perms, Pkru, PAGE_SIZE};
+use sim_mem::{AddressSpace, Perms, Pkru, PAGE_SIZE};
 
 fn arena() -> AddressSpace {
     let mut s = AddressSpace::new();
@@ -17,8 +17,7 @@ fn arena() -> AddressSpace {
 /// and guest memcpy take.
 fn data_access(c: &mut Criterion) {
     let mut fast = arena();
-    let mut legacy = arena();
-    legacy.set_mem_mode(MemMode::Legacy);
+    let mut reference = arena();
     let mut buf = vec![0u8; 4 * PAGE_SIZE as usize];
     let data = vec![0xabu8; 4 * PAGE_SIZE as usize];
     let mut g = c.benchmark_group("mem_access_16k_page_crossing");
@@ -30,8 +29,8 @@ fn data_access(c: &mut Criterion) {
     });
     g.bench_function("reference", |b| {
         b.iter(|| {
-            legacy.write(0x1_0800, black_box(&data), Pkru::ALL_ACCESS).unwrap();
-            legacy.read(0x1_0800, black_box(&mut buf), Pkru::ALL_ACCESS).unwrap();
+            reference.write_ref(0x1_0800, black_box(&data), Pkru::ALL_ACCESS).unwrap();
+            reference.read_ref(0x1_0800, black_box(&mut buf), Pkru::ALL_ACCESS).unwrap();
         })
     });
     g.finish();
@@ -41,8 +40,7 @@ fn data_access(c: &mut Criterion) {
 /// CPU front end takes after an icache flush.
 fn fetch_throughput(c: &mut Criterion) {
     let mut fast = arena();
-    let mut legacy = arena();
-    legacy.set_mem_mode(MemMode::Legacy);
+    let mut reference = arena();
     let mut window = [0u8; 10];
     let rips: Vec<u64> = (0..512u64).map(|i| 0x1_0000 + i * 37 % (63 * PAGE_SIZE)).collect();
     let mut g = c.benchmark_group("fetch_512_decode_windows");
@@ -56,7 +54,7 @@ fn fetch_throughput(c: &mut Criterion) {
     g.bench_function("reference", |b| {
         b.iter(|| {
             for &rip in &rips {
-                legacy.fetch(black_box(rip), &mut window, Pkru::ALL_ACCESS).unwrap();
+                reference.fetch_ref(black_box(rip), &mut window, Pkru::ALL_ACCESS).unwrap();
             }
         })
     });

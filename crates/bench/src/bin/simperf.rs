@@ -1,12 +1,11 @@
 //! simperf — host wall-clock throughput of the simulator engines.
 //!
 //! Runs the Table 5 syscall-500 stress guest under three engines — the
-//! pre-fast-path baseline (per-step scheduler loop + byte-at-a-time
-//! memory, `EngineConfig::stepwise().mem(MemMode::Legacy)`), the
-//! block/page-run engine, and the trace engine (hot blocks promoted into
-//! linked superblocks with generation revalidation) — reporting simulated
-//! instructions per second for each. A three-way trace diff at a smaller
-//! count first proves the engines are instruction-for-instruction
+//! stepwise oracle (per-step scheduler loop, `EngineConfig::stepwise()`),
+//! the block/page-run engine, and the trace engine (hot blocks promoted
+//! into linked superblocks with generation revalidation) — reporting
+//! simulated instructions per second for each. A three-way trace diff at
+//! a smaller count first proves the engines are instruction-for-instruction
 //! identical, so the throughput comparison is apples to apples. Results
 //! land in `BENCH_simperf.json` (override with `--json PATH`), including
 //! a `sim-obs` counter snapshot (TLB hit rate, icache reuse and
@@ -21,10 +20,14 @@
 //! block/trace inst/s must not fall below baseline × (1 − tol)
 //! (`--tol` / `SIMPERF_TOL`, default 0.5 — generous because wall-clock
 //! throughput on shared CI is noisy; only slowdowns fail, speedups pass).
+//! The gate reads only the baseline's `determinism`, `block` and `after`
+//! entries: the committed file's `before`/`speedup` fields are a frozen
+//! record of the pre-fast-path engine (stepwise loop plus byte-at-a-time
+//! memory), which no longer exists to re-measure.
 
 use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
 use interpose::{Interposer, Native};
-use sim_kernel::{EngineConfig, Kernel, MemMode, Pid, RunExit, TraceEntry, Vfs};
+use sim_kernel::{EngineConfig, Kernel, Pid, RunExit, TraceEntry, Vfs};
 use sim_loader::{boot_kernel, boot_kernel_from};
 use std::process::ExitCode;
 use std::sync::OnceLock;
@@ -33,8 +36,8 @@ use std::time::Instant;
 /// Which engine a run uses.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// Pre-fast-path baseline: stepwise loop + byte-at-a-time memory.
-    Legacy,
+    /// The stepwise oracle: one scheduler step per instruction.
+    Stepwise,
     /// Block engine: `run_block` + page runs + TLB.
     Block,
     /// Trace engine: blocks promoted into linked superblocks.
@@ -42,11 +45,11 @@ enum Mode {
 }
 
 impl Mode {
-    const ALL: [Mode; 3] = [Mode::Legacy, Mode::Block, Mode::Trace];
+    const ALL: [Mode; 3] = [Mode::Stepwise, Mode::Block, Mode::Trace];
 
     fn config(self) -> EngineConfig {
         match self {
-            Mode::Legacy => EngineConfig::stepwise().mem(MemMode::Legacy),
+            Mode::Stepwise => EngineConfig::stepwise(),
             Mode::Block => EngineConfig::new(),
             Mode::Trace => EngineConfig::traced(),
         }
@@ -55,17 +58,17 @@ impl Mode {
     /// Engine label used in the JSON rows and the gate.
     fn label(self) -> &'static str {
         match self {
-            Mode::Legacy => "stepwise+byte-at-a-time",
+            Mode::Stepwise => "stepwise",
             Mode::Block => "run_block+page-runs+tlb",
             Mode::Trace => "superblocks+generation-revalidation",
         }
     }
 
-    /// Key of this engine's row in the JSON document. `before`/`after`
-    /// keep their original meaning (baseline vs headline engine).
+    /// Key of this engine's row in the JSON document (the gate reads
+    /// `block` and `after`, the headline engine's key).
     fn json_key(self) -> &'static str {
         match self {
-            Mode::Legacy => "before",
+            Mode::Stepwise => "stepwise",
             Mode::Block => "block",
             Mode::Trace => "after",
         }
@@ -94,15 +97,10 @@ fn boot(n: u64) -> (Kernel, Pid) {
 }
 
 /// Runs the stress guest to completion under one engine. `trace` records
-/// the instruction-level trace; `ring_cap` overrides the obs event-ring
-/// capacity for snapshot runs.
-fn run(n: u64, mode: Mode, trace: bool, ring_cap: Option<usize>) -> (f64, u64, Option<Vec<TraceEntry>>) {
+/// the instruction-level trace.
+fn run(n: u64, mode: Mode, trace: bool) -> (f64, u64, Option<Vec<TraceEntry>>) {
     let (mut k, pid) = boot(n);
-    let mut cfg = mode.config();
-    if let Some(cap) = ring_cap {
-        cfg = cfg.obs_ring_capacity(cap);
-    }
-    k.configure(cfg);
+    k.configure(mode.config());
     if trace {
         k.start_exec_trace();
     }
@@ -118,7 +116,7 @@ fn run(n: u64, mode: Mode, trace: bool, ring_cap: Option<usize>) -> (f64, u64, O
 fn best_of(runs: u32, n: u64, mode: Mode) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..runs {
-        let (dt, _, _) = run(n, mode, false, None);
+        let (dt, _, _) = run(n, mode, false);
         best = best.min(dt);
     }
     best
@@ -149,10 +147,10 @@ fn measure() -> Measured {
     // The stepwise run is the oracle; block and trace must match it
     // entry for entry (pid, tid, rip, clock, event).
     let diff_n = 2_000 / scale.clamp(1, 10);
-    let (_, clock_ref, ref_tr) = run(diff_n, Mode::Legacy, true, None);
+    let (_, clock_ref, ref_tr) = run(diff_n, Mode::Stepwise, true);
     let ref_tr = ref_tr.unwrap();
     for mode in [Mode::Block, Mode::Trace] {
-        let (_, clock, tr) = run(diff_n, mode, true, None);
+        let (_, clock, tr) = run(diff_n, mode, true);
         let tr = tr.unwrap();
         assert_eq!(clock, clock_ref, "{}: engine clocks diverge", mode.label());
         assert_eq!(tr.len(), ref_tr.len(), "{}: trace lengths diverge", mode.label());
@@ -170,7 +168,7 @@ fn measure() -> Measured {
     let n = (1_000_000 / scale).max(20_000);
     // All engines retire the identical instruction stream (proved above),
     // so one traced run yields the retired-instruction count for all.
-    let (_, _, count_tr) = run(n, Mode::Trace, true, None);
+    let (_, _, count_tr) = run(n, Mode::Trace, true);
     let instructions = count_tr.unwrap().len() as u64;
     println!("guest: {MICRO_APP} (syscall-500 stress), {n} iterations, {instructions} instructions");
     let rows: Vec<Row> = Mode::ALL
@@ -185,8 +183,8 @@ fn measure() -> Measured {
     let ips = |m: Mode| rows.iter().find(|r| r.mode == m).unwrap().inst_per_sec;
     println!(
         "speedup over stepwise baseline: block {:.2}x, trace {:.2}x",
-        ips(Mode::Block) / ips(Mode::Legacy),
-        ips(Mode::Trace) / ips(Mode::Legacy)
+        ips(Mode::Block) / ips(Mode::Stepwise),
+        ips(Mode::Trace) / ips(Mode::Stepwise)
     );
 
     // 3. Counter snapshot from one extra trace-engine run with sim-obs on
@@ -196,8 +194,11 @@ fn measure() -> Measured {
     // snapshot caps the iteration count so the ring stays modest.
     let obs_n = n.min(100_000);
     let ring_cap = (4 * obs_n).next_power_of_two().max(1 << 16) as usize;
-    sim_obs::enable(sim_obs::ObsConfig::default());
-    let _ = run(obs_n, Mode::Trace, false, Some(ring_cap));
+    sim_obs::enable(sim_obs::ObsConfig {
+        ring_capacity: ring_cap,
+        ..sim_obs::ObsConfig::default()
+    });
+    let _ = run(obs_n, Mode::Trace, false);
     let rec = sim_obs::disable().expect("recorder");
     let dropped_events = rec.total_dropped();
     println!(
@@ -221,7 +222,6 @@ fn measure() -> Measured {
 }
 
 fn write_json(path: &str, m: &Measured) {
-    let ips = |mode: Mode| m.rows.iter().find(|r| r.mode == mode).unwrap().inst_per_sec;
     let mut fields = vec![
         ("guest", sjson::Value::Str(MICRO_APP.into())),
         ("iterations", sjson::Value::UInt(m.n)),
@@ -244,11 +244,6 @@ fn write_json(path: &str, m: &Measured) {
             ]),
         ));
     }
-    fields.push(("speedup", sjson::Value::Float(ips(Mode::Trace) / ips(Mode::Legacy))));
-    fields.push((
-        "speedup_block",
-        sjson::Value::Float(ips(Mode::Block) / ips(Mode::Legacy)),
-    ));
     fields.push(("obs_iterations", sjson::Value::UInt(m.obs_iterations)));
     fields.push(("obs", m.obs.clone()));
     let json = sjson::Value::object(fields);
@@ -281,10 +276,10 @@ fn gate(baseline_path: &str, m: &Measured, tol: f64) -> Result<Vec<String>, Stri
         ));
     }
     for row in &m.rows {
-        // The stepwise baseline row is informational, not gated: it
-        // moves with host load, and regressions there don't indicate an
-        // engine problem.
-        if row.mode == Mode::Legacy {
+        // The stepwise oracle row is informational, not gated: it moves
+        // with host load, and regressions there don't indicate an engine
+        // problem.
+        if row.mode == Mode::Stepwise {
             continue;
         }
         let Some(base_ips) = v

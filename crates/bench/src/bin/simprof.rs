@@ -243,7 +243,7 @@ fn finish_run(k: &mut sim_kernel::Kernel, rec: Box<sim_obs::Recorder>) -> RunOut
         traces: trace_table(k),
         flame: rec.flamegraph_svg(),
         samples: rec.samples.len() as u64,
-        instructions: k.prof_retired(),
+        instructions: k.retired(),
         syscalls,
         dropped: rec.total_dropped(),
     }

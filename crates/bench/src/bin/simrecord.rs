@@ -245,7 +245,7 @@ fn do_record(args: &Args) -> Result<ExitCode, String> {
         args.engine,
         recording.recs.len(),
         recording.obs.len(),
-        run.k.record_retired(),
+        run.k.retired(),
         args.out,
         bytes.len()
     );
@@ -318,11 +318,7 @@ fn do_replay(args: &Args) -> Result<ExitCode, String> {
 
 /// Architectural state dump target for navigation.
 fn dump_state(k: &mut Kernel) {
-    println!(
-        "  retired {} clock {} — state:",
-        k.record_retired(),
-        k.clock
-    );
+    println!("  retired {} clock {} — state:", k.retired(), k.clock);
     for pid in k.pids() {
         let Some(tid) = k
             .process(pid)
@@ -365,7 +361,7 @@ fn do_navigate(args: &Args) -> Result<ExitCode, String> {
     }
     let ckpts = chain_run.k.take_checkpoints();
     let chain_ok = chain_run.k.record_chain_ok();
-    let total = chain_run.k.record_retired();
+    let total = chain_run.k.retired();
     let target = args.seek.min(total);
 
     // Seek: inject-mode replay, seeded from the nearest checkpoint.
@@ -551,7 +547,7 @@ fn smoke() -> Result<(), String> {
     }
     let log = Rc::new(rec_run.k.take_recording());
     let ckpts = rec_run.k.take_checkpoints();
-    let total = rec_run.k.record_retired();
+    let total = rec_run.k.retired();
     if ckpts.len() < 2 {
         return Err(format!(
             "expected ≥ 2 checkpoints over {total} retired instructions"

@@ -2,7 +2,7 @@
 
 use crate::cost::CostModel;
 use crate::fasthash::FastMap;
-use crate::trace::{TraceCache, TraceOp, TraceParams};
+use crate::trace::{TraceCache, TraceOp, MAX_OPS};
 use sim_isa::{decode, Cond, Inst, Reg};
 use sim_mem::{AddressSpace, Fault, Pkru};
 
@@ -105,18 +105,6 @@ pub struct BlockExit {
     pub inst: Option<Inst>,
 }
 
-/// Which icache flush strategy a core uses at serialization points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IcacheMode {
-    /// Generation-based revalidation against page content versions (the
-    /// fast path).
-    #[default]
-    Revalidate,
-    /// Drop every cached decode at every serialization point (the original
-    /// engine's behavior, kept as the benchmarking baseline).
-    SeedFlush,
-}
-
 /// One guest core: registers + flags + PKRU + a decoded-instruction cache.
 #[derive(Debug, Clone)]
 pub struct Cpu {
@@ -141,7 +129,9 @@ pub struct Cpu {
     flush_gen: u64,
     /// Reproduce the original engine's flush behavior (drop everything at
     /// every serialization point) instead of generation-based revalidation.
-    /// Guest-invisible either way; used for the benchmarking baseline.
+    /// Guest-invisible either way; the stepwise oracle runs with it on, so
+    /// the SMC determinism tests compare the revalidating engines against
+    /// it.
     seed_flush: bool,
     /// `AddressSpace` write stamp at the last real [`Cpu::serialize`]:
     /// while it is unchanged, serialization points are coalesced away
@@ -277,32 +267,20 @@ impl Cpu {
         self.last_serialize_stamp = Some(stamp);
     }
 
-    /// Selects the icache flush strategy: [`IcacheMode::Revalidate`] is the
-    /// generation-based fast path; [`IcacheMode::SeedFlush`] reproduces the
-    /// original engine's flush-everything behavior (the benchmarking
-    /// baseline). Guest-invisible either way.
-    pub fn set_icache_mode(&mut self, mode: IcacheMode) {
-        self.seed_flush = mode == IcacheMode::SeedFlush;
+    /// Selects the icache flush strategy at serialization points: `true`
+    /// drops every cached decode (the original engine's behavior, which the
+    /// stepwise oracle keeps), `false` revalidates lazily against page
+    /// content versions. Guest-invisible either way.
+    pub fn set_seed_flush(&mut self, on: bool) {
+        self.seed_flush = on;
     }
 
-    /// The currently selected icache flush strategy.
-    pub fn icache_mode(&self) -> IcacheMode {
-        if self.seed_flush {
-            IcacheMode::SeedFlush
-        } else {
-            IcacheMode::Revalidate
-        }
-    }
-
-    /// Enables or disables trace mode (superblock promotion). Enabling
-    /// with an existing cache only updates the knobs — formed traces and
-    /// heat survive across slices; disabling drops the cache.
-    pub fn set_trace_mode(&mut self, params: Option<TraceParams>) {
-        match (params, &mut self.trace) {
-            (Some(p), Some(tc)) => tc.params = p,
-            (Some(p), None) => self.trace = Some(Box::new(TraceCache::new(p))),
-            (None, Some(_)) => self.trace = None,
-            (None, None) => {}
+    /// Enables or disables trace mode (superblock promotion). Formed
+    /// traces and heat survive across slices while it stays enabled;
+    /// disabling drops the cache.
+    pub fn set_trace_mode(&mut self, on: bool) {
+        if on != self.trace.is_some() {
+            self.trace = on.then(|| Box::new(TraceCache::new()));
         }
     }
 
@@ -320,7 +298,7 @@ impl Cpu {
 
     /// Drops every host-side acceleration structure — decoded-instruction
     /// cache, its page index, serialize-coalescing stamp, and the trace
-    /// cache pool (trace mode itself stays enabled with the same knobs).
+    /// cache pool (trace mode itself stays enabled).
     /// Architecturally invisible: neither the icache nor the trace cache
     /// participates in cycle accounting, so a core restored from a
     /// checkpoint re-decodes from cold with an identical guest-visible
@@ -335,9 +313,8 @@ impl Cpu {
         self.trace_replay_break = false;
         self.replay_pages.clear();
         self.pending_trace_unlinks.clear();
-        if let Some(tc) = self.trace.as_deref() {
-            let params = tc.params;
-            self.trace = Some(Box::new(TraceCache::new(params)));
+        if self.trace.is_some() {
+            self.trace = Some(Box::new(TraceCache::new()));
         }
     }
 
@@ -1321,7 +1298,7 @@ impl Cpu {
                                     None => rec.pages.push((page, ver)),
                                 }
                             }
-                            if ok && rec.ops.len() < tc.params.max_ops {
+                            if ok && rec.ops.len() < MAX_OPS {
                                 rec.ops.push(TraceOp {
                                     rip,
                                     inst,

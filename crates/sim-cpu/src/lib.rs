@@ -20,6 +20,6 @@ pub mod fasthash;
 pub mod trace;
 
 pub use cost::CostModel;
-pub use cpu::{BlockExit, Cpu, HookAction, IcacheMode, Step, StepEvent};
+pub use cpu::{BlockExit, Cpu, HookAction, Step, StepEvent};
 pub use fasthash::FastMap;
-pub use trace::{TraceParams, TraceStat};
+pub use trace::TraceStat;

@@ -31,27 +31,13 @@ use sim_isa::Inst;
 
 use crate::fasthash::FastMap;
 
-/// Trace-engine tuning knobs, carried by `EngineConfig` in sim-kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceParams {
-    /// Block-entry count at which a head starts recording a trace.
-    pub hot_threshold: u32,
-    /// Maximum ops captured into one trace.
-    pub max_ops: usize,
-    /// Trace-pool capacity; reaching it resets the pool (rare, and cold
-    /// execution is always correct, so a reset only costs re-warming).
-    pub max_traces: usize,
-}
-
-impl Default for TraceParams {
-    fn default() -> Self {
-        TraceParams {
-            hot_threshold: 16,
-            max_ops: 256,
-            max_traces: 4096,
-        }
-    }
-}
+/// Block-entry count at which a head starts recording a trace.
+pub const HOT_THRESHOLD: u32 = 16;
+/// Maximum ops captured into one trace.
+pub const MAX_OPS: usize = 256;
+/// Trace-pool capacity; reaching it resets the pool (rare, and cold
+/// execution is always correct, so a reset only costs re-warming).
+pub const MAX_TRACES: usize = 4096;
 
 /// One recorded instruction: everything replay needs, no fetch required.
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +87,6 @@ pub struct TraceRec {
 /// (at most one) in-progress recording.
 #[derive(Debug, Clone)]
 pub struct TraceCache {
-    pub params: TraceParams,
     /// Block head → entry count (the hotness profile).
     heat: FastMap<u64, u32>,
     /// Trace entry rip → pool index (only valid traces are indexed).
@@ -120,9 +105,8 @@ pub struct TraceCache {
 }
 
 impl TraceCache {
-    pub fn new(params: TraceParams) -> TraceCache {
+    pub(crate) fn new() -> TraceCache {
         TraceCache {
-            params,
             heat: FastMap::default(),
             by_entry: FastMap::default(),
             pool: Vec::new(),
@@ -168,7 +152,7 @@ impl TraceCache {
     pub fn bump_heat(&mut self, rip: u64) -> bool {
         let h = self.heat.entry(rip).or_insert(0);
         *h = h.saturating_add(1);
-        *h >= self.params.hot_threshold
+        *h >= HOT_THRESHOLD
     }
 
     /// Starts recording a trace entered at `rip` under mapping generation
@@ -242,7 +226,7 @@ impl TraceCache {
             }
             return;
         }
-        if self.pool.len() >= self.params.max_traces {
+        if self.pool.len() >= MAX_TRACES {
             self.pool.clear();
             self.by_entry = FastMap::default();
             self.page_index = FastMap::default();

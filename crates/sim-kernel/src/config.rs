@@ -1,20 +1,18 @@
 //! Typed engine configuration and the kernel-side fault-injection session.
 //!
-//! [`EngineConfig`] replaced the accreted bool setters of earlier
-//! revisions with one builder applied through
-//! [`crate::Kernel::configure`]; every knob (engine, memory mode, icache
-//! policy, trace parameters, fault plan, profiler period, obs ring size)
-//! lives here. [`FaultSession`] is the kernel's live
-//! state for one [`FaultPlan`]: architectural counters (retired
-//! instructions, syscall occurrences, scheduling rounds) plus pending
-//! permission restorations — all of which advance identically under the
-//! block engine and the stepwise oracle.
+//! [`EngineConfig`] is one builder applied through
+//! [`crate::Kernel::configure`]: the scheduler engine plus the fault,
+//! profile, record and audit sessions. [`FaultSession`] is the kernel's
+//! live state for one [`FaultPlan`]: architectural counters (syscall
+//! occurrences, scheduling rounds) plus pending permission restorations —
+//! all of which advance identically under every engine. Every session is
+//! positioned on the kernel's one retired-instruction clock
+//! ([`crate::Kernel::retired`]).
 
 use crate::process::Pid;
 use crate::record::RecordSpec;
-use sim_cpu::{IcacheMode, TraceParams};
 use sim_fault::FaultPlan;
-use sim_mem::{MemMode, Perms};
+use sim_mem::Perms;
 use sim_record::Rec;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -29,43 +27,33 @@ pub enum Engine {
     /// into linked superblocks replayed without per-instruction fetches
     /// (see `sim_cpu::trace`).
     Trace,
-    /// The original per-step loop, retained as the determinism oracle and
-    /// benchmarking baseline.
+    /// The original per-step loop with the flush-everything icache,
+    /// retained as the determinism oracle.
     Stepwise,
 }
 
-/// One typed configuration for the execution engine.
+/// One typed configuration: the engine plus the four sessions.
 ///
 /// ```
-/// use sim_kernel::{Engine, EngineConfig, IcacheMode, MemMode};
+/// use sim_kernel::{Engine, EngineConfig};
 ///
 /// let fast = EngineConfig::new();
 /// assert_eq!(fast.engine, Engine::Block);
 /// let traced = EngineConfig::traced();
 /// assert_eq!(traced.engine, Engine::Trace);
-/// let oracle = EngineConfig::stepwise();
-/// assert_eq!(oracle.icache, IcacheMode::SeedFlush);
-/// let legacy = EngineConfig::new().mem(MemMode::Legacy);
-/// assert_eq!(legacy.mem, MemMode::Legacy);
+/// let oracle = EngineConfig::stepwise().profile(64).record();
+/// assert_eq!(oracle.engine, Engine::Stepwise);
+/// assert_eq!(oracle.profile, Some(64));
+/// assert!(oracle.fault.is_none() && oracle.audit.is_none());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Scheduler engine.
     pub engine: Engine,
-    /// Guest memory access mode (applied to every address space).
-    pub mem: MemMode,
-    /// Decoded-instruction cache policy (applied to every core).
-    pub icache: IcacheMode,
-    /// Trace-cache knobs (consulted only under [`Engine::Trace`]).
-    pub trace: TraceParams,
     /// Fault-injection plan, if any.
     pub fault: Option<FaultPlan>,
     /// Profiler sample period in retired instructions, if sampling.
     pub profile: Option<u64>,
-    /// Observability event-ring capacity override (events per simulated
-    /// CPU); `None` keeps the recorder's own configuration. Applied at
-    /// [`crate::Kernel::configure`] time when recording is live.
-    pub obs_ring_capacity: Option<usize>,
     /// Record/replay mode, if any (see [`crate::record`]).
     pub record: Option<RecordSpec>,
     /// Coverage-audit expectation, if auditing (see [`crate::audit`]).
@@ -73,14 +61,13 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The default fast configuration: block engine, page-run memory,
-    /// revalidating icache, no fault injection.
+    /// The default fast configuration: block engine, no sessions.
     pub fn new() -> EngineConfig {
         EngineConfig::default()
     }
 
     /// The trace-engine configuration: block engine plus superblock
-    /// promotion with default [`TraceParams`].
+    /// promotion.
     pub fn traced() -> EngineConfig {
         EngineConfig {
             engine: Engine::Trace,
@@ -89,11 +76,11 @@ impl EngineConfig {
     }
 
     /// The oracle configuration the determinism tests compare against:
-    /// the stepwise engine with the original seeded icache flushing.
+    /// the stepwise engine (which flushes the whole icache at every
+    /// serialization point, as the original engine did).
     pub fn stepwise() -> EngineConfig {
         EngineConfig {
             engine: Engine::Stepwise,
-            icache: IcacheMode::SeedFlush,
             ..EngineConfig::default()
         }
     }
@@ -101,32 +88,6 @@ impl EngineConfig {
     /// Selects the scheduler engine.
     pub fn engine(mut self, engine: Engine) -> EngineConfig {
         self.engine = engine;
-        self
-    }
-
-    /// Overrides the trace-cache knobs (hotness threshold, max ops per
-    /// trace, pool capacity).
-    pub fn trace_params(mut self, params: TraceParams) -> EngineConfig {
-        self.trace = params;
-        self
-    }
-
-    /// Overrides the observability event-ring capacity (events per
-    /// simulated CPU) while recording is live.
-    pub fn obs_ring_capacity(mut self, cap: usize) -> EngineConfig {
-        self.obs_ring_capacity = Some(cap);
-        self
-    }
-
-    /// Selects the guest memory access mode.
-    pub fn mem(mut self, mem: MemMode) -> EngineConfig {
-        self.mem = mem;
-        self
-    }
-
-    /// Selects the decoded-instruction cache policy.
-    pub fn icache(mut self, icache: IcacheMode) -> EngineConfig {
-        self.icache = icache;
         self
     }
 
@@ -193,8 +154,6 @@ impl EngineConfig {
 pub(crate) struct FaultSession {
     /// The plan being applied.
     pub plan: FaultPlan,
-    /// Retired guest instructions (architectural; engine-invariant).
-    pub retired: u64,
     /// Plan boundaries strictly below this have fired. Injection retires
     /// no instructions, so without the cursor a boundary would re-fire
     /// forever at the same retired count.
@@ -209,15 +168,13 @@ pub(crate) struct FaultSession {
     pub round: u64,
 }
 
-/// Kernel-side state for the sampling profiler: like [`FaultSession`],
-/// it counts retired instructions (engine-invariant) and caps block
-/// budgets so sample boundaries land at identical architectural
-/// instructions under both engines.
+/// Kernel-side state for the sampling profiler: its next sample boundary
+/// on the kernel's retired-instruction clock, which caps block budgets so
+/// samples land at identical architectural instructions under every
+/// engine.
 pub(crate) struct ProfSession {
     /// Sample period in retired instructions (≥ 1).
     pub period: u64,
-    /// Retired guest instructions.
-    pub retired: u64,
     /// Next sample boundary (strictly greater than the last one taken).
     pub next: u64,
 }
@@ -227,15 +184,8 @@ impl ProfSession {
         let period = period.max(1);
         ProfSession {
             period,
-            retired: 0,
             next: period,
         }
-    }
-
-    /// True when the boundary is reached; the caller takes the sample
-    /// and advances [`ProfSession::next`].
-    pub fn due(&self) -> bool {
-        self.retired >= self.next
     }
 }
 
@@ -243,7 +193,6 @@ impl FaultSession {
     pub fn new(plan: FaultPlan) -> FaultSession {
         FaultSession {
             plan,
-            retired: 0,
             fired_until: 0,
             occurrences: BTreeMap::new(),
             restores: Vec::new(),
@@ -252,20 +201,11 @@ impl FaultSession {
     }
 
     /// The next boundary (plan event or scheduled restore) the engines
-    /// must stop at, skipping plan boundaries that already fired.
-    pub fn next_stop(&self) -> Option<u64> {
-        let from = self.retired.max(self.fired_until);
-        let plan_next = self.plan.next_boundary(from);
+    /// must stop at, given the `retired` clock, skipping plan boundaries
+    /// that already fired.
+    pub fn next_stop(&self, retired: u64) -> Option<u64> {
+        let plan_next = self.plan.next_boundary(retired.max(self.fired_until));
         let restore_next = self.restores.iter().map(|r| r.0).min();
-        match (plan_next, restore_next) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// True if a boundary is due at (or overdue for) the current retired
-    /// count.
-    pub fn due(&self) -> bool {
-        self.next_stop().is_some_and(|s| s <= self.retired)
+        plan_next.into_iter().chain(restore_next).min()
     }
 }

@@ -14,32 +14,26 @@ use crate::record::{
 };
 use crate::signal::{self, SigInfo};
 use crate::vfs::Vfs;
-use sim_cpu::{BlockExit, CostModel, Cpu, HookAction, IcacheMode, Step, StepEvent};
-use sim_fault::{FaultKind, FaultPlan, PermFlip};
+use sim_cpu::{BlockExit, CostModel, Cpu, FastMap, HookAction, Step, StepEvent};
+use sim_fault::{FaultKind, PermFlip};
 use sim_record::{Divergence, Rec};
 use sim_isa::Reg;
-use sim_mem::{AddressSpace, MemMode, Perms, PAGE_SIZE};
+use sim_mem::{AddressSpace, Perms, PAGE_SIZE};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-/// Folds a run of `count` identical trivial syscalls (`nr_` issued from
-/// `site`) into the process statistics — the same updates, in the same
-/// order, as `handle_syscall_slow`'s count block, resolved through the
-/// same per-`(site, mapping generation)` region memo. Used by the hot
-/// slice loop, which batches consecutive identical syscalls and flushes
-/// before anything else can observe the stats.
-fn flush_syscall_stats(
-    stats: &mut crate::process::ProcStats,
-    region_cache: &mut sim_cpu::FastMap<u64, (u64, String)>,
+/// Scheduler slice, in instructions.
+const SLICE: u64 = 64;
+
+/// The name of the mapped region containing `site`, through the
+/// per-process memo: the linear mapping walk and the name allocation
+/// happen once per `(site, mapping generation)`, not once per syscall.
+fn region_of<'a>(
+    region_cache: &'a mut FastMap<u64, (u64, String)>,
     space: &AddressSpace,
-    interposer_live: bool,
-    nr_: u64,
     site: u64,
-    count: u64,
-) {
-    stats.syscalls += count;
-    *stats.per_syscall.entry(nr_).or_insert(0) += count;
+) -> &'a String {
     let gen = space.generation();
     if !matches!(region_cache.get(&site), Some((g, _)) if *g == gen) {
         let name = space
@@ -48,7 +42,26 @@ fn flush_syscall_stats(
             .unwrap_or_else(|| "?".to_string());
         region_cache.insert(site, (gen, name));
     }
-    let region = &region_cache[&site].1;
+    &region_cache[&site].1
+}
+
+/// Folds `count` executions of syscall `nr_` issued from `site` into the
+/// process statistics. The one stats fold: the slow path counts each
+/// syscall here, the direct path too, and the hot slice loop batches
+/// runs of identical trivial syscalls and flushes them before anything
+/// else can observe the stats.
+fn flush_syscall_stats(
+    stats: &mut crate::process::ProcStats,
+    region_cache: &mut FastMap<u64, (u64, String)>,
+    space: &AddressSpace,
+    interposer_live: bool,
+    nr_: u64,
+    site: u64,
+    count: u64,
+) {
+    stats.syscalls += count;
+    *stats.per_syscall.entry(nr_).or_insert(0) += count;
+    let region = region_of(region_cache, space, site);
     match stats.syscalls_via.get_mut(region.as_str()) {
         Some(c) => *c += count,
         None => {
@@ -59,6 +72,38 @@ fn flush_syscall_stats(
     if !interposer_live {
         stats.syscalls_before_interposer += count;
     }
+}
+
+/// Services a trivial syscall at `site` in place: one whose slow-path
+/// dispatch is a pure return value with no kernel state touched beyond
+/// the statistics (`SYS_NONEXISTENT` is the Table 5 stress nr). Applies
+/// the kernel-entry serialization and the return's register effects and
+/// returns the syscall number; returns `None`, with no effect, for any
+/// other syscall.
+#[inline]
+fn serve_trivial(
+    cpu: &mut Cpu,
+    space: &AddressSpace,
+    pid: Pid,
+    tid: Tid,
+    site: u64,
+) -> Option<u64> {
+    let nr_ = cpu.get(Reg::Rax);
+    let ret = match nr_ {
+        nr::SYS_NONEXISTENT => nr::err(nr::ENOSYS),
+        nr::SYS_GETPID => pid,
+        nr::SYS_GETTID => tid,
+        nr::SYS_GETUID => 1000,
+        nr::SYS_SCHED_YIELD => 0,
+        _ => return None,
+    };
+    // Kernel entry serializes the instruction stream (coalesced to a
+    // stamp compare while nothing in the space was written).
+    cpu.serialize(space);
+    cpu.rip = site + 2;
+    cpu.set(Reg::Rax, ret);
+    cpu.apply_syscall_clobbers(site + 2);
+    Some(nr_)
 }
 
 /// A host function invocable from guest code via an `int3` hostcall site.
@@ -172,8 +217,6 @@ pub struct Kernel {
     /// and listener change must pass a wake point, which also marks the
     /// epoll members following it (see `Kernel::mark_readiness`).
     pub(crate) net: Net,
-    /// Scheduler slice, in instructions.
-    pub slice: u32,
     procs: BTreeMap<Pid, Process>,
     next_pid: Pid,
     next_tid: Tid,
@@ -197,12 +240,9 @@ pub struct Kernel {
     run_deadline: u64,
     /// Scheduler engine (see [`EngineConfig`]).
     engine: Engine,
-    /// Icache policy stamped onto each core at slice entry.
-    icache: IcacheMode,
-    /// Trace-cache knobs stamped onto each core under [`Engine::Trace`].
-    trace_params: sim_cpu::TraceParams,
-    /// Memory access mode stamped onto every address space.
-    mem_mode: MemMode,
+    /// The retired-instruction clock every session is positioned on (see
+    /// [`Kernel::retired`]).
+    retired: u64,
     /// Live fault-injection session, when configured.
     fault: Option<FaultSession>,
     /// Installed interposer stack (composed interposition), when any.
@@ -225,7 +265,6 @@ impl Kernel {
             clock: 0,
             vfs: Vfs::new(),
             net: Net::default(),
-            slice: 64,
             procs: BTreeMap::new(),
             next_pid: 1,
             next_tid: 1,
@@ -241,9 +280,7 @@ impl Kernel {
             current: None,
             run_deadline: u64::MAX,
             engine: Engine::Block,
-            icache: IcacheMode::Revalidate,
-            trace_params: sim_cpu::TraceParams::default(),
-            mem_mode: MemMode::PageRun,
+            retired: 0,
             fault: None,
             stack: None,
             prof: None,
@@ -253,47 +290,38 @@ impl Kernel {
         }
     }
 
-    /// Applies a typed engine configuration. The memory mode propagates
-    /// to every existing address space; spaces created by later execs
-    /// inherit it too. Installing a [`FaultPlan`] resets its session
-    /// state (retired counts, occurrence counters), so configuring is
-    /// the replay point.
+    /// Applies a typed engine configuration: the engine plus fresh
+    /// fault, profile, record and audit sessions. The retired-instruction
+    /// clock restarts at zero, as do the fault plan's occurrence counters,
+    /// so configuring is the replay point.
     pub fn configure(&mut self, cfg: EngineConfig) {
         self.engine = cfg.engine;
-        self.icache = cfg.icache;
-        self.trace_params = cfg.trace;
-        self.mem_mode = cfg.mem;
+        self.retired = 0;
         self.fault = cfg.fault.map(FaultSession::new);
         self.prof = cfg.profile.map(ProfSession::new);
         self.record = cfg.record.map(RecordSession::new);
         self.audit = cfg.audit.map(crate::audit::AuditSession::new);
-        if let Some(cap) = cfg.obs_ring_capacity {
-            sim_obs::set_ring_capacity(cap);
-        }
         // Navigation-grade recording needs written-page tracking for its
         // per-syscall write snapshots and incremental checkpoint deltas.
-        let track_dirty = self
+        if self
             .record
             .as_ref()
-            .is_some_and(|rs| rs.mode == RecordModeKind::Record && rs.ckpt_period > 0);
-        for p in self.procs.values_mut() {
-            p.space.set_mem_mode(cfg.mem);
-            if track_dirty {
+            .is_some_and(|rs| rs.mode == RecordModeKind::Record && rs.ckpt_period > 0)
+        {
+            for p in self.procs.values_mut() {
                 p.space.set_dirty_tracking(true);
             }
         }
     }
 
-    /// Retired-instruction count of the profiler session (0 when not
-    /// profiling) — the engine-invariant workload size simprof gates on.
-    pub fn prof_retired(&self) -> u64 {
-        self.prof.as_ref().map_or(0, |p| p.retired)
-    }
-
-    /// The active fault-injection plan, if one was configured (replay
-    /// and failure reporting).
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(|f| &f.plan)
+    /// Guest instructions retired since the last [`Kernel::configure`]
+    /// (block steps: a syscall, fault or `int3` step counts as one),
+    /// exact under every engine. Fault boundaries, profiler samples and
+    /// record keys are all positioned on this clock, so it is the
+    /// engine-invariant coordinate recordings are keyed by and the
+    /// workload size simprof gates on.
+    pub fn retired(&self) -> u64 {
+        self.retired
     }
 
     /// Starts recording an instruction-level execution trace.
@@ -321,11 +349,6 @@ impl Kernel {
     ) {
         self.hostcall_impls
             .insert(name.to_string(), Rc::new(RefCell::new(f)));
-    }
-
-    /// Registers a hostcall site manually (outside of exec wiring).
-    pub fn bind_hostcall_site(&mut self, pid: Pid, addr: u64, name: &str) {
-        self.hostcall_sites.insert((pid, addr), name.to_string());
     }
 
     // ---- accessors --------------------------------------------------------
@@ -391,11 +414,6 @@ impl Kernel {
     /// Attaches a tracer to `pid` (PTRACE_ATTACH / PTRACE_TRACEME).
     pub fn attach_tracer(&mut self, pid: Pid, tracer: Rc<RefCell<dyn Tracer>>, opts: TraceOpts) {
         self.tracers.insert(pid, TracerSlot { tracer, opts });
-    }
-
-    /// Detaches the tracer from `pid` (PTRACE_DETACH).
-    pub fn detach_tracer(&mut self, pid: Pid) {
-        self.tracers.remove(&pid);
     }
 
     /// True if `pid` is currently traced.
@@ -592,7 +610,6 @@ impl Kernel {
             let was_live = p.interposer_live;
             p.exe = path.to_string();
             p.space = img.space;
-            p.space.set_mem_mode(self.mem_mode);
             p.threads = vec![Thread::new(tid)];
             p.threads[0].cpu.rip = img.entry;
             p.threads[0].cpu.set(Reg::Rsp, img.rsp);
@@ -645,11 +662,6 @@ impl Kernel {
     /// fork/execve per the layers' propagation flags.
     pub fn install_stack(&mut self, session: crate::stack::StackSession) {
         self.stack = Some(session);
-    }
-
-    /// Removes the installed stack (existing masks become inert).
-    pub fn clear_stack(&mut self) {
-        self.stack = None;
     }
 
     /// The installed stack session, if any.
@@ -775,11 +787,6 @@ impl Kernel {
         }
     }
 
-    /// The live audit session, if auditing was configured.
-    pub fn audit_session(&self) -> Option<&crate::audit::AuditSession> {
-        self.audit.as_ref()
-    }
-
     /// The coverage ledger with vDSO shadows folded in (vDSO calls never
     /// reach the dispatch choke point, so they are merged from each
     /// process's architectural `vdso_calls` counter at report time).
@@ -827,14 +834,11 @@ impl Kernel {
             (p.ppid, chans, ports)
         };
         let (ppid, chans, ports) = (ppid_chans_ports.0, ppid_chans_ports.1, ppid_chans_ports.2);
-        if let Some(rs) = self.record.as_mut() {
-            let retired = rs.retired;
-            rs.emit(Rec::Exit {
-                retired,
-                pid,
-                status: status as u64,
-            });
-        }
+        self.record_emit(Rec::Exit {
+            retired: self.retired,
+            pid,
+            status: status as u64,
+        });
         for port in ports {
             if let Some(l) = self.net.listeners.get_mut(&port) {
                 l.refs = l.refs.saturating_sub(1);
@@ -1177,9 +1181,8 @@ impl Kernel {
             if let Some((round, rot, n)) = rotated {
                 if let Some(rs) = self.record.as_mut() {
                     rs.sched_rounds += 1;
-                    let retired = rs.retired;
                     rs.emit(Rec::Sched {
-                        retired,
+                        retired: self.retired,
                         round,
                         rot,
                         n,
@@ -1198,71 +1201,74 @@ impl Kernel {
         }
     }
 
-    /// The slice budget for `tid` this round: the configured slice, or
-    /// the fault plan's adversarial preemption cap when one is active.
+    /// The slice budget for `tid` this round: [`SLICE`], or the fault
+    /// plan's adversarial preemption cap when one is active.
     fn effective_slice(&self, tid: Tid) -> u64 {
-        let base = self.slice as u64;
         match &self.fault {
-            Some(fs) => match fs.plan.slice_cap(fs.round, tid) {
-                Some(cap) => cap.min(base),
-                None => base,
-            },
-            None => base,
+            Some(fs) => fs
+                .plan
+                .slice_cap(fs.round, tid)
+                .map_or(SLICE, |cap| cap.min(SLICE)),
+            None => SLICE,
         }
     }
 
-    /// True if a fault boundary (signal injection, permission flip, or
-    /// scheduled restore) is due at the current retired count.
-    fn fault_boundary_due(&self) -> bool {
-        self.fault.as_ref().is_some_and(FaultSession::due)
+    /// The nearest retired-instruction boundary any session must stop at:
+    /// the fault plan's next event or restore, the profiler's next sample,
+    /// or the record session's seek target, checkpoint or injected
+    /// asynchrony. The engines cap every budget to it, so each boundary
+    /// lands on the identical architectural instruction under every
+    /// engine. `None` when no session is live.
+    fn next_stop(&self) -> Option<u64> {
+        let fault = self
+            .fault
+            .as_ref()
+            .and_then(|fs| fs.next_stop(self.retired));
+        let prof = self.prof.as_ref().map(|ps| ps.next);
+        let record = self.record.as_ref().and_then(RecordSession::next_stop);
+        [fault, prof, record].into_iter().flatten().min()
     }
 
-    /// Caps an execution budget so the engine stops exactly at the next
-    /// fault boundary — both engines then observe it at the identical
-    /// architectural instruction.
-    fn fault_capped(&self, budget: u64) -> u64 {
-        match &self.fault {
-            Some(fs) => match fs.next_stop() {
-                Some(s) => budget.min(s.saturating_sub(fs.retired).max(1)),
-                None => budget,
-            },
-            None => budget,
+    /// Handles the session boundaries due at the current retired count.
+    /// Record boundaries come first: a checkpoint captures the
+    /// pre-asynchrony state, so signal/flip records landing at the same
+    /// retired count re-apply after a restore. Returns `true` when the
+    /// slice must end.
+    fn boundary_ends_slice(&mut self, pid: Pid, tid: Tid) -> bool {
+        let at = self.retired;
+        let record_due = self
+            .record
+            .as_ref()
+            .is_some_and(|rs| rs.stopped || rs.next_stop().is_some_and(|s| s <= at));
+        if record_due && self.apply_record_boundary(pid, tid) {
+            return true;
         }
-    }
-
-    /// Credits retired instructions to the fault session.
-    fn fault_retire(&mut self, steps: u64) {
-        if let Some(fs) = self.fault.as_mut() {
-            fs.retired += steps;
+        let fault_due = self
+            .fault
+            .as_ref()
+            .is_some_and(|fs| fs.next_stop(at).is_some_and(|s| s <= at));
+        if fault_due {
+            self.apply_fault_boundary(pid, tid);
         }
+        fault_due
     }
 
-    /// Caps an execution budget so the engine stops exactly at the next
-    /// profiler sample boundary; both engines then sample at the
-    /// identical architectural instruction. No-op when not profiling, so
-    /// block execution is untouched in ordinary runs.
-    fn prof_capped(&self, budget: u64) -> u64 {
-        match &self.prof {
-            Some(ps) => budget.min(ps.next.saturating_sub(ps.retired).max(1)),
-            None => budget,
-        }
-    }
-
-    /// Credits retired instructions to the profiler session and takes a
-    /// sample when a boundary is reached. Sampling reads guest state but
-    /// never writes it and charges no cycles: the profiled run's clock
-    /// stream is identical to the unprofiled one.
-    fn prof_retire_and_sample(&mut self, pid: Pid, tid: Tid, steps: u64) {
+    /// Advances the retired-instruction clock by `steps` and takes a
+    /// profiler sample when a sample boundary is reached. Sampling reads
+    /// guest state but never writes it and charges no cycles: the
+    /// profiled run's clock stream is identical to the unprofiled one.
+    fn retire(&mut self, pid: Pid, tid: Tid, steps: u64) {
+        self.retired += steps;
         let Some(ps) = self.prof.as_mut() else {
             return;
         };
-        ps.retired += steps;
-        let mut due = false;
-        while ps.due() {
-            ps.next += ps.period;
-            due = true;
+        if ps.next > self.retired {
+            return;
         }
-        if due && sim_obs::enabled() {
+        while ps.next <= self.retired {
+            ps.next += ps.period;
+        }
+        if sim_obs::enabled() {
             self.take_prof_sample(pid, tid);
         }
     }
@@ -1324,42 +1330,6 @@ impl Kernel {
 
     // ---- record/replay session plumbing ------------------------------------
 
-    /// True if a record-session boundary (stop target, checkpoint, or
-    /// inject-mode asynchrony) is due at the current retired count.
-    fn record_boundary_due(&self) -> bool {
-        self.record.as_ref().is_some_and(|rs| {
-            rs.stopped
-                || rs.stop_at.is_some_and(|s| s <= rs.retired)
-                || rs.next_ckpt.is_some_and(|n| n <= rs.retired)
-                || rs.next_boundary().is_some_and(|b| b <= rs.retired)
-        })
-    }
-
-    /// Caps an execution budget so the engine stops exactly at the next
-    /// record-session boundary — like [`Kernel::fault_capped`], this puts
-    /// checkpoints, stop targets, and injected asynchrony at identical
-    /// architectural instructions under every engine.
-    fn record_capped(&self, budget: u64) -> u64 {
-        let Some(rs) = self.record.as_ref() else {
-            return budget;
-        };
-        let mut b = budget;
-        for stop in [rs.stop_at, rs.next_ckpt, rs.next_boundary()]
-            .into_iter()
-            .flatten()
-        {
-            b = b.min(stop.saturating_sub(rs.retired).max(1));
-        }
-        b
-    }
-
-    /// Credits retired instructions to the record session.
-    fn record_retire(&mut self, steps: u64) {
-        if let Some(rs) = self.record.as_mut() {
-            rs.retired += steps;
-        }
-    }
-
     /// True when the record session halted the run.
     fn record_stopped(&self) -> bool {
         self.record.as_ref().is_some_and(|rs| rs.stopped)
@@ -1379,8 +1349,9 @@ impl Kernel {
     /// asynchrony end the slice, mirroring [`Kernel::apply_fault_boundary`].
     /// Returns `true` when the slice must end.
     fn apply_record_boundary(&mut self, pid: Pid, tid: Tid) -> bool {
+        let at = self.retired;
         let due_ckpt = self.record.as_ref().is_some_and(|rs| {
-            rs.mode == RecordModeKind::Record && rs.next_ckpt.is_some_and(|n| n <= rs.retired)
+            rs.mode == RecordModeKind::Record && rs.next_ckpt.is_some_and(|n| n <= at)
         });
         if due_ckpt {
             self.take_record_checkpoint();
@@ -1393,11 +1364,11 @@ impl Kernel {
             if rs.stopped {
                 return true;
             }
-            if rs.stop_at.is_some_and(|s| s <= rs.retired) {
+            if rs.stop_at.is_some_and(|s| s <= at) {
                 rs.stopped = true;
                 return true;
             }
-            while rs.bcursor < rs.boundaries.len() && rs.boundaries[rs.bcursor].0 <= rs.retired {
+            while rs.bcursor < rs.boundaries.len() && rs.boundaries[rs.bcursor].0 <= at {
                 due_actions.push(rs.boundaries[rs.bcursor].1);
                 rs.bcursor += 1;
             }
@@ -1475,7 +1446,7 @@ impl Kernel {
             RecordModeKind::Record | RecordModeKind::Verify => {
                 let entry = rs.entry_clock.remove(&(pid, tid)).unwrap_or(clock);
                 let cycles = clock.saturating_sub(entry);
-                let retired = rs.retired;
+                let retired = self.retired;
                 let nav = rs.mode == RecordModeKind::Record && rs.ckpt_period > 0;
                 let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
                 if nav {
@@ -1510,12 +1481,11 @@ impl Kernel {
     /// exec permanently break the chain, and navigation then replays from
     /// the start instead.
     fn take_record_checkpoint(&mut self) {
-        let clock = self.clock;
+        let (clock, retired) = (self.clock, self.retired);
         let single = self.procs.len() == 1;
         let Some(rs) = self.record.as_mut() else {
             return;
         };
-        let retired = rs.retired;
         while let Some(n) = rs.next_ckpt {
             if n <= retired {
                 rs.next_ckpt = Some(n + rs.ckpt_period);
@@ -1571,8 +1541,9 @@ impl Kernel {
     /// checkpoint in the prefix are applied in order (later deltas win),
     /// then the last checkpoint's thread/signal/seccomp state. CPU caches
     /// are reset — clock-invisible, since the cost model charges per
-    /// instruction regardless of decode-cache state — and the record
-    /// session's retired/log coordinates are aligned to the boundary.
+    /// instruction regardless of decode-cache state — and the
+    /// retired-instruction clock and the record session's log
+    /// coordinates are aligned to the boundary.
     ///
     /// # Errors
     ///
@@ -1616,8 +1587,8 @@ impl Kernel {
         if sim_obs::enabled() {
             sim_obs::set_clock(self.clock);
         }
+        self.retired = ckpt.retired;
         if let Some(rs) = self.record.as_mut() {
-            rs.retired = ckpt.retired;
             rs.cursor = ckpt.cursor;
             rs.bcursor = rs
                 .boundaries
@@ -1630,18 +1601,21 @@ impl Kernel {
         Ok(())
     }
 
-    /// Runs until the record session has retired `target` guest
-    /// instructions (or the run otherwise ends): the time-travel seek
-    /// primitive. Returns [`RunExit::Stop`] when the target was reached.
+    /// Runs until the retired-instruction clock reaches `target` (or the
+    /// run otherwise ends): the time-travel seek primitive, which needs a
+    /// record session. Returns [`RunExit::Stop`] when the target was
+    /// reached.
     pub fn run_to_retired(&mut self, target: u64, max_cycles: u64) -> RunExit {
+        let reached = self.retired >= target;
         if let Some(rs) = self.record.as_mut() {
             rs.stop_at = Some(target);
-            rs.stopped = rs.retired >= target;
+            rs.stopped = reached;
         }
         let exit = self.run(max_cycles);
+        let reached = self.retired >= target;
         if let Some(rs) = self.record.as_mut() {
             rs.stop_at = None;
-            if rs.divergence.is_none() && rs.retired >= target {
+            if rs.divergence.is_none() && reached {
                 rs.stopped = false;
             }
         }
@@ -1649,12 +1623,6 @@ impl Kernel {
     }
 
     // ---- record/replay public accessors ------------------------------------
-
-    /// Retired-instruction count of the record session (0 when not
-    /// recording) — the engine-invariant coordinate logs are keyed by.
-    pub fn record_retired(&self) -> u64 {
-        self.record.as_ref().map_or(0, |rs| rs.retired)
-    }
 
     /// The first mismatch a verifying replay found, if any.
     pub fn record_divergence(&self) -> Option<&Divergence> {
@@ -1697,10 +1665,10 @@ impl Kernel {
     fn apply_fault_boundary(&mut self, pid: Pid, tid: Tid) {
         let clock = self.clock;
         let obs = sim_obs::enabled();
+        let at = self.retired;
         let Some(fs) = self.fault.as_mut() else {
             return;
         };
-        let at = fs.retired;
         fs.fired_until = at + 1;
         let mut due_restores = Vec::new();
         fs.restores.retain(|r| {
@@ -1829,18 +1797,10 @@ impl Kernel {
     /// kernel or guest state.
     fn run_slice_blocks(&mut self, pid: Pid, tid: Tid) {
         self.current = Some((pid, tid));
-        let icache = self.icache;
-        let tparams = (self.engine == Engine::Trace).then_some(self.trace_params);
+        let traced = self.engine == Engine::Trace;
         let mut remaining = self.effective_slice(tid);
         while remaining > 0 {
-            // Record boundaries come first: a checkpoint captures the
-            // pre-asynchrony state, so signal/flip records landing at the
-            // same retired count re-apply after a restore.
-            if self.record_boundary_due() && self.apply_record_boundary(pid, tid) {
-                return;
-            }
-            if self.fault_boundary_due() {
-                self.apply_fault_boundary(pid, tid);
+            if self.boundary_ends_slice(pid, tid) {
                 return;
             }
             // Single-threaded hot path: alternate block/trace execution
@@ -1851,15 +1811,16 @@ impl Kernel {
             // the loop below then handles that exit exactly as if it had
             // produced it itself.
             let hot = if self.hot_slice_ok(pid, tid) {
-                let Some(block) = self.run_slice_hot(pid, tid, icache, tparams, &mut remaining)
-                else {
+                let Some(block) = self.run_slice_hot(pid, tid, traced, &mut remaining) else {
                     return; // slice (or run deadline) ended inside the hot loop
                 };
                 Some(block)
             } else {
                 None
             };
-            let budget = self.record_capped(self.prof_capped(self.fault_capped(remaining)));
+            let budget = self.next_stop().map_or(remaining, |stop| {
+                remaining.min(stop.saturating_sub(self.retired).max(1))
+            });
             let clock = self.clock;
             let cost = self.cost;
             let mut trace = self.exec_trace.take();
@@ -1884,8 +1845,8 @@ impl Kernel {
                     return;
                 }
                 let mut traced_clock = clock;
-                t.cpu.set_icache_mode(icache);
-                t.cpu.set_trace_mode(tparams);
+                t.cpu.set_seed_flush(false);
+                t.cpu.set_trace_mode(traced);
                 t.cpu
                     .run_block(space, clock, &cost, budget, |rip, step: &Step| {
                         if let Some(rec) = trace.as_mut() {
@@ -1903,9 +1864,7 @@ impl Kernel {
             self.exec_trace = trace;
             self.charge(block.cycles);
             remaining -= block.steps;
-            self.fault_retire(block.steps);
-            self.record_retire(block.steps);
-            self.prof_retire_and_sample(pid, tid, block.steps);
+            self.retire(pid, tid, block.steps);
             if block.vdso_calls > 0 {
                 if let Some(p) = self.procs.get_mut(&pid) {
                     p.stats.vdso_calls += block.vdso_calls;
@@ -2004,9 +1963,10 @@ impl Kernel {
 
     /// The single-threaded hot loop: alternates block/trace execution and
     /// direct-path handling of trivial syscalls under **one** process
-    /// borrow, batching clock, per-thread cycle, and syscall-statistic
-    /// accounting in locals that are flushed at exact retired-instruction
-    /// boundaries (before any state the general path could observe).
+    /// borrow, batching clock, per-thread cycle, retired-instruction and
+    /// syscall-statistic accounting in locals that are flushed at exact
+    /// retired-instruction boundaries (before any state the general path
+    /// could observe).
     ///
     /// Guarded by [`Kernel::hot_slice_ok`]; nothing the loop handles can
     /// invalidate those conditions, so they are checked once. Slice
@@ -2024,16 +1984,15 @@ impl Kernel {
         &mut self,
         pid: Pid,
         tid: Tid,
-        icache: IcacheMode,
-        tparams: Option<sim_cpu::TraceParams>,
+        traced: bool,
         remaining: &mut u64,
     ) -> Option<BlockExit> {
         let cost = self.cost;
         let deadline = self.run_deadline;
-        let slice = self.slice as u64;
         let mut exec_trace = self.exec_trace.take();
         let mut clock = self.clock;
         let mut cycles_acc = 0u64;
+        let mut steps_acc = 0u64;
         let mut vdso_acc = 0u64;
         // Pending syscall-statistics run: `pend` occurrences of syscall
         // `pend_nr` issued from `pend_site`, not yet folded into
@@ -2055,8 +2014,8 @@ impl Kernel {
                 ..
             } = p;
             let t = &mut threads[0];
-            t.cpu.set_icache_mode(icache);
-            t.cpu.set_trace_mode(tparams);
+            t.cpu.set_seed_flush(false);
+            t.cpu.set_trace_mode(traced);
             // Constant for the whole hot slice: only non-trivial syscalls
             // (which exit this loop) can arm SUD or set `restarting`.
             let restarting = t.restarting;
@@ -2077,19 +2036,9 @@ impl Kernel {
                         if restarting || sud_armed {
                             return HookAction::Pass;
                         }
-                        let nr_ = cpu.get(Reg::Rax);
-                        let ret = match nr_ {
-                            nr::SYS_NONEXISTENT => nr::err(nr::ENOSYS),
-                            nr::SYS_GETPID => pid,
-                            nr::SYS_GETTID => tid,
-                            nr::SYS_GETUID => 1000,
-                            nr::SYS_SCHED_YIELD => 0,
-                            _ => return HookAction::Pass,
+                        let Some(nr_) = serve_trivial(cpu, space, pid, tid, site) else {
+                            return HookAction::Pass;
                         };
-                        cpu.serialize(space);
-                        cpu.rip = site + 2;
-                        cpu.set(Reg::Rax, ret);
-                        cpu.apply_syscall_clobbers(site + 2);
                         if pend > 0 && (pend_nr != nr_ || pend_site != site) {
                             flush_syscall_stats(
                                 stats,
@@ -2147,28 +2096,13 @@ impl Kernel {
                 };
                 match block.event {
                     StepEvent::Syscall { site, .. } if !t.restarting && t.sud.is_none() => {
-                        let nr_ = t.cpu.get(Reg::Rax);
-                        // Same trivial-syscall set as handle_syscall_fast:
-                        // a pure return value, no kernel state beyond the
-                        // statistics.
-                        let ret = match nr_ {
-                            nr::SYS_NONEXISTENT => nr::err(nr::ENOSYS),
-                            nr::SYS_GETPID => pid,
-                            nr::SYS_GETTID => tid,
-                            nr::SYS_GETUID => 1000,
-                            nr::SYS_SCHED_YIELD => 0,
-                            _ => break Some(block),
+                        let Some(nr_) = serve_trivial(&mut t.cpu, space, pid, tid, site) else {
+                            break Some(block);
                         };
                         clock += block.cycles;
                         cycles_acc += block.cycles;
+                        steps_acc += block.steps;
                         vdso_acc += block.vdso_calls;
-                        // Kernel entry serializes the instruction stream
-                        // (coalesced to a stamp compare while nothing in
-                        // the space was written).
-                        t.cpu.serialize(space);
-                        t.cpu.rip = site + 2;
-                        t.cpu.set(Reg::Rax, ret);
-                        t.cpu.apply_syscall_clobbers(site + 2);
                         if pend > 0 && (pend_nr != nr_ || pend_site != site) {
                             flush_syscall_stats(
                                 stats,
@@ -2192,7 +2126,7 @@ impl Kernel {
                             break None;
                         }
                         // Direct-path return: start the next slice here.
-                        *remaining = slice;
+                        *remaining = SLICE;
                     }
                     StepEvent::Executed => {
                         // Budget exhausted: the slice is over, and the
@@ -2200,12 +2134,13 @@ impl Kernel {
                         // start the next slice in place.
                         clock += block.cycles;
                         cycles_acc += block.cycles;
+                        steps_acc += block.steps;
                         vdso_acc += block.vdso_calls;
                         if clock >= deadline {
                             *remaining = 0;
                             break None;
                         }
-                        *remaining = slice;
+                        *remaining = SLICE;
                     }
                     // Hlt, Int3, Fault, restarting or SUD-armed syscalls:
                     // hand the exit (accounting unapplied) to the caller.
@@ -2227,26 +2162,20 @@ impl Kernel {
         }
         self.exec_trace = exec_trace;
         self.clock = clock;
+        self.retired += steps_acc;
         if cycles_acc > 0 {
             *self.thread_cycles.entry((pid, tid)).or_insert(0) += cycles_acc;
         }
         result
     }
 
-    /// The original per-step slice loop, retained verbatim as the
-    /// determinism oracle and benchmarking baseline.
+    /// The original per-step slice loop, retained as the determinism
+    /// oracle, with the original flush-everything icache.
     fn run_slice_stepwise(&mut self, pid: Pid, tid: Tid) {
         self.current = Some((pid, tid));
-        let icache = self.icache;
         let slice = self.effective_slice(tid);
         for _ in 0..slice {
-            // Same ordering as the block engine: checkpoint before any
-            // asynchrony due at the same retired count.
-            if self.record_boundary_due() && self.apply_record_boundary(pid, tid) {
-                return;
-            }
-            if self.fault_boundary_due() {
-                self.apply_fault_boundary(pid, tid);
+            if self.boundary_ends_slice(pid, tid) {
                 return;
             }
             let clock = self.clock;
@@ -2266,12 +2195,10 @@ impl Kernel {
                     return;
                 }
                 let rip = t.cpu.rip;
-                t.cpu.set_icache_mode(icache);
+                t.cpu.set_seed_flush(true);
                 (t.cpu.step(space, clock, &cost), rip)
             };
             self.charge(step.cycles);
-            self.fault_retire(1);
-            self.record_retire(1);
             if sim_obs::enabled() {
                 // Post-step RIP, matching the per-step hook inside
                 // `run_block` — the range-span streams are identical.
@@ -2279,7 +2206,7 @@ impl Kernel {
                     sim_obs::span_step(self.clock, rip_after);
                 }
             }
-            self.prof_retire_and_sample(pid, tid, 1);
+            self.retire(pid, tid, 1);
             if let Some(rec) = self.exec_trace.as_mut() {
                 rec.push(TraceEntry {
                     pid,
@@ -2346,27 +2273,13 @@ impl Kernel {
         (f.borrow_mut())(self, pid, tid);
     }
 
-    /// Resolves the mapped-region name containing `site` through the same
-    /// per-process memo the stats path uses (one mapping walk per
-    /// `(site, mapping generation)`).
+    /// Resolves the mapped-region name containing `site` through the
+    /// stats path's per-process memo ([`region_of`]).
     fn site_region(&mut self, pid: Pid, site: u64) -> String {
-        let Some(p) = self.procs.get_mut(&pid) else {
-            return "?".to_string();
-        };
-        let Process {
-            space,
-            region_cache,
-            ..
-        } = p;
-        let gen = space.generation();
-        if !matches!(region_cache.get(&site), Some((g, _)) if *g == gen) {
-            let name = space
-                .mapping_at(site)
-                .map(|m| m.name.clone())
-                .unwrap_or_else(|| "?".to_string());
-            region_cache.insert(site, (gen, name));
+        match self.procs.get_mut(&pid) {
+            Some(p) => region_of(&mut p.region_cache, &p.space, site).clone(),
+            None => "?".to_string(),
         }
-        region_cache[&site].1.clone()
     }
 
     /// Direct-path kernel entry for trivial process-local syscalls.
@@ -2395,7 +2308,6 @@ impl Kernel {
         {
             return false;
         }
-        let cost = self.cost;
         let Some(p) = self.procs.get_mut(&pid) else {
             return false;
         };
@@ -2416,51 +2328,14 @@ impl Kernel {
         if t.restarting || t.sud.is_some() {
             return false;
         }
-        let nr_ = t.cpu.get(Reg::Rax);
-        // Only syscalls whose slow-path dispatch is a pure `Disp::Ret`
-        // with no kernel state touched beyond the statistics; anything
-        // else falls back. `SYS_NONEXISTENT` is the Table 5 stress nr.
-        let ret = match nr_ {
-            nr::SYS_NONEXISTENT => nr::err(nr::ENOSYS),
-            nr::SYS_GETPID => pid,
-            nr::SYS_GETTID => tid,
-            nr::SYS_GETUID => 1000,
-            nr::SYS_SCHED_YIELD => 0,
-            _ => return false,
+        let Some(nr_) = serve_trivial(&mut t.cpu, space, pid, tid, site) else {
+            return false;
         };
-        // Kernel entry serializes the instruction stream (coalesced to a
-        // stamp compare while nothing in the space was written).
-        t.cpu.serialize(space);
-        t.cpu.rip = site + 2;
-        t.cpu.set(Reg::Rax, ret);
-        t.cpu.apply_syscall_clobbers(site + 2);
-        // Statistics — the same updates, in the same order, as the slow
-        // path's count block.
-        stats.syscalls += 1;
-        *stats.per_syscall.entry(nr_).or_insert(0) += 1;
-        let gen = space.generation();
-        if !matches!(region_cache.get(&site), Some((g, _)) if *g == gen) {
-            let name = space
-                .mapping_at(site)
-                .map(|m| m.name.clone())
-                .unwrap_or_else(|| "?".to_string());
-            region_cache.insert(site, (gen, name));
-        }
-        let region = &region_cache[&site].1;
-        match stats.syscalls_via.get_mut(region.as_str()) {
-            Some(c) => *c += 1,
-            None => {
-                stats.syscalls_via.insert(region.clone(), 1);
-            }
-        }
-        *stats.per_site.entry(site).or_insert(0) += 1;
-        if !*interposer_live {
-            stats.syscalls_before_interposer += 1;
-        }
+        flush_syscall_stats(stats, region_cache, space, *interposer_live, nr_, site, 1);
         // One folded clock charge: entry cost plus the service cost the
         // dispatch layer would add. Obs is off (checked above), so
         // `charge`'s set_clock call would be a no-op anyway.
-        let cycles = cost.kernel_entry + crate::sys::service_cost(nr_, 0);
+        let cycles = self.cost.kernel_entry + crate::sys::service_cost(nr_, 0);
         self.clock += cycles;
         *self.thread_cycles.entry((pid, tid)).or_insert(0) += cycles;
         true
@@ -2704,11 +2579,6 @@ impl Kernel {
             let Some(p) = self.procs.get_mut(&pid) else {
                 return;
             };
-            p.stats.syscalls += 1;
-            *p.stats.per_syscall.entry(nr_).or_insert(0) += 1;
-            // Resolve the issuing region through the per-site memo: the
-            // linear mapping walk and the name allocation happen once per
-            // (site, mapping generation), not once per syscall.
             let Process {
                 stats,
                 space,
@@ -2716,25 +2586,7 @@ impl Kernel {
                 interposer_live,
                 ..
             } = p;
-            let gen = space.generation();
-            if !matches!(region_cache.get(&site), Some((g, _)) if *g == gen) {
-                let name = space
-                    .mapping_at(site)
-                    .map(|m| m.name.clone())
-                    .unwrap_or_else(|| "?".to_string());
-                region_cache.insert(site, (gen, name));
-            }
-            let region = &region_cache[&site].1;
-            match stats.syscalls_via.get_mut(region.as_str()) {
-                Some(c) => *c += 1,
-                None => {
-                    stats.syscalls_via.insert(region.clone(), 1);
-                }
-            }
-            *stats.per_site.entry(site).or_insert(0) += 1;
-            if !*interposer_live {
-                stats.syscalls_before_interposer += 1;
-            }
+            flush_syscall_stats(stats, region_cache, space, *interposer_live, nr_, site, 1);
         }
         if self.trace_log.is_some() {
             let line = format!(
@@ -2893,11 +2745,7 @@ impl Kernel {
                 if let Some(p) = self.procs.get_mut(&pid) {
                     p.stats.syscalls -= 1;
                     *p.stats.per_syscall.entry(nr_).or_insert(1) -= 1;
-                    let region = p
-                        .space
-                        .mapping_at(site)
-                        .map(|m| m.name.clone())
-                        .unwrap_or_else(|| "?".to_string());
+                    let region = region_of(&mut p.region_cache, &p.space, site).clone();
                     *p.stats.syscalls_via.entry(region).or_insert(1) -= 1;
                     *p.stats.per_site.entry(site).or_insert(1) -= 1;
                     if p.stats.per_site.get(&site) == Some(&0) {

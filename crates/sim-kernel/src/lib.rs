@@ -39,11 +39,8 @@ pub use audit::{AuditLedger, AuditSession, AuditSpec, AuditTag, ProcAudit, Signa
 pub use config::{Engine, EngineConfig};
 pub use record::{Checkpoint, RecordSpec};
 pub use kernel::{ExecLoader, ExecOpts, HostcallFn, Kernel, LoadedImage, RunExit, TraceEntry};
-// Configuration building blocks re-exported so callers assemble an
-// `EngineConfig` from this crate alone.
-pub use sim_cpu::{IcacheMode, TraceParams};
+// Re-exported so callers assemble an `EngineConfig` from this crate alone.
 pub use sim_fault::FaultPlan;
-pub use sim_mem::MemMode;
 pub use net::{Channel, End, Net};
 pub use process::{Epoll, EpollEntry, FdEntry, Pid, ProcStats, Process, SeccompAction, SeccompFilter, SigAction, Sud, Thread, ThreadState, Tid, Wait};
 pub use ptrace_if::{CountingTracer, Stop, TraceOpts, Tracer, TracerAction};

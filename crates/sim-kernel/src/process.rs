@@ -378,7 +378,7 @@ impl Epoll {
 }
 
 /// Per-process statistics (observability for tests and experiments).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProcStats {
     /// Syscalls the kernel executed on behalf of this process.
     pub syscalls: u64,

@@ -10,8 +10,8 @@
 //!
 //! * **Record** — every syscall result, injected fault/signal/permission
 //!   flip, scheduler decision, and process exit is appended to the log,
-//!   keyed by the session's retired-instruction counter (credited at the
-//!   same call sites as the fault and profiler sessions, so the keys are
+//!   keyed by the kernel's retired-instruction clock (the one the fault
+//!   and profiler sessions are positioned on, so the keys are
 //!   engine-invariant). With a checkpoint period set, the session also
 //!   snapshots registers + dirty pages every N retired instructions.
 //! * **Verify** — the run re-executes in full (any engine; the fault plan
@@ -98,9 +98,6 @@ pub(crate) enum RecordModeKind {
 /// Live kernel state for one [`RecordSpec`].
 pub(crate) struct RecordSession {
     pub mode: RecordModeKind,
-    /// Retired guest instructions (architectural; engine-invariant —
-    /// credited beside the fault/profiler sessions).
-    pub retired: u64,
     /// `run_to_retired` target; the engines cap budgets to stop exactly
     /// here and [`crate::Kernel::run`] returns [`crate::RunExit::Stop`].
     pub stop_at: Option<u64>,
@@ -170,7 +167,6 @@ impl RecordSession {
         };
         RecordSession {
             mode,
-            retired: 0,
             stop_at: None,
             stopped: false,
             recs: Vec::new(),
@@ -189,9 +185,15 @@ impl RecordSession {
         }
     }
 
-    /// Retired coordinate of the next pending inject-mode boundary.
-    pub fn next_boundary(&self) -> Option<u64> {
-        self.boundaries.get(self.bcursor).map(|b| b.0)
+    /// The nearest retired-instruction boundary the engines must stop at:
+    /// the seek target, the next checkpoint, or the next pending
+    /// inject-mode asynchrony.
+    pub fn next_stop(&self) -> Option<u64> {
+        let boundary = self.boundaries.get(self.bcursor).map(|b| b.0);
+        [self.stop_at, self.next_ckpt, boundary]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Records (record mode) or verifies (verify mode) one produced

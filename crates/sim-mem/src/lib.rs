@@ -24,4 +24,4 @@ pub mod space;
 
 pub use bitmap::Bitmap;
 pub use perms::{Access, Perms, Pkru, NO_PKEY};
-pub use space::{AddressSpace, Fault, FaultReason, MapError, Mapping, MemMode, PAGE_SIZE};
+pub use space::{AddressSpace, Fault, FaultReason, MapError, Mapping, PAGE_SIZE};

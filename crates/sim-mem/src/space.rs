@@ -7,18 +7,6 @@ use std::fmt;
 /// Page size in bytes (4 KiB, as on x86-64).
 pub const PAGE_SIZE: u64 = 4096;
 
-/// Which memory engine services guest accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemMode {
-    /// Page-run fast path: one permission check and one `copy_from_slice`
-    /// per page touched.
-    #[default]
-    PageRun,
-    /// Byte-at-a-time reference implementation (the pre-optimization
-    /// engine, kept for benchmarking and as the semantic oracle).
-    Legacy,
-}
-
 /// Why a guest memory access faulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultReason {
@@ -150,10 +138,9 @@ impl Default for TlbEntry {
 /// translations so the hot path (straight-line fetch/load/store loops)
 /// skips the `BTreeMap` walk entirely. Accesses are performed in *page
 /// runs* — one permission check and one `copy_from_slice` per page touched
-/// rather than per byte. The byte-at-a-time `*_ref` twins of each accessor
-/// are kept as the semantic reference: equivalence is enforced by property
-/// tests, and [`AddressSpace::set_mem_mode`] routes the public API
-/// through them to reproduce the pre-fast-path engine for benchmarking.
+/// rather than per byte. The byte-at-a-time `*_ref` twins of the checked
+/// accessors are kept as the semantic reference: equivalence is enforced
+/// by property tests.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     /// Page table: page base → slab slot of the materialized frame.
@@ -167,9 +154,6 @@ pub struct AddressSpace {
     /// TLB generation; bumped by any operation that changes translations or
     /// protection attributes.
     tlb_gen: u64,
-    /// Route the public accessors through the byte-at-a-time reference
-    /// implementations (pre-optimization engine; for benchmarking only).
-    legacy: bool,
     /// Monotonic source for [`Frame::version`] stamps; never repeats, so a
     /// version can be compared across unmap/remap cycles.
     version_counter: u64,
@@ -188,7 +172,6 @@ impl Default for AddressSpace {
             tlb: [TlbEntry::default(); TLB_SIZE],
             // Generation 1 so default (stamp-0) TLB entries can never hit.
             tlb_gen: 1,
-            legacy: false,
             version_counter: 0,
             mappings: Vec::new(),
             dirty: None,
@@ -200,23 +183,6 @@ impl AddressSpace {
     /// Creates an empty address space.
     pub fn new() -> AddressSpace {
         AddressSpace::default()
-    }
-
-    /// Selects the memory engine: [`MemMode::PageRun`] is the page-run fast
-    /// path; [`MemMode::Legacy`] routes `read`/`write`/`fetch`/`read_raw`/
-    /// `write_raw` through the byte-at-a-time reference implementations
-    /// (for benchmarking the fast path against the original engine).
-    pub fn set_mem_mode(&mut self, mode: MemMode) {
-        self.legacy = mode == MemMode::Legacy;
-    }
-
-    /// The currently selected memory engine.
-    pub fn mem_mode(&self) -> MemMode {
-        if self.legacy {
-            MemMode::Legacy
-        } else {
-            MemMode::PageRun
-        }
     }
 
     /// Bumps the TLB generation, invalidating every cached translation.
@@ -733,9 +699,6 @@ impl AddressSpace {
     ///
     /// Faults on unmapped/unreadable/PKU-denied pages.
     pub fn read(&mut self, addr: u64, buf: &mut [u8], pkru: Pkru) -> Result<(), Fault> {
-        if self.legacy {
-            return self.access_ref(addr, buf, Access::Read, pkru, None);
-        }
         self.access(addr, buf, Access::Read, pkru, None)
     }
 
@@ -745,9 +708,6 @@ impl AddressSpace {
     ///
     /// Faults on unmapped/unwritable/PKU-denied pages.
     pub fn write(&mut self, addr: u64, data: &[u8], pkru: Pkru) -> Result<(), Fault> {
-        if self.legacy {
-            return self.write_ref(addr, data, pkru);
-        }
         self.access(addr, &mut [], Access::Write, pkru, Some(data))
     }
 
@@ -779,9 +739,6 @@ impl AddressSpace {
     ///
     /// Faults if even the first byte cannot be fetched.
     pub fn fetch(&mut self, addr: u64, buf: &mut [u8], pkru: Pkru) -> Result<usize, Fault> {
-        if self.legacy {
-            return self.fetch_ref(addr, buf, pkru);
-        }
         let len = buf.len();
         let mut done = 0usize;
         while done < len {
@@ -885,9 +842,6 @@ impl AddressSpace {
     ///
     /// Faults with [`FaultReason::Unmapped`] only.
     pub fn read_raw(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), Fault> {
-        if self.legacy {
-            return self.raw_access_ref(addr, buf, Access::Read, None);
-        }
         self.raw_access(addr, buf, Access::Read, None)
     }
 
@@ -897,9 +851,6 @@ impl AddressSpace {
     ///
     /// Faults with [`FaultReason::Unmapped`] only.
     pub fn write_raw(&mut self, addr: u64, data: &[u8]) -> Result<(), Fault> {
-        if self.legacy {
-            return self.raw_access_ref(addr, &mut [], Access::Write, Some(data));
-        }
         self.raw_access(addr, &mut [], Access::Write, Some(data))
     }
 
@@ -938,37 +889,6 @@ impl AddressSpace {
                 }
             }
             done += run;
-        }
-        Ok(())
-    }
-
-    /// Byte-at-a-time reference twin of [`AddressSpace::raw_access`].
-    fn raw_access_ref(
-        &mut self,
-        addr: u64,
-        buf: &mut [u8],
-        access: Access,
-        write_src: Option<&[u8]>,
-    ) -> Result<(), Fault> {
-        let len = write_src.map_or(buf.len(), <[u8]>::len);
-        for i in 0..len {
-            let a = addr.wrapping_add(i as u64);
-            let base = Self::page_base(a);
-            let off = (a - base) as usize;
-            let slot = self.materialize_slot(base).ok_or(Fault {
-                addr: a,
-                access,
-                reason: FaultReason::Unmapped,
-            })? as usize;
-            match write_src {
-                Some(src) => {
-                    let v = self.next_version();
-                    self.mark_dirty(base);
-                    self.frames[slot].data[off] = src[i];
-                    self.frames[slot].version = v;
-                }
-                None => buf[i] = self.frames[slot].data[off],
-            }
         }
         Ok(())
     }

@@ -592,22 +592,6 @@ pub fn enable(cfg: ObsConfig) {
     ENABLED.with(|e| e.set(true));
 }
 
-/// Resizes the event-ring capacity of the live recorder (and of rings
-/// already allocated). No-op when recording is disabled. Shrinking below
-/// a ring's current length stops further pushes but never discards
-/// already-recorded events.
-pub fn set_ring_capacity(cap: usize) {
-    if !enabled() || cap == 0 {
-        return;
-    }
-    with_rec(|r| {
-        r.cfg.ring_capacity = cap;
-        for ring in r.rings.values_mut() {
-            ring.cap = cap;
-        }
-    });
-}
-
 /// Stops recording and hands the recorder to the caller for export.
 pub fn disable() -> Option<Box<Recorder>> {
     ENABLED.with(|e| e.set(false));

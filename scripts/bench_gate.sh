@@ -26,6 +26,9 @@
 # Refresh the baselines after an intentional change with:
 #   cargo run --release -q -p bench --bin simprof
 #   cargo run --release -q -p bench --bin simperf -- --json BENCH_simperf.json
+#     (this drops the file's frozen `before`/`speedup` record of the
+#     deleted pre-fast-path engine; the gate reads only `determinism`,
+#     `block` and `after`)
 #   cargo run --release -q -p bench --bin simaudit -- --out MATRIX_simaudit.txt
 #   cargo run --release -p bench --bin simscale -- --json BENCH_scale.json
 set -euo pipefail

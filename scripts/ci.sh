@@ -24,16 +24,22 @@ cargo run --release -q -p bench --bin simfault -- --smoke > target/SIMFAULT_smok
 cargo run --release -q -p bench --bin simfault -- --smoke > target/SIMFAULT_smoke_b.txt
 cmp target/SIMFAULT_smoke_a.txt target/SIMFAULT_smoke_b.txt
 
-echo "==> simstack smoke (composed-stack matrix + propagation, byte-determinism check)"
+echo "==> simstack smoke (composed-stack matrix + propagation, byte-determinism check, pinned to MATRIX_simstack.txt)"
 cargo run --release -q -p bench --bin simstack -- --smoke > target/SIMSTACK_smoke_a.txt
 cargo run --release -q -p bench --bin simstack -- --smoke > target/SIMSTACK_smoke_b.txt
 cmp target/SIMSTACK_smoke_a.txt target/SIMSTACK_smoke_b.txt
+cmp target/SIMSTACK_smoke_a.txt MATRIX_simstack.txt
 
-echo "==> simaudit smoke (coverage matrix + JSON export, byte-determinism check)"
+echo "==> simaudit smoke (coverage matrix + JSON export, byte-determinism check, pinned to MATRIX_simaudit.txt on every engine)"
 cargo run --release -q -p bench --bin simaudit -- --smoke --json target/SIMAUDIT_smoke_a.json > target/SIMAUDIT_smoke_a.txt
 cargo run --release -q -p bench --bin simaudit -- --smoke --json target/SIMAUDIT_smoke_b.json > target/SIMAUDIT_smoke_b.txt
 cmp target/SIMAUDIT_smoke_a.txt target/SIMAUDIT_smoke_b.txt
 cmp target/SIMAUDIT_smoke_a.json target/SIMAUDIT_smoke_b.json
+cmp target/SIMAUDIT_smoke_a.txt MATRIX_simaudit.txt
+for engine in stepwise trace; do
+    cargo run --release -q -p bench --bin simaudit -- --engine "$engine" > "target/SIMAUDIT_$engine.txt"
+    cmp "target/SIMAUDIT_$engine.txt" MATRIX_simaudit.txt
+done
 
 echo "==> simscale smoke (connection-scale matrix, byte-determinism across thread counts)"
 cargo run --release -q -p bench --bin simscale -- --smoke --threads 1 --json target/SIMSCALE_smoke_a.json > target/SIMSCALE_smoke_a.txt
@@ -62,9 +68,10 @@ perfbench_correct() {
     fi
 }
 
-echo "==> perfbench epoll-10k + observed-server (simulated output vs recorded sim_digest)"
+echo "==> perfbench epoll-10k + observed-server + paper-tables (simulated output vs recorded sim_digest)"
 perfbench_correct --workload epoll-10k
 perfbench_correct --workload observed-server --seed 1
+perfbench_correct --workload paper-tables
 
 echo "==> bench gate (profiler counts vs BENCH_simprof.json, engine throughput + determinism vs BENCH_simperf.json)"
 scripts/bench_gate.sh

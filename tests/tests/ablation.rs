@@ -5,7 +5,8 @@
 //!    the linear sweep both misses and fabricates.
 //! 2. The engine-mode matrix (DESIGN.md §10): stepwise × block × trace
 //!    produce instruction-for-instruction identical streams — plain, under
-//!    a fault plan, and with the profiler enabled — while throughput is
+//!    a fault plan, and with the profiler enabled — and, with no session
+//!    configured, the same retired-instruction clock, while throughput is
 //!    monotonically non-decreasing across the three.
 
 use std::time::Instant;
@@ -68,14 +69,13 @@ fn engines() -> [(&'static str, EngineConfig); 3] {
     ]
 }
 
-/// Runs the syscall-500 stress guest under `cfg`; returns the recorded
-/// instruction stream (when `record`), final clock, exit status, and
-/// host wall-clock seconds.
-fn run_micro(
-    cfg: EngineConfig,
-    iters: u64,
-    record: bool,
-) -> (Vec<TraceEntry>, u64, Option<i64>, f64) {
+/// One stress-guest run: the recorded instruction stream (when asked
+/// for), final clock, exit status, retired-instruction clock, and host
+/// wall-clock seconds.
+type MicroRun = (Vec<TraceEntry>, u64, Option<i64>, u64, f64);
+
+/// Runs the syscall-500 stress guest under `cfg`.
+fn run_micro(cfg: EngineConfig, iters: u64, record: bool) -> MicroRun {
     let mut k = boot_kernel();
     build_micro_app().install(&mut k.vfs);
     k.vfs
@@ -98,7 +98,7 @@ fn run_micro(
     } else {
         Vec::new()
     };
-    (stream, k.clock, status, dt)
+    (stream, k.clock, status, k.retired(), dt)
 }
 
 /// Asserts two engines' instruction streams are bit-identical.
@@ -116,13 +116,20 @@ fn assert_streams_equal(name: &str, got: &[TraceEntry], oracle: &[TraceEntry]) {
 }
 
 /// Plain run: every engine's instruction stream, final clock, and exit
-/// status match the stepwise oracle bit-for-bit.
+/// status match the stepwise oracle bit-for-bit, and with no session
+/// configured the retired-instruction clock — credited by the stepwise,
+/// block and hot slice loops alike — counts every recorded step.
 #[test]
 fn engine_matrix_streams_identical() {
     let mut oracle: Option<(Vec<TraceEntry>, u64, Option<i64>)> = None;
     for (name, cfg) in engines() {
-        let (stream, clock, status, _) = run_micro(cfg, 5_000, true);
+        let (stream, clock, status, retired, _) = run_micro(cfg, 5_000, true);
         assert!(stream.len() > 20_000, "{name}: stream too short");
+        assert_eq!(
+            retired,
+            stream.len() as u64,
+            "{name}: retired clock drifts from the stream"
+        );
         match &oracle {
             None => oracle = Some((stream, clock, status)),
             Some((ref_stream, ref_clock, ref_status)) => {
@@ -154,7 +161,7 @@ fn engine_matrix_streams_identical_under_fault_plan() {
     ];
     let mut oracle: Option<(Vec<TraceEntry>, u64, Option<i64>)> = None;
     for (name, cfg) in engines() {
-        let (stream, clock, status, _) = run_micro(cfg.fault(plan.clone()), 5_000, true);
+        let (stream, clock, status, _, _) = run_micro(cfg.fault(plan.clone()), 5_000, true);
         match &oracle {
             None => oracle = Some((stream, clock, status)),
             Some((ref_stream, ref_clock, ref_status)) => {
@@ -195,7 +202,7 @@ fn engine_matrix_agrees_on_fault_probe() {
 fn engine_matrix_streams_identical_with_profiler() {
     let mut oracle: Option<(Vec<TraceEntry>, u64, Option<i64>)> = None;
     for (name, cfg) in engines() {
-        let (stream, clock, status, _) = run_micro(cfg.profile(64), 5_000, true);
+        let (stream, clock, status, _, _) = run_micro(cfg.profile(64), 5_000, true);
         match &oracle {
             None => oracle = Some((stream, clock, status)),
             Some((ref_stream, ref_clock, ref_status)) => {
@@ -210,20 +217,28 @@ fn engine_matrix_streams_identical_with_profiler() {
 /// Throughput is monotonically non-decreasing across the ablation:
 /// stepwise ≤ block ≤ trace in simulated instructions per host second
 /// (best-of-3 to damp scheduler noise; the observed gaps are multiples,
-/// so the ordering is robust).
+/// so the ordering is robust). These runs take the hot loop's fastest
+/// shape — no session, no exec trace — and every engine's
+/// retired-instruction clock must still agree.
 #[test]
 fn engine_matrix_throughput_ordering_monotonic() {
     let iters = 20_000;
     let mut rates = Vec::new();
+    let mut retired = Vec::new();
     for (name, cfg) in engines() {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
-            let (_, _, status, dt) = run_micro(cfg.clone(), iters, false);
+            let (_, _, status, r, dt) = run_micro(cfg.clone(), iters, false);
             assert_eq!(status, Some(0), "{name}: bad exit");
+            retired.push(r);
             best = best.min(dt);
         }
         rates.push((name, 1.0 / best));
     }
+    assert!(
+        retired.windows(2).all(|w| w[0] == w[1]),
+        "retired clocks diverge across runs and engines: {retired:?}"
+    );
     for pair in rates.windows(2) {
         let ((slow, a), (fast, b)) = (pair[0], pair[1]);
         assert!(

@@ -231,7 +231,7 @@ fn navigation_seek_matches_replay_from_start() {
         (
             Rc::new(k.take_recording()),
             k.take_checkpoints(),
-            k.record_retired(),
+            k.retired(),
         )
     };
     assert!(
@@ -247,7 +247,7 @@ fn navigation_seek_matches_replay_from_start() {
         k.configure(EngineConfig::stepwise().replay_inject(Rc::clone(&log)));
         let exit = k.run_to_retired(target, u64::MAX / 4);
         assert_eq!(exit, RunExit::Stop);
-        assert_eq!(k.record_retired(), target);
+        assert_eq!(k.retired(), target);
         cpu_state(&mut k)
     };
     // Seek: restore the nearest checkpoint at or below the target, then
@@ -260,10 +260,10 @@ fn navigation_seek_matches_replay_from_start() {
             .rposition(|c| c.retired <= target)
             .expect("no checkpoint below target");
         k.restore_to_checkpoint(&ckpts, at).expect("restore");
-        assert_eq!(k.record_retired(), ckpts[at].retired);
+        assert_eq!(k.retired(), ckpts[at].retired);
         let exit = k.run_to_retired(target, u64::MAX / 4);
         assert_eq!(exit, RunExit::Stop);
-        assert_eq!(k.record_retired(), target);
+        assert_eq!(k.retired(), target);
         cpu_state(&mut k)
     };
     assert_eq!(sought.0, reference.0, "rip differs after seek");
