@@ -18,11 +18,10 @@
 //! and CI diffs two fresh invocations against each other and gates
 //! coverage against the committed floor.
 
+use crate::cli;
 use apps::MacroSpec;
-use interpose::Interposer;
-use k23::OfflineSession;
-use sim_kernel::{AuditLedger, EngineConfig, ProcAudit, RunExit, Signature};
-use sim_loader::boot_kernel;
+use sim_kernel::{AuditLedger, EngineConfig, Kernel, ProcAudit, RunExit, Signature};
+use sim_loader::boot_kernel_from;
 use std::collections::BTreeSet;
 
 /// Cycle budget per audited run (matches the macro harness).
@@ -45,22 +44,20 @@ pub const AUDIT_STACKS: [&str; 4] = [
     "k23+tracer",
 ];
 
+/// The audited workloads, in report order.
+pub const WORKLOADS: [&str; 4] = ["coreutil", "server", "epollsrv", "hostile"];
+
 /// One (mechanism, workload) cell of the coverage matrix.
 #[derive(Debug, Clone)]
 pub struct AuditRow {
     /// Mechanism spec (registry name or composed `base+layer` spec).
     pub spec: String,
-    /// Workload label (`coreutil` or `server`).
+    /// Workload label, one of [`WORKLOADS`].
     pub workload: &'static str,
     /// All processes folded into one accounting row.
     pub totals: ProcAudit,
     /// Number of audited processes.
     pub procs: usize,
-}
-
-/// Whether a mechanism spec's base needs the K23 offline phase.
-pub fn needs_offline(spec: &str) -> bool {
-    spec.split('+').next().unwrap_or(spec).starts_with("k23")
 }
 
 /// Every audited mechanism spec, in report order: the full registry
@@ -97,38 +94,31 @@ pub fn epollsrv_spec() -> MacroSpec {
     apps::scale_spec(true, p.workers, 64, p.active, p.requests, p.resp64, p.server_work, false)
 }
 
-fn make(spec: &str) -> Box<dyn Interposer> {
-    pitfalls::register_all();
-    interpose::by_name_spec(spec).expect("known mechanism spec")
-}
-
 /// Runs the coreutil under `spec` with auditing on; returns the ledger.
-pub fn run_coreutil_audit(spec: &str, cfg: EngineConfig) -> AuditLedger {
-    let ip = make(spec);
-    let mut k = boot_kernel();
-    apps::install_world(&mut k.vfs);
+///
+/// # Errors
+///
+/// An unknown spec, or an offline phase or coreutil run that fails.
+pub fn run_coreutil_audit(spec: &str, cfg: EngineConfig) -> Result<AuditLedger, String> {
+    let ip = cli::mechanism(spec)?;
+    let mut k = boot_kernel_from(cli::world());
     let argv = vec![COREUTIL.to_string()];
-    if needs_offline(spec) {
+    if cli::needs_offline(spec) {
         // The offline phase is methodology, not the measured run: it
         // executes before the audit session is configured.
-        let session = OfflineSession::new(&mut k, COREUTIL);
-        let (_pid, exit) = session
-            .run_once(&mut k, &argv, &[], BUDGET)
-            .expect("offline phase");
-        assert_eq!(exit, RunExit::AllExited);
-        session.finish(&mut k);
+        cli::offline_once(&mut k, COREUTIL, &argv, BUDGET)?;
     }
     k.configure(cfg.audit(ip.coverage()));
     ip.install(&mut k);
-    let pid = ip.spawn(&mut k, COREUTIL, &argv, &[]).expect("spawn");
+    let pid = ip
+        .spawn(&mut k, COREUTIL, &argv, &[])
+        .map_err(|e| format!("spawn {COREUTIL}: {e}"))?;
     let exit = k.run(BUDGET);
-    assert_eq!(exit, RunExit::AllExited, "{spec}: coreutil did not finish");
-    assert_eq!(
-        k.process(pid).and_then(|p| p.exit_status),
-        Some(0),
-        "{spec}: coreutil failed"
-    );
-    k.audit_ledger().expect("audit configured")
+    let status = k.process(pid).and_then(|p| p.exit_status);
+    if exit != RunExit::AllExited || status != Some(0) {
+        return Err(format!("{COREUTIL} ended {exit:?} with status {status:?}"));
+    }
+    Ok(k.audit_ledger().expect("audit configured"))
 }
 
 /// The hostile workload's PoC binaries, in run order: the P1a
@@ -143,15 +133,19 @@ pub const HOSTILE_POCS: [&str; 3] = [
 /// Runs the hostile workload under `spec` with auditing on: the three
 /// PoCs execute sequentially in one audited kernel, so the cell's bypass
 /// column shows exactly which attacks shadow the mechanism (`P1a-exec`,
-/// `P1b-selector`, `vdso`). Exit statuses are not asserted — a defended
+/// `P1b-selector`, `vdso`). Exit statuses are not checked — a defended
 /// P1b PoC dies with SIGABRT by design.
-pub fn run_hostile_audit(spec: &str, cfg: EngineConfig) -> AuditLedger {
-    let ip = make(spec);
-    let mut k = boot_kernel();
+///
+/// # Errors
+///
+/// An unknown spec, or a PoC that fails to spawn or runs out of budget.
+pub fn run_hostile_audit(spec: &str, cfg: EngineConfig) -> Result<AuditLedger, String> {
+    let ip = cli::mechanism(spec)?;
+    let mut k = boot_kernel_from(cli::world());
     pitfalls::install_pocs(&mut k.vfs);
-    if needs_offline(spec) {
+    if cli::needs_offline(spec) {
         for app in HOSTILE_POCS {
-            let session = OfflineSession::new(&mut k, app);
+            let session = k23::OfflineSession::new(&mut k, app);
             let _ = session.run_once(&mut k, &[app.to_string()], &[], BUDGET);
             session.finish(&mut k);
         }
@@ -159,43 +153,37 @@ pub fn run_hostile_audit(spec: &str, cfg: EngineConfig) -> AuditLedger {
     k.configure(cfg.audit(ip.coverage()));
     ip.install(&mut k);
     for app in HOSTILE_POCS {
-        let _pid = ip
-            .spawn(&mut k, app, &[app.to_string()], &[])
-            .unwrap_or_else(|e| panic!("{spec}: spawn {app}: {e}"));
-        let exit = k.run(BUDGET);
-        assert_ne!(exit, RunExit::Budget, "{spec}: {app} ran out of budget");
+        ip.spawn(&mut k, app, &[app.to_string()], &[])
+            .map_err(|e| format!("spawn {app}: {e}"))?;
+        if k.run(BUDGET) == RunExit::Budget {
+            return Err(format!("{app} ran out of budget"));
+        }
     }
-    k.audit_ledger().expect("audit configured")
+    Ok(k.audit_ledger().expect("audit configured"))
 }
 
 /// Runs the server workload under `spec` with auditing on; K23 bases get
-/// `offline_log` transplanted (collected once, as the bench harness does).
+/// `log` transplanted (collected once, as the bench harness does).
+///
+/// # Errors
+///
+/// An unknown spec, or a server run that fails.
 pub fn run_server_audit(
     spec: &str,
     cfg: EngineConfig,
     mspec: &MacroSpec,
-    offline_log: &Option<(String, Vec<u8>)>,
-) -> AuditLedger {
-    let ip = make(spec);
-    let mut k = boot_kernel();
-    apps::install_world(&mut k.vfs);
-    if needs_offline(spec) {
-        let (path, bytes) = offline_log.as_ref().expect("offline log collected");
-        k.vfs.mkdir_p(k23::LOG_DIR).expect("log dir");
-        k.vfs.write_file(path, bytes).expect("log install");
-        k.vfs.set_immutable(k23::LOG_DIR, true).expect("seal");
-    }
+    log: Option<&(String, Vec<u8>)>,
+) -> Result<AuditLedger, String> {
+    let ip = cli::mechanism(spec)?;
+    let mut k = boot_kernel_from(cli::world());
+    cli::install_log(&mut k, log);
     k.configure(cfg.audit(ip.coverage()));
-    let res = apps::run_macro(&mut k, ip.as_ref(), mspec, BUDGET);
-    res.unwrap_or_else(|e| panic!("{} under {spec}: {e:?}", mspec.name));
-    let mut ledger = k.audit_ledger().expect("audit configured");
+    apps::run_macro(&mut k, ip.as_ref(), mspec, BUDGET).map_err(|e| format!("{e:?}"))?;
     // The clients run natively by methodology (§6.2) — only the server's
     // process tree is audited against the mechanism's claim, otherwise
     // every server row would carry the harness's uninterposed clients as
     // phantom shadows.
-    let tree = server_tree(&k, mspec.server);
-    ledger.per_proc.retain(|pid, _| tree.contains(pid));
-    ledger
+    Ok(server_ledger(&k, mspec.server))
 }
 
 /// Runs the epoll-server scale workload under `spec` with auditing on.
@@ -203,28 +191,22 @@ pub fn run_server_audit(
 /// natively, so the ledger is filtered to the server's process tree —
 /// the row isolates how well the mechanism covers readiness-based
 /// dispatch (`epoll_wait` parks and blocked wakeups included).
+///
+/// # Errors
+///
+/// An unknown spec, or a server run that fails.
 pub fn run_epollsrv_audit(
     spec: &str,
     cfg: EngineConfig,
-    offline_log: &Option<(String, Vec<u8>)>,
-) -> AuditLedger {
-    let ip = make(spec);
-    let mut k = boot_kernel();
-    apps::install_world(&mut k.vfs);
-    if needs_offline(spec) {
-        let (path, bytes) = offline_log.as_ref().expect("offline log collected");
-        k.vfs.mkdir_p(k23::LOG_DIR).expect("log dir");
-        k.vfs.write_file(path, bytes).expect("log install");
-        k.vfs.set_immutable(k23::LOG_DIR, true).expect("seal");
-    }
+    log: Option<&(String, Vec<u8>)>,
+) -> Result<AuditLedger, String> {
+    let ip = cli::mechanism(spec)?;
+    let mut k = boot_kernel_from(cli::world());
+    cli::install_log(&mut k, log);
     k.configure(cfg.audit(ip.coverage()));
     let mspec = epollsrv_spec();
-    let res = apps::run_scale(&mut k, ip.as_ref(), &mspec, BUDGET);
-    res.unwrap_or_else(|e| panic!("{} under {spec}: {e:?}", mspec.name));
-    let mut ledger = k.audit_ledger().expect("audit configured");
-    let tree = server_tree(&k, mspec.server);
-    ledger.per_proc.retain(|pid, _| tree.contains(pid));
-    ledger
+    apps::run_scale(&mut k, ip.as_ref(), &mspec, BUDGET).map_err(|e| format!("{e:?}"))?;
+    Ok(server_ledger(&k, mspec.server))
 }
 
 /// The epoll variant's offline site log for the audited workload shape.
@@ -232,9 +214,9 @@ pub fn collect_epollsrv_offline() -> (String, Vec<u8>) {
     crate::scale::collect_offline_log_scale(crate::scale::Variant::Epoll, &epollsrv_params())
 }
 
-/// The server's process subtree: every process running the server binary
-/// plus all their descendants (forked workers).
-fn server_tree(k: &sim_kernel::Kernel, server: &str) -> BTreeSet<sim_kernel::Pid> {
+/// The ledger restricted to the server's process subtree: every process
+/// running the server binary plus all their descendants (forked workers).
+fn server_ledger(k: &Kernel, server: &str) -> AuditLedger {
     let mut tree: BTreeSet<sim_kernel::Pid> = k
         .pids()
         .into_iter()
@@ -248,73 +230,86 @@ fn server_tree(k: &sim_kernel::Kernel, server: &str) -> BTreeSet<sim_kernel::Pid
             .filter(|p| k.process(*p).is_some_and(|pr| tree.contains(&pr.ppid)))
             .collect();
         if add.is_empty() {
-            return tree;
+            break;
         }
         tree.extend(add);
     }
+    let mut ledger = k.audit_ledger().expect("audit configured");
+    ledger.per_proc.retain(|pid, _| tree.contains(pid));
+    ledger
 }
 
-/// Runs one (mechanism, workload) cell; `workload` is `coreutil` or
-/// `server`.
-pub fn run_cell(spec: &str, workload: &str, cfg: EngineConfig) -> AuditLedger {
+/// The server workloads' offline logs, each collected on first use and
+/// shared by every K23 cell of a sweep.
+#[derive(Default)]
+struct OfflineLogs {
+    server: Option<(String, Vec<u8>)>,
+    epollsrv: Option<(String, Vec<u8>)>,
+}
+
+/// Runs one cell, taking K23 server logs from `logs`.
+fn audit_cell(
+    spec: &str,
+    workload: &str,
+    cfg: EngineConfig,
+    logs: &mut OfflineLogs,
+) -> Result<AuditLedger, String> {
+    let offline = cli::needs_offline(spec);
     match workload {
         "coreutil" => run_coreutil_audit(spec, cfg),
         "hostile" => run_hostile_audit(spec, cfg),
         "server" => {
             let mspec = server_spec();
-            let offline = needs_offline(spec).then(|| crate::macros_::collect_offline_log(&mspec));
-            run_server_audit(spec, cfg, &mspec, &offline)
+            let log = offline.then(|| {
+                &*logs
+                    .server
+                    .get_or_insert_with(|| crate::macros_::collect_offline_log(&mspec))
+            });
+            run_server_audit(spec, cfg, &mspec, log)
         }
         "epollsrv" => {
-            let offline = needs_offline(spec).then(collect_epollsrv_offline);
-            run_epollsrv_audit(spec, cfg, &offline)
+            let log = offline.then(|| &*logs.epollsrv.get_or_insert_with(collect_epollsrv_offline));
+            run_epollsrv_audit(spec, cfg, log)
         }
-        other => panic!("unknown workload {other:?} (coreutil|server|epollsrv|hostile)"),
+        other => Err(format!(
+            "unknown workload {other:?} (coreutil|server|epollsrv|hostile)"
+        )),
     }
+    .map_err(|e| format!("{spec} / {workload}: {e}"))
 }
 
-/// The full coverage matrix: every audited spec across both workloads,
-/// under engines produced by `cfg`.
-pub fn full_audit_matrix(cfg: impl Fn() -> EngineConfig) -> Vec<AuditRow> {
-    let mspec = server_spec();
-    let mut offline: Option<(String, Vec<u8>)> = None;
-    let mut epoll_offline: Option<(String, Vec<u8>)> = None;
+/// Runs one (mechanism, workload) cell; `workload` is one of
+/// [`WORKLOADS`].
+///
+/// # Errors
+///
+/// An unknown spec or workload, or a run that fails; the message names
+/// both.
+pub fn run_cell(spec: &str, workload: &str, cfg: EngineConfig) -> Result<AuditLedger, String> {
+    audit_cell(spec, workload, cfg, &mut OfflineLogs::default())
+}
+
+/// The full coverage matrix: every audited spec across every workload,
+/// under engine configuration `cfg`.
+///
+/// # Errors
+///
+/// The first cell that fails, as [`run_cell`] reports it.
+pub fn full_audit_matrix(cfg: &EngineConfig) -> Result<Vec<AuditRow>, String> {
+    let mut logs = OfflineLogs::default();
     let mut rows = Vec::new();
     for spec in audit_specs() {
-        if needs_offline(&spec) && offline.is_none() {
-            offline = Some(crate::macros_::collect_offline_log(&mspec));
-            epoll_offline = Some(collect_epollsrv_offline());
+        for workload in WORKLOADS {
+            let l = audit_cell(&spec, workload, cfg.clone(), &mut logs)?;
+            rows.push(AuditRow {
+                spec: spec.clone(),
+                workload,
+                totals: l.totals(),
+                procs: l.per_proc.len(),
+            });
         }
-        let l = run_coreutil_audit(&spec, cfg());
-        rows.push(AuditRow {
-            spec: spec.clone(),
-            workload: "coreutil",
-            totals: l.totals(),
-            procs: l.per_proc.len(),
-        });
-        let l = run_server_audit(&spec, cfg(), &mspec, &offline);
-        rows.push(AuditRow {
-            spec: spec.clone(),
-            workload: "server",
-            totals: l.totals(),
-            procs: l.per_proc.len(),
-        });
-        let l = run_epollsrv_audit(&spec, cfg(), &epoll_offline);
-        rows.push(AuditRow {
-            spec: spec.clone(),
-            workload: "epollsrv",
-            totals: l.totals(),
-            procs: l.per_proc.len(),
-        });
-        let l = run_hostile_audit(&spec, cfg());
-        rows.push(AuditRow {
-            spec,
-            workload: "hostile",
-            totals: l.totals(),
-            procs: l.per_proc.len(),
-        });
     }
-    rows
+    Ok(rows)
 }
 
 fn fmt_permille(p: u64) -> String {
@@ -578,7 +573,5 @@ mod tests {
         for stack in AUDIT_STACKS {
             assert!(specs.iter().any(|s| s == stack), "missing {stack}");
         }
-        assert!(needs_offline("k23+tracer"));
-        assert!(!needs_offline("zpoline+recorder"));
     }
 }

@@ -6,12 +6,11 @@
 //! kernel-side audit ledger enabled, and prints one
 //! byte-deterministic row per cell: coverage, interposed-via-path /
 //! via-control / double-interposed counts, and bypasses broken down by
-//! pitfall signature (`P2b-preinit`, `P1a-exec`, ...).
+//! pitfall signature (`P2b-preinit`, `P1a-exec`, ...). CI checks
+//! determinism by diffing two invocations.
 //!
 //! ```text
 //! simaudit                       # full sweep (block engine)
-//! simaudit --smoke               # CI mode: same sweep (determinism is
-//!                                # checked by diffing two invocations)
 //! simaudit --engine stepwise     # sweep under another engine (the
 //!                                # output must be byte-identical)
 //! simaudit --json PATH           # also write the matrix as JSON
@@ -25,65 +24,42 @@ use bench::audit::{
     full_audit_matrix, matrix_json, parse_matrix_rows, render_audit_matrix, render_cell, run_cell,
     server_spec,
 };
+use bench::cli::{self, Args};
 use sim_kernel::EngineConfig;
 use std::process::ExitCode;
 
-fn engine_cfg(engine: &str) -> Result<EngineConfig, String> {
-    match engine {
-        "block" => Ok(EngineConfig::new()),
-        "stepwise" => Ok(EngineConfig::stepwise()),
-        "trace" => Ok(EngineConfig::traced()),
-        other => Err(format!("unknown engine {other:?} (block|stepwise|trace)")),
-    }
-}
-
 fn sweep(engine: &str, json_out: Option<&str>, text_out: Option<&str>) -> Result<String, String> {
-    engine_cfg(engine)?;
-    let rows = full_audit_matrix(|| engine_cfg(engine).expect("validated above"));
+    let rows = full_audit_matrix(&cli::engine(engine)?)?;
     let server = server_spec().name;
     let text = render_audit_matrix(&rows, &server);
     if let Some(path) = json_out {
-        let json = matrix_json(&rows, &server).to_string_pretty();
-        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
+        cli::write(path, matrix_json(&rows, &server).to_string_pretty())?;
     }
     if let Some(path) = text_out {
-        std::fs::write(path, &text).map_err(|e| format!("write {path}: {e}"))?;
+        cli::write(path, &text)?;
     }
     Ok(text)
 }
 
-fn replay(spec: &str, workload: &str) -> Result<String, String> {
-    pitfalls::register_all();
-    interpose::registry::parse_spec(spec).map_err(|e| format!("bad spec {spec:?}: {e}"))?;
-    if !matches!(workload, "coreutil" | "server" | "epollsrv" | "hostile") {
-        return Err(format!(
-            "unknown workload {workload:?} (coreutil|server|epollsrv|hostile)"
-        ));
-    }
-    let ledger = run_cell(spec, workload, EngineConfig::new());
-    Ok(render_cell(spec, workload, &ledger))
-}
-
 /// Re-runs the sweep and fails if any cell's coverage fell below the
 /// committed baseline (new cells pass; a removed cell fails).
-fn gate(baseline_path: &str) -> Result<(), String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("read {baseline_path}: {e}"))?;
+fn gate(baseline_path: &str) -> Result<ExitCode, String> {
+    let baseline =
+        std::fs::read_to_string(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
     let want = parse_matrix_rows(&baseline);
     if want.is_empty() {
         return Err(format!("{baseline_path} contains no matrix rows"));
     }
-    let fresh_text = sweep("block", None, None)?;
-    let fresh = parse_matrix_rows(&fresh_text);
-    let mut failures = Vec::new();
+    let fresh = parse_matrix_rows(&sweep("block", None, None)?);
+    let mut violations = Vec::new();
     for (mech, workload, floor) in &want {
         match fresh
             .iter()
             .find(|(m, w, _)| m == mech && w == workload)
             .map(|(_, _, p)| *p)
         {
-            None => failures.push(format!("{mech}/{workload}: cell missing from fresh sweep")),
-            Some(p) if p < *floor => failures.push(format!(
+            None => violations.push(format!("{mech}/{workload}: cell missing from fresh sweep")),
+            Some(p) if p < *floor => violations.push(format!(
                 "{mech}/{workload}: coverage {}.{}% fell below committed {}.{}%",
                 p / 10,
                 p % 10,
@@ -93,91 +69,39 @@ fn gate(baseline_path: &str) -> Result<(), String> {
             Some(_) => {}
         }
     }
-    if failures.is_empty() {
-        println!(
-            "simaudit gate: {} cells at or above the committed coverage floor",
-            want.len()
-        );
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
+    let ok = format!(
+        "{} cells at or above the coverage floor of {baseline_path}",
+        want.len()
+    );
+    Ok(cli::gate_verdict("simaudit", &violations, &ok))
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: simaudit [--smoke | --engine <block|stepwise|trace>] [--json PATH] [--out PATH]\n\
-         \x20      simaudit --replay <mechanism> <coreutil|server|epollsrv|hostile>\n\
-         \x20      simaudit --gate <MATRIX file>"
+fn run(mut args: Args) -> Result<ExitCode, String> {
+    let mut engine = "block".to_string();
+    let (mut json_out, mut text_out) = (None, None);
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--engine" => engine = args.value("--engine")?,
+            "--json" => json_out = Some(args.value("--json")?),
+            "--out" => text_out = Some(args.value("--out")?),
+            "--replay" => {
+                let spec = args.value("--replay")?;
+                let workload = args.value("--replay")?;
+                let ledger = run_cell(&spec, &workload, EngineConfig::new())?;
+                print!("{}", render_cell(&spec, &workload, &ledger));
+                return Ok(ExitCode::SUCCESS);
+            }
+            "--gate" => return gate(&args.value("--gate")?),
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    print!(
+        "{}",
+        sweep(&engine, json_out.as_deref(), text_out.as_deref())?
     );
-    std::process::exit(2);
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = "block".to_string();
-    let mut json_out: Option<String> = None;
-    let mut text_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {}
-            "--engine" => match args.get(i + 1) {
-                Some(e) => {
-                    engine = e.clone();
-                    i += 1;
-                }
-                None => usage(),
-            },
-            "--json" => match args.get(i + 1) {
-                Some(p) => {
-                    json_out = Some(p.clone());
-                    i += 1;
-                }
-                None => usage(),
-            },
-            "--out" => match args.get(i + 1) {
-                Some(p) => {
-                    text_out = Some(p.clone());
-                    i += 1;
-                }
-                None => usage(),
-            },
-            "--replay" => match (args.get(i + 1), args.get(i + 2)) {
-                (Some(spec), Some(workload)) => match replay(spec, workload) {
-                    Ok(text) => {
-                        print!("{text}");
-                        return ExitCode::SUCCESS;
-                    }
-                    Err(e) => {
-                        eprintln!("simaudit: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                _ => usage(),
-            },
-            "--gate" => match args.get(i + 1) {
-                Some(path) => match gate(path) {
-                    Ok(()) => return ExitCode::SUCCESS,
-                    Err(e) => {
-                        eprintln!("simaudit gate FAILED:\n{e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => usage(),
-            },
-            _ => usage(),
-        }
-        i += 1;
-    }
-    match sweep(&engine, json_out.as_deref(), text_out.as_deref()) {
-        Ok(text) => {
-            print!("{text}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("simaudit: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::exit("simaudit", run(Args::from_env()))
 }

@@ -2,80 +2,38 @@
 //!
 //! Runs every interposition mechanism against every [`pitfalls::fault`]
 //! scenario and prints a byte-deterministic verdict table; failing cells
-//! print a one-command replay line carrying the exact seed + plan.
+//! print a one-command replay line carrying the exact seed + plan. CI
+//! checks determinism by diffing two invocations.
 //!
 //! ```text
 //! simfault                   # full matrix at the default seed
 //! simfault --seed 23         # full matrix at seed 23
-//! simfault --smoke           # CI mode: default-seed matrix (determinism
-//!                            # is checked by diffing two invocations)
 //! simfault --replay <mech> '<plan>'   # re-run one cell from its encoding
 //! ```
 
-use pitfalls::fault::{full_fault_matrix, render_fault_matrix, run_probe, MECHANISMS};
-use sim_fault::FaultPlan;
+use bench::cli::{self, Args};
+use pitfalls::fault::{full_fault_matrix, render_fault_matrix, replay};
+use std::process::ExitCode;
 
 const DEFAULT_SEED: u64 = 7;
 
-fn sweep(seed: u64) {
-    let cells = full_fault_matrix(seed);
-    print!("{}", render_fault_matrix(seed, &cells));
-}
-
-fn replay(mech: &str, encoded: &str) {
-    let plan = match FaultPlan::decode(encoded) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("simfault: bad plan {encoded:?}: {e}");
-            std::process::exit(2);
-        }
-    };
-    if !MECHANISMS.contains(&mech) {
-        eprintln!("simfault: unknown mechanism {mech:?} (expected one of {MECHANISMS:?})");
-        std::process::exit(2);
-    }
-    let baseline = run_probe(mech, None);
-    let faulted = run_probe(mech, Some(&plan));
-    let survived = faulted.exit == baseline.exit && faulted.output == baseline.output;
-    println!("replay {mech} '{}'", plan.encode());
-    println!(
-        "  baseline: exit {:?}, {} output bytes",
-        baseline.exit,
-        baseline.output.len()
-    );
-    println!(
-        "  faulted:  exit {:?}, {} output bytes",
-        faulted.exit,
-        faulted.output.len()
-    );
-    println!("  verdict:  {}", if survived { "survived" } else { "FAILED" });
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        None | Some("--smoke") => sweep(DEFAULT_SEED),
-        Some("--seed") => {
-            let seed = args
-                .get(1)
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("simfault: --seed needs an integer");
-                    std::process::exit(2);
-                });
-            sweep(seed);
-        }
-        Some("--replay") => match (args.get(1), args.get(2)) {
-            (Some(mech), Some(plan)) => replay(mech, plan),
-            _ => {
-                eprintln!("usage: simfault --replay <mechanism> '<plan>'");
-                std::process::exit(2);
+fn run(mut args: Args) -> Result<ExitCode, String> {
+    let mut seed = DEFAULT_SEED;
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--seed" => seed = args.parse("--seed")?,
+            "--replay" => {
+                let mech = args.value("--replay")?;
+                print!("{}", replay(&mech, &args.value("--replay")?)?);
+                return Ok(ExitCode::SUCCESS);
             }
-        },
-        Some(other) => {
-            eprintln!("simfault: unknown argument {other:?}");
-            eprintln!("usage: simfault [--smoke | --seed <n> | --replay <mech> '<plan>']");
-            std::process::exit(2);
+            other => return Err(format!("unknown flag {other}")),
         }
     }
+    print!("{}", render_fault_matrix(seed, &full_fault_matrix(seed)));
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    cli::exit("simfault", run(Args::from_env()))
 }

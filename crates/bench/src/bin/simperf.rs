@@ -17,21 +17,24 @@
 //!
 //! `--gate FILE` re-measures and compares against a committed baseline:
 //! determinism must hold, the snapshot ring must not drop events, and
-//! block/trace inst/s must not fall below baseline × (1 − tol)
-//! (`--tol` / `SIMPERF_TOL`, default 0.5 — generous because wall-clock
-//! throughput on shared CI is noisy; only slowdowns fail, speedups pass).
+//! block/trace inst/s must not fall below baseline × (1 − `TOL`), a
+//! fixed 0.5 — generous because wall-clock throughput on shared CI is
+//! noisy; only slowdowns fail, speedups pass.
 //! The gate reads only the baseline's `determinism`, `block` and `after`
 //! entries: the committed file's `before`/`speedup` fields are a frozen
 //! record of the pre-fast-path engine (stepwise loop plus byte-at-a-time
 //! memory), which no longer exists to re-measure.
 
+use bench::cli::{self, Args};
 use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
 use interpose::{Interposer, Native};
-use sim_kernel::{EngineConfig, Kernel, Pid, RunExit, TraceEntry, Vfs};
-use sim_loader::{boot_kernel, boot_kernel_from};
+use sim_kernel::{EngineConfig, Kernel, Pid, RunExit, TraceEntry};
+use sim_loader::boot_kernel_from;
 use std::process::ExitCode;
-use std::sync::OnceLock;
 use std::time::Instant;
+
+/// The gate's tolerated fall in block/trace inst/s below the baseline.
+const TOL: f64 = 0.5;
 
 /// Which engine a run uses.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -75,20 +78,9 @@ impl Mode {
     }
 }
 
-/// The world VFS (libc + micro app), assembled exactly once: every
-/// engine x repetition run clones this template instead of re-assembling
-/// the guest images per boot.
-fn world() -> &'static Vfs {
-    static WORLD: OnceLock<Vfs> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        let mut k = boot_kernel();
-        build_micro_app().install(&mut k.vfs);
-        k.vfs
-    })
-}
-
 fn boot(n: u64) -> (Kernel, Pid) {
-    let mut k = boot_kernel_from(world());
+    let mut k = boot_kernel_from(cli::world());
+    build_micro_app().install(&mut k.vfs);
     k.vfs.write_file(MICRO_CFG, &n.to_le_bytes()).expect("cfg");
     let ip = Native;
     ip.install(&mut k);
@@ -221,7 +213,7 @@ fn measure() -> Measured {
     }
 }
 
-fn write_json(path: &str, m: &Measured) {
+fn write_json(path: &str, m: &Measured) -> Result<(), String> {
     let mut fields = vec![
         ("guest", sjson::Value::Str(MICRO_APP.into())),
         ("iterations", sjson::Value::UInt(m.n)),
@@ -246,17 +238,16 @@ fn write_json(path: &str, m: &Measured) {
     }
     fields.push(("obs_iterations", sjson::Value::UInt(m.obs_iterations)));
     fields.push(("obs", m.obs.clone()));
-    let json = sjson::Value::object(fields);
-    std::fs::write(path, json.to_string_pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    cli::write(path, sjson::Value::object(fields).to_string_pretty())?;
     println!("wrote {path}");
+    Ok(())
 }
 
 /// Compares a fresh measurement against the committed baseline; returns
 /// the list of violations (empty = gate passes). Only slowdowns beyond
-/// the tolerance fail — speedups always pass.
-fn gate(baseline_path: &str, m: &Measured, tol: f64) -> Result<Vec<String>, String> {
-    let data = std::fs::read(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let v = sjson::parse(&data).map_err(|e| format!("{baseline_path}: bad JSON: {e:?}"))?;
+/// `TOL` fail — speedups always pass.
+fn gate(baseline_path: &str, m: &Measured) -> Result<Vec<String>, String> {
+    let v = cli::read_json(baseline_path)?;
     let mut violations = Vec::new();
     // The committed baseline must itself claim determinism; the fresh
     // run already proved it (measure() asserts the three-way diff).
@@ -293,7 +284,7 @@ fn gate(baseline_path: &str, m: &Measured, tol: f64) -> Result<Vec<String>, Stri
             ));
             continue;
         };
-        let floor = base_ips * (1.0 - tol);
+        let floor = base_ips * (1.0 - TOL);
         if row.inst_per_sec < floor {
             violations.push(format!(
                 "{}: inst/s fell to {:.0} (baseline {:.0}, floor {:.0} at tol {:.0}%)",
@@ -301,72 +292,35 @@ fn gate(baseline_path: &str, m: &Measured, tol: f64) -> Result<Vec<String>, Stri
                 row.inst_per_sec,
                 base_ips,
                 floor,
-                tol * 100.0
+                TOL * 100.0
             ));
         }
     }
     Ok(violations)
 }
 
-fn main() -> ExitCode {
+fn run_cli(mut args: Args) -> Result<ExitCode, String> {
     let mut json_path = "BENCH_simperf.json".to_string();
     let mut gate_path: Option<String> = None;
-    let mut tol = std::env::var("SIMPERF_TOL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.5);
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--json" => {
-                json_path = argv
-                    .get(i + 1)
-                    .unwrap_or_else(|| panic!("--json needs a path"))
-                    .clone();
-                i += 1;
-            }
-            "--gate" => {
-                gate_path = Some(
-                    argv.get(i + 1)
-                        .unwrap_or_else(|| panic!("--gate needs a baseline path"))
-                        .clone(),
-                );
-                i += 1;
-            }
-            "--tol" => {
-                tol = argv
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| panic!("--tol needs a number"));
-                i += 1;
-            }
-            other => panic!("unknown flag {other}"),
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--json" => json_path = args.value("--json")?,
+            "--gate" => gate_path = Some(args.value("--gate")?),
+            other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
-
     let m = measure();
-    if let Some(baseline) = &gate_path {
-        let violations = match gate(baseline, &m, tol) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("simperf: gate error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("simperf: REGRESSION {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "gate: ok (block+trace inst/s within {:.0}% of {baseline}, determinism held, 0 dropped events)",
-            tol * 100.0
-        );
-        return ExitCode::SUCCESS;
-    }
-    write_json(&json_path, &m);
-    ExitCode::SUCCESS
+    let Some(baseline) = gate_path else {
+        write_json(&json_path, &m)?;
+        return Ok(ExitCode::SUCCESS);
+    };
+    let ok = format!(
+        "block+trace inst/s within {:.0}% of {baseline}, determinism held, 0 dropped events",
+        TOL * 100.0
+    );
+    Ok(cli::gate_verdict("simperf", &gate(&baseline, &m)?, &ok))
+}
+
+fn main() -> ExitCode {
+    cli::exit("simperf", run_cli(Args::from_env()))
 }

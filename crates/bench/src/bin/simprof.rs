@@ -16,7 +16,7 @@
 //! ```text
 //! simprof [--engine block|stepwise|trace] [--period N (default 64)]
 //!         [--scale N] [--interposer NAME]... [--json PATH] [--out-prefix P]
-//!         [--gate BASELINE [--tol F]] [--smoke]
+//!         [--gate BASELINE] [--smoke]
 //! ```
 //!
 //! Under `--engine trace` the stage table is followed by a per-trace
@@ -24,9 +24,9 @@
 //! trace first) drawn from the trace cache's per-entry counters.
 //!
 //! * `--gate BASELINE` — re-measure and compare against a committed
-//!   baseline JSON; any row whose instruction or sample count drifts
-//!   beyond the tolerance band (default 10%, `--tol` / `SIMPROF_TOL`)
-//!   fails with a non-zero exit, as does any row whose obs ring dropped
+//!   baseline JSON; any row whose instruction, sample or syscall count
+//!   differs from the baseline at all fails with a non-zero exit (all
+//!   three are architectural), as does any row whose obs ring dropped
 //!   events (`dropped_events > 0` — lossy counters can't gate anything).
 //! * `--smoke` — CI determinism gate: profiles the coreutil under `k23`
 //!   and `ptrace` twice per engine and requires the folded stacks and
@@ -35,52 +35,24 @@
 //!
 //! Sampling is architectural: the sampler counts retired instructions, so
 //! every output here is byte-identical across consecutive runs and across
-//! both engines (DESIGN.md §9).
+//! both engines (DESIGN.md §9). K23 rows profile the online run only:
+//! each workload's offline log is collected once on a scratch kernel and
+//! transplanted, so no row counts libLogger's syscalls.
 
-use apps::MacroSpec;
+use bench::cli::{self, Args};
 use bench::scale::{collect_offline_log_scale, ScaleParams, Variant};
 use interpose::Interposer;
-use k23::OfflineSession;
-use sim_kernel::{EngineConfig, RunExit, Vfs};
-use sim_loader::{boot_kernel, boot_kernel_from};
+use sim_kernel::{Kernel, RunExit};
+use sim_loader::boot_kernel_from;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::OnceLock;
 
 /// Coreutil workload (installed by `apps::install_world`).
 const COREUTIL: &str = "/usr/bin/ls-sim";
 /// Cycle budget per profiled run.
 const BUDGET: u64 = u64::MAX / 4;
 
-/// The world VFS (libc + every app image), assembled exactly once per
-/// process: the serial mechanism sweep boots one kernel per
-/// (workload, interposer) row and re-assembling every guest image per
-/// row is pure startup waste.
-fn world() -> &'static Vfs {
-    static WORLD: OnceLock<Vfs> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        let mut k = boot_kernel();
-        apps::install_world(&mut k.vfs);
-        k.vfs
-    })
-}
-
-fn make_interposer(name: &str) -> Result<(Box<dyn Interposer>, bool), String> {
-    pitfalls::register_all();
-    let ip = interpose::by_name_spec(name).map_err(|e| e.to_string())?;
-    Ok((ip, name.starts_with("k23")))
-}
-
-fn engine_cfg(engine: &str) -> Result<EngineConfig, String> {
-    match engine {
-        "block" => Ok(EngineConfig::new()),
-        "stepwise" => Ok(EngineConfig::stepwise()),
-        "trace" => Ok(EngineConfig::traced()),
-        other => Err(format!("unknown engine {other:?} (block|stepwise|trace)")),
-    }
-}
-
-struct Args {
+struct Opts {
     engine: String,
     period: u64,
     scale: u64,
@@ -88,12 +60,11 @@ struct Args {
     json_out: String,
     out_prefix: String,
     gate: Option<String>,
-    tol: f64,
     smoke: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut a = Args {
+fn parse_opts(mut args: Args) -> Result<Opts, String> {
+    let mut a = Opts {
         engine: "block".to_string(),
         period: 64,
         scale: 50,
@@ -101,60 +72,20 @@ fn parse_args() -> Result<Args, String> {
         json_out: "BENCH_simprof.json".to_string(),
         out_prefix: "SIMPROF".to_string(),
         gate: None,
-        tol: std::env::var("SIMPROF_TOL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.10),
         smoke: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-        argv.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--engine" => {
-                a.engine = value(&argv, i, "--engine")?;
-                i += 1;
-            }
-            "--period" => {
-                let v = value(&argv, i, "--period")?;
-                a.period = v.parse().map_err(|_| format!("bad --period {v}"))?;
-                i += 1;
-            }
-            "--scale" => {
-                let v = value(&argv, i, "--scale")?;
-                a.scale = v.parse().map_err(|_| format!("bad --scale {v}"))?;
-                i += 1;
-            }
-            "--interposer" => {
-                a.interposers.push(value(&argv, i, "--interposer")?);
-                i += 1;
-            }
-            "--json" => {
-                a.json_out = value(&argv, i, "--json")?;
-                i += 1;
-            }
-            "--out-prefix" => {
-                a.out_prefix = value(&argv, i, "--out-prefix")?;
-                i += 1;
-            }
-            "--gate" => {
-                a.gate = Some(value(&argv, i, "--gate")?);
-                i += 1;
-            }
-            "--tol" => {
-                let v = value(&argv, i, "--tol")?;
-                a.tol = v.parse().map_err(|_| format!("bad --tol {v}"))?;
-                i += 1;
-            }
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--engine" => a.engine = args.value("--engine")?,
+            "--period" => a.period = args.parse("--period")?,
+            "--scale" => a.scale = args.parse("--scale")?,
+            "--interposer" => a.interposers.push(args.value("--interposer")?),
+            "--json" => a.json_out = args.value("--json")?,
+            "--out-prefix" => a.out_prefix = args.value("--out-prefix")?,
+            "--gate" => a.gate = Some(args.value("--gate")?),
             "--smoke" => a.smoke = true,
             other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
     if a.interposers.is_empty() {
         pitfalls::register_all();
@@ -249,89 +180,70 @@ fn finish_run(k: &mut sim_kernel::Kernel, rec: Box<sim_obs::Recorder>) -> RunOut
     }
 }
 
-/// Profiles `COREUTIL` under one interposer.
-fn profile_coreutil(name: &str, engine: &str, period: u64) -> Result<RunOutput, String> {
-    let (ip, needs_offline) =
-        make_interposer(name)?;
-    let mut k = boot_kernel_from(world());
-    let argv = vec![COREUTIL.to_string()];
-
-    if needs_offline {
-        // The offline phase runs unprofiled: the profile covers the online
-        // run, matching what the paper's tables measure.
-        let session = OfflineSession::new(&mut k, COREUTIL);
-        let (_pid, exit) = session
-            .run_once(&mut k, &argv, &[], BUDGET)
-            .map_err(|e| format!("offline phase failed: {e}"))?;
-        if exit != RunExit::AllExited {
-            return Err(format!("offline phase did not finish: {exit:?}"));
-        }
-        session.finish(&mut k);
-    }
-
-    sim_obs::clear_region_paths();
-    sim_obs::clear_span_ranges();
-    k.configure(engine_cfg(engine)?.profile(period));
-    sim_obs::enable(sim_obs::ObsConfig {
-        micro_events: false,
-        ..sim_obs::ObsConfig::default()
-    });
-    ip.install(&mut k);
-    let pid = match ip.spawn(&mut k, COREUTIL, &argv, &[]) {
-        Ok(pid) => pid,
-        Err(e) => {
-            sim_obs::disable();
-            return Err(format!("spawn {COREUTIL}: {e}"));
-        }
-    };
-    let exit = k.run(BUDGET);
-    let rec = sim_obs::disable().expect("recorder was enabled");
-    if exit != RunExit::AllExited {
-        return Err(format!("{COREUTIL} did not finish: {exit:?}"));
-    }
-    let status = k.process(pid).and_then(|p| p.exit_status);
-    if status != Some(0) {
-        return Err(format!("{COREUTIL} exited with {status:?}"));
-    }
-    Ok(finish_run(&mut k, rec))
-}
-
-/// Profiles one Table 6 server spec under one interposer. K23 variants
-/// reuse `offline_log`, collected once on a scratch kernel and
-/// transplanted into the measurement kernel's sealed log directory —
-/// the paper collects logs once per application (§5.1).
-fn profile_server(
+/// Profiles one run under interposer `name`: boots a world kernel,
+/// transplants `log` when `name` needs the K23 offline phase, arms the
+/// sampler and sim-obs around `body`, and collects the outputs. The
+/// offline phase ran unprofiled on a scratch kernel, so the profile
+/// covers only the online run the paper's tables measure.
+fn profile(
     name: &str,
     engine: &str,
     period: u64,
-    spec: &MacroSpec,
-    offline_log: &Option<(String, Vec<u8>)>,
+    log: Option<&(String, Vec<u8>)>,
+    body: impl FnOnce(&mut Kernel, &dyn Interposer) -> Result<(), String>,
 ) -> Result<RunOutput, String> {
-    let (ip, needs_offline) =
-        make_interposer(name)?;
-    let mut k = boot_kernel_from(world());
-    if needs_offline {
-        let (path, bytes) = offline_log
-            .as_ref()
-            .ok_or_else(|| "offline log not collected".to_string())?;
-        k.vfs.mkdir_p(k23::LOG_DIR).map_err(|e| format!("log dir: {e}"))?;
-        k.vfs.write_file(path, bytes).map_err(|e| format!("log install: {e}"))?;
-        k.vfs
-            .set_immutable(k23::LOG_DIR, true)
-            .map_err(|e| format!("log seal: {e}"))?;
+    let ip = cli::mechanism(name)?;
+    let mut k = boot_kernel_from(cli::world());
+    if cli::needs_offline(name) {
+        cli::install_log(&mut k, Some(log.ok_or("offline log not collected")?));
     }
-
     sim_obs::clear_region_paths();
     sim_obs::clear_span_ranges();
-    k.configure(engine_cfg(engine)?.profile(period));
+    k.configure(cli::engine(engine)?.profile(period));
     sim_obs::enable(sim_obs::ObsConfig {
         micro_events: false,
         ..sim_obs::ObsConfig::default()
     });
-    let res = apps::run_macro(&mut k, ip.as_ref(), spec, BUDGET);
+    let res = body(&mut k, ip.as_ref());
     let rec = sim_obs::disable().expect("recorder was enabled");
-    res.map_err(|e| format!("{} under {name}: {e:?}", spec.name))?;
+    res?;
     Ok(finish_run(&mut k, rec))
+}
+
+/// Profiles `COREUTIL` under one interposer.
+fn profile_coreutil(
+    name: &str,
+    engine: &str,
+    period: u64,
+    log: Option<&(String, Vec<u8>)>,
+) -> Result<RunOutput, String> {
+    profile(name, engine, period, log, |k, ip| {
+        ip.install(k);
+        let pid = ip
+            .spawn(k, COREUTIL, &[COREUTIL.to_string()], &[])
+            .map_err(|e| format!("spawn {COREUTIL}: {e}"))?;
+        let exit = k.run(BUDGET);
+        if exit != RunExit::AllExited {
+            return Err(format!("{COREUTIL} did not finish: {exit:?}"));
+        }
+        let status = k.process(pid).and_then(|p| p.exit_status);
+        if status != Some(0) {
+            return Err(format!("{COREUTIL} exited with {status:?}"));
+        }
+        Ok(())
+    })
+}
+
+/// `COREUTIL`'s offline site log, collected on a scratch kernel.
+fn coreutil_log() -> Result<(String, Vec<u8>), String> {
+    let mut k = boot_kernel_from(cli::world());
+    cli::offline_once(&mut k, COREUTIL, &[COREUTIL.to_string()], BUDGET)?;
+    let path = k23::SiteLog::path_for(COREUTIL);
+    let bytes = k
+        .vfs
+        .read_file(&path)
+        .map_err(|e| format!("read {path}: errno {e}"))?;
+    Ok((path, bytes.to_vec()))
 }
 
 /// Connections for the epollsrv profiling row: enough that readiness
@@ -350,52 +262,6 @@ fn epollsrv_params(scale: u64) -> ScaleParams {
     }
 }
 
-/// Profiles the epoll server under production-traffic load (the simscale
-/// workload shape) under one interposer. Same offline-log transplant
-/// discipline as [`profile_server`].
-fn profile_epoll_server(
-    name: &str,
-    engine: &str,
-    period: u64,
-    params: &ScaleParams,
-    offline_log: &Option<(String, Vec<u8>)>,
-) -> Result<RunOutput, String> {
-    let (ip, needs_offline) = make_interposer(name)?;
-    let mut k = boot_kernel_from(world());
-    if needs_offline {
-        let (path, bytes) = offline_log
-            .as_ref()
-            .ok_or_else(|| "offline log not collected".to_string())?;
-        k.vfs.mkdir_p(k23::LOG_DIR).map_err(|e| format!("log dir: {e}"))?;
-        k.vfs.write_file(path, bytes).map_err(|e| format!("log install: {e}"))?;
-        k.vfs
-            .set_immutable(k23::LOG_DIR, true)
-            .map_err(|e| format!("log seal: {e}"))?;
-    }
-
-    sim_obs::clear_region_paths();
-    sim_obs::clear_span_ranges();
-    k.configure(engine_cfg(engine)?.profile(period));
-    sim_obs::enable(sim_obs::ObsConfig {
-        micro_events: false,
-        ..sim_obs::ObsConfig::default()
-    });
-    let spec = apps::scale_spec(
-        true,
-        params.workers,
-        EPOLLSRV_CONNS,
-        params.active,
-        params.requests,
-        params.resp64,
-        params.server_work,
-        false,
-    );
-    let res = apps::run_scale(&mut k, ip.as_ref(), &spec, BUDGET);
-    let rec = sim_obs::disable().expect("recorder was enabled");
-    res.map_err(|e| format!("epollsrv under {name}: {e:?}"))?;
-    Ok(finish_run(&mut k, rec))
-}
-
 /// A (workload, interposer) gate row.
 struct Row {
     workload: String,
@@ -403,12 +269,12 @@ struct Row {
     out: RunOutput,
 }
 
-fn rows_json(args: &Args, rows: &[Row]) -> String {
+fn rows_json(opts: &Opts, rows: &[Row]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"period\": {},", args.period);
-    let _ = writeln!(s, "  \"scale\": {},", args.scale);
-    let _ = writeln!(s, "  \"engine\": \"{}\",", args.engine);
+    let _ = writeln!(s, "  \"period\": {},", opts.period);
+    let _ = writeln!(s, "  \"scale\": {},", opts.scale);
+    let _ = writeln!(s, "  \"engine\": \"{}\",", opts.engine);
     s.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
@@ -423,10 +289,10 @@ fn rows_json(args: &Args, rows: &[Row]) -> String {
 }
 
 /// Compares measured rows against a committed baseline; returns the list
-/// of violations (empty = gate passes).
-fn gate(baseline_path: &str, rows: &[Row], tol: f64) -> Result<Vec<String>, String> {
-    let data = std::fs::read(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let v = sjson::parse(&data).map_err(|e| format!("{baseline_path}: bad JSON: {e:?}"))?;
+/// of violations (empty = gate passes). Instruction, sample and syscall
+/// counts are architectural, so any difference is a violation.
+fn gate(baseline_path: &str, rows: &[Row]) -> Result<Vec<String>, String> {
+    let v = cli::read_json(baseline_path)?;
     let base_rows = v
         .get("rows")
         .and_then(|r| r.as_array())
@@ -452,20 +318,15 @@ fn gate(baseline_path: &str, rows: &[Row], tol: f64) -> Result<Vec<String>, Stri
             violations.push(format!("{w}/{ip}: row missing from current run"));
             continue;
         };
-        for (metric, base_val, cur_val) in [
-            ("instructions", field(b, "instructions"), Some(cur.out.instructions)),
-            ("samples", field(b, "samples"), Some(cur.out.samples)),
+        for (metric, now) in [
+            ("instructions", cur.out.instructions),
+            ("samples", cur.out.samples),
+            ("syscalls", cur.out.syscalls),
         ] {
-            let (Some(base_val), Some(cur_val)) = (base_val, cur_val) else {
-                continue;
-            };
-            let drift = (cur_val as f64 - base_val as f64) / (base_val as f64).max(1.0);
-            if drift.abs() > tol {
-                violations.push(format!(
-                    "{w}/{ip}: {metric} drifted {:+.1}% (baseline {base_val}, now {cur_val}, tol {:.0}%)",
-                    drift * 100.0,
-                    tol * 100.0
-                ));
+            let base = field(b, metric);
+            if base != Some(now) {
+                let base = base.map_or("missing".to_string(), |b| b.to_string());
+                violations.push(format!("{w}/{ip}: {metric} is {now}, baseline {base}"));
             }
         }
     }
@@ -475,11 +336,12 @@ fn gate(baseline_path: &str, rows: &[Row], tol: f64) -> Result<Vec<String>, Stri
 /// CI determinism gate: byte-identical profiles across consecutive runs
 /// and across engines, for the coreutil under `k23` and `ptrace`.
 fn smoke(period: u64) -> Result<(), String> {
+    let log = coreutil_log()?;
     for name in ["k23", "ptrace"] {
         let mut per_engine: Vec<(String, String)> = Vec::new();
         for engine in ["block", "stepwise"] {
-            let a = profile_coreutil(name, engine, period)?;
-            let b = profile_coreutil(name, engine, period)?;
+            let a = profile_coreutil(name, engine, period, Some(&log))?;
+            let b = profile_coreutil(name, engine, period, Some(&log))?;
             if a.folded != b.folded || a.stages != b.stages {
                 return Err(format!(
                     "{name}/{engine}: consecutive runs produced different profiles"
@@ -498,45 +360,58 @@ fn smoke(period: u64) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: &Args) -> Result<ExitCode, String> {
-    if args.smoke {
-        smoke(args.period)?;
+fn run(opts: &Opts) -> Result<ExitCode, String> {
+    if opts.smoke {
+        smoke(opts.period)?;
         return Ok(ExitCode::SUCCESS);
     }
 
-    let spec = apps::table6_specs(args.scale)
+    let spec = apps::table6_specs(opts.scale)
         .into_iter()
         .next()
         .ok_or_else(|| "no table6 specs".to_string())?;
-    let scale_params = epollsrv_params(args.scale);
-    let any_k23 = args.interposers.iter().any(|n| n.starts_with("k23"));
-    let server_offline = if any_k23 {
-        Some(bench::macros_::collect_offline_log(&spec))
+    let scale_params = epollsrv_params(opts.scale);
+    let epoll_spec = apps::scale_spec(
+        true,
+        scale_params.workers,
+        EPOLLSRV_CONNS,
+        scale_params.active,
+        scale_params.requests,
+        scale_params.resp64,
+        scale_params.server_work,
+        false,
+    );
+    // The paper collects each application's log once (§5.1); every K23
+    // row reuses its workload's log.
+    let logs = if opts.interposers.iter().any(|n| cli::needs_offline(n)) {
+        [
+            Some(coreutil_log()?),
+            Some(bench::macros_::collect_offline_log(&spec)),
+            Some(collect_offline_log_scale(Variant::Epoll, &scale_params)),
+        ]
     } else {
-        None
-    };
-    let epollsrv_offline = if any_k23 {
-        Some(collect_offline_log_scale(Variant::Epoll, &scale_params))
-    } else {
-        None
+        [None, None, None]
     };
 
     let mut rows = Vec::new();
     let mut folded_all = String::new();
     let mut stages_all = String::new();
     let mut flame = String::new();
-    for name in &args.interposers {
-        for workload in ["coreutil", "server", "epollsrv"] {
+    for name in &opts.interposers {
+        for (workload, log) in ["coreutil", "server", "epollsrv"].into_iter().zip(&logs) {
+            let (engine, period, log) = (opts.engine.as_str(), opts.period, log.as_ref());
             let out = match workload {
-                "coreutil" => profile_coreutil(name, &args.engine, args.period)?,
-                "server" => profile_server(name, &args.engine, args.period, &spec, &server_offline)?,
-                _ => profile_epoll_server(
-                    name,
-                    &args.engine,
-                    args.period,
-                    &scale_params,
-                    &epollsrv_offline,
-                )?,
+                "coreutil" => profile_coreutil(name, engine, period, log)?,
+                "server" => profile(name, engine, period, log, |k, ip| {
+                    apps::run_macro(k, ip, &spec, BUDGET)
+                        .map(drop)
+                        .map_err(|e| format!("{} under {name}: {e:?}", spec.name))
+                })?,
+                _ => profile(name, engine, period, log, |k, ip| {
+                    apps::run_scale(k, ip, &epoll_spec, BUDGET)
+                        .map(drop)
+                        .map_err(|e| format!("epollsrv under {name}: {e:?}"))
+                })?,
             };
             let _ = writeln!(folded_all, "# {workload} under {name}");
             folded_all.push_str(&out.folded);
@@ -561,47 +436,28 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         }
     }
 
-    if let Some(baseline) = &args.gate {
-        let violations = gate(baseline, &rows, args.tol)?;
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("simprof: REGRESSION {v}");
-            }
-            return Ok(ExitCode::FAILURE);
-        }
-        println!(
-            "gate: ok ({} rows within {:.0}% of {baseline})",
-            rows.len(),
-            args.tol * 100.0
-        );
-        return Ok(ExitCode::SUCCESS);
+    if let Some(baseline) = &opts.gate {
+        let ok = format!("{} rows equal to {baseline}", rows.len());
+        return Ok(cli::gate_verdict("simprof", &gate(baseline, &rows)?, &ok));
     }
 
-    let json = rows_json(args, &rows);
-    std::fs::write(&args.json_out, &json).map_err(|e| format!("write {}: {e}", args.json_out))?;
-    let folded_path = format!("{}_folded.txt", args.out_prefix);
-    let stages_path = format!("{}_stages.txt", args.out_prefix);
-    let flame_path = format!("{}_flame.svg", args.out_prefix);
-    std::fs::write(&folded_path, &folded_all).map_err(|e| format!("write {folded_path}: {e}"))?;
-    std::fs::write(&stages_path, &stages_all).map_err(|e| format!("write {stages_path}: {e}"))?;
-    std::fs::write(&flame_path, &flame).map_err(|e| format!("write {flame_path}: {e}"))?;
-    println!("wrote {}, {folded_path}, {stages_path}, {flame_path}", args.json_out);
+    cli::write(&opts.json_out, rows_json(opts, &rows))?;
+    let folded_path = format!("{}_folded.txt", opts.out_prefix);
+    let stages_path = format!("{}_stages.txt", opts.out_prefix);
+    let flame_path = format!("{}_flame.svg", opts.out_prefix);
+    cli::write(&folded_path, &folded_all)?;
+    cli::write(&stages_path, &stages_all)?;
+    cli::write(&flame_path, &flame)?;
+    println!(
+        "wrote {}, {folded_path}, {stages_path}, {flame_path}",
+        opts.json_out
+    );
     Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("simprof: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run(&args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("simprof: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::exit(
+        "simprof",
+        parse_opts(Args::from_env()).and_then(|opts| run(&opts)),
+    )
 }

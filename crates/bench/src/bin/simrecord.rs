@@ -34,11 +34,12 @@
 //!   log to the exact record index, and checks a navigation seek against a
 //!   replay from the start.
 
+use bench::cli::{self, Args};
 use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
 use interpose::{Interposer, Native};
 use sim_fault::{FaultKind, FaultPlan, SchedPlan, SyscallFault};
 use sim_kernel::{nr, EngineConfig, Kernel, RunExit};
-use sim_loader::boot_kernel;
+use sim_loader::boot_kernel_from;
 use sim_record::{first_divergence, first_obs_divergence, obs_lines, Header, Rec, Recording};
 use std::process::ExitCode;
 use std::rc::Rc;
@@ -46,15 +47,6 @@ use std::rc::Rc;
 const COREUTIL: &str = "/usr/bin/ls-sim";
 const BUDGET: u64 = u64::MAX / 4;
 const DEFAULT_CKPT_PERIOD: u64 = 4096;
-
-fn engine_cfg(engine: &str) -> Result<EngineConfig, String> {
-    match engine {
-        "block" => Ok(EngineConfig::new()),
-        "stepwise" => Ok(EngineConfig::stepwise()),
-        "trace" => Ok(EngineConfig::traced()),
-        other => Err(format!("unknown engine {other:?} (block|stepwise|trace)")),
-    }
-}
 
 /// The canned `--fault` plan per workload: errnos only syscalls whose
 /// callers must tolerate them, plus an adversarial scheduler rotation for
@@ -108,8 +100,9 @@ fn default_seed(workload: &str) -> u64 {
     }
 }
 
-/// Installs and spawns a single-process workload, leaving the kernel ready
-/// to configure and run. (nginx is driven by `apps::run_macro` instead.)
+/// Installs and spawns a single-process workload on a world kernel,
+/// leaving it ready to configure and run. (nginx is driven by
+/// `apps::run_macro` instead.)
 fn setup_single(workload: &str, seed: u64, k: &mut Kernel) -> Result<(), String> {
     match workload {
         "micro" => {
@@ -123,7 +116,6 @@ fn setup_single(workload: &str, seed: u64, k: &mut Kernel) -> Result<(), String>
                 .map_err(|e| format!("spawn {MICRO_APP}: {e}"))?;
         }
         "coreutil" => {
-            apps::install_world(&mut k.vfs);
             let ip = Native;
             ip.install(k);
             ip.spawn(k, COREUTIL, &[COREUTIL.to_string()], &[])
@@ -162,7 +154,7 @@ fn run_workload_inner(
     seed: u64,
     cfg: EngineConfig,
 ) -> Result<(Kernel, Option<String>), String> {
-    let mut k = boot_kernel();
+    let mut k = boot_kernel_from(cli::world());
     let err = match workload {
         "micro" | "coreutil" => {
             setup_single(workload, seed, &mut k)?;
@@ -173,7 +165,6 @@ fn run_workload_inner(
             }
         }
         "nginx" => {
-            apps::install_world(&mut k.vfs);
             k.configure(cfg);
             let spec = apps::table6_specs(seed.max(1))
                 .into_iter()
@@ -211,9 +202,9 @@ fn post_mortem(k: &mut Kernel, obs: &[String]) {
     }
 }
 
-fn do_record(args: &Args) -> Result<ExitCode, String> {
+fn do_record(args: &Opts) -> Result<ExitCode, String> {
     let plan = args.fault.then(|| canned_plan(&args.workload));
-    let mut cfg = engine_cfg(&args.engine)?;
+    let mut cfg = cli::engine(&args.engine)?;
     if let Some(p) = &plan {
         cfg = cfg.fault(p.clone());
     }
@@ -238,7 +229,7 @@ fn do_record(args: &Args) -> Result<ExitCode, String> {
         obs: run.obs,
     };
     let bytes = recording.encode();
-    std::fs::write(&args.out, &bytes).map_err(|e| format!("write {}: {e}", args.out))?;
+    cli::write(&args.out, &bytes)?;
     println!(
         "recorded {} on {}: {} records, {} obs events, {} retired instructions -> {} ({} bytes)",
         args.workload,
@@ -267,10 +258,10 @@ fn load_recording(path: &str) -> Result<(Recording, Option<FaultPlan>), String> 
     Ok((recording, plan))
 }
 
-fn do_replay(args: &Args) -> Result<ExitCode, String> {
+fn do_replay(args: &Opts) -> Result<ExitCode, String> {
     let (recording, plan) = load_recording(&args.file)?;
     let h = &recording.header;
-    let mut cfg = engine_cfg(&args.engine)?;
+    let mut cfg = cli::engine(&args.engine)?;
     if let Some(p) = &plan {
         cfg = cfg.fault(p.clone());
     }
@@ -334,7 +325,7 @@ fn dump_state(k: &mut Kernel) {
     }
 }
 
-fn do_navigate(args: &Args) -> Result<ExitCode, String> {
+fn do_navigate(args: &Opts) -> Result<ExitCode, String> {
     let (recording, plan) = load_recording(&args.file)?;
     let h = recording.header.clone();
     if h.workload == "nginx" {
@@ -351,7 +342,7 @@ fn do_navigate(args: &Args) -> Result<ExitCode, String> {
     } else {
         DEFAULT_CKPT_PERIOD
     };
-    let mut cfg = engine_cfg(&h.engine)?;
+    let mut cfg = cli::engine(&h.engine)?;
     if let Some(p) = &plan {
         cfg = cfg.fault(p.clone());
     }
@@ -366,9 +357,9 @@ fn do_navigate(args: &Args) -> Result<ExitCode, String> {
 
     // Seek: inject-mode replay, seeded from the nearest checkpoint.
     let log = Rc::new(recording.recs);
-    let mut k = boot_kernel();
+    let mut k = boot_kernel_from(cli::world());
     setup_single(&h.workload, h.seed, &mut k)?;
-    let mut cfg = engine_cfg(&args.engine)?;
+    let mut cfg = cli::engine(&args.engine)?;
     if let Some(p) = &plan {
         cfg = cfg.fault(p.clone());
     }
@@ -555,14 +546,14 @@ fn smoke() -> Result<(), String> {
     }
     let target = ckpts[1].retired + 123;
     let reference = {
-        let mut k = boot_kernel();
+        let mut k = boot_kernel_from(cli::world());
         setup_single("micro", iters, &mut k)?;
         k.configure(EngineConfig::stepwise().replay_inject(Rc::clone(&log)));
         k.run_to_retired(target, BUDGET);
         cpu_state(&mut k)?
     };
     let sought = {
-        let mut k = boot_kernel();
+        let mut k = boot_kernel_from(cli::world());
         setup_single("micro", iters, &mut k)?;
         k.configure(EngineConfig::new().replay_inject(Rc::clone(&log)));
         let at = ckpts
@@ -595,7 +586,7 @@ enum Mode {
     Smoke,
 }
 
-struct Args {
+struct Opts {
     mode: Mode,
     engine: String,
     workload: String,
@@ -607,8 +598,8 @@ struct Args {
     seek: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut a = Args {
+fn parse_opts(mut args: Args) -> Result<Opts, String> {
+    let mut a = Opts {
         mode: Mode::Smoke,
         engine: "block".to_string(),
         workload: "micro".to_string(),
@@ -619,103 +610,41 @@ fn parse_args() -> Result<Args, String> {
         file: String::new(),
         seek: 0,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() {
-        return Err(
-            "usage: simrecord --record|--replay FILE|--navigate FILE --seek N|--smoke".into(),
-        );
-    }
-    let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-        argv.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut mode_set = false;
-    let mut seed_set = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--record" => {
-                a.mode = Mode::Record;
-                mode_set = true;
-            }
+    let (mut mode, mut seed) = (None, None);
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--record" => mode = Some(Mode::Record),
             "--replay" => {
-                a.mode = Mode::Replay;
-                a.file = value(&argv, i, "--replay")?;
-                mode_set = true;
-                i += 1;
+                mode = Some(Mode::Replay);
+                a.file = args.value("--replay")?;
             }
             "--navigate" => {
-                a.mode = Mode::Navigate;
-                a.file = value(&argv, i, "--navigate")?;
-                mode_set = true;
-                i += 1;
+                mode = Some(Mode::Navigate);
+                a.file = args.value("--navigate")?;
             }
-            "--smoke" => {
-                a.mode = Mode::Smoke;
-                mode_set = true;
-            }
-            "--engine" => {
-                a.engine = value(&argv, i, "--engine")?;
-                i += 1;
-            }
-            "--workload" => {
-                a.workload = value(&argv, i, "--workload")?;
-                i += 1;
-            }
-            "--seed" => {
-                let v = value(&argv, i, "--seed")?;
-                a.seed = v.parse().map_err(|_| format!("bad --seed {v}"))?;
-                seed_set = true;
-                i += 1;
-            }
+            "--smoke" => mode = Some(Mode::Smoke),
+            "--engine" => a.engine = args.value("--engine")?,
+            "--workload" => a.workload = args.value("--workload")?,
+            "--seed" => seed = Some(args.parse("--seed")?),
             "--fault" => a.fault = true,
-            "--checkpoint-period" => {
-                let v = value(&argv, i, "--checkpoint-period")?;
-                a.ckpt_period = v.parse().map_err(|_| format!("bad --checkpoint-period {v}"))?;
-                i += 1;
-            }
-            "--out" => {
-                a.out = value(&argv, i, "--out")?;
-                i += 1;
-            }
-            "--seek" => {
-                let v = value(&argv, i, "--seek")?;
-                a.seek = v.parse().map_err(|_| format!("bad --seek {v}"))?;
-                i += 1;
-            }
+            "--checkpoint-period" => a.ckpt_period = args.parse("--checkpoint-period")?,
+            "--out" => a.out = args.value("--out")?,
+            "--seek" => a.seek = args.parse("--seek")?,
             other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
-    if !mode_set {
-        return Err("pick one of --record, --replay, --navigate, --smoke".into());
-    }
-    if !seed_set {
-        a.seed = default_seed(&a.workload);
-    }
+    a.mode =
+        mode.ok_or("pick one of --record, --replay FILE, --navigate FILE --seek N, --smoke")?;
+    a.seed = seed.unwrap_or_else(|| default_seed(&a.workload));
     Ok(a)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("simrecord: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match args.mode {
-        Mode::Record => do_record(&args),
-        Mode::Replay => do_replay(&args),
-        Mode::Navigate => do_navigate(&args),
+    let res = parse_opts(Args::from_env()).and_then(|opts| match opts.mode {
+        Mode::Record => do_record(&opts),
+        Mode::Replay => do_replay(&opts),
+        Mode::Navigate => do_navigate(&opts),
         Mode::Smoke => smoke().map(|()| ExitCode::SUCCESS),
-    };
-    match result {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("simrecord: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    });
+    cli::exit("simrecord", res)
 }

@@ -13,110 +13,59 @@
 //! simscale --threads N           # host worker threads (default 4)
 //! simscale --json PATH           # also write the matrix as JSON
 //! simscale --out PATH            # also write the text table
-//! simscale --gate BENCH_scale.json   # throughput floor + criterion check
+//! simscale --gate BENCH_scale.json   # criterion + exact floor-cell check
 //! ```
 //!
 //! Refresh the committed baseline with:
 //! `cargo run --release -p bench --bin simscale -- --json BENCH_scale.json`
 
-use bench::scale::{full_params, matrix_json, render_matrix, run_matrix, run_matrix_cells};
-use bench::scale::{full_matrix_cells, gate};
+use bench::cli::{self, Args};
+use bench::scale::{
+    full_matrix_cells, full_params, gate, matrix_json, render_matrix, run_matrix_cells,
+};
+use bench::Config;
 use std::process::ExitCode;
 
-fn run(
-    smoke: bool,
-    threads: usize,
-    json_out: Option<&str>,
-    text_out: Option<&str>,
-) -> Result<String, String> {
-    let matrix = if smoke {
-        let conns = [16u32, 64];
-        let mut params = full_params(bench::scale());
-        params.requests = 64;
-        let cells: Vec<_> = full_matrix_cells(&conns)
-            .into_iter()
-            .filter(|c| {
-                matches!(
-                    c.config,
-                    bench::Config::Native | bench::Config::K23Default | bench::Config::Sud
-                )
-            })
-            .collect();
-        run_matrix_cells(&conns, &cells, &params, threads)
+fn run(mut args: Args) -> Result<ExitCode, String> {
+    let mut smoke = false;
+    let mut threads = 4usize;
+    let (mut json_out, mut text_out) = (None, None);
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--smoke" => smoke = true,
+            "--threads" => threads = args.parse("--threads")?,
+            "--json" => json_out = Some(args.value("--json")?),
+            "--out" => text_out = Some(args.value("--out")?),
+            "--gate" => {
+                println!("{}", gate(&cli::read_json(&args.value("--gate")?)?)?);
+                return Ok(ExitCode::SUCCESS);
+            }
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    let mut params = full_params(bench::scale());
+    let conns: &[u32] = if smoke {
+        &[16, 64]
     } else {
-        let conns = [100u32, 1000, 10_000];
-        run_matrix(&conns, &full_params(bench::scale()), threads)
+        &[100, 1000, 10_000]
     };
+    let mut cells = full_matrix_cells(conns);
+    if smoke {
+        params.requests = 64;
+        cells.retain(|c| matches!(c.config, Config::Native | Config::K23Default | Config::Sud));
+    }
+    let matrix = run_matrix_cells(conns, &cells, &params, threads);
     let text = render_matrix(&matrix);
     if let Some(path) = json_out {
-        let json = matrix_json(&matrix).to_string_pretty();
-        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
+        cli::write(&path, matrix_json(&matrix).to_string_pretty())?;
     }
     if let Some(path) = text_out {
-        std::fs::write(path, &text).map_err(|e| format!("write {path}: {e}"))?;
+        cli::write(&path, &text)?;
     }
-    Ok(text)
-}
-
-fn run_gate(path: &str) -> Result<String, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    let baseline = sjson::parse(&bytes).map_err(|e| format!("parse {path}: {e:?}"))?;
-    let tol = std::env::var("SIMSCALE_TOL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.2);
-    gate(&baseline, tol)
+    print!("{text}");
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut threads = 4usize;
-    let mut json_out: Option<String> = None;
-    let mut text_out: Option<String> = None;
-    let mut gate_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads = n,
-                None => return usage("--threads needs a number"),
-            },
-            "--json" => match it.next() {
-                Some(p) => json_out = Some(p.clone()),
-                None => return usage("--json needs a path"),
-            },
-            "--out" => match it.next() {
-                Some(p) => text_out = Some(p.clone()),
-                None => return usage("--out needs a path"),
-            },
-            "--gate" => match it.next() {
-                Some(p) => gate_path = Some(p.clone()),
-                None => return usage("--gate needs a path"),
-            },
-            other => return usage(&format!("unknown flag {other:?}")),
-        }
-    }
-    let res = match gate_path {
-        Some(p) => run_gate(&p),
-        None => run(smoke, threads, json_out.as_deref(), text_out.as_deref()),
-    };
-    match res {
-        Ok(text) => {
-            print!("{text}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("simscale: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn usage(err: &str) -> ExitCode {
-    eprintln!(
-        "simscale: {err}\nusage: simscale [--smoke] [--threads N] [--json PATH] [--out PATH] [--gate BENCH_scale.json]"
-    );
-    ExitCode::FAILURE
+    cli::exit("simscale", run(Args::from_env()))
 }

@@ -7,85 +7,41 @@
 //! hazards (the stack fails where its bare base survives) are flagged.
 //! The sweep ends with the fork/execve propagation report: the P1a
 //! parent/victim pair run under tracer/recorder stacks on K23 and
-//! zpoline bases.
+//! zpoline bases. CI checks determinism by diffing two invocations and
+//! pins the default sweep to `MATRIX_simstack.txt`.
 //!
 //! ```text
 //! simstack                   # full matrix + propagation, default seed
 //! simstack --seed 23         # full matrix at seed 23
-//! simstack --smoke           # CI mode: default-seed sweep (determinism
-//!                            # is checked by diffing two invocations)
 //! simstack --replay <spec> '<plan>'   # re-run one cell from its encoding
 //! ```
 
-use pitfalls::stack::{full_stack_matrix, render_propagation, render_stack_matrix, run_stack_probe, STACKS};
-use sim_fault::FaultPlan;
+use bench::cli::{self, Args};
+use pitfalls::fault::replay;
+use pitfalls::stack::{full_stack_matrix, render_propagation, render_stack_matrix};
+use std::process::ExitCode;
 
 const DEFAULT_SEED: u64 = 7;
 
-fn sweep(seed: u64) {
-    let cells = full_stack_matrix(seed);
-    print!("{}", render_stack_matrix(seed, &cells));
+fn run(mut args: Args) -> Result<ExitCode, String> {
+    let mut seed = DEFAULT_SEED;
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--seed" => seed = args.parse("--seed")?,
+            "--replay" => {
+                let spec = args.value("--replay")?;
+                print!("{}", replay(&spec, &args.value("--replay")?)?);
+                return Ok(ExitCode::SUCCESS);
+            }
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    print!("{}", render_stack_matrix(seed, &full_stack_matrix(seed)));
     println!();
     print!("{}", render_propagation());
+    Ok(ExitCode::SUCCESS)
 }
 
-fn replay(spec: &str, encoded: &str) {
-    let plan = match FaultPlan::decode(encoded) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("simstack: bad plan {encoded:?}: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = interpose::registry::parse_spec(spec) {
-        pitfalls::register_all();
-        if interpose::registry::parse_spec(spec).is_err() {
-            eprintln!("simstack: bad spec {spec:?}: {e} (expected e.g. one of {STACKS:?})");
-            std::process::exit(2);
-        }
-    }
-    let baseline = run_stack_probe(spec, None);
-    let faulted = run_stack_probe(spec, Some(&plan));
-    let survived = faulted.exit == baseline.exit && faulted.output == baseline.output;
-    println!("replay {spec} '{}'", plan.encode());
-    println!(
-        "  baseline: exit {:?}, {} output bytes",
-        baseline.exit,
-        baseline.output.len()
-    );
-    println!(
-        "  faulted:  exit {:?}, {} output bytes",
-        faulted.exit,
-        faulted.output.len()
-    );
-    println!("  verdict:  {}", if survived { "survived" } else { "FAILED" });
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        None | Some("--smoke") => sweep(DEFAULT_SEED),
-        Some("--seed") => {
-            let seed = args
-                .get(1)
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("simstack: --seed needs an integer");
-                    std::process::exit(2);
-                });
-            sweep(seed);
-        }
-        Some("--replay") => match (args.get(1), args.get(2)) {
-            (Some(spec), Some(plan)) => replay(spec, plan),
-            _ => {
-                eprintln!("usage: simstack --replay <spec> '<plan>'");
-                std::process::exit(2);
-            }
-        },
-        Some(other) => {
-            eprintln!("simstack: unknown argument {other:?}");
-            eprintln!("usage: simstack [--smoke | --seed <n> | --replay <spec> '<plan>']");
-            std::process::exit(2);
-        }
-    }
+fn main() -> ExitCode {
+    cli::exit("simstack", run(Args::from_env()))
 }

@@ -25,32 +25,13 @@
 //! * `--compare` — additionally measure per-iteration microbenchmark
 //!   cycles under the main mechanisms and print the overhead ordering.
 
+use bench::cli::{self, Args};
 use bench::micro::{build_micro_app, per_iteration_cycles_with, MICRO_APP, MICRO_CFG};
-use interpose::Interposer;
-use k23::OfflineSession;
 use sim_kernel::RunExit;
-use sim_loader::boot_kernel;
+use sim_loader::boot_kernel_from;
 use std::process::ExitCode;
 
-/// `(interposer, needs_offline_phase)` for a mechanism spec, resolved
-/// through the unified [`interpose`] registry.
-fn make_interposer(name: &str) -> Result<(Box<dyn Interposer>, bool), String> {
-    pitfalls::register_all();
-    let ip = interpose::by_name_spec(name).map_err(|e| e.to_string())?;
-    Ok((ip, name.starts_with("k23")))
-}
-
-fn engine_cfg(engine: &str) -> Result<sim_kernel::EngineConfig, String> {
-    use sim_kernel::EngineConfig;
-    match engine {
-        "block" => Ok(EngineConfig::new()),
-        "stepwise" => Ok(EngineConfig::stepwise()),
-        "trace" => Ok(EngineConfig::traced()),
-        other => Err(format!("unknown engine {other:?} (block|stepwise|trace)")),
-    }
-}
-
-struct Args {
+struct Opts {
     interposer: String,
     engine: String,
     app: String,
@@ -62,8 +43,8 @@ struct Args {
     compare: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut a = Args {
+fn parse_opts(mut args: Args) -> Result<Opts, String> {
+    let mut a = Opts {
         interposer: "k23".to_string(),
         engine: "block".to_string(),
         app: "/usr/bin/ls-sim".to_string(),
@@ -74,60 +55,28 @@ fn parse_args() -> Result<Args, String> {
         selfcheck: false,
         compare: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-        argv.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--interposer" => {
-                a.interposer = value(&argv, i, "--interposer")?;
-                i += 1;
-            }
-            "--engine" => {
-                a.engine = value(&argv, i, "--engine")?;
-                i += 1;
-            }
-            "--app" => {
-                a.app = value(&argv, i, "--app")?;
-                i += 1;
-            }
-            "--micro" => {
-                let v = value(&argv, i, "--micro")?;
-                a.micro = Some(v.parse().map_err(|_| format!("bad --micro count {v}"))?);
-                i += 1;
-            }
-            "--trace-out" => {
-                a.trace_out = value(&argv, i, "--trace-out")?;
-                i += 1;
-            }
-            "--summary-out" => {
-                a.summary_out = value(&argv, i, "--summary-out")?;
-                i += 1;
-            }
+    while let Some(flag) = args.flag() {
+        match flag.as_str() {
+            "--interposer" => a.interposer = args.value("--interposer")?,
+            "--engine" => a.engine = args.value("--engine")?,
+            "--app" => a.app = args.value("--app")?,
+            "--micro" => a.micro = Some(args.parse("--micro")?),
+            "--trace-out" => a.trace_out = args.value("--trace-out")?,
+            "--summary-out" => a.summary_out = args.value("--summary-out")?,
             "--no-micro-events" => a.micro_events = false,
             "--selfcheck" => a.selfcheck = true,
             "--compare" => a.compare = true,
             other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
     Ok(a)
 }
 
 /// Runs the chosen workload traced; returns the recorder.
-fn traced_run(args: &Args) -> Result<Box<sim_obs::Recorder>, String> {
-    let (ip, needs_offline) = make_interposer(&args.interposer).map_err(|e| {
-        format!(
-            "{e} (try native, ptrace, sud, sud-armed, zpoline, zpoline-ultra, lazypoline, k23, k23-ultra, k23-ultra+, or a composed spec like k23+tracer+recorder)"
-        )
-    })?;
-
-    let mut k = boot_kernel();
-    let (app, argv) = match args.micro {
+fn traced_run(opts: &Opts) -> Result<Box<sim_obs::Recorder>, String> {
+    let ip = cli::mechanism(&opts.interposer)?;
+    let mut k = boot_kernel_from(cli::world());
+    let (app, argv) = match opts.micro {
         Some(n) => {
             build_micro_app().install(&mut k.vfs);
             k.vfs
@@ -135,31 +84,21 @@ fn traced_run(args: &Args) -> Result<Box<sim_obs::Recorder>, String> {
                 .map_err(|e| format!("write micro config: {e}"))?;
             (MICRO_APP.to_string(), vec![])
         }
-        None => {
-            apps::install_world(&mut k.vfs);
-            (args.app.clone(), vec![args.app.clone()])
-        }
+        None => (opts.app.clone(), vec![opts.app.clone()]),
     };
 
-    if needs_offline {
+    if cli::needs_offline(&opts.interposer) {
         // Offline phase runs untraced: the trace should cover the online
         // run the paper's tables describe, not log collection.
-        let session = OfflineSession::new(&mut k, &app);
-        let (_pid, exit) = session
-            .run_once(&mut k, &argv, &[], u64::MAX / 4)
-            .map_err(|e| format!("offline phase failed: {e}"))?;
-        if exit != RunExit::AllExited {
-            return Err(format!("offline phase did not finish: {exit:?}"));
-        }
-        session.finish(&mut k);
+        cli::offline_once(&mut k, &app, &argv, u64::MAX / 4)?;
     }
 
     // Audit the traced run against the mechanism's declared coverage so
     // the summary's counter block reports interposed/bypassed/double
     // counts per attribution path alongside the latency table.
-    k.configure(engine_cfg(&args.engine)?.audit(ip.coverage()));
+    k.configure(cli::engine(&opts.engine)?.audit(ip.coverage()));
     sim_obs::enable(sim_obs::ObsConfig {
-        micro_events: args.micro_events,
+        micro_events: opts.micro_events,
         ..sim_obs::ObsConfig::default()
     });
     ip.install(&mut k);
@@ -184,7 +123,7 @@ fn traced_run(args: &Args) -> Result<Box<sim_obs::Recorder>, String> {
 
 /// `--compare`: per-iteration stress-loop cycles under each mechanism
 /// (differencing cancels startup and offline costs; see `bench::micro`).
-fn compare_table(n: u64) -> String {
+fn compare_table(n: u64) -> Result<String, String> {
     let mechanisms: &[&str] = &[
         "native",
         "k23",
@@ -195,8 +134,8 @@ fn compare_table(n: u64) -> String {
     ];
     let mut rows: Vec<(String, f64)> = Vec::new();
     for name in mechanisms {
-        let (ip, needs_offline) = make_interposer(name).expect("known mechanism");
-        let cycles = if needs_offline {
+        let ip = cli::mechanism(name)?;
+        let cycles = if cli::needs_offline(name) {
             // The only offline-phase mechanism in the list is k23-default;
             // the bench harness collects and seals its log before timing.
             assert_eq!(*name, "k23", "only k23 needs offline here");
@@ -221,14 +160,13 @@ fn compare_table(n: u64) -> String {
             cycles / native
         ));
     }
-    s
+    Ok(s)
 }
 
 /// Parses the written trace back and checks it contains ≥ 1 syscall span.
 fn selfcheck(trace_path: &str) -> Result<u64, String> {
-    let data = std::fs::read(trace_path).map_err(|e| format!("read {trace_path}: {e}"))?;
-    let v = sjson::parse(&data).map_err(|e| format!("{trace_path} is not valid JSON: {e:?}"))?;
-    let events = v
+    let events = cli::read_json(trace_path)?;
+    let events = events
         .get("traceEvents")
         .and_then(|t| t.as_array())
         .ok_or_else(|| format!("{trace_path} has no traceEvents array"))?;
@@ -245,56 +183,35 @@ fn selfcheck(trace_path: &str) -> Result<u64, String> {
     Ok(spans)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("simtrace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let rec = match traced_run(&args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("simtrace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let trace = rec.chrome_trace_json();
-    if let Err(e) = std::fs::write(&args.trace_out, &trace) {
-        eprintln!("simtrace: write {}: {e}", args.trace_out);
-        return ExitCode::FAILURE;
-    }
-
+fn run(opts: &Opts) -> Result<ExitCode, String> {
+    let rec = traced_run(opts)?;
+    cli::write(&opts.trace_out, rec.chrome_trace_json())?;
     let mut summary = format!(
         "workload: {} under {} ({} engine)\n{}",
-        args.micro
-            .map_or(args.app.clone(), |n| format!("{MICRO_APP} x{n}")),
-        args.interposer,
-        args.engine,
+        opts.micro
+            .map_or(opts.app.clone(), |n| format!("{MICRO_APP} x{n}")),
+        opts.interposer,
+        opts.engine,
         rec.summary()
     );
-    if args.compare {
+    if opts.compare {
         let n = (2_000 / bench::scale().max(1)).max(200);
-        summary.push_str(&compare_table(n));
+        summary.push_str(&compare_table(n)?);
     }
-    if let Err(e) = std::fs::write(&args.summary_out, &summary) {
-        eprintln!("simtrace: write {}: {e}", args.summary_out);
-        return ExitCode::FAILURE;
-    }
+    cli::write(&opts.summary_out, &summary)?;
     print!("{summary}");
-    println!("wrote {} and {}", args.trace_out, args.summary_out);
+    println!("wrote {} and {}", opts.trace_out, opts.summary_out);
 
-    if args.selfcheck {
-        match selfcheck(&args.trace_out) {
-            Ok(spans) => println!("selfcheck: ok ({spans} syscall spans)"),
-            Err(e) => {
-                eprintln!("simtrace: selfcheck failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if opts.selfcheck {
+        let spans = selfcheck(&opts.trace_out).map_err(|e| format!("selfcheck failed: {e}"))?;
+        println!("selfcheck: ok ({spans} syscall spans)");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    cli::exit(
+        "simtrace",
+        parse_opts(Args::from_env()).and_then(|opts| run(&opts)),
+    )
 }

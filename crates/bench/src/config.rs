@@ -81,8 +81,7 @@ impl Config {
 
     /// Instantiates the interposer via the registry.
     pub fn make(self) -> Box<dyn Interposer> {
-        pitfalls::register_all();
-        interpose::by_name_spec(self.name()).expect("registered mechanism")
+        crate::cli::mechanism(self.name()).expect("registered mechanism")
     }
 
     /// True for the K23 variants (which get an offline phase first, as in

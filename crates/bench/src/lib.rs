@@ -15,12 +15,15 @@
 //! | `all`    | everything above, in order |
 //!
 //! Diagnostics binaries (`simtrace`, `simperf`, `simprof`, `simfault`,
-//! `simstack`, `simrecord`, `simaudit`) live alongside; `simaudit`
-//! regenerates the committed `MATRIX_simaudit.txt` coverage ledger.
+//! `simstack`, `simrecord`, `simaudit`, `simscale`) live alongside, all
+//! built on [`cli`]: one argument parser, engine table, guest world and
+//! offline-log transplant. `simaudit` regenerates the committed
+//! `MATRIX_simaudit.txt` coverage ledger.
 //!
 //! Scale with `K23_BENCH_SCALE` (default 10; 1 = full size, larger = faster).
 
 pub mod audit;
+pub mod cli;
 pub mod config;
 pub mod figures;
 pub mod macros_;

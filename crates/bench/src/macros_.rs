@@ -54,18 +54,10 @@ pub fn collect_offline_log_sqlite(cfg: &[u8]) -> (String, Vec<u8>) {
     (path, bytes)
 }
 
-fn install_log(k: &mut Kernel, log: &Option<(String, Vec<u8>)>) {
-    if let Some((path, bytes)) = log {
-        k.vfs.mkdir_p(k23::LOG_DIR).expect("log dir creatable");
-        k.vfs.write_file(path, bytes).expect("log install");
-        k.vfs.set_immutable(k23::LOG_DIR, true).expect("seal");
-    }
-}
-
 /// Throughput of `spec` under `config` (requests per Gcycle).
 pub fn macro_throughput(spec: &MacroSpec, config: Config, log: &Option<(String, Vec<u8>)>) -> f64 {
     let mut k = fresh_world();
-    install_log(&mut k, log);
+    crate::cli::install_log(&mut k, log.as_ref());
     let ip = config.make();
     let res = run_macro(&mut k, ip.as_ref(), spec, BUDGET)
         .unwrap_or_else(|e| panic!("{} under {}: {e:?}", spec.name, config.label()));
@@ -75,7 +67,7 @@ pub fn macro_throughput(spec: &MacroSpec, config: Config, log: &Option<(String, 
 /// sqlite completion cycles under `config`.
 pub fn sqlite_cycles(cfg: &[u8], config: Config, log: &Option<(String, Vec<u8>)>) -> u64 {
     let mut k = fresh_world();
-    install_log(&mut k, log);
+    crate::cli::install_log(&mut k, log.as_ref());
     let ip = config.make();
     run_sqlite(&mut k, ip.as_ref(), cfg, BUDGET)
         .unwrap_or_else(|e| panic!("sqlite under {}: {e:?}", config.label()))

@@ -11,27 +11,15 @@
 //! the per-kernel event streams is ordered by `(sim clock, cell, seq)`,
 //! never by host completion order (DESIGN.md §14).
 
+use crate::cli::{self, world};
 use crate::Config;
-use apps::{install_world, run_scale, scale_spec, MacroSpec};
+use apps::{run_scale, scale_spec, MacroSpec};
 use k23::OfflineSession;
-use sim_kernel::{RunExit, Vfs};
-use sim_loader::{boot_kernel, boot_kernel_from};
+use sim_kernel::RunExit;
+use sim_loader::boot_kernel_from;
 use sim_obs::{EventKind, ObsConfig};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Mutex, OnceLock};
-
-/// The world VFS (libc + every guest image), assembled exactly once per
-/// process and cloned into each cell's kernel. A 48-cell matrix would
-/// otherwise re-assemble every image 48 times; `Vfs` is plain data, so
-/// the template is shared across the worker threads by reference.
-fn world() -> &'static Vfs {
-    static WORLD: OnceLock<Vfs> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        let mut k = boot_kernel();
-        install_world(&mut k.vfs);
-        k.vfs
-    })
-}
+use std::sync::Mutex;
 
 /// Cycle budget per cell.
 pub const BUDGET: u64 = 40_000_000_000_000;
@@ -225,14 +213,11 @@ pub fn run_cell(
 ) -> CellResult {
     let spec = spec_for(cell, params);
     let mut k = boot_kernel_from(world());
-    if cell.config.needs_offline() {
-        let (path, bytes) = logs
-            .get(cell.variant.label())
-            .expect("offline log collected for variant");
-        k.vfs.mkdir_p(k23::LOG_DIR).expect("log dir creatable");
-        k.vfs.write_file(path, bytes).expect("log install");
-        k.vfs.set_immutable(k23::LOG_DIR, true).expect("seal");
-    }
+    let log = cell.config.needs_offline().then(|| {
+        logs.get(cell.variant.label())
+            .expect("offline log collected for variant")
+    });
+    cli::install_log(&mut k, log);
     let ip = cell.config.make();
     sim_obs::enable(ObsConfig {
         ring_capacity: RING_CAP,
@@ -401,14 +386,9 @@ pub fn full_params(scale: u64) -> ScaleParams {
     }
 }
 
-/// Runs a whole matrix: collects the per-variant offline logs once, then
-/// fans the cells out over `threads` host workers.
-pub fn run_matrix(conn_counts: &[u32], params: &ScaleParams, threads: usize) -> ScaleMatrix {
-    let cells = full_matrix_cells(conn_counts);
-    run_matrix_cells(conn_counts, &cells, params, threads)
-}
-
-/// [`run_matrix`] over an explicit cell list.
+/// Runs a matrix over `cells` (e.g. [`full_matrix_cells`]): collects the
+/// per-variant offline logs once, then fans the cells out over `threads`
+/// host workers.
 pub fn run_matrix_cells(
     conn_counts: &[u32],
     cells: &[ScaleCell],
@@ -551,12 +531,13 @@ pub fn render_matrix(m: &ScaleMatrix) -> String {
 /// 1. the committed matrix itself must satisfy the scaling criterion
 ///    (epoll >= 5x poll at the top connection count under K23), and
 /// 2. a fresh epoll-under-K23 run at the smallest committed connection
-///    count must stay within `tol` of the committed throughput floor.
+///    count must reproduce the committed cell's `requests` and `cycles`
+///    exactly: both are simulated counts, the same on every host.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first failed check.
-pub fn gate(baseline: &sjson::Value, tol: f64) -> Result<String, String> {
+pub fn gate(baseline: &sjson::Value) -> Result<String, String> {
     let cells = baseline
         .get("cells")
         .and_then(|c| c.as_array())
@@ -565,17 +546,19 @@ pub fn gate(baseline: &sjson::Value, tol: f64) -> Result<String, String> {
         .get("max_conns")
         .and_then(|v| v.as_u64())
         .ok_or("baseline has no max_conns")?;
-    let lookup = |variant: &str, config: &str, conns: u64| -> Option<f64> {
-        cells.iter().find_map(|c| {
-            (c.get("variant")?.as_str()? == variant
-                && c.get("config")?.as_str()? == config
-                && c.get("conns")?.as_u64()? == conns)
-                .then(|| c.get("throughput_per_gcycle")?.as_f64())?
+    let lookup = |variant: &str, conns: u64| {
+        cells.iter().find(|c| {
+            c.get("variant").and_then(|v| v.as_str()) == Some(variant)
+                && c.get("config").and_then(|v| v.as_str()) == Some(Config::K23Default.label())
+                && c.get("conns").and_then(|v| v.as_u64()) == Some(conns)
         })
     };
-    let e = lookup("epoll", Config::K23Default.label(), max_conns)
+    let field = |c: &sjson::Value, k: &str| c.get(k).and_then(|v| v.as_f64());
+    let e = lookup("epoll", max_conns)
+        .and_then(|c| field(c, "throughput_per_gcycle"))
         .ok_or("baseline missing epoll K23 cell at max conns")?;
-    let p = lookup("poll", Config::K23Default.label(), max_conns)
+    let p = lookup("poll", max_conns)
+        .and_then(|c| field(c, "throughput_per_gcycle"))
         .ok_or("baseline missing poll K23 cell at max conns")?;
     if e < 5.0 * p {
         return Err(format!(
@@ -597,8 +580,11 @@ pub fn gate(baseline: &sjson::Value, tol: f64) -> Result<String, String> {
         .and_then(|v| v.as_array())
         .and_then(|a| a.iter().filter_map(|v| v.as_u64()).min())
         .ok_or("baseline has no conn_counts")?;
-    let floor = lookup("epoll", Config::K23Default.label(), min_conns)
-        .ok_or("baseline missing epoll K23 floor cell")?;
+    let floor = lookup("epoll", min_conns).ok_or("baseline missing epoll K23 floor cell")?;
+    let count = |k: &str| floor.get(k).and_then(|v| v.as_u64());
+    let (Some(requests), Some(cycles)) = (count("requests"), count("cycles")) else {
+        return Err("epoll K23 floor cell has no requests/cycles".into());
+    };
     let cell = ScaleCell {
         variant: Variant::Epoll,
         conns: min_conns as u32,
@@ -610,14 +596,13 @@ pub fn gate(baseline: &sjson::Value, tol: f64) -> Result<String, String> {
         collect_offline_log_scale(Variant::Epoll, &committed),
     );
     let fresh = run_cell(&cell, &committed, &logs);
-    if fresh.throughput < floor * (1.0 - tol) {
+    if (fresh.requests, fresh.cycles) != (requests, cycles) {
         return Err(format!(
-            "epoll K23 throughput fell below floor: {:.1} < {floor:.1} * (1 - {tol})",
-            fresh.throughput
+            "epoll K23 floor cell at c={min_conns} drifted: {} requests in {} cycles, committed {requests} in {cycles}",
+            fresh.requests, fresh.cycles
         ));
     }
     Ok(format!(
-        "scale gate ok: criterion {e:.1} >= 5x {p:.1} at c={max_conns}; floor cell {:.1} vs {floor:.1} (tol {tol})",
-        fresh.throughput
+        "scale gate ok: criterion {e:.1} >= 5x {p:.1} at c={max_conns}; floor cell {requests} requests in {cycles} cycles, as committed"
     ))
 }

@@ -303,6 +303,32 @@ pub fn full_fault_matrix(seed: u64) -> Vec<Cell> {
     cells
 }
 
+/// Re-runs one cell from its printed replay line: the probe under `spec`
+/// (any registry spec, composed stacks included) clean and under the
+/// encoded plan, rendered with the survival verdict.
+///
+/// # Errors
+///
+/// A plan that does not decode, or a spec that does not parse.
+pub fn replay(spec: &str, encoded_plan: &str) -> Result<String, String> {
+    let plan =
+        FaultPlan::decode(encoded_plan).map_err(|e| format!("bad plan {encoded_plan:?}: {e}"))?;
+    crate::register_all();
+    interpose::registry::parse_spec(spec).map_err(|e| format!("bad spec {spec:?}: {e}"))?;
+    let baseline = run_probe(spec, None);
+    let faulted = run_probe(spec, Some(&plan));
+    let survived = faulted.exit == baseline.exit && faulted.output == baseline.output;
+    Ok(format!(
+        "replay {spec} '{}'\n  baseline: exit {:?}, {} output bytes\n  faulted:  exit {:?}, {} output bytes\n  verdict:  {}\n",
+        plan.encode(),
+        baseline.exit,
+        baseline.output.len(),
+        faulted.exit,
+        faulted.output.len(),
+        if survived { "survived" } else { "FAILED" }
+    ))
+}
+
 /// Renders the matrix (scenario rows × mechanism columns) followed by a
 /// one-command replay line per failing cell. Byte-deterministic for a
 /// given seed.
@@ -350,6 +376,30 @@ mod tests {
         assert_eq!(r.output, MSG.repeat(ROUNDS as usize));
         assert_ne!(r.main_addr, 0);
         assert_ne!(r.data_addr, 0);
+    }
+
+    /// The committed matrix's failing K23 signal cell replays as FAILED
+    /// from its printed line, while ptrace and zpoline survive the same
+    /// plan (as their ✓ cells in that row say).
+    #[test]
+    fn replay_renders_the_committed_verdicts() {
+        let plan = "s=7;w=10:296:50000:243";
+        let k23 = replay("k23", plan).expect("replays");
+        assert!(k23.starts_with(&format!("replay k23 '{plan}'\n")), "{k23}");
+        assert!(k23.contains("verdict:  FAILED"), "{k23}");
+        for mech in ["ptrace", "zpoline"] {
+            let out = replay(mech, plan).expect("replays");
+            assert!(out.contains("verdict:  survived"), "{mech}: {out}");
+        }
+    }
+
+    #[test]
+    fn replay_rejects_a_bad_plan_or_spec() {
+        assert!(replay("k23", "not-a-plan")
+            .unwrap_err()
+            .contains("bad plan"));
+        assert!(replay("bogus", "s=7").unwrap_err().contains("bad spec"));
+        assert!(replay("k23+bogus", "s=7").unwrap_err().contains("bad spec"));
     }
 
     #[test]

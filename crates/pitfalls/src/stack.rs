@@ -16,7 +16,7 @@
 //! not, and under zpoline's env-clearing gap *no* layer survives the exec
 //! because the base itself loses its handler library.
 
-use crate::fault::{plan_for, run_probe, ProbeRun, Scenario};
+use crate::fault::{plan_for, run_probe, Scenario};
 use crate::pocs;
 use interpose::registry::parse_spec;
 use interpose::{Interposer, InterposerStack};
@@ -166,12 +166,6 @@ pub fn render_stack_matrix(seed: u64, cells: &[StackCell]) -> String {
         }
     }
     out
-}
-
-/// [`crate::fault::run_probe`] over a spec, kept as a named alias so the
-/// `simstack` binary reads symmetrically to `simfault`.
-pub fn run_stack_probe(spec: &str, plan: Option<&FaultPlan>) -> ProbeRun {
-    run_probe(spec, plan)
 }
 
 /// What one propagation probe observed: the P1a parent/victim pair run

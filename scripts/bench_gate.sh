@@ -2,17 +2,17 @@
 # Bench regression gates against the committed baselines.
 #
 # 1. Profiler gate: re-measure every (workload, interposer) row with
-#    simprof and compare instruction/sample counts against
-#    BENCH_simprof.json. Fails (non-zero exit) when any row drifts beyond
-#    the tolerance band (default 10%; override with SIMPROF_TOL or extra
-#    flags, e.g. `scripts/bench_gate.sh --tol 0.05` — flags are passed to
-#    the simprof gate only).
+#    simprof and compare its instruction, sample and syscall counts
+#    against BENCH_simprof.json exactly — all three are architectural.
+#    Fails (non-zero exit) on any difference or any dropped obs event.
+#    Extra flags are passed to the simprof gate only, e.g.
+#    `scripts/bench_gate.sh --engine stepwise`.
 # 2. Engine-throughput gate: re-run simperf and check against
 #    BENCH_simperf.json that (a) the three engines' instruction streams
 #    are still byte-identical (determinism), (b) the snapshot run drops
 #    no obs events, and (c) block/trace inst/s have not fallen below
-#    baseline × (1 − tol) (SIMPERF_TOL, default 0.5 — wall-clock
-#    throughput on shared CI is noisy; only slowdowns fail).
+#    baseline × (1 − 0.5), a constant in simperf (wall-clock throughput
+#    on shared CI is noisy; only slowdowns fail).
 #
 # 3. Coverage gate: re-run the simaudit sweep and require every
 #    (mechanism, workload) cell's coverage to stay at or above the
@@ -20,8 +20,9 @@
 #
 # 4. Scale gate: check the committed BENCH_scale.json still satisfies
 #    the scaling criterion (epoll server >= 5x the polling variant at
-#    the top connection count under K23) and re-measure the epoll/K23
-#    floor cell against the committed throughput.
+#    the top connection count under K23) and re-run the epoll/K23 floor
+#    cell, which must reproduce the committed requests and cycles
+#    exactly.
 #
 # Refresh the baselines after an intentional change with:
 #   cargo run --release -q -p bench --bin simprof

@@ -19,26 +19,51 @@ cargo run --release -q -p bench --bin simtrace -- \
     --trace-out target/SIMTRACE_smoke.json \
     --summary-out target/SIMTRACE_smoke.txt
 
-echo "==> simfault smoke (fault matrix, byte-determinism check)"
-cargo run --release -q -p bench --bin simfault -- --smoke > target/SIMFAULT_smoke_a.txt
-cargo run --release -q -p bench --bin simfault -- --smoke > target/SIMFAULT_smoke_b.txt
-cmp target/SIMFAULT_smoke_a.txt target/SIMFAULT_smoke_b.txt
+# Re-runs the first failing cell a sweep printed (`  <bin> --replay <spec>
+# '<plan>'`); the replay must fail again.
+replay_first_failure() {
+    local bin=$1 spec plan out
+    read -r spec plan < <(grep -m1 -- "$bin --replay" "$2" | sed -E "s/^ *$bin --replay ([^ ]+) '(.*)'$/\1 \2/")
+    out=$(cargo run --release -q -p bench --bin "$bin" -- --replay "$spec" "$plan")
+    if ! grep -q '^  verdict:  FAILED$' <<<"$out"; then
+        echo "$bin --replay $spec '$plan' did not fail again:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+}
 
-echo "==> simstack smoke (composed-stack matrix + propagation, byte-determinism check, pinned to MATRIX_simstack.txt)"
-cargo run --release -q -p bench --bin simstack -- --smoke > target/SIMSTACK_smoke_a.txt
-cargo run --release -q -p bench --bin simstack -- --smoke > target/SIMSTACK_smoke_b.txt
+echo "==> simfault smoke (fault matrix, byte-determinism check, first failing cell replays)"
+cargo run --release -q -p bench --bin simfault > target/SIMFAULT_smoke_a.txt
+cargo run --release -q -p bench --bin simfault > target/SIMFAULT_smoke_b.txt
+cmp target/SIMFAULT_smoke_a.txt target/SIMFAULT_smoke_b.txt
+replay_first_failure simfault target/SIMFAULT_smoke_a.txt
+
+echo "==> simstack smoke (composed-stack matrix + propagation, byte-determinism check, pinned to MATRIX_simstack.txt, first failing cell replays)"
+cargo run --release -q -p bench --bin simstack > target/SIMSTACK_smoke_a.txt
+cargo run --release -q -p bench --bin simstack > target/SIMSTACK_smoke_b.txt
 cmp target/SIMSTACK_smoke_a.txt target/SIMSTACK_smoke_b.txt
 cmp target/SIMSTACK_smoke_a.txt MATRIX_simstack.txt
+replay_first_failure simstack target/SIMSTACK_smoke_a.txt
 
-echo "==> simaudit smoke (coverage matrix + JSON export, byte-determinism check, pinned to MATRIX_simaudit.txt on every engine)"
-cargo run --release -q -p bench --bin simaudit -- --smoke --json target/SIMAUDIT_smoke_a.json > target/SIMAUDIT_smoke_a.txt
-cargo run --release -q -p bench --bin simaudit -- --smoke --json target/SIMAUDIT_smoke_b.json > target/SIMAUDIT_smoke_b.txt
+echo "==> simaudit smoke (coverage matrix + JSON export, byte-determinism check, pinned to MATRIX_simaudit.txt on every engine, K23 coreutil cell replays)"
+cargo run --release -q -p bench --bin simaudit -- --json target/SIMAUDIT_smoke_a.json > target/SIMAUDIT_smoke_a.txt
+cargo run --release -q -p bench --bin simaudit -- --json target/SIMAUDIT_smoke_b.json > target/SIMAUDIT_smoke_b.txt
 cmp target/SIMAUDIT_smoke_a.txt target/SIMAUDIT_smoke_b.txt
 cmp target/SIMAUDIT_smoke_a.json target/SIMAUDIT_smoke_b.json
 cmp target/SIMAUDIT_smoke_a.txt MATRIX_simaudit.txt
 for engine in stepwise trace; do
     cargo run --release -q -p bench --bin simaudit -- --engine "$engine" > "target/SIMAUDIT_$engine.txt"
     cmp "target/SIMAUDIT_$engine.txt" MATRIX_simaudit.txt
+done
+cargo run --release -q -p bench --bin simaudit -- --replay k23 coreutil > target/SIMAUDIT_replay.txt
+grep -q 'coverage 100.0%' target/SIMAUDIT_replay.txt
+
+echo "==> diagnostics reject an unknown flag"
+for bin in simaudit simfault simperf simprof simrecord simscale simstack simtrace; do
+    if "target/release/$bin" --no-such-flag 2>/dev/null; then
+        echo "$bin accepted an unknown flag" >&2
+        exit 1
+    fi
 done
 
 echo "==> simscale smoke (connection-scale matrix, byte-determinism across thread counts)"

@@ -15,14 +15,18 @@ use sim_loader::boot_kernel;
 /// bypasses and full coverage.
 #[test]
 fn exec_gap_classifies_as_p1a_for_preload_but_not_k23() {
-    let zp = run_cell("zpoline", "hostile", EngineConfig::new()).totals();
+    let zp = run_cell("zpoline", "hostile", EngineConfig::new())
+        .unwrap()
+        .totals();
     assert!(
         zp.bypassed_by(Signature::ExecGap) > 0,
         "zpoline's env-cleared victim must surface as an exec gap"
     );
     assert_eq!(signature_pitfall(Signature::ExecGap), Some(Pitfall::P1a));
 
-    let k23 = run_cell("k23", "hostile", EngineConfig::new()).totals();
+    let k23 = run_cell("k23", "hostile", EngineConfig::new())
+        .unwrap()
+        .totals();
     assert_eq!(
         k23.bypassed_by(Signature::ExecGap),
         0,
@@ -41,7 +45,9 @@ fn exec_gap_classifies_as_p1a_for_preload_but_not_k23() {
 /// disarm retire without the mechanism seeing them.
 #[test]
 fn sud_disarm_classifies_as_p1b() {
-    let sud = run_cell("sud", "hostile", EngineConfig::new()).totals();
+    let sud = run_cell("sud", "hostile", EngineConfig::new())
+        .unwrap()
+        .totals();
     assert!(
         sud.bypassed_by(Signature::SudOff) > 0,
         "post-disarm syscalls must classify as SudOff"
@@ -56,14 +62,18 @@ fn sud_disarm_classifies_as_p1b() {
 /// show none.
 #[test]
 fn vdso_shadow_attribution_respects_mechanism_claims() {
-    let zp = run_cell("zpoline", "hostile", EngineConfig::new()).totals();
+    let zp = run_cell("zpoline", "hostile", EngineConfig::new())
+        .unwrap()
+        .totals();
     assert_eq!(
         zp.bypassed_by(Signature::Vdso),
         1,
         "exactly the PoC's one vDSO clock read"
     );
     for covered in ["ptrace", "k23"] {
-        let t = run_cell(covered, "hostile", EngineConfig::new()).totals();
+        let t = run_cell(covered, "hostile", EngineConfig::new())
+            .unwrap()
+            .totals();
         assert_eq!(
             t.bypassed_by(Signature::Vdso),
             0,
@@ -78,9 +88,9 @@ fn vdso_shadow_attribution_respects_mechanism_claims() {
 /// to it (the property that makes the committed matrix meaningful).
 #[test]
 fn ledger_is_identical_across_engines() {
-    let block = run_cell("sud", "coreutil", EngineConfig::new());
-    let stepwise = run_cell("sud", "coreutil", EngineConfig::stepwise());
-    let traced = run_cell("sud", "coreutil", EngineConfig::traced());
+    let block = run_cell("sud", "coreutil", EngineConfig::new()).unwrap();
+    let stepwise = run_cell("sud", "coreutil", EngineConfig::stepwise()).unwrap();
+    let traced = run_cell("sud", "coreutil", EngineConfig::traced()).unwrap();
     assert_eq!(block, stepwise, "block vs stepwise ledgers diverge");
     assert_eq!(block, traced, "block vs trace ledgers diverge");
     assert!(
@@ -110,11 +120,15 @@ fn no_session_means_no_ledger() {
 /// full claim audits the same coreutil at 100.0%.
 #[test]
 fn coverage_extremes_match_claims() {
-    let native = run_cell("native", "coreutil", EngineConfig::new()).totals();
+    let native = run_cell("native", "coreutil", EngineConfig::new())
+        .unwrap()
+        .totals();
     assert_eq!(native.coverage_permille(), 0);
     assert_eq!(native.bypassed_by(Signature::Uncovered), native.total());
 
-    let k23 = run_cell("k23", "coreutil", EngineConfig::new()).totals();
+    let k23 = run_cell("k23", "coreutil", EngineConfig::new())
+        .unwrap()
+        .totals();
     assert_eq!(k23.coverage_permille(), 1000);
     assert_eq!(k23.bypassed_total(), 0);
 }

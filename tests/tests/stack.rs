@@ -47,7 +47,7 @@ proptest! {
 /// signal scenario kills exactly the naive-recorder stacks plus the
 /// stacks whose *base* already dies under it, and only the recorder
 /// failures are composition-only. Sweeping twice renders byte-identical
-/// text (the `simstack --smoke` determinism contract).
+/// text (the `simstack` double-run determinism contract).
 #[test]
 fn stack_matrix_verdicts_are_pinned() {
     let cells = full_stack_matrix(7);
