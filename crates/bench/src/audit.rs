@@ -32,7 +32,7 @@ pub const COREUTIL: &str = "/usr/bin/ls-sim";
 
 /// Fixed request-count divisor for the audited server workload. The
 /// committed matrix must not follow `K23_BENCH_SCALE`, so this is a
-/// constant rather than [`crate::scale`].
+/// constant rather than [`crate::scale`](mod@crate::scale).
 pub const SERVER_SCALE: u64 = 200;
 
 /// Composed stacks audited beyond the bare registry mechanisms

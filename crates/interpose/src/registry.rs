@@ -157,7 +157,7 @@ pub fn by_name_spec(spec: &str) -> Result<Box<dyn Interposer>, SpecError> {
 }
 
 /// Currently registered names, in canonical order (names outside
-/// [`ORDER`] follow, in registration order).
+/// `ORDER` follow, in registration order).
 pub fn names() -> Vec<&'static str> {
     let reg = REGISTRY.lock().unwrap();
     let mut out: Vec<&'static str> = ORDER

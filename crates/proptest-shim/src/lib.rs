@@ -303,7 +303,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Element-count range for [`vec`].
+    /// Element-count range for [`vec`](fn@vec).
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -334,7 +334,7 @@ pub mod collection {
         }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -326,6 +326,24 @@ impl Cpu {
         self.set(Reg::R11, self.flags.pack());
     }
 
+    /// Completes the syscall issued at `site` with result `ret`: resumes
+    /// after the two-byte instruction with `ret` in `rax` and the entry
+    /// clobbers applied.
+    pub fn syscall_return(&mut self, site: u64, ret: u64) {
+        self.rip = site + 2;
+        self.set(Reg::Rax, ret);
+        self.apply_syscall_clobbers(site + 2);
+    }
+
+    /// The syscall number (`rax`) and the six argument registers in ABI
+    /// order (`rdi`, `rsi`, `rdx`, `r10`, `r8`, `r9`).
+    pub fn syscall_args(&self) -> (u64, [u64; 6]) {
+        (
+            self.get(Reg::Rax),
+            [Reg::Rdi, Reg::Rsi, Reg::Rdx, Reg::R10, Reg::R8, Reg::R9].map(|r| self.get(r)),
+        )
+    }
+
     /// Restores flags from the packed `r11` form (used by sigreturn paths).
     pub fn flags_from_packed(&mut self, v: u64) {
         self.flags = Flags::unpack(v);

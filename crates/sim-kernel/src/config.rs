@@ -2,7 +2,7 @@
 //!
 //! [`EngineConfig`] is one builder applied through
 //! [`crate::Kernel::configure`]: the scheduler engine plus the fault,
-//! profile, record and audit sessions. [`FaultSession`] is the kernel's
+//! profile, record and audit sessions. `FaultSession` is the kernel's
 //! live state for one [`FaultPlan`]: architectural counters (syscall
 //! occurrences, scheduling rounds) plus pending permission restorations —
 //! all of which advance identically under every engine. Every session is
@@ -127,9 +127,9 @@ impl EngineConfig {
 
     /// Enables the interposition coverage ledger, auditing every retired
     /// syscall against `spec` (a mechanism's expected-coverage
-    /// declaration, `interpose::Interposer::coverage`). Auditing forces
-    /// the full slow path so every syscall reaches the dispatch choke
-    /// point; with no session configured the fast paths are untouched.
+    /// declaration, `interpose::Interposer::coverage`). Auditing closes
+    /// the hot slice loop so every syscall reaches the dispatch choke
+    /// point; with no session configured the hot loop is untouched.
     pub fn audit(mut self, spec: crate::audit::AuditSpec) -> EngineConfig {
         self.audit = Some(spec);
         self

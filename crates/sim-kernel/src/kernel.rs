@@ -6,7 +6,7 @@ use crate::config::{Engine, EngineConfig, FaultSession, ProfSession};
 use crate::net::Net;
 use crate::nr;
 use crate::process::{
-    FdEntry, Pid, Process, SeccompAction, SigAction, Source, Thread, ThreadState, Tid, Wait,
+    Pid, Process, SeccompAction, SigAction, Source, Thread, ThreadState, Tid, Wait,
 };
 use crate::ptrace_if::{Stop, TraceOpts, Tracer, TracerAction};
 use crate::record::{
@@ -46,10 +46,10 @@ fn region_of<'a>(
 }
 
 /// Folds `count` executions of syscall `nr_` issued from `site` into the
-/// process statistics. The one stats fold: the slow path counts each
-/// syscall here, the direct path too, and the hot slice loop batches
-/// runs of identical trivial syscalls and flushes them before anything
-/// else can observe the stats.
+/// process statistics. The one stats fold: [`Kernel::handle_syscall`]
+/// counts each syscall here, and the hot slice loop batches runs of
+/// identical trivial syscalls and flushes them before anything else can
+/// observe the stats.
 fn flush_syscall_stats(
     stats: &mut crate::process::ProcStats,
     region_cache: &mut FastMap<u64, (u64, String)>,
@@ -74,10 +74,10 @@ fn flush_syscall_stats(
     }
 }
 
-/// Services a trivial syscall at `site` in place: one whose slow-path
-/// dispatch is a pure return value with no kernel state touched beyond
-/// the statistics (`SYS_NONEXISTENT` is the Table 5 stress nr). Applies
-/// the kernel-entry serialization and the return's register effects and
+/// Services a trivial syscall at `site` in place: one whose dispatch is
+/// a pure return value with no kernel state touched beyond the
+/// statistics (see [`crate::sys::trivial_ret`]). Applies the
+/// kernel-entry serialization and the return's register effects and
 /// returns the syscall number; returns `None`, with no effect, for any
 /// other syscall.
 #[inline]
@@ -89,20 +89,11 @@ fn serve_trivial(
     site: u64,
 ) -> Option<u64> {
     let nr_ = cpu.get(Reg::Rax);
-    let ret = match nr_ {
-        nr::SYS_NONEXISTENT => nr::err(nr::ENOSYS),
-        nr::SYS_GETPID => pid,
-        nr::SYS_GETTID => tid,
-        nr::SYS_GETUID => 1000,
-        nr::SYS_SCHED_YIELD => 0,
-        _ => return None,
-    };
+    let ret = crate::sys::trivial_ret(nr_, pid, tid)?;
     // Kernel entry serializes the instruction stream (coalesced to a
     // stamp compare while nothing in the space was written).
     cpu.serialize(space);
-    cpu.rip = site + 2;
-    cpu.set(Reg::Rax, ret);
-    cpu.apply_syscall_clobbers(site + 2);
+    cpu.syscall_return(site, ret);
     Some(nr_)
 }
 
@@ -208,7 +199,7 @@ pub struct TraceEntry {
 /// The simulated kernel.
 pub struct Kernel {
     /// Cycle cost model.
-    pub cost: CostModel,
+    pub(crate) cost: CostModel,
     /// Global cycle clock.
     pub clock: u64,
     /// The filesystem.
@@ -225,18 +216,16 @@ pub struct Kernel {
     hostcall_sites: HashMap<(Pid, u64), String>,
     loader: Option<Rc<dyn ExecLoader>>,
     deferred: Vec<DeferredWrite>,
-    /// Optional strace-style log of executed syscalls.
-    pub trace_log: Option<Vec<String>>,
-    /// Deterministic seed for `getrandom` and ASLR.
-    pub seed: u64,
+    /// xorshift state behind [`Kernel::next_random`]: `getrandom` bytes
+    /// and exec-time ASLR seeds, deterministic from a fixed start value.
     rng_state: u64,
     /// Cycles consumed attributed per thread (wall-clock estimation for
-    /// multi-worker workloads).
-    pub thread_cycles: sim_cpu::FastMap<(Pid, Tid), u64>,
+    /// multi-worker workloads); read through [`Kernel::cycles_of`].
+    thread_cycles: sim_cpu::FastMap<(Pid, Tid), u64>,
     current: Option<(Pid, Tid)>,
-    /// Clock deadline of the current [`Kernel::run`] call; the in-slice
-    /// direct-path syscall loop checks it so `RunExit::Budget` still
-    /// fires at the same granularity as the scheduler loop.
+    /// Clock deadline of the current [`Kernel::run`] call; the hot slice
+    /// loop checks it so `RunExit::Budget` still fires at the same
+    /// granularity as the scheduler loop.
     run_deadline: u64,
     /// Scheduler engine (see [`EngineConfig`]).
     engine: Engine,
@@ -273,8 +262,6 @@ impl Kernel {
             hostcall_sites: HashMap::new(),
             loader: None,
             deferred: Vec::new(),
-            trace_log: None,
-            seed: 0x5eed,
             rng_state: 0x5eed,
             thread_cycles: sim_cpu::FastMap::default(),
             current: None,
@@ -429,21 +416,12 @@ impl Kernel {
     /// `ESRCH`/`EFAULT`-or-nothing contract).
     #[allow(clippy::result_unit_err)]
     pub fn tr_read(&mut self, pid: Pid, addr: u64, len: usize) -> Result<Vec<u8>, ()> {
-        let obs = sim_obs::enabled();
-        if obs {
-            sim_obs::span_enter(self.clock, "ptrace/peek");
-        }
-        self.charge(self.cost.ptrace_op);
-        let res = (|| {
-            let p = self.procs.get_mut(&pid).ok_or(())?;
+        self.ptrace_op("ptrace/peek", |k| {
+            let p = k.procs.get_mut(&pid).ok_or(())?;
             let mut buf = vec![0u8; len];
             p.space.read_raw(addr, &mut buf).map_err(|_| ())?;
             Ok(buf)
-        })();
-        if obs {
-            sim_obs::span_exit(self.clock);
-        }
-        res
+        })
     }
 
     /// Tracer memory write (`process_vm_writev`-style; charged).
@@ -453,64 +431,48 @@ impl Kernel {
     /// `Err(())` on unmapped addresses or dead pid.
     #[allow(clippy::result_unit_err)]
     pub fn tr_write(&mut self, pid: Pid, addr: u64, data: &[u8]) -> Result<(), ()> {
-        let obs = sim_obs::enabled();
-        if obs {
-            sim_obs::span_enter(self.clock, "ptrace/poke");
-        }
-        self.charge(self.cost.ptrace_op);
-        let res = match self.procs.get_mut(&pid) {
-            Some(p) => p.space.write_raw(addr, data).map_err(|_| ()),
-            None => Err(()),
-        };
-        if obs {
-            sim_obs::span_exit(self.clock);
-        }
-        res
+        self.ptrace_op("ptrace/poke", |k| {
+            let p = k.procs.get_mut(&pid).ok_or(())?;
+            p.space.write_raw(addr, data).map_err(|_| ())
+        })
     }
 
     /// Tracer register snapshot (PTRACE_GETREGS; charged).
     pub fn tr_getregs(&mut self, pid: Pid, tid: Tid) -> Option<Cpu> {
-        let obs = sim_obs::enabled();
-        if obs {
-            sim_obs::span_enter(self.clock, "ptrace/regs");
-        }
-        self.charge(self.cost.ptrace_op);
-        let res = self.procs.get(&pid).and_then(|p| p.thread(tid)).map(|t| t.cpu.clone());
-        if obs {
-            sim_obs::span_exit(self.clock);
-        }
-        res
+        self.ptrace_op("ptrace/regs", |k| {
+            k.procs
+                .get(&pid)
+                .and_then(|p| p.thread(tid))
+                .map(|t| t.cpu.clone())
+        })
     }
 
     /// Tracer register write-back (PTRACE_SETREGS; charged).
     pub fn tr_setregs(&mut self, pid: Pid, tid: Tid, cpu: Cpu) {
-        let obs = sim_obs::enabled();
-        if obs {
-            sim_obs::span_enter(self.clock, "ptrace/regs");
-        }
-        self.charge(self.cost.ptrace_op);
-        if obs {
-            sim_obs::span_exit(self.clock);
-        }
-        if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
-            t.cpu = cpu;
-        }
+        self.ptrace_op("ptrace/regs", |k| {
+            if let Some(t) = k.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
+                t.cpu = cpu;
+            }
+        })
     }
 
     /// Tracer NUL-terminated string read (charged).
     pub fn tr_read_cstr(&mut self, pid: Pid, addr: u64) -> Option<String> {
-        let obs = sim_obs::enabled();
-        if obs {
-            sim_obs::span_enter(self.clock, "ptrace/peek");
-        }
+        self.ptrace_op("ptrace/peek", |k| {
+            k.procs
+                .get_mut(&pid)
+                .and_then(|p| p.space.read_cstr(addr).ok())
+        })
+    }
+
+    /// One tracer-side ptrace operation: charged as a round trip and
+    /// wrapped in the `span` stage. `op` runs inside the span, since the
+    /// guest access can emit micro events (TLB fills) that belong to it.
+    fn ptrace_op<T>(&mut self, span: &str, op: impl FnOnce(&mut Kernel) -> T) -> T {
+        sim_obs::span_enter(self.clock, span);
         self.charge(self.cost.ptrace_op);
-        let res = self
-            .procs
-            .get_mut(&pid)
-            .and_then(|p| p.space.read_cstr(addr).ok());
-        if obs {
-            sim_obs::span_exit(self.clock);
-        }
+        let res = op(self);
+        sim_obs::span_exit(self.clock);
         res
     }
 
@@ -757,14 +719,7 @@ impl Kernel {
             (None, SysResult::Value(w)) => {
                 // Short-circuit: no layer dispatched. Skip-syscall
                 // semantics, like a tracer's SkipSyscall.
-                if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
-                    t.cpu.rip = site + 2;
-                    t.cpu.set(Reg::Rax, w);
-                    t.cpu.apply_syscall_clobbers(site + 2);
-                }
-                if obs {
-                    sim_obs::syscall_exit(self.clock, nr_, w, nr::syscall_name(nr_));
-                }
+                self.syscall_return(pid, tid, site, nr_, w);
             }
             (None, SysResult::Control) => {
                 // Contract violation: no layer dispatched and none
@@ -801,7 +756,7 @@ impl Kernel {
 
     /// Terminates a whole process with `status`.
     pub fn kill_process(&mut self, pid: Pid, status: i64) {
-        let ppid_chans_ports = {
+        let (ppid, (chans, ports)) = {
             let Some(p) = self.procs.get_mut(&pid) else {
                 return;
             };
@@ -812,28 +767,10 @@ impl Kernel {
             for t in &mut p.threads {
                 t.state = ThreadState::Exited;
             }
-            let chans: Vec<(usize, crate::net::End)> = p
-                .fds
-                .values()
-                .filter_map(|fd| match fd {
-                    FdEntry::ChannelRead { chan, end }
-                    | FdEntry::ChannelWrite { chan, end }
-                    | FdEntry::Socket { chan, end } => Some((*chan, *end)),
-                    _ => None,
-                })
-                .collect();
-            let ports: Vec<u16> = p
-                .fds
-                .values()
-                .filter_map(|fd| match fd {
-                    FdEntry::Listener { port } => Some(*port),
-                    _ => None,
-                })
-                .collect();
+            let refs = p.net_refs();
             p.fds.clear();
-            (p.ppid, chans, ports)
+            (p.ppid, refs)
         };
-        let (ppid, chans, ports) = (ppid_chans_ports.0, ppid_chans_ports.1, ppid_chans_ports.2);
         self.record_emit(Rec::Exit {
             retired: self.retired,
             pid,
@@ -1287,7 +1224,7 @@ impl Kernel {
 
     /// The symbolized guest stack of `(pid, tid)`: the current RIP plus a
     /// conservative return-address scan (values in the first
-    /// [`Self::PROF_SCAN_SLOTS`] stack slots that point into executable
+    /// `PROF_SCAN_SLOTS` stack slots that point into executable
     /// mappings), resolved through the process's symbol cache. Shared by
     /// the sampling profiler and the replay divergence reporter; reads
     /// guest state but never writes it and charges no cycles. Empty when
@@ -1873,19 +1810,7 @@ impl Kernel {
             match block.event {
                 StepEvent::Executed => {} // budget exhausted: slice over
                 StepEvent::Syscall { site, .. } => {
-                    // When the direct path handled the syscall and this
-                    // is the only runnable thread in the machine, the
-                    // scheduler round that would follow is a no-op
-                    // (nothing to wake, nothing to rotate, nothing else
-                    // to run): start the thread's next slice immediately
-                    // instead of unwinding to `run`. Architecturally
-                    // invisible — slice boundaries only matter for
-                    // scheduling order, fault rounds, and the run
-                    // deadline, all of which `fast_loop_ok` rules out.
-                    if self.handle_syscall(pid, tid, site) && self.fast_loop_ok(pid) {
-                        remaining = self.effective_slice(tid);
-                        continue;
-                    }
+                    self.handle_syscall(pid, tid, site);
                     return; // end the slice at kernel entry
                 }
                 StepEvent::Hlt => {
@@ -1914,32 +1839,16 @@ impl Kernel {
         }
     }
 
-    /// True when ending the current slice and re-entering the scheduler
-    /// loop would provably change nothing: no deferred writes to flush,
-    /// no fault session advancing its round counter, the run deadline
-    /// not reached, and exactly one process with exactly one (runnable)
-    /// thread — so the rebuilt runnable list would contain only the
-    /// current thread.
-    fn fast_loop_ok(&self, pid: Pid) -> bool {
-        self.deferred.is_empty()
-            && self.fault.is_none()
-            && self.clock < self.run_deadline
-            && self.procs.len() == 1
-            && self.procs.get(&pid).is_some_and(|p| {
-                p.exit_status.is_none()
-                    && p.threads.len() == 1
-                    && p.threads[0].state == ThreadState::Runnable
-            })
-    }
-
     /// True when [`Kernel::run_slice_hot`] may run: no instrumentation
-    /// (obs, fault session, interposer stack, profiler, syscall log,
-    /// tracers) is armed, the
-    /// machine has exactly one process with exactly one runnable thread
-    /// (the current one), no seccomp filter is installed, no deferred
-    /// writes are queued, and the run deadline is not reached. Everything
-    /// that could invalidate these conditions — arming syscalls,
-    /// hostcalls, thread creation — exits the hot loop first.
+    /// (obs, fault, profiler, record or audit session, interposer stack,
+    /// tracers) is armed, the machine has exactly one process with
+    /// exactly one runnable thread (the current one), no seccomp filter
+    /// is installed, no deferred writes are queued, and the run deadline
+    /// is not reached. The one place that lists what a direct path must
+    /// stand down for: every other syscall takes
+    /// [`Kernel::handle_syscall`]. Everything that could invalidate these
+    /// conditions — arming syscalls, hostcalls, thread creation — exits
+    /// the hot loop first.
     fn hot_slice_ok(&self, pid: Pid, tid: Tid) -> bool {
         !sim_obs::enabled()
             && self.fault.is_none()
@@ -1947,7 +1856,6 @@ impl Kernel {
             && self.prof.is_none()
             && self.record.is_none()
             && self.audit.is_none()
-            && self.trace_log.is_none()
             && self.tracers.is_empty()
             && self.deferred.is_empty()
             && self.clock < self.run_deadline
@@ -1972,7 +1880,8 @@ impl Kernel {
     /// invalidate those conditions, so they are checked once. Slice
     /// exhaustion and direct-path syscalls restart the slice in place —
     /// architecturally identical to unwinding into the scheduler loop,
-    /// which [`Kernel::fast_loop_ok`]'s reasoning shows would be a no-op.
+    /// which under those conditions has no write to flush, no fault round
+    /// to advance and only this thread to run.
     ///
     /// Returns `Some(block)` when a block ended with an exit the general
     /// loop must handle — that block's accounting has **not** been
@@ -2026,11 +1935,11 @@ impl Kernel {
                 // handled syscall's charge must show up in the clocks of
                 // the trace entries that follow it), hence a Cell.
                 let traced_clock = std::cell::Cell::new(clock);
-                // Direct-path syscall entry inside trace replay: the
-                // same trivial-syscall service as the block-exit arm
-                // below, with identical register, serialization, clock,
-                // and statistics effects — so a self-looping trace
-                // handles its syscall without ever leaving `run_block`.
+                // Direct-path syscall entry, inside trace replay and at a
+                // block exit alike: the trivial-syscall service with the
+                // register, serialization, clock and statistics effects of
+                // `handle_syscall` — so a self-looping trace handles its
+                // syscall without ever leaving `run_block`.
                 let mut syscall_fast =
                     |cpu: &mut Cpu, space: &mut AddressSpace, site: u64, abs: u64| {
                         if restarting || sud_armed {
@@ -2094,58 +2003,31 @@ impl Kernel {
                         &mut syscall_fast,
                     )
                 };
-                match block.event {
-                    StepEvent::Syscall { site, .. } if !t.restarting && t.sud.is_none() => {
-                        let Some(nr_) = serve_trivial(&mut t.cpu, space, pid, tid, site) else {
-                            break Some(block);
-                        };
-                        clock += block.cycles;
-                        cycles_acc += block.cycles;
-                        steps_acc += block.steps;
-                        vdso_acc += block.vdso_calls;
-                        if pend > 0 && (pend_nr != nr_ || pend_site != site) {
-                            flush_syscall_stats(
-                                stats,
-                                region_cache,
-                                space,
-                                *interposer_live,
-                                pend_nr,
-                                pend_site,
-                                pend,
-                            );
-                            pend = 0;
+                // A block-exit syscall takes the same hook as one inside
+                // trace replay. Hlt, Int3, Fault and syscalls the hook
+                // passes go to the caller with their accounting unapplied.
+                let served = match block.event {
+                    StepEvent::Executed => 0,
+                    StepEvent::Syscall { site, .. } => {
+                        match syscall_fast(&mut t.cpu, space, site, clock + block.cycles) {
+                            HookAction::Handled { charge, .. } => charge,
+                            HookAction::Pass => break Some(block),
                         }
-                        pend_nr = nr_;
-                        pend_site = site;
-                        pend += 1;
-                        let c = cost.kernel_entry + crate::sys::service_cost(nr_, 0);
-                        clock += c;
-                        cycles_acc += c;
-                        if clock >= deadline {
-                            *remaining = 0;
-                            break None;
-                        }
-                        // Direct-path return: start the next slice here.
-                        *remaining = SLICE;
                     }
-                    StepEvent::Executed => {
-                        // Budget exhausted: the slice is over, and the
-                        // scheduler round that follows is a no-op, so
-                        // start the next slice in place.
-                        clock += block.cycles;
-                        cycles_acc += block.cycles;
-                        steps_acc += block.steps;
-                        vdso_acc += block.vdso_calls;
-                        if clock >= deadline {
-                            *remaining = 0;
-                            break None;
-                        }
-                        *remaining = SLICE;
-                    }
-                    // Hlt, Int3, Fault, restarting or SUD-armed syscalls:
-                    // hand the exit (accounting unapplied) to the caller.
                     _ => break Some(block),
+                };
+                clock += block.cycles + served;
+                cycles_acc += block.cycles + served;
+                steps_acc += block.steps;
+                vdso_acc += block.vdso_calls;
+                if clock >= deadline {
+                    *remaining = 0;
+                    break None;
                 }
+                // Budget exhausted or a direct-path return: the slice is
+                // over, and the scheduler round that follows is a no-op,
+                // so start the next slice in place.
+                *remaining = SLICE;
             };
             if pend > 0 {
                 flush_syscall_stats(
@@ -2282,80 +2164,11 @@ impl Kernel {
         }
     }
 
-    /// Direct-path kernel entry for trivial process-local syscalls.
-    ///
-    /// When no interposition or instrumentation machinery is armed (no
-    /// tracer on the process, no SUD on the thread, no seccomp filter,
-    /// no fault session, no syscall log, obs disabled, not an in-kernel
-    /// restart) and the syscall's only effects are a return value plus
-    /// counter updates, the full [`Kernel::handle_syscall`] walk — five
-    /// separate process borrows, two tracer-stop probes, a seccomp
-    /// lookup, and a register re-read — collapses to one borrow. Every
-    /// architectural effect (clock charges, per-thread cycle
-    /// attribution, syscall statistics, register clobbers) is identical
-    /// to the slow path; the determinism suite diffs the two.
-    ///
-    /// Returns `false` (without side effects) when any condition fails;
-    /// the caller then takes the slow path.
-    fn handle_syscall_fast(&mut self, pid: Pid, tid: Tid, site: u64) -> bool {
-        if sim_obs::enabled()
-            || self.fault.is_some()
-            || self.stack.is_some()
-            || self.record.is_some()
-            || self.audit.is_some()
-            || self.trace_log.is_some()
-            || self.tracers.contains_key(&pid)
-        {
-            return false;
-        }
-        let Some(p) = self.procs.get_mut(&pid) else {
-            return false;
-        };
-        if p.seccomp.is_some() {
-            return false;
-        }
-        let Process {
-            space,
-            threads,
-            stats,
-            region_cache,
-            interposer_live,
-            ..
-        } = p;
-        let Some(t) = threads.iter_mut().find(|t| t.tid == tid) else {
-            return false;
-        };
-        if t.restarting || t.sud.is_some() {
-            return false;
-        }
-        let Some(nr_) = serve_trivial(&mut t.cpu, space, pid, tid, site) else {
-            return false;
-        };
-        flush_syscall_stats(stats, region_cache, space, *interposer_live, nr_, site, 1);
-        // One folded clock charge: entry cost plus the service cost the
-        // dispatch layer would add. Obs is off (checked above), so
-        // `charge`'s set_clock call would be a no-op anyway.
-        let cycles = self.cost.kernel_entry + crate::sys::service_cost(nr_, 0);
-        self.clock += cycles;
-        *self.thread_cycles.entry((pid, tid)).or_insert(0) += cycles;
-        true
-    }
-
-    /// Kernel entry for a `syscall`/`sysenter` at `site`.
-    /// Returns `true` when the direct path handled the syscall — the
-    /// block engines use that to skip the no-op scheduler round that
-    /// would otherwise follow.
-    fn handle_syscall(&mut self, pid: Pid, tid: Tid, site: u64) -> bool {
-        if self.handle_syscall_fast(pid, tid, site) {
-            return true;
-        }
-        self.handle_syscall_slow(pid, tid, site);
-        false
-    }
-
-    /// The full kernel-entry walk: SUD dispatch, ptrace stops, seccomp,
-    /// statistics, fault injection, and the syscall table.
-    fn handle_syscall_slow(&mut self, pid: Pid, tid: Tid, site: u64) {
+    /// Kernel entry for a `syscall`/`sysenter` at `site`: SUD dispatch,
+    /// ptrace stops, seccomp, statistics, fault injection, and the
+    /// syscall table. Every syscall the hot slice loop does not serve
+    /// takes this walk, on every engine.
+    fn handle_syscall(&mut self, pid: Pid, tid: Tid, site: u64) {
         let cost = self.cost;
         // Gather thread state.
         let (nr_, args, sud, selector, restarting) = {
@@ -2371,15 +2184,7 @@ impl Kernel {
             // (coalesced to a no-op while nothing in the space was
             // written — the common case for a tight syscall loop).
             t.cpu.serialize(space);
-            let nr_ = t.cpu.get(Reg::Rax);
-            let args = [
-                t.cpu.get(Reg::Rdi),
-                t.cpu.get(Reg::Rsi),
-                t.cpu.get(Reg::Rdx),
-                t.cpu.get(Reg::R10),
-                t.cpu.get(Reg::R8),
-                t.cpu.get(Reg::R9),
-            ];
+            let (nr_, args) = t.cpu.syscall_args();
             let sud = t.sud;
             let selector = sud.and_then(|s| {
                 let mut b = [0u8; 1];
@@ -2518,15 +2323,7 @@ impl Kernel {
             TracerAction::Continue | TracerAction::Detach => {}
             TracerAction::Kill => return,
             TracerAction::SkipSyscall { ret } => {
-                if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
-                    t.cpu.rip = site + 2;
-                    t.cpu.set(Reg::Rax, ret);
-                    let rip = t.cpu.rip;
-                    t.cpu.apply_syscall_clobbers(rip);
-                }
-                if obs {
-                    sim_obs::syscall_exit(self.clock, nr_, ret, nr::syscall_name(nr_));
-                }
+                self.syscall_return(pid, tid, site, nr_, ret);
                 return;
             }
         }
@@ -2543,38 +2340,22 @@ impl Kernel {
                 return;
             }
             Some(SeccompAction::Errno(e)) => {
-                if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
-                    t.cpu.rip = site + 2;
-                    t.cpu.set(Reg::Rax, nr::err(e));
-                    t.cpu.apply_syscall_clobbers(site + 2);
-                }
-                if obs {
-                    sim_obs::syscall_exit(self.clock, nr_, nr::err(e), nr::syscall_name(nr_));
-                }
+                self.syscall_return(pid, tid, site, nr_, nr::err(e));
                 return;
             }
             _ => {}
         }
 
         // Re-read registers: a tracer may have changed them at the stop.
-        let (nr_, args) = {
-            let Some(t) = self.procs.get(&pid).and_then(|p| p.thread(tid)) else {
-                return;
-            };
-            (
-                t.cpu.get(Reg::Rax),
-                [
-                    t.cpu.get(Reg::Rdi),
-                    t.cpu.get(Reg::Rsi),
-                    t.cpu.get(Reg::Rdx),
-                    t.cpu.get(Reg::R10),
-                    t.cpu.get(Reg::R8),
-                    t.cpu.get(Reg::R9),
-                ],
-            )
+        let Some((nr_, args)) = self
+            .procs
+            .get(&pid)
+            .and_then(|p| p.thread(tid))
+            .map(|t| t.cpu.syscall_args())
+        else {
+            return;
         };
 
-        // Count + trace.
         {
             let Some(p) = self.procs.get_mut(&pid) else {
                 return;
@@ -2587,18 +2368,6 @@ impl Kernel {
                 ..
             } = p;
             flush_syscall_stats(stats, region_cache, space, *interposer_live, nr_, site, 1);
-        }
-        if self.trace_log.is_some() {
-            let line = format!(
-                "[pid {pid}] {}({:#x}, {:#x}, {:#x}) @ {site:#x}",
-                nr::syscall_name(nr_),
-                args[0],
-                args[1],
-                args[2]
-            );
-            if let Some(log) = self.trace_log.as_mut() {
-                log.push(line);
-            }
         }
 
         // sim-fault errno injection: decided purely by (plan, nr,
@@ -2649,9 +2418,7 @@ impl Kernel {
                             let _ = p.space.write_raw(*base, data);
                         }
                         if let Some(t) = p.thread_mut(tid) {
-                            t.cpu.rip = site + 2;
-                            t.cpu.set(Reg::Rax, ret);
-                            t.cpu.apply_syscall_clobbers(site + 2);
+                            t.cpu.syscall_return(site, ret);
                         }
                     }
                     self.charge(cycles);
@@ -2681,6 +2448,16 @@ impl Kernel {
         }
     }
 
+    /// Completes the syscall issued at `site` with `ret` where no exit
+    /// stop comes between: the return's register effects, then the obs
+    /// syscall exit.
+    fn syscall_return(&mut self, pid: Pid, tid: Tid, site: u64, nr_: u64, ret: u64) {
+        if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
+            t.cpu.syscall_return(site, ret);
+        }
+        sim_obs::syscall_exit(self.clock, nr_, ret, nr::syscall_name(nr_));
+    }
+
     /// The real kernel dispatch and its architectural effects (registers,
     /// blocking, record/trace/obs exits) — the bottom of the interposer
     /// chain, and the whole dispatch step when no chain applies. Applies
@@ -2694,7 +2471,6 @@ impl Kernel {
         site: u64,
         injected: Option<FaultKind>,
     ) -> crate::stack::RealOutcome {
-        let obs = sim_obs::enabled();
         let disp = match injected {
             Some(FaultKind::Eintr) => crate::sys::Disp::Ret(nr::err(nr::EINTR)),
             Some(FaultKind::Eagain) => crate::sys::Disp::Ret(nr::err(nr::EAGAIN)),
@@ -2713,30 +2489,21 @@ impl Kernel {
         match disp {
             crate::sys::Disp::Ret(ret) => {
                 if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
-                    t.cpu.rip = site + 2;
-                    t.cpu.set(Reg::Rax, ret);
-                    t.cpu.apply_syscall_clobbers(site + 2);
+                    t.cpu.syscall_return(site, ret);
                 }
                 self.record_syscall_ret(pid, tid, nr_, site, ret);
                 self.tracer_stop(pid, tid, Stop::SyscallExit { nr: nr_, ret }, |o| {
                     o.trace_syscalls
                 });
-                if obs {
-                    sim_obs::syscall_exit(self.clock, nr_, ret, nr::syscall_name(nr_));
-                }
+                sim_obs::syscall_exit(self.clock, nr_, ret, nr::syscall_name(nr_));
                 crate::stack::RealOutcome::Ret(ret)
             }
             crate::sys::Disp::RetThenBlock(ret, wait) => {
                 if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
-                    t.cpu.rip = site + 2;
-                    t.cpu.set(Reg::Rax, ret);
-                    t.cpu.apply_syscall_clobbers(site + 2);
                     t.state = ThreadState::Blocked(wait);
                 }
                 self.record_syscall_ret(pid, tid, nr_, site, ret);
-                if obs {
-                    sim_obs::syscall_exit(self.clock, nr_, ret, nr::syscall_name(nr_));
-                }
+                self.syscall_return(pid, tid, site, nr_, ret);
                 crate::stack::RealOutcome::Ret(ret)
             }
             crate::sys::Disp::Block(wait) => {
@@ -2815,9 +2582,7 @@ impl Kernel {
         child.next_eventfd = parent.next_eventfd;
         child.nonblock = parent.nonblock.clone();
         let mut ccpu = t.cpu.clone();
-        ccpu.rip = site + 2;
-        ccpu.set(Reg::Rax, 0);
-        ccpu.apply_syscall_clobbers(site + 2);
+        ccpu.syscall_return(site, 0);
         child.threads[0].cpu = ccpu;
         child.threads[0].sud = t.sud;
         // A fork from inside a signal handler inherits the handler context:
@@ -2828,24 +2593,7 @@ impl Kernel {
         child.threads[0].pending_signals = t.pending_signals.clone();
 
         // Channel and listener refcounts for duplicated descriptors.
-        let chans: Vec<(usize, crate::net::End)> = child
-            .fds
-            .values()
-            .filter_map(|fd| match fd {
-                FdEntry::ChannelRead { chan, end }
-                | FdEntry::ChannelWrite { chan, end }
-                | FdEntry::Socket { chan, end } => Some((*chan, *end)),
-                _ => None,
-            })
-            .collect();
-        let ports: Vec<u16> = child
-            .fds
-            .values()
-            .filter_map(|fd| match fd {
-                FdEntry::Listener { port } => Some(*port),
-                _ => None,
-            })
-            .collect();
+        let (chans, ports) = child.net_refs();
         for (c, e) in chans {
             self.net.add_ref(c, e);
         }
@@ -3072,6 +2820,48 @@ mod tests {
         assert_eq!(exit, RunExit::AllExited);
         assert_eq!(k.process(pid).unwrap().exit_status, Some(7));
         assert!(k.clock >= 5_000);
+    }
+
+    /// The trivial syscalls have one set of effects whichever path serves
+    /// them: the hot loop at block exits (`new`) and inside trace replay
+    /// (`traced`), or `handle_syscall` when a profiler session closes the
+    /// hot loop (without obs it samples and charges nothing) and on the
+    /// stepwise oracle.
+    #[test]
+    fn direct_path_matches_slow_path() {
+        let mut a = Asm::new();
+        a.mov_imm(Reg::R12, 0);
+        a.mov_imm(Reg::R13, 200);
+        a.label("loop");
+        for nr_ in [
+            nr::SYS_GETPID,
+            nr::SYS_GETTID,
+            nr::SYS_GETUID,
+            nr::SYS_SCHED_YIELD,
+            nr::SYS_NONEXISTENT,
+        ] {
+            a.mov_imm(Reg::Rax, nr_);
+            a.syscall();
+            a.add_reg(Reg::R12, Reg::Rax);
+        }
+        a.sub_imm(Reg::R13, 1);
+        a.jnz("loop");
+        a.mov_reg(Reg::Rdi, Reg::R12);
+        a.mov_imm(Reg::Rax, nr::SYS_EXIT_GROUP);
+        a.syscall();
+        let code = a.finish();
+        let run = |cfg: EngineConfig| {
+            let (mut k, pid) = kernel_with(code.clone());
+            k.configure(cfg);
+            assert_eq!(k.run(10_000_000_000), RunExit::AllExited);
+            let p = k.process(pid).expect("proc");
+            (p.exit_status, p.stats.clone(), k.clock, k.retired())
+        };
+        let hot = run(EngineConfig::new());
+        assert_eq!(hot.1.syscalls, 1001);
+        assert_eq!(run(EngineConfig::traced()), hot);
+        assert_eq!(run(EngineConfig::new().profile(7)), hot);
+        assert_eq!(run(EngineConfig::stepwise()), hot);
     }
 
     /// Emits `exit_group(code)`.

@@ -417,12 +417,6 @@ impl ProcStats {
     pub fn syscalls_at_site(&self, site: u64) -> u64 {
         self.per_site.get(&site).copied().unwrap_or(0)
     }
-
-    /// Number of distinct `syscall` instruction addresses that executed —
-    /// the Table 2 metric.
-    pub fn unique_sites(&self) -> usize {
-        self.per_site.len()
-    }
 }
 
 /// A guest process.
@@ -599,6 +593,23 @@ impl Process {
     /// The thread with `tid`, mutably.
     pub fn thread_mut(&mut self, tid: Tid) -> Option<&mut Thread> {
         self.threads.iter_mut().find(|t| t.tid == tid)
+    }
+
+    /// The loopback references the fd table holds, in fd order: channel
+    /// ends and listening ports (fork adds them, exit drops them).
+    pub(crate) fn net_refs(&self) -> (Vec<(usize, crate::net::End)>, Vec<u16>) {
+        let mut chans = Vec::new();
+        let mut ports = Vec::new();
+        for fd in self.fds.values() {
+            match fd {
+                FdEntry::ChannelRead { chan, end }
+                | FdEntry::ChannelWrite { chan, end }
+                | FdEntry::Socket { chan, end } => chans.push((*chan, *end)),
+                FdEntry::Listener { port } => ports.push(*port),
+                _ => {}
+            }
+        }
+        (chans, ports)
     }
 
     /// True when every thread has exited.

@@ -2,7 +2,7 @@
 //!
 //! The portable log format, codec, and bisection live in `sim-record`;
 //! this module owns the live state threaded through the kernel's
-//! fault-plan choke points: the [`RecordSession`] that captures (or
+//! fault-plan choke points: the `RecordSession` that captures (or
 //! verifies, or injects) [`Rec`]s at retired-instruction boundaries, and
 //! the in-memory [`Checkpoint`] chain that seeds time-travel navigation.
 //!

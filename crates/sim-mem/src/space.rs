@@ -286,7 +286,7 @@ impl AddressSpace {
 
     /// Content version of the materialized page at `base` (`None` if the
     /// page is unmapped or was never touched). Equal versions guarantee
-    /// byte-identical contents — see [`Frame::version`].
+    /// byte-identical contents — see `Frame::version`.
     #[inline]
     pub fn page_version(&mut self, base: u64) -> Option<u64> {
         let e = self.tlb[Self::tlb_index(base)];

@@ -149,8 +149,9 @@ pub struct Event {
 /// Recorder configuration, fixed at [`enable`] time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Maximum events retained per simulated CPU; overflow increments
-    /// the ring's drop counter instead of growing memory.
+    /// Maximum events retained per simulated CPU (2¹⁶ by default);
+    /// overflow increments the ring's drop counter instead of growing
+    /// memory.
     pub ring_capacity: usize,
     /// Record microarchitectural events (TLB fills, icache
     /// revalidations/invalidations) into the rings. Off by default
@@ -167,13 +168,8 @@ pub struct ObsConfig {
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        let ring_capacity = std::env::var("SIM_OBS_RING_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(1 << 16);
         ObsConfig {
-            ring_capacity,
+            ring_capacity: 1 << 16,
             micro_events: false,
             audit_events: false,
         }

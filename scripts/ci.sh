@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full test suite, lint with warnings denied.
+# Tier-1 gate: release build, full test suite, lint and rustdoc with warnings
+# denied.
 # Run from anywhere; the script cd's to the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,6 +13,11 @@ cargo test -q
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Private items too: only then does rustdoc resolve the intra-doc links in
+# private docs, which are the ones a deleted function leaves stale.
+echo "==> cargo doc --document-private-items, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
 
 echo "==> simtrace smoke (coreutil under K23, self-checked trace)"
 cargo run --release -q -p bench --bin simtrace -- \
