@@ -20,6 +20,7 @@
 
 use crate::cli;
 use apps::MacroSpec;
+use interpose::Interposer;
 use sim_kernel::{AuditLedger, EngineConfig, Kernel, ProcAudit, RunExit, Signature};
 use sim_loader::boot_kernel_from;
 use std::collections::BTreeSet;
@@ -102,22 +103,16 @@ pub fn epollsrv_spec() -> MacroSpec {
 pub fn run_coreutil_audit(spec: &str, cfg: EngineConfig) -> Result<AuditLedger, String> {
     let ip = cli::mechanism(spec)?;
     let mut k = boot_kernel_from(cli::world());
-    let argv = vec![COREUTIL.to_string()];
-    if cli::needs_offline(spec) {
+    let run = |k: &mut Kernel, ip: &dyn Interposer| {
+        cli::run_to_exit(k, ip, COREUTIL, &[COREUTIL.to_string()], BUDGET)
+    };
+    if k23::needs_offline(spec) {
         // The offline phase is methodology, not the measured run: it
         // executes before the audit session is configured.
-        cli::offline_once(&mut k, COREUTIL, &argv, BUDGET)?;
+        cli::collect_log(&mut k, COREUTIL, run)?;
     }
     k.configure(cfg.audit(ip.coverage()));
-    ip.install(&mut k);
-    let pid = ip
-        .spawn(&mut k, COREUTIL, &argv, &[])
-        .map_err(|e| format!("spawn {COREUTIL}: {e}"))?;
-    let exit = k.run(BUDGET);
-    let status = k.process(pid).and_then(|p| p.exit_status);
-    if exit != RunExit::AllExited || status != Some(0) {
-        return Err(format!("{COREUTIL} ended {exit:?} with status {status:?}"));
-    }
+    run(&mut k, ip.as_ref())?;
     Ok(k.audit_ledger().expect("audit configured"))
 }
 
@@ -133,21 +128,23 @@ pub const HOSTILE_POCS: [&str; 3] = [
 /// Runs the hostile workload under `spec` with auditing on: the three
 /// PoCs execute sequentially in one audited kernel, so the cell's bypass
 /// column shows exactly which attacks shadow the mechanism (`P1a-exec`,
-/// `P1b-selector`, `vdso`). Exit statuses are not checked — a defended
-/// P1b PoC dies with SIGABRT by design.
+/// `P1b-selector`, `vdso`). The audited runs' exit statuses are not
+/// checked — a defended P1b PoC dies with SIGABRT by design; under
+/// libLogger, in the offline phase, every PoC exits 0.
 ///
 /// # Errors
 ///
-/// An unknown spec, or a PoC that fails to spawn or runs out of budget.
+/// An unknown spec, an offline phase that fails, or a PoC that fails to
+/// spawn or runs out of budget.
 pub fn run_hostile_audit(spec: &str, cfg: EngineConfig) -> Result<AuditLedger, String> {
     let ip = cli::mechanism(spec)?;
     let mut k = boot_kernel_from(cli::world());
     pitfalls::install_pocs(&mut k.vfs);
-    if cli::needs_offline(spec) {
+    if k23::needs_offline(spec) {
         for app in HOSTILE_POCS {
-            let session = k23::OfflineSession::new(&mut k, app);
-            let _ = session.run_once(&mut k, &[app.to_string()], &[], BUDGET);
-            session.finish(&mut k);
+            cli::collect_log(&mut k, app, |k, ip| {
+                cli::run_to_exit(k, ip, app, &[app.to_string()], BUDGET)
+            })?;
         }
     }
     k.configure(cfg.audit(ip.coverage()));
@@ -254,7 +251,7 @@ fn audit_cell(
     cfg: EngineConfig,
     logs: &mut OfflineLogs,
 ) -> Result<AuditLedger, String> {
-    let offline = cli::needs_offline(spec);
+    let offline = k23::needs_offline(spec);
     match workload {
         "coreutil" => run_coreutil_audit(spec, cfg),
         "hostile" => run_hostile_audit(spec, cfg),

@@ -42,7 +42,7 @@
 use bench::cli::{self, Args};
 use bench::scale::{collect_offline_log_scale, ScaleParams, Variant};
 use interpose::Interposer;
-use sim_kernel::{Kernel, RunExit};
+use sim_kernel::Kernel;
 use sim_loader::boot_kernel_from;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -194,7 +194,7 @@ fn profile(
 ) -> Result<RunOutput, String> {
     let ip = cli::mechanism(name)?;
     let mut k = boot_kernel_from(cli::world());
-    if cli::needs_offline(name) {
+    if k23::needs_offline(name) {
         cli::install_log(&mut k, Some(log.ok_or("offline log not collected")?));
     }
     sim_obs::clear_region_paths();
@@ -210,40 +210,10 @@ fn profile(
     Ok(finish_run(&mut k, rec))
 }
 
-/// Profiles `COREUTIL` under one interposer.
-fn profile_coreutil(
-    name: &str,
-    engine: &str,
-    period: u64,
-    log: Option<&(String, Vec<u8>)>,
-) -> Result<RunOutput, String> {
-    profile(name, engine, period, log, |k, ip| {
-        ip.install(k);
-        let pid = ip
-            .spawn(k, COREUTIL, &[COREUTIL.to_string()], &[])
-            .map_err(|e| format!("spawn {COREUTIL}: {e}"))?;
-        let exit = k.run(BUDGET);
-        if exit != RunExit::AllExited {
-            return Err(format!("{COREUTIL} did not finish: {exit:?}"));
-        }
-        let status = k.process(pid).and_then(|p| p.exit_status);
-        if status != Some(0) {
-            return Err(format!("{COREUTIL} exited with {status:?}"));
-        }
-        Ok(())
-    })
-}
-
-/// `COREUTIL`'s offline site log, collected on a scratch kernel.
-fn coreutil_log() -> Result<(String, Vec<u8>), String> {
-    let mut k = boot_kernel_from(cli::world());
-    cli::offline_once(&mut k, COREUTIL, &[COREUTIL.to_string()], BUDGET)?;
-    let path = k23::SiteLog::path_for(COREUTIL);
-    let bytes = k
-        .vfs
-        .read_file(&path)
-        .map_err(|e| format!("read {path}: errno {e}"))?;
-    Ok((path, bytes.to_vec()))
+/// Runs `COREUTIL` once under `ip`, to a zero exit: the coreutil row's
+/// workload, offline and profiled.
+fn run_coreutil(k: &mut Kernel, ip: &dyn Interposer) -> Result<(), String> {
+    cli::run_to_exit(k, ip, COREUTIL, &[COREUTIL.to_string()], BUDGET)
 }
 
 /// Connections for the epollsrv profiling row: enough that readiness
@@ -335,13 +305,12 @@ fn gate(baseline_path: &str, rows: &[Row]) -> Result<Vec<String>, String> {
 
 /// CI determinism gate: byte-identical profiles across consecutive runs
 /// and across engines, for the coreutil under `k23` and `ptrace`.
-fn smoke(period: u64) -> Result<(), String> {
-    let log = coreutil_log()?;
+fn smoke(period: u64, log: Option<&(String, Vec<u8>)>) -> Result<(), String> {
     for name in ["k23", "ptrace"] {
         let mut per_engine: Vec<(String, String)> = Vec::new();
         for engine in ["block", "stepwise"] {
-            let a = profile_coreutil(name, engine, period, Some(&log))?;
-            let b = profile_coreutil(name, engine, period, Some(&log))?;
+            let a = profile(name, engine, period, log, run_coreutil)?;
+            let b = profile(name, engine, period, log, run_coreutil)?;
             if a.folded != b.folded || a.stages != b.stages {
                 return Err(format!(
                     "{name}/{engine}: consecutive runs produced different profiles"
@@ -361,8 +330,17 @@ fn smoke(period: u64) -> Result<(), String> {
 }
 
 fn run(opts: &Opts) -> Result<ExitCode, String> {
+    // The paper collects each application's log once (§5.1); every K23
+    // row reuses its workload's log.
+    let offline = opts.smoke || opts.interposers.iter().any(|n| k23::needs_offline(n));
+    let coreutil_site_log = if offline {
+        let log = cli::collect_log(&mut boot_kernel_from(cli::world()), COREUTIL, run_coreutil)?;
+        Some(log.file())
+    } else {
+        None
+    };
     if opts.smoke {
-        smoke(opts.period)?;
+        smoke(opts.period, coreutil_site_log.as_ref())?;
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -381,17 +359,11 @@ fn run(opts: &Opts) -> Result<ExitCode, String> {
         scale_params.server_work,
         false,
     );
-    // The paper collects each application's log once (§5.1); every K23
-    // row reuses its workload's log.
-    let logs = if opts.interposers.iter().any(|n| cli::needs_offline(n)) {
-        [
-            Some(coreutil_log()?),
-            Some(bench::macros_::collect_offline_log(&spec)),
-            Some(collect_offline_log_scale(Variant::Epoll, &scale_params)),
-        ]
-    } else {
-        [None, None, None]
-    };
+    let logs = [
+        coreutil_site_log,
+        offline.then(|| bench::macros_::collect_offline_log(&spec)),
+        offline.then(|| collect_offline_log_scale(Variant::Epoll, &scale_params)),
+    ];
 
     let mut rows = Vec::new();
     let mut folded_all = String::new();
@@ -401,7 +373,7 @@ fn run(opts: &Opts) -> Result<ExitCode, String> {
         for (workload, log) in ["coreutil", "server", "epollsrv"].into_iter().zip(&logs) {
             let (engine, period, log) = (opts.engine.as_str(), opts.period, log.as_ref());
             let out = match workload {
-                "coreutil" => profile_coreutil(name, engine, period, log)?,
+                "coreutil" => profile(name, engine, period, log, run_coreutil)?,
                 "server" => profile(name, engine, period, log, |k, ip| {
                     apps::run_macro(k, ip, &spec, BUDGET)
                         .map(drop)

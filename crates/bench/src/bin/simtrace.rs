@@ -27,7 +27,8 @@
 
 use bench::cli::{self, Args};
 use bench::micro::{build_micro_app, per_iteration_cycles_with, MICRO_APP, MICRO_CFG};
-use sim_kernel::RunExit;
+use interpose::Interposer;
+use sim_kernel::Kernel;
 use sim_loader::boot_kernel_from;
 use std::process::ExitCode;
 
@@ -87,10 +88,12 @@ fn traced_run(opts: &Opts) -> Result<Box<sim_obs::Recorder>, String> {
         None => (opts.app.clone(), vec![opts.app.clone()]),
     };
 
-    if cli::needs_offline(&opts.interposer) {
+    let run =
+        |k: &mut Kernel, ip: &dyn Interposer| cli::run_to_exit(k, ip, &app, &argv, u64::MAX / 4);
+    if k23::needs_offline(&opts.interposer) {
         // Offline phase runs untraced: the trace should cover the online
         // run the paper's tables describe, not log collection.
-        cli::offline_once(&mut k, &app, &argv, u64::MAX / 4)?;
+        cli::collect_log(&mut k, &app, run)?;
     }
 
     // Audit the traced run against the mechanism's declared coverage so
@@ -101,23 +104,9 @@ fn traced_run(opts: &Opts) -> Result<Box<sim_obs::Recorder>, String> {
         micro_events: opts.micro_events,
         ..sim_obs::ObsConfig::default()
     });
-    ip.install(&mut k);
-    let pid = match ip.spawn(&mut k, &app, &argv, &[]) {
-        Ok(pid) => pid,
-        Err(e) => {
-            sim_obs::disable();
-            return Err(format!("spawn {app}: {e}"));
-        }
-    };
-    let exit = k.run(u64::MAX / 4);
+    let res = run(&mut k, ip.as_ref());
     let rec = sim_obs::disable().expect("recorder was enabled");
-    if exit != RunExit::AllExited {
-        return Err(format!("{app} did not finish: {exit:?}"));
-    }
-    let status = k.process(pid).and_then(|p| p.exit_status);
-    if status != Some(0) {
-        return Err(format!("{app} exited with {status:?}"));
-    }
+    res?;
     Ok(rec)
 }
 
@@ -135,7 +124,7 @@ fn compare_table(n: u64) -> Result<String, String> {
     let mut rows: Vec<(String, f64)> = Vec::new();
     for name in mechanisms {
         let ip = cli::mechanism(name)?;
-        let cycles = if cli::needs_offline(name) {
+        let cycles = if k23::needs_offline(name) {
             // The only offline-phase mechanism in the list is k23-default;
             // the bench harness collects and seals its log before timing.
             assert_eq!(*name, "k23", "only k23 needs offline here");

@@ -3,13 +3,15 @@
 //! Every diagnostics binary reads its flags through [`Args`] and reports a
 //! failure through [`exit`]. It builds its kernels from the pieces here:
 //! the engine table, the mechanism registry, the one guest world, the K23
-//! offline phase and its log transplant. Gates read and write their
-//! baselines through [`read_json`], [`write()`] and [`gate_verdict`].
+//! offline phase ([`collect_log`]) and its log transplant
+//! ([`install_log`]). Gates read and write their baselines through
+//! [`read_json`], [`write()`] and [`gate_verdict`].
 
 use interpose::Interposer;
-use k23::OfflineSession;
+use k23::{OfflineSession, SiteLog};
 use sim_kernel::{EngineConfig, Kernel, RunExit, Vfs};
 use sim_loader::boot_kernel;
+use std::fmt::Debug;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::OnceLock;
@@ -70,12 +72,6 @@ pub fn mechanism(spec: &str) -> Result<Box<dyn Interposer>, String> {
     interpose::by_name_spec(spec).map_err(|e| format!("spec {spec:?}: {e}"))
 }
 
-/// Whether a spec needs the K23 offline phase: a composed stack needs it
-/// when its base does.
-pub fn needs_offline(spec: &str) -> bool {
-    spec.split('+').next().unwrap_or(spec).starts_with("k23")
-}
-
 /// The guest world (libc plus every `apps` image), assembled once per
 /// process; diagnostics kernels boot from clones of it
 /// (`sim_loader::boot_kernel_from`). `Vfs` is plain data, so worker
@@ -101,17 +97,48 @@ pub fn install_log(k: &mut Kernel, log: Option<&(String, Vec<u8>)>) {
     }
 }
 
-/// Runs `app` to completion once under the K23 offline phase on `k`,
-/// leaving its site log sealed in `k`'s VFS.
-pub fn offline_once(k: &mut Kernel, app: &str, argv: &[String], budget: u64) -> Result<(), String> {
+/// Collects `app`'s K23 offline log on `k`, the counterpart of
+/// [`install_log`]: `drive` runs the workload under libLogger with the
+/// driver its measured run uses ([`apps::run_macro`], [`apps::run_scale`],
+/// [`apps::run_sqlite`], or [`run_to_exit`] for a coreutil). The log is
+/// left sealed in `k`'s VFS and returned; [`k23::SiteLog::file`] gives it
+/// in the form [`install_log`] takes.
+///
+/// # Errors
+///
+/// The drive's error, naming `app`.
+pub fn collect_log<T, E: Debug>(
+    k: &mut Kernel,
+    app: &str,
+    drive: impl FnOnce(&mut Kernel, &dyn Interposer) -> Result<T, E>,
+) -> Result<SiteLog, String> {
     let session = OfflineSession::new(k, app);
-    let (_pid, exit) = session
-        .run_once(k, argv, &[], budget)
-        .map_err(|e| format!("offline phase of {app} failed: {e}"))?;
-    if exit != RunExit::AllExited {
-        return Err(format!("offline phase of {app} did not finish: {exit:?}"));
+    drive(k, &session).map_err(|e| format!("offline phase of {app}: {e:?}"))?;
+    Ok(session.finish(k))
+}
+
+/// Runs `app` once under `ip` until every process exits, and requires a
+/// zero exit status: the coreutil workload, offline and measured.
+///
+/// # Errors
+///
+/// A spawn failure, a run that does not end in exit, or a non-zero status.
+pub fn run_to_exit(
+    k: &mut Kernel,
+    ip: &dyn Interposer,
+    app: &str,
+    argv: &[String],
+    budget: u64,
+) -> Result<(), String> {
+    ip.install(k);
+    let pid = ip
+        .spawn(k, app, argv, &[])
+        .map_err(|e| format!("spawn {app}: {e}"))?;
+    let exit = k.run(budget);
+    let status = k.process(pid).and_then(|p| p.exit_status);
+    if exit != RunExit::AllExited || status != Some(0) {
+        return Err(format!("{app} ended {exit:?} with status {status:?}"));
     }
-    session.finish(k);
     Ok(())
 }
 
@@ -177,14 +204,6 @@ mod tests {
         assert_eq!(engine("stepwise").unwrap().engine, Engine::Stepwise);
         assert_eq!(engine("trace").unwrap().engine, Engine::Trace);
         assert!(engine("turbo").unwrap_err().contains("turbo"));
-    }
-
-    #[test]
-    fn offline_phase_follows_the_base_of_a_composed_spec() {
-        assert!(needs_offline("k23-ultra+"));
-        assert!(needs_offline("k23+tracer"));
-        assert!(!needs_offline("zpoline+recorder"));
-        assert!(!needs_offline("native"));
     }
 
     #[test]

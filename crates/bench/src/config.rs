@@ -87,10 +87,7 @@ impl Config {
     /// True for the K23 variants (which get an offline phase first, as in
     /// the paper's methodology §6.2).
     pub fn needs_offline(self) -> bool {
-        matches!(
-            self,
-            Config::K23Default | Config::K23Ultra | Config::K23UltraPlus
-        )
+        k23::needs_offline(self.name())
     }
 
     /// The paper's Table 5 overhead for comparison output.

@@ -1,10 +1,10 @@
 //! Figure regeneration: textual versions of the paper's Figures 1–4.
 
-use crate::Config;
+use crate::macros_::fresh_world;
+use crate::{cli, Config};
 use k23::OfflineSession;
 use sim_isa::{disasm, Asm, Reg};
 use sim_kernel::RunExit;
-use sim_loader::boot_kernel;
 
 /// Figure 1: an image with a true syscall, a partial syscall (opcode bytes
 /// inside an immediate), and embedded data resembling a syscall — and what
@@ -59,8 +59,7 @@ pub fn fig1() -> String {
 
 /// Figure 2: the offline phase's main steps, narrated from a real run.
 pub fn fig2() -> String {
-    let mut k = boot_kernel();
-    apps::install_world(&mut k.vfs);
+    let mut k = fresh_world();
     let session = OfflineSession::new(&mut k, "/usr/bin/pwd-sim");
     let (pid, exit) = session
         .run_once(&mut k, &[], &[], 50_000_000_000)
@@ -87,14 +86,11 @@ pub fn fig2() -> String {
 
 /// Figure 3: the offline log generated for ls.
 pub fn fig3() -> String {
-    let mut k = boot_kernel();
-    apps::install_world(&mut k.vfs);
-    let session = OfflineSession::new(&mut k, "/usr/bin/ls-sim");
-    let (_pid, exit) = session
-        .run_once(&mut k, &[], &[], 50_000_000_000)
-        .expect("offline run");
-    assert_eq!(exit, RunExit::AllExited);
-    let log = session.finish(&mut k);
+    let ls = "/usr/bin/ls-sim";
+    let log = cli::collect_log(&mut fresh_world(), ls, |k, ip| {
+        cli::run_to_exit(k, ip, ls, &[], 50_000_000_000)
+    })
+    .expect("offline run");
     format!(
         "Figure 3 — log file generated for ls ({} unique sites)\n\n{}",
         log.len(),
@@ -104,18 +100,17 @@ pub fn fig3() -> String {
 
 /// Figure 4: the online phase's main steps, narrated from a real run.
 pub fn fig4() -> String {
-    let mut k = boot_kernel();
-    apps::install_world(&mut k.vfs);
+    let mut k = fresh_world();
     crate::micro::build_micro_app().install(&mut k.vfs);
     k.vfs
         .write_file(crate::micro::MICRO_CFG, &256u64.to_le_bytes())
         .expect("cfg");
     // Offline first.
-    let session = OfflineSession::new(&mut k, crate::micro::MICRO_APP);
-    session
-        .run_once(&mut k, &[], &[], 50_000_000_000)
-        .expect("offline");
-    let log = session.finish(&mut k);
+    let app = crate::micro::MICRO_APP;
+    let log = cli::collect_log(&mut k, app, |k, ip| {
+        cli::run_to_exit(k, ip, app, &[], 50_000_000_000)
+    })
+    .expect("offline");
     // Online.
     let ip = Config::K23Ultra.make();
     ip.install(&mut k);

@@ -16,9 +16,9 @@
 //!
 //! Diagnostics binaries (`simtrace`, `simperf`, `simprof`, `simfault`,
 //! `simstack`, `simrecord`, `simaudit`, `simscale`) live alongside, all
-//! built on [`cli`]: one argument parser, engine table, guest world and
-//! offline-log transplant. `simaudit` regenerates the committed
-//! `MATRIX_simaudit.txt` coverage ledger.
+//! built on [`cli`]: one argument parser, engine table, guest world, and
+//! offline-log collection and transplant. `simaudit` regenerates the
+//! committed `MATRIX_simaudit.txt` coverage ledger.
 //!
 //! Scale with `K23_BENCH_SCALE` (default 10; 1 = full size, larger = faster).
 

@@ -1,63 +1,54 @@
 //! The Table 6 macrobenchmarks: nginx/lighttpd/redis throughput relative to
 //! native, plus the sqlite completion-time row.
 
-use crate::Config;
+use crate::{cli, Config};
 use apps::{install_world, run_macro, run_sqlite, sqlite_cfg, MacroSpec};
-use k23::OfflineSession;
-use sim_kernel::{Kernel, RunExit};
+use k23::SiteLog;
+use sim_kernel::Kernel;
 use sim_loader::boot_kernel;
 
 const BUDGET: u64 = 40_000_000_000_000;
 
-fn fresh_world() -> Kernel {
+/// A kernel with its own freshly installed guest world.
+pub(crate) fn fresh_world() -> Kernel {
     let mut k = boot_kernel();
     install_world(&mut k.vfs);
     k
+}
+
+/// The K23 site log of a server spec, collected on a scratch kernel under
+/// the spec's own client load.
+pub(crate) fn server_log(spec: &MacroSpec) -> SiteLog {
+    cli::collect_log(&mut fresh_world(), spec.server, |k, ip| {
+        run_macro(k, ip, spec, BUDGET)
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The K23 site log of the sqlite completion workload.
+pub(crate) fn sqlite_log(cfg: &[u8]) -> SiteLog {
+    cli::collect_log(&mut fresh_world(), "/usr/bin/sqlite-sim", |k, ip| {
+        run_sqlite(k, ip, cfg, BUDGET)
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs the offline phase for a server spec on a scratch kernel and returns
 /// the serialized log file (path, bytes) for transplanting into measurement
 /// kernels — the paper collects logs once and reuses them (§5.1).
 pub fn collect_offline_log(spec: &MacroSpec) -> (String, Vec<u8>) {
-    let mut k = fresh_world();
-    apps::install_spec_config(&mut k, spec);
-    let session = OfflineSession::new(&mut k, spec.server);
-    session
-        .spawn(&mut k, &[spec.server.to_string()], &[])
-        .expect("offline server spawn");
-    // Server parks in accept; then drive a short client load.
-    assert_eq!(k.run(BUDGET), RunExit::Deadlock, "offline server ready");
-    for _ in 0..spec.clients {
-        k.spawn(spec.client, &[], &[], None).expect("offline client");
-    }
-    let exit = k.run(BUDGET);
-    assert_ne!(exit, RunExit::Budget, "offline load finished");
-    let log = session.finish(&mut k);
-    let path = k23::SiteLog::path_for(spec.server);
-    let bytes = k.vfs.read_file(&path).expect("offline log written").to_vec();
-    let _ = log;
-    (path, bytes)
+    server_log(spec).file()
 }
 
 /// Offline log for the sqlite completion workload.
 pub fn collect_offline_log_sqlite(cfg: &[u8]) -> (String, Vec<u8>) {
-    let mut k = fresh_world();
-    k.vfs
-        .write_file("/etc/sqlite-sim.conf", cfg)
-        .expect("sqlite cfg");
-    let session = OfflineSession::new(&mut k, "/usr/bin/sqlite-sim");
-    let (_pid, exit) = session.run_once(&mut k, &[], &[], BUDGET).expect("offline run");
-    assert_eq!(exit, RunExit::AllExited);
-    session.finish(&mut k);
-    let path = k23::SiteLog::path_for("/usr/bin/sqlite-sim");
-    let bytes = k.vfs.read_file(&path).expect("log").to_vec();
-    (path, bytes)
+    sqlite_log(cfg).file()
 }
 
 /// Throughput of `spec` under `config` (requests per Gcycle).
 pub fn macro_throughput(spec: &MacroSpec, config: Config, log: &Option<(String, Vec<u8>)>) -> f64 {
     let mut k = fresh_world();
-    crate::cli::install_log(&mut k, log.as_ref());
+    cli::install_log(&mut k, log.as_ref());
     let ip = config.make();
     let res = run_macro(&mut k, ip.as_ref(), spec, BUDGET)
         .unwrap_or_else(|e| panic!("{} under {}: {e:?}", spec.name, config.label()));
@@ -67,7 +58,7 @@ pub fn macro_throughput(spec: &MacroSpec, config: Config, log: &Option<(String, 
 /// sqlite completion cycles under `config`.
 pub fn sqlite_cycles(cfg: &[u8], config: Config, log: &Option<(String, Vec<u8>)>) -> u64 {
     let mut k = fresh_world();
-    crate::cli::install_log(&mut k, log.as_ref());
+    cli::install_log(&mut k, log.as_ref());
     let ip = config.make();
     run_sqlite(&mut k, ip.as_ref(), cfg, BUDGET)
         .unwrap_or_else(|e| panic!("sqlite under {}: {e:?}", config.label()))

@@ -8,8 +8,7 @@
 //! change the measured ratios. The simulator is fully deterministic, so the
 //! paper's ±0.0x % measurement-noise column is identically zero here.
 
-use crate::Config;
-use k23::OfflineSession;
+use crate::{cli, Config};
 use sim_isa::Reg;
 use sim_kernel::{nr, Kernel, RunExit};
 use sim_loader::{boot_kernel, ImageBuilder, SimElf, LIBC_PATH};
@@ -66,12 +65,10 @@ fn total_cycles(config: Config, n: u64) -> u64 {
         k.vfs
             .write_file(MICRO_CFG, &64u64.to_le_bytes())
             .expect("cfg");
-        let session = OfflineSession::new(&mut k, MICRO_APP);
-        let (_pid, exit) = session
-            .run_once(&mut k, &[], &[], 10_000_000_000)
-            .expect("offline run");
-        assert_eq!(exit, RunExit::AllExited, "offline phase completed");
-        session.finish(&mut k);
+        cli::collect_log(&mut k, MICRO_APP, |k, ip| {
+            cli::run_to_exit(k, ip, MICRO_APP, &[], 10_000_000_000)
+        })
+        .expect("offline phase completed");
     }
     k.vfs
         .write_file(MICRO_CFG, &n.to_le_bytes())

@@ -14,8 +14,6 @@
 use crate::cli::{self, world};
 use crate::Config;
 use apps::{run_scale, scale_spec, MacroSpec};
-use k23::OfflineSession;
-use sim_kernel::RunExit;
 use sim_loader::boot_kernel_from;
 use sim_obs::{EventKind, ObsConfig};
 use std::collections::{BTreeMap, VecDeque};
@@ -33,11 +31,6 @@ const RING_CAP: usize = 1 << 18;
 /// stream (bounds harness memory; the per-cell digest still covers every
 /// recorded event).
 const MERGE_SAMPLE: usize = 1 << 13;
-
-/// Chunk length for the offline-log collection loop (the busy-polling
-/// server never parks, so the offline phase is driven in fixed chunks
-/// exactly like [`apps::run_scale`]).
-const CHUNK: u64 = 2_000_000;
 
 /// Server variant under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,10 +141,10 @@ fn spec_for(cell: &ScaleCell, params: &ScaleParams) -> MacroSpec {
     )
 }
 
-/// Offline site log for a scale-server variant, collected with the same
-/// chunked drive as the measurement runs (the busy-polling server never
-/// parks, so [`crate::macros_::collect_offline_log`]'s park-in-accept
-/// assumption does not hold here). A small connection count suffices:
+/// Offline site log for a scale-server variant, collected with the
+/// measured runs' own driver, [`apps::run_scale`] (the busy-polling
+/// server never parks, so [`crate::macros_::collect_offline_log`]'s
+/// [`apps::run_macro`] does not fit). A small connection count suffices:
 /// the log records syscall *sites*, which don't grow with load.
 pub fn collect_offline_log_scale(variant: Variant, params: &ScaleParams) -> (String, Vec<u8>) {
     let cell = ScaleCell {
@@ -162,46 +155,11 @@ pub fn collect_offline_log_scale(variant: Variant, params: &ScaleParams) -> (Str
     let mut params = *params;
     params.requests = params.requests.min(64);
     let spec = spec_for(&cell, &params);
-    let mut k = boot_kernel_from(world());
-    apps::install_spec_config(&mut k, &spec);
-    let ready = if variant == Variant::Epoll {
-        "/data/epollsrv.ready"
-    } else {
-        "/data/pollsrv.ready"
-    };
-    let session = OfflineSession::new(&mut k, spec.server);
-    session
-        .spawn(&mut k, &[spec.server.to_string()], &[])
-        .expect("offline server spawn");
-    let mut spent = 0u64;
-    while !k.vfs.exists(ready) {
-        assert_ne!(k.run(CHUNK), RunExit::AllExited, "offline server exited early");
-        spent += CHUNK;
-        assert!(spent < BUDGET, "offline server never became ready");
-    }
-    let cpid = k
-        .spawn(spec.client, &[spec.client.to_string()], &[], None)
-        .expect("offline client spawn");
-    loop {
-        let exit = k.run(CHUNK);
-        let done = k
-            .process(cpid)
-            .map(|p| p.exit_status.is_some())
-            .unwrap_or(true);
-        if done {
-            break;
-        }
-        assert!(
-            !matches!(exit, RunExit::Deadlock | RunExit::AllExited),
-            "offline load wedged"
-        );
-        spent += CHUNK;
-        assert!(spent < BUDGET, "offline load never finished");
-    }
-    session.finish(&mut k);
-    let path = k23::SiteLog::path_for(spec.server);
-    let bytes = k.vfs.read_file(&path).expect("offline log written").to_vec();
-    (path, bytes)
+    cli::collect_log(&mut boot_kernel_from(world()), spec.server, |k, ip| {
+        run_scale(k, ip, &spec, BUDGET)
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
+    .file()
 }
 
 /// Runs one cell on a fresh kernel and extracts its metrics. Pure with

@@ -1,10 +1,9 @@
 //! Table 2: unique `syscall`/`sysenter` sites the offline phase logs per
 //! application.
 
-use apps::{install_world, MacroSpec};
-use k23::OfflineSession;
-use sim_kernel::RunExit;
-use sim_loader::boot_kernel;
+use crate::cli;
+use crate::macros_::{fresh_world, server_log, sqlite_log};
+use apps::MacroSpec;
 
 /// One Table 2 row.
 #[derive(Debug, Clone)]
@@ -21,45 +20,21 @@ const BUDGET: u64 = 40_000_000_000_000;
 
 /// Offline-phase site count for a run-to-completion binary.
 pub fn sites_for_simple(app: &str) -> usize {
-    let mut k = boot_kernel();
-    install_world(&mut k.vfs);
-    let session = OfflineSession::new(&mut k, app);
-    let (_pid, exit) = session
-        .run_once(&mut k, &[app.to_string()], &[], BUDGET)
-        .expect("offline run");
-    assert_eq!(exit, RunExit::AllExited, "{app}");
-    session.finish(&mut k).len()
+    cli::collect_log(&mut fresh_world(), app, |k, ip| {
+        cli::run_to_exit(k, ip, app, &[app.to_string()], BUDGET)
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
+    .len()
 }
 
 /// Offline-phase site count for a server spec (driven by its clients).
 pub fn sites_for_server(spec: &MacroSpec) -> usize {
-    let mut k = boot_kernel();
-    install_world(&mut k.vfs);
-    apps::install_spec_config(&mut k, spec);
-    let session = OfflineSession::new(&mut k, spec.server);
-    session
-        .spawn(&mut k, &[spec.server.to_string()], &[])
-        .expect("spawn server");
-    assert_eq!(k.run(BUDGET), RunExit::Deadlock, "server ready");
-    for _ in 0..spec.clients {
-        k.spawn(spec.client, &[], &[], None).expect("client");
-    }
-    let exit = k.run(BUDGET);
-    assert_ne!(exit, RunExit::Budget);
-    session.finish(&mut k).len()
+    server_log(spec).len()
 }
 
 /// Offline site count for sqlite.
 pub fn sites_for_sqlite(scale: u64) -> usize {
-    let mut k = boot_kernel();
-    install_world(&mut k.vfs);
-    k.vfs
-        .write_file("/etc/sqlite-sim.conf", &apps::sqlite_cfg(scale))
-        .expect("cfg");
-    let session = OfflineSession::new(&mut k, "/usr/bin/sqlite-sim");
-    let (_pid, exit) = session.run_once(&mut k, &[], &[], BUDGET).expect("run");
-    assert_eq!(exit, RunExit::AllExited);
-    session.finish(&mut k).len()
+    sqlite_log(&apps::sqlite_cfg(scale)).len()
 }
 
 /// Runs the whole Table 2.

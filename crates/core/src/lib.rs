@@ -58,7 +58,7 @@ pub mod ptracer;
 
 pub use libk23::{build_libk23, GOLDEN, K23_LIB, TABLE_BITS};
 pub use log::{SiteEntry, SiteLog, LOG_DIR};
-pub use offline::{build_logger_lib, OfflineSession, LOGGER_LIB};
+pub use offline::{build_logger_lib, needs_offline, OfflineSession, LOGGER_LIB};
 pub use online::{register, K23Stats, K23};
 pub use ptracer::{force_preload_in_execve, K23Ptracer, PreloadGuard, PtracerState};
 
@@ -137,6 +137,15 @@ mod tests {
         assert!(session.site_count() > 0);
         session.finish(&mut k);
         k
+    }
+
+    #[test]
+    fn offline_phase_follows_the_base_of_a_composed_spec() {
+        assert!(needs_offline("k23-ultra+"));
+        assert!(needs_offline("k23+tracer"));
+        assert!(needs_offline("k23-ultra+tracer"));
+        assert!(!needs_offline("zpoline+recorder"));
+        assert!(!needs_offline("native"));
     }
 
     #[test]

@@ -59,12 +59,19 @@ impl SiteLog {
         self.entries.is_empty()
     }
 
-    /// Saves the log into the VFS.
+    /// Saves the log into the VFS, as [`SiteLog::file`].
     ///
     /// # Errors
     ///
     /// Propagates VFS errors (e.g. `-EPERM` if the log dir is immutable).
     pub fn save(&self, vfs: &mut Vfs) -> Result<(), u64> {
+        let (path, data) = self.file();
+        vfs.write_file(&path, &data)
+    }
+
+    /// The log's file: its path under [`LOG_DIR`] and its bytes, the form
+    /// a log is transplanted in.
+    pub fn file(&self) -> (String, Vec<u8>) {
         let json = sjson::Value::object(vec![
             ("app", self.app.as_str().into()),
             (
@@ -83,7 +90,7 @@ impl SiteLog {
             ),
         ]);
         let data = json.to_string_pretty().into_bytes();
-        vfs.write_file(&Self::path_for(&self.app), &data)
+        (Self::path_for(&self.app), data)
     }
 
     /// Loads the log for `app`, if present and well-formed.

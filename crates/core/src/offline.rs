@@ -12,7 +12,7 @@
 use crate::log::{SiteEntry, SiteLog, LOG_DIR};
 use crate::ptracer::PreloadGuard;
 use interpose::handler_asm::{emit_sigsys_handler, emit_sud_ctor, SigsysHandlerOpts, SudCtorOpts};
-use interpose::env_with_preload;
+use interpose::{env_with_preload, Interposer};
 use sim_kernel::{nr, Kernel, Pid, RunExit, TraceOpts};
 use sim_loader::{ImageBuilder, SimElf};
 use std::cell::RefCell;
@@ -56,8 +56,19 @@ pub fn build_logger_lib() -> SimElf {
     b.finish()
 }
 
+/// Whether a registry spec needs K23's offline phase first: its base is a
+/// K23 variant. A composed stack (`k23-ultra+tracer`) needs it when its
+/// base does.
+pub fn needs_offline(spec: &str) -> bool {
+    spec.split('+').next().unwrap_or(spec).starts_with("k23")
+}
+
 /// An offline-phase session: run the target (possibly several times with
 /// different inputs), then persist the unioned log.
+///
+/// The session is an [`Interposer`] (libLogger), so any workload driver
+/// that takes one runs the offline phase as it runs a measured run. It is
+/// not registered: it is methodology, not a mechanism under evaluation.
 #[derive(Debug)]
 pub struct OfflineSession {
     app: String,
@@ -65,12 +76,63 @@ pub struct OfflineSession {
 }
 
 impl OfflineSession {
-    /// Prepares a session for `app`: installs libLogger and registers its
-    /// hostcalls on `k`.
+    /// Prepares a session for `app` and installs it on `k`.
     pub fn new(k: &mut Kernel, app: &str) -> OfflineSession {
+        let session = OfflineSession {
+            app: app.to_string(),
+            sites: Rc::default(),
+        };
+        session.install(k);
+        session
+    }
+
+    /// Runs the target once under libLogger with the given inputs.
+    ///
+    /// # Errors
+    ///
+    /// Returns `-errno` if the image cannot be loaded.
+    pub fn run_once(
+        &self,
+        k: &mut Kernel,
+        argv: &[String],
+        env: &[String],
+        budget: u64,
+    ) -> Result<(Pid, RunExit), i64> {
+        let pid = self.spawn(k, &self.app, argv, env)?;
+        let exit = k.run(budget);
+        Ok((pid, exit))
+    }
+
+    /// Unique sites observed so far.
+    pub fn site_count(&self) -> usize {
+        self.sites.borrow().len()
+    }
+
+    /// Persists the log and seals the log directory (immutable), returning
+    /// the log.
+    pub fn finish(self, k: &mut Kernel) -> SiteLog {
+        let mut log = SiteLog::new(&self.app);
+        log.entries = self.sites.borrow().clone();
+        k.vfs.mkdir_p(LOG_DIR).expect("log dir creatable");
+        let _ = k.vfs.set_immutable(LOG_DIR, false);
+        log.save(&mut k.vfs).expect("log dir writable before sealing");
+        k.vfs
+            .set_immutable(LOG_DIR, true)
+            .expect("log dir exists");
+        log
+    }
+}
+
+impl Interposer for OfflineSession {
+    fn name(&self) -> &'static str {
+        "liblogger"
+    }
+
+    /// Installs libLogger and registers its two hostcalls: the site sink
+    /// and the init hook.
+    fn install(&self, k: &mut Kernel) {
         build_logger_lib().install(&mut k.vfs);
-        let sites: Rc<RefCell<BTreeSet<SiteEntry>>> = Rc::default();
-        let sink = sites.clone();
+        let sink = self.sites.clone();
         k.register_hostcall("__host_k23_log_site", move |k, pid, tid| {
             let Some(cpu) = k.cpu_mut(pid, tid) else {
                 return;
@@ -99,25 +161,24 @@ impl OfflineSession {
         k.register_hostcall("__host_k23_logger_init", |k, pid, _tid| {
             k.mark_interposer_live(pid);
         });
-        OfflineSession {
-            app: app.to_string(),
-            sites,
-        }
     }
 
-    /// Spawns the target under libLogger without running it — used by
-    /// server workloads where load generators must be spawned alongside.
-    ///
-    /// # Errors
-    ///
-    /// Returns `-errno` if the image cannot be loaded.
-    pub fn spawn(&self, k: &mut Kernel, argv: &[String], env: &[String]) -> Result<Pid, i64> {
+    /// Spawns `path` under libLogger. The injector guard keeps libLogger
+    /// preloaded across `execve` even if the workload clears the
+    /// environment.
+    fn spawn(
+        &self,
+        k: &mut Kernel,
+        path: &str,
+        argv: &[String],
+        env: &[String],
+    ) -> Result<Pid, i64> {
         let env = env_with_preload(env, LOGGER_LIB);
         let guard = Rc::new(RefCell::new(PreloadGuard {
             lib: LOGGER_LIB.to_string(),
         }));
         k.spawn(
-            &self.app,
+            path,
             argv,
             &env,
             Some((
@@ -130,43 +191,5 @@ impl OfflineSession {
                 },
             )),
         )
-    }
-
-    /// Runs the target once under libLogger with the given inputs. The
-    /// injector guard keeps libLogger preloaded across `execve` even if the
-    /// workload clears the environment.
-    ///
-    /// # Errors
-    ///
-    /// Returns `-errno` if the image cannot be loaded.
-    pub fn run_once(
-        &self,
-        k: &mut Kernel,
-        argv: &[String],
-        env: &[String],
-        budget: u64,
-    ) -> Result<(Pid, RunExit), i64> {
-        let pid = self.spawn(k, argv, env)?;
-        let exit = k.run(budget);
-        Ok((pid, exit))
-    }
-
-    /// Unique sites observed so far.
-    pub fn site_count(&self) -> usize {
-        self.sites.borrow().len()
-    }
-
-    /// Persists the log and seals the log directory (immutable), returning
-    /// the log.
-    pub fn finish(self, k: &mut Kernel) -> SiteLog {
-        let mut log = SiteLog::new(&self.app);
-        log.entries = self.sites.borrow().clone();
-        k.vfs.mkdir_p(LOG_DIR).expect("log dir creatable");
-        let _ = k.vfs.set_immutable(LOG_DIR, false);
-        log.save(&mut k.vfs).expect("log dir writable before sealing");
-        k.vfs
-            .set_immutable(LOG_DIR, true)
-            .expect("log dir exists");
-        log
     }
 }

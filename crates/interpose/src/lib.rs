@@ -1,9 +1,9 @@
 //! # interpose — the common interposition API and baseline interposers
 //!
 //! Defines the [`Interposer`] trait every mechanism in this reproduction
-//! implements (native, SUD, ptrace, zpoline, lazypoline, K23), plus the
-//! shared guest-assembly emitters for SUD signal handlers and constructors
-//! ([`handler_asm`]).
+//! implements (native, SUD, ptrace, zpoline, lazypoline, K23, and K23's
+//! offline-phase logger), plus the shared guest-assembly emitters for SUD
+//! signal handlers and constructors ([`handler_asm`]).
 //!
 //! Per the paper's methodology (§6.2), every interposer's hook is the
 //! *empty interposition function*: it simply forwards the original syscall
@@ -25,6 +25,13 @@ use sim_kernel::{Kernel, Pid};
 /// A system call interposition mechanism (object-safe: benches, the
 /// pitfalls matrix, and the fault explorer all drive
 /// `Box<dyn Interposer>` instances obtained from the [`registry`]).
+///
+/// Implementers: the registered mechanisms ([`Native`], [`SudInterposer`]
+/// and [`PtraceInterposer`] here; zpoline, lazypoline and the three K23
+/// variants in their own crates); [`InterposerStack`], which a composed
+/// spec resolves to; and `k23::OfflineSession`, K23's offline-phase
+/// logger, which is not registered: workload drivers run the offline
+/// phase through it exactly as they run a measured mechanism.
 pub trait Interposer {
     /// Canonical registry name (lowercase; the key
     /// [`registry::by_name_spec`] resolves and the name replay commands

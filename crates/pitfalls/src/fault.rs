@@ -138,8 +138,9 @@ pub struct ProbeRun {
 }
 
 /// Runs the probe under `mech` (a canonical registry name), with an
-/// optional fault plan. K23 gets its offline phase (run fault-free, before
-/// the plan is armed) exactly as the Table 3 matrix does.
+/// optional fault plan. A spec on any K23 base ([`k23::needs_offline`])
+/// gets its offline phase (run fault-free, before the plan is armed)
+/// exactly as the Table 3 matrix does.
 pub fn run_probe(mech: &str, plan: Option<&FaultPlan>) -> ProbeRun {
     run_probe_on(mech, plan, EngineConfig::new())
 }
@@ -149,11 +150,11 @@ pub fn run_probe(mech: &str, plan: Option<&FaultPlan>) -> ProbeRun {
 /// stepwise oracle. The plan (if any) is installed on top of `base`.
 pub fn run_probe_on(mech: &str, plan: Option<&FaultPlan>, base: EngineConfig) -> ProbeRun {
     crate::register_all();
+    let ip: Box<dyn Interposer> =
+        interpose::by_name_spec(mech).unwrap_or_else(|e| panic!("spec {mech:?}: {e}"));
     let mut k = boot_kernel();
     build_fault_probe().install(&mut k.vfs);
-    let (mech_base, _) = interpose::registry::parse_spec(mech)
-        .unwrap_or_else(|e| panic!("spec {mech:?}: {e}"));
-    if mech_base == "k23" {
+    if k23::needs_offline(mech) {
         // Offline phase always runs fault-free under the default engine, so
         // the collected site log is identical regardless of `base`.
         let session = OfflineSession::new(&mut k, PROBE_PATH);
@@ -165,8 +166,6 @@ pub fn run_probe_on(mech: &str, plan: Option<&FaultPlan>, base: EngineConfig) ->
         None => base,
     };
     k.configure(cfg);
-    let ip: Box<dyn Interposer> =
-        interpose::by_name_spec(mech).unwrap_or_else(|e| panic!("spec {mech:?}: {e}"));
     ip.install(&mut k);
     let pid = ip
         .spawn(&mut k, PROBE_PATH, &[PROBE_PATH.to_string()], &[])
@@ -400,6 +399,26 @@ mod tests {
             .contains("bad plan"));
         assert!(replay("bogus", "s=7").unwrap_err().contains("bad spec"));
         assert!(replay("k23+bogus", "s=7").unwrap_err().contains("bad spec"));
+    }
+
+    /// Every K23 base, bare or under a layer, runs its offline phase
+    /// first: the probe run ends past the clock at which the offline
+    /// phase alone ends.
+    #[test]
+    fn every_k23_base_runs_the_offline_phase() {
+        let mut k = boot_kernel();
+        build_fault_probe().install(&mut k.vfs);
+        let session = OfflineSession::new(&mut k, PROBE_PATH);
+        let _ = session.run_once(&mut k, &[PROBE_PATH.to_string()], &[], BUDGET);
+        let offline_only = k.clock;
+        assert!(session.site_count() > 0, "the offline phase logged no site");
+        for spec in ["k23", "k23-ultra", "k23-ultra+", "k23-ultra+tracer"] {
+            let clock = run_probe(spec, None).clock;
+            assert!(
+                clock > offline_only,
+                "{spec} ended at clock {clock}, the offline phase alone at {offline_only}"
+            );
+        }
     }
 
     #[test]

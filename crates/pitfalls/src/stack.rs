@@ -196,7 +196,7 @@ pub fn probe_propagation(spec: &'static str) -> PropagationProbe {
     let stack = InterposerStack::from_spec(spec).expect("composed spec");
     let mut k = boot_kernel();
     pocs::install_pocs(&mut k.vfs);
-    if parse_spec(spec).expect("parses").0 == "k23" {
+    if k23::needs_offline(spec) {
         let session = OfflineSession::new(&mut k, "/usr/bin/p1a-parent");
         let _ = session.run_once(&mut k, &["/usr/bin/p1a-parent".to_string()], &[], BUDGET);
         session.finish(&mut k);

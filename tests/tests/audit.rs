@@ -1,10 +1,11 @@
 //! Audit-ledger integration: the kernel's coverage ledger classifies the
 //! known shadows with the right pitfall signatures (exec gaps → P1a, SUD
 //! disarm → P1b, vDSO reads attributed only to mechanisms that leave the
-//! vDSO in place), is byte-identical across all three engines, and stays
-//! entirely absent when no audit session is configured.
+//! vDSO in place), is byte-identical across all three engines, renders
+//! the committed `MATRIX_simaudit.txt`, and stays entirely absent when no
+//! audit session is configured.
 
-use bench::audit::{run_cell, COREUTIL};
+use bench::audit::{full_audit_matrix, render_audit_matrix, run_cell, server_spec, COREUTIL};
 use pitfalls::{signature_pitfall, Pitfall};
 use sim_kernel::{EngineConfig, RunExit, Signature};
 use sim_loader::boot_kernel;
@@ -97,6 +98,15 @@ fn ledger_is_identical_across_engines() {
         block.totals().total() > 0,
         "the compared ledgers must not be vacuously empty"
     );
+}
+
+/// The block-engine sweep renders exactly the committed
+/// `MATRIX_simaudit.txt`.
+#[test]
+fn block_sweep_matches_the_committed_matrix() {
+    let rows = full_audit_matrix(&EngineConfig::new()).unwrap();
+    let fresh = render_audit_matrix(&rows, &server_spec().name);
+    assert_eq!(fresh, include_str!("../../MATRIX_simaudit.txt"));
 }
 
 /// A kernel with no audit session configured exposes no ledger — the

@@ -9,7 +9,6 @@
 
 use apps::MacroSpec;
 use interpose::Interposer;
-use k23::OfflineSession;
 use sim_kernel::{EngineConfig, RunExit};
 use sim_loader::boot_kernel;
 use sim_obs::ObsConfig;
@@ -21,7 +20,7 @@ const PERIOD: u64 = 64;
 fn make(name: &str) -> (Box<dyn Interposer>, bool) {
     pitfalls::register_all();
     let ip = interpose::by_name_spec(name).expect("known interposer");
-    (ip, name.starts_with("k23"))
+    (ip, k23::needs_offline(name))
 }
 
 fn engine_cfg(stepwise: bool, profile: bool) -> EngineConfig {
@@ -48,12 +47,10 @@ fn run_coreutil(name: &str, stepwise: bool, profile: bool, observe: bool) -> (Pr
     apps::install_world(&mut k.vfs);
     let argv = vec![APP.to_string()];
     if needs_offline {
-        let session = OfflineSession::new(&mut k, APP);
-        let (_pid, exit) = session
-            .run_once(&mut k, &argv, &[], BUDGET)
-            .expect("offline phase");
-        assert_eq!(exit, RunExit::AllExited);
-        session.finish(&mut k);
+        bench::cli::collect_log(&mut k, APP, |k, ip| {
+            bench::cli::run_to_exit(k, ip, APP, &argv, BUDGET)
+        })
+        .expect("offline phase");
     }
     sim_obs::clear_region_paths();
     sim_obs::clear_span_ranges();
@@ -88,10 +85,8 @@ fn run_server(
     let mut k = boot_kernel();
     apps::install_world(&mut k.vfs);
     if needs_offline {
-        let (path, bytes) = offline_log.as_ref().expect("offline log collected");
-        k.vfs.mkdir_p(k23::LOG_DIR).expect("log dir");
-        k.vfs.write_file(path, bytes).expect("log install");
-        k.vfs.set_immutable(k23::LOG_DIR, true).expect("seal");
+        let log = offline_log.as_ref().expect("offline log collected");
+        bench::cli::install_log(&mut k, Some(log));
     }
     sim_obs::clear_region_paths();
     sim_obs::clear_span_ranges();
@@ -131,7 +126,7 @@ fn coreutil_profiles_identical_across_runs_and_engines() {
 fn server_profiles_identical_across_runs_and_engines() {
     let spec = apps::table6_specs(200).remove(0);
     for name in ["k23", "ptrace"] {
-        let offline = if name.starts_with("k23") {
+        let offline = if k23::needs_offline(name) {
             Some(bench::macros_::collect_offline_log(&spec))
         } else {
             None

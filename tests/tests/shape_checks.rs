@@ -68,12 +68,25 @@ fn macro_relative_throughput_shape() {
     assert!(zp > k23, "zpoline above K23 on the fast path");
 }
 
-/// Table 2 shape: coreutils site counts match the paper exactly; servers
-/// land within a small tolerance.
+/// Table 2: every row's site count matches the paper exactly. The logs
+/// record sites, not load, so the servers are driven at scale 200.
 #[test]
 fn offline_site_counts_match_table2() {
     for (app, expected) in apps::EXPECTED_SITES {
         let got = bench::table2::sites_for_simple(app);
         assert_eq!(got, expected, "{app}");
+    }
+    assert_eq!(bench::table2::sites_for_sqlite(200), 20, "sqlite-sim");
+    let specs = apps::table6_specs(200);
+    for (idx, server, expected) in [
+        (2, "nginx-sim", 43),
+        (6, "lighttpd-sim", 44),
+        (9, "redis-sim", 92),
+    ] {
+        assert_eq!(
+            bench::table2::sites_for_server(&specs[idx]),
+            expected,
+            "{server}"
+        );
     }
 }

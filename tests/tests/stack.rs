@@ -2,10 +2,13 @@
 //! observationally invisible (byte-identical event streams and outcomes
 //! across engines), the composed fault matrix verdicts are pinned — with
 //! the nested-sigreturn failure demonstrably composition-only — and the
-//! per-layer fork/execve propagation counts are exact.
+//! per-layer fork/execve propagation counts are exact; the default sweep
+//! renders the committed `MATRIX_simstack.txt`.
 
 use pitfalls::fault::{plan_for, run_probe, run_probe_on, ProbeRun, Scenario};
-use pitfalls::stack::{full_stack_matrix, probe_propagation, render_stack_matrix};
+use pitfalls::stack::{
+    full_stack_matrix, probe_propagation, render_propagation, render_stack_matrix,
+};
 use proptest::prelude::*;
 use sim_fault::FaultPlan;
 use sim_kernel::EngineConfig;
@@ -76,6 +79,18 @@ fn stack_matrix_verdicts_are_pinned() {
     }
     let again = full_stack_matrix(7);
     assert_eq!(render_stack_matrix(7, &cells), render_stack_matrix(7, &again));
+}
+
+/// The default `simstack` sweep (matrix, blank line, propagation report)
+/// renders exactly the committed `MATRIX_simstack.txt`.
+#[test]
+fn default_sweep_matches_the_committed_matrix() {
+    let fresh = format!(
+        "{}\n{}",
+        render_stack_matrix(7, &full_stack_matrix(7)),
+        render_propagation()
+    );
+    assert_eq!(fresh, include_str!("../../MATRIX_simstack.txt"));
 }
 
 /// The nested-sigreturn hazard cell replays identically across the block
