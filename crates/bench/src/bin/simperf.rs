@@ -19,7 +19,10 @@
 //! determinism must hold, the snapshot ring must not drop events, and
 //! block/trace inst/s must not fall below baseline × (1 − `TOL`), a
 //! fixed 0.5 — generous because wall-clock throughput on shared CI is
-//! noisy; only slowdowns fail, speedups pass.
+//! noisy; only slowdowns fail, speedups pass. Host time is not a
+//! simulated output, so this is the one check of a committed artifact that
+//! `cargo test` cannot make; `scripts/ci.sh` runs it against
+//! `BENCH_simperf.json` and says how to refresh that file.
 //! The gate reads only the baseline's `determinism`, `block` and `after`
 //! entries: the committed file's `before`/`speedup` fields are a frozen
 //! record of the pre-fast-path engine (stepwise loop plus byte-at-a-time
@@ -133,7 +136,7 @@ struct Measured {
 }
 
 fn measure() -> Measured {
-    let scale = bench::scale().max(1);
+    let scale = bench::scale();
 
     // 1. Determinism proof: full three-way trace diff at a modest count.
     // The stepwise run is the oracle; block and trace must match it
@@ -247,7 +250,8 @@ fn write_json(path: &str, m: &Measured) -> Result<(), String> {
 /// the list of violations (empty = gate passes). Only slowdowns beyond
 /// `TOL` fail — speedups always pass.
 fn gate(baseline_path: &str, m: &Measured) -> Result<Vec<String>, String> {
-    let v = cli::read_json(baseline_path)?;
+    let data = std::fs::read(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
+    let v = sjson::parse(&data).map_err(|e| format!("{baseline_path}: bad JSON: {e}"))?;
     let mut violations = Vec::new();
     // The committed baseline must itself claim determinism; the fresh
     // run already proved it (measure() asserts the three-way diff).
@@ -314,11 +318,18 @@ fn run_cli(mut args: Args) -> Result<ExitCode, String> {
         write_json(&json_path, &m)?;
         return Ok(ExitCode::SUCCESS);
     };
-    let ok = format!(
-        "block+trace inst/s within {:.0}% of {baseline}, determinism held, 0 dropped events",
+    let violations = gate(&baseline, &m)?;
+    for v in &violations {
+        eprintln!("simperf: REGRESSION {v}");
+    }
+    if !violations.is_empty() {
+        return Ok(ExitCode::FAILURE);
+    }
+    println!(
+        "gate: ok (block+trace inst/s within {:.0}% of {baseline}, determinism held, 0 dropped events)",
         TOL * 100.0
     );
-    Ok(cli::gate_verdict("simperf", &gate(&baseline, &m)?, &ok))
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {

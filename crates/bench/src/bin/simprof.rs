@@ -1,5 +1,4 @@
-//! simprof — deterministic sampling profiler driver and bench regression
-//! gate.
+//! simprof — deterministic sampling profiler driver.
 //!
 //! Profiles a coreutil, a Table 6 server workload, and the epoll server
 //! under production-traffic load (the simscale shape) under every
@@ -10,28 +9,18 @@
 //! * `SIMPROF_stages.txt` — the per-interposer per-stage critical-path
 //!   cycle table fed by the round-trip spans,
 //! * `SIMPROF_flame.svg` — a self-contained flamegraph of the first row,
-//! * `BENCH_simprof.json` — per-row sample/instruction/syscall counts, the
-//!   committed regression baseline `scripts/bench_gate.sh` compares.
+//! * `BENCH_simprof.json` — per-row sample/instruction/syscall counts and
+//!   dropped obs events, committed; tier-1 runs this binary and requires
+//!   the default sweep to reproduce it byte for byte.
 //!
 //! ```text
 //! simprof [--engine block|stepwise|trace] [--period N (default 64)]
 //!         [--scale N] [--interposer NAME]... [--json PATH] [--out-prefix P]
-//!         [--gate BASELINE] [--smoke]
 //! ```
 //!
 //! Under `--engine trace` the stage table is followed by a per-trace
 //! occupancy table (replayed steps per trace and side-exit rate, hottest
 //! trace first) drawn from the trace cache's per-entry counters.
-//!
-//! * `--gate BASELINE` — re-measure and compare against a committed
-//!   baseline JSON; any row whose instruction, sample or syscall count
-//!   differs from the baseline at all fails with a non-zero exit (all
-//!   three are architectural), as does any row whose obs ring dropped
-//!   events (`dropped_events > 0` — lossy counters can't gate anything).
-//! * `--smoke` — CI determinism gate: profiles the coreutil under `k23`
-//!   and `ptrace` twice per engine and requires the folded stacks and
-//!   stage table to be byte-identical across runs *and* across the
-//!   block/stepwise engines.
 //!
 //! Sampling is architectural: the sampler counts retired instructions, so
 //! every output here is byte-identical across consecutive runs and across
@@ -59,8 +48,6 @@ struct Opts {
     interposers: Vec<String>,
     json_out: String,
     out_prefix: String,
-    gate: Option<String>,
-    smoke: bool,
 }
 
 fn parse_opts(mut args: Args) -> Result<Opts, String> {
@@ -71,8 +58,6 @@ fn parse_opts(mut args: Args) -> Result<Opts, String> {
         interposers: Vec::new(),
         json_out: "BENCH_simprof.json".to_string(),
         out_prefix: "SIMPROF".to_string(),
-        gate: None,
-        smoke: false,
     };
     while let Some(flag) = args.flag() {
         match flag.as_str() {
@@ -82,8 +67,6 @@ fn parse_opts(mut args: Args) -> Result<Opts, String> {
             "--interposer" => a.interposers.push(args.value("--interposer")?),
             "--json" => a.json_out = args.value("--json")?,
             "--out-prefix" => a.out_prefix = args.value("--out-prefix")?,
-            "--gate" => a.gate = Some(args.value("--gate")?),
-            "--smoke" => a.smoke = true,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -94,7 +77,7 @@ fn parse_opts(mut args: Args) -> Result<Opts, String> {
     Ok(a)
 }
 
-/// One profiled run's outputs and gate metrics.
+/// One profiled run's outputs and counts.
 struct RunOutput {
     folded: String,
     stages: String,
@@ -232,7 +215,7 @@ fn epollsrv_params(scale: u64) -> ScaleParams {
     }
 }
 
-/// A (workload, interposer) gate row.
+/// A (workload, interposer) row.
 struct Row {
     workload: String,
     interposer: String,
@@ -258,92 +241,10 @@ fn rows_json(opts: &Opts, rows: &[Row]) -> String {
     s
 }
 
-/// Compares measured rows against a committed baseline; returns the list
-/// of violations (empty = gate passes). Instruction, sample and syscall
-/// counts are architectural, so any difference is a violation.
-fn gate(baseline_path: &str, rows: &[Row]) -> Result<Vec<String>, String> {
-    let v = cli::read_json(baseline_path)?;
-    let base_rows = v
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| format!("{baseline_path} has no rows array"))?;
-    let mut violations = Vec::new();
-    // A lossy obs ring skews every counter the gate compares: any dropped
-    // event in the current run fails outright.
-    for r in rows {
-        if r.out.dropped > 0 {
-            violations.push(format!(
-                "{}/{}: obs ring dropped {} events — counters are untrustworthy; grow the ring",
-                r.workload, r.interposer, r.out.dropped
-            ));
-        }
-    }
-    let field = |r: &sjson::Value, k: &str| r.get(k).and_then(|x| x.as_u64());
-    let sfield = |r: &sjson::Value, k: &str| r.get(k).and_then(|x| x.as_str().map(String::from));
-    for b in base_rows {
-        let (Some(w), Some(ip)) = (sfield(b, "workload"), sfield(b, "interposer")) else {
-            continue;
-        };
-        let Some(cur) = rows.iter().find(|r| r.workload == w && r.interposer == ip) else {
-            violations.push(format!("{w}/{ip}: row missing from current run"));
-            continue;
-        };
-        for (metric, now) in [
-            ("instructions", cur.out.instructions),
-            ("samples", cur.out.samples),
-            ("syscalls", cur.out.syscalls),
-        ] {
-            let base = field(b, metric);
-            if base != Some(now) {
-                let base = base.map_or("missing".to_string(), |b| b.to_string());
-                violations.push(format!("{w}/{ip}: {metric} is {now}, baseline {base}"));
-            }
-        }
-    }
-    Ok(violations)
-}
-
-/// CI determinism gate: byte-identical profiles across consecutive runs
-/// and across engines, for the coreutil under `k23` and `ptrace`.
-fn smoke(period: u64, log: Option<&(String, Vec<u8>)>) -> Result<(), String> {
-    for name in ["k23", "ptrace"] {
-        let mut per_engine: Vec<(String, String)> = Vec::new();
-        for engine in ["block", "stepwise"] {
-            let a = profile(name, engine, period, log, run_coreutil)?;
-            let b = profile(name, engine, period, log, run_coreutil)?;
-            if a.folded != b.folded || a.stages != b.stages {
-                return Err(format!(
-                    "{name}/{engine}: consecutive runs produced different profiles"
-                ));
-            }
-            if a.samples == 0 {
-                return Err(format!("{name}/{engine}: no samples captured"));
-            }
-            per_engine.push((a.folded, a.stages));
-        }
-        if per_engine[0] != per_engine[1] {
-            return Err(format!("{name}: block and stepwise profiles differ"));
-        }
-        println!("smoke: {name} ok (deterministic across runs and engines)");
-    }
-    Ok(())
-}
-
 fn run(opts: &Opts) -> Result<ExitCode, String> {
     // The paper collects each application's log once (§5.1); every K23
     // row reuses its workload's log.
-    let offline = opts.smoke || opts.interposers.iter().any(|n| k23::needs_offline(n));
-    let coreutil_site_log = if offline {
-        let log = cli::collect_log(&mut boot_kernel_from(cli::world()), COREUTIL, run_coreutil)?;
-        Some(log.file())
-    } else {
-        None
-    };
-    if opts.smoke {
-        smoke(opts.period, coreutil_site_log.as_ref())?;
-        return Ok(ExitCode::SUCCESS);
-    }
-
+    let offline = opts.interposers.iter().any(|n| k23::needs_offline(n));
     let spec = apps::table6_specs(opts.scale)
         .into_iter()
         .next()
@@ -360,7 +261,10 @@ fn run(opts: &Opts) -> Result<ExitCode, String> {
         false,
     );
     let logs = [
-        coreutil_site_log,
+        offline
+            .then(|| cli::collect_log(&mut boot_kernel_from(cli::world()), COREUTIL, run_coreutil))
+            .transpose()?
+            .map(|log| log.file()),
         offline.then(|| bench::macros_::collect_offline_log(&spec)),
         offline.then(|| collect_offline_log_scale(Variant::Epoll, &scale_params)),
     ];
@@ -406,11 +310,6 @@ fn run(opts: &Opts) -> Result<ExitCode, String> {
                 out,
             });
         }
-    }
-
-    if let Some(baseline) = &opts.gate {
-        let ok = format!("{} rows equal to {baseline}", rows.len());
-        return Ok(cli::gate_verdict("simprof", &gate(baseline, &rows)?, &ok));
     }
 
     cli::write(&opts.json_out, rows_json(opts, &rows))?;

@@ -14,7 +14,6 @@
 //!           [--seed N] [--fault] [--checkpoint-period N] [--out FILE]
 //! simrecord --replay FILE [--engine E]     # verify; bisect on divergence
 //! simrecord --navigate FILE --seek N [--engine E]   # time travel
-//! simrecord --smoke                        # CI acceptance gate
 //! ```
 //!
 //! * `--replay` re-executes the header's workload on any engine and
@@ -28,11 +27,6 @@
 //!   below the target through sim-mem page snapshots, and inject-replays
 //!   the remainder from the log (falling back to replay-from-start when
 //!   the chain is broken or restoration fails).
-//! * `--smoke` is the CI gate: records nginx-sim under a fault plan on the
-//!   trace engine, verify-replays on stepwise requiring a byte-identical
-//!   obs stream, round-trips the codec, bisects an artificially perturbed
-//!   log to the exact record index, and checks a navigation seek against a
-//!   replay from the start.
 
 use bench::cli::{self, Args};
 use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
@@ -40,7 +34,7 @@ use interpose::{Interposer, Native};
 use sim_fault::{FaultKind, FaultPlan, SchedPlan, SyscallFault};
 use sim_kernel::{nr, EngineConfig, Kernel, RunExit};
 use sim_loader::boot_kernel_from;
-use sim_record::{first_divergence, first_obs_divergence, obs_lines, Header, Rec, Recording};
+use sim_record::{first_obs_divergence, obs_lines, Header, Recording};
 use std::process::ExitCode;
 use std::rc::Rc;
 
@@ -387,203 +381,12 @@ fn do_navigate(args: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-// ===== Smoke (CI acceptance gate) =====
-
-/// Registers + RIP + clock of the (single) live process.
-fn cpu_state(k: &mut Kernel) -> Result<(u64, Vec<u64>, u64), String> {
-    let pid = *k.pids().first().ok_or("no live process")?;
-    let tid = k
-        .process(pid)
-        .and_then(|p| p.threads.first().map(|t| t.tid))
-        .ok_or("no live thread")?;
-    let cpu = k.cpu_mut(pid, tid).ok_or("no cpu")?;
-    Ok((cpu.rip, cpu.regs.to_vec(), k.clock))
-}
-
-fn smoke() -> Result<(), String> {
-    // 1. Record nginx-sim under a fault plan on the trace engine.
-    let plan = canned_plan("nginx");
-    let seed = default_seed("nginx");
-    let mut run = run_workload(
-        "nginx",
-        seed,
-        EngineConfig::traced().fault(plan.clone()).record(),
-    )?;
-    if let Some(e) = run.err {
-        return Err(format!("recording run failed: {e}"));
-    }
-    let recording = Recording {
-        header: Header {
-            engine: "trace".into(),
-            workload: "nginx".into(),
-            seed,
-            fault_plan: Some(plan.encode()),
-            checkpoint_period: 0,
-        },
-        recs: run.k.take_recording(),
-        obs: run.obs,
-    };
-    if recording.recs.len() < 100 {
-        return Err(format!("log too short: {} records", recording.recs.len()));
-    }
-    if !recording
-        .recs
-        .iter()
-        .any(|r| !matches!(r, Rec::Syscall { .. } | Rec::Exit { .. }))
-    {
-        return Err("fault plan produced no asynchrony records".into());
-    }
-
-    // 2. Codec round trip.
-    let bytes = recording.encode();
-    let back = Recording::decode(&bytes)?;
-    if back != recording {
-        return Err("codec round-trip mismatch".into());
-    }
-    println!(
-        "smoke: codec round-trip ok ({} bytes, {} records, {} obs events)",
-        bytes.len(),
-        recording.recs.len(),
-        recording.obs.len()
-    );
-
-    // 3. Cross-engine replay: trace-recorded log verifies on stepwise with
-    // a byte-identical obs event stream.
-    let log = Rc::new(recording.recs.clone());
-    let rep = run_workload(
-        "nginx",
-        seed,
-        EngineConfig::stepwise()
-            .fault(plan.clone())
-            .replay_verify(Rc::clone(&log)),
-    )?;
-    if let Some(d) = rep.k.record_divergence() {
-        return Err(format!("trace→stepwise replay diverged: {d:?}"));
-    }
-    if let Some(e) = rep.err {
-        return Err(format!("trace→stepwise replay failed: {e}"));
-    }
-    if rep.k.record_cursor() != recording.recs.len() {
-        return Err(format!(
-            "trace→stepwise replay consumed {} of {} records",
-            rep.k.record_cursor(),
-            recording.recs.len()
-        ));
-    }
-    if rep.obs != recording.obs {
-        let at = first_obs_divergence(&recording.obs, &rep.obs);
-        return Err(format!("trace→stepwise obs stream differs at {at:?}"));
-    }
-    println!(
-        "smoke: trace→stepwise replay ok (obs byte-identical, {} events)",
-        rep.obs.len()
-    );
-
-    // 4. An artificially perturbed log bisects to the exact record index,
-    // offline and live.
-    let idx = recording
-        .recs
-        .iter()
-        .position(|r| r.retired() > recording.recs[recording.recs.len() / 2].retired())
-        .unwrap_or(recording.recs.len() / 2);
-    let mut bad = recording.recs.clone();
-    let idx = (idx..bad.len())
-        .find(|&i| matches!(bad[i], Rec::Syscall { .. }))
-        .ok_or("no syscall record to perturb")?;
-    let expect_retired = bad[idx].retired();
-    if let Rec::Syscall { ret, .. } = &mut bad[idx] {
-        *ret = ret.wrapping_add(1);
-    }
-    let d = first_divergence(&recording.recs, &bad).ok_or("bisection found nothing")?;
-    if d.index != idx || d.retired != expect_retired {
-        return Err(format!(
-            "bisection missed: expected record {idx} (retired {expect_retired}), got {d:?}"
-        ));
-    }
-    let rep = run_workload(
-        "nginx",
-        seed,
-        EngineConfig::stepwise()
-            .fault(plan.clone())
-            .replay_verify(Rc::new(bad)),
-    )?;
-    let live = rep
-        .k
-        .record_divergence()
-        .ok_or("live verifier missed the perturbation")?;
-    if live.index != idx || live.retired != expect_retired {
-        return Err(format!(
-            "live verifier halted at record {} (retired {}), expected {idx} ({expect_retired})",
-            live.index, live.retired
-        ));
-    }
-    println!(
-        "smoke: perturbed log bisected to record {idx} (retired instruction {expect_retired}, {} probes; live verifier agrees)",
-        d.probes
-    );
-
-    // 5. Navigation: a checkpoint-seeded seek reproduces the architectural
-    // state of a replay from the start.
-    let iters = default_seed("micro");
-    let mut rec_run = run_workload(
-        "micro",
-        iters,
-        EngineConfig::new().record_with_checkpoints(2_000),
-    )?;
-    if let Some(e) = rec_run.err {
-        return Err(format!("navigation record failed: {e}"));
-    }
-    if !rec_run.k.record_chain_ok() {
-        return Err("navigation record broke the checkpoint chain".into());
-    }
-    let log = Rc::new(rec_run.k.take_recording());
-    let ckpts = rec_run.k.take_checkpoints();
-    let total = rec_run.k.retired();
-    if ckpts.len() < 2 {
-        return Err(format!(
-            "expected ≥ 2 checkpoints over {total} retired instructions"
-        ));
-    }
-    let target = ckpts[1].retired + 123;
-    let reference = {
-        let mut k = boot_kernel_from(cli::world());
-        setup_single("micro", iters, &mut k)?;
-        k.configure(EngineConfig::stepwise().replay_inject(Rc::clone(&log)));
-        k.run_to_retired(target, BUDGET);
-        cpu_state(&mut k)?
-    };
-    let sought = {
-        let mut k = boot_kernel_from(cli::world());
-        setup_single("micro", iters, &mut k)?;
-        k.configure(EngineConfig::new().replay_inject(Rc::clone(&log)));
-        let at = ckpts
-            .iter()
-            .rposition(|c| c.retired <= target)
-            .ok_or("no checkpoint below target")?;
-        k.restore_to_checkpoint(&ckpts, at)
-            .map_err(|e| format!("restore: {e}"))?;
-        k.run_to_retired(target, BUDGET);
-        cpu_state(&mut k)?
-    };
-    if sought != reference {
-        return Err(format!(
-            "navigation seek state mismatch: sought {sought:?} vs reference {reference:?}"
-        ));
-    }
-    println!(
-        "smoke: navigation seek to retired instruction {target} matches replay-from-start (restored checkpoint at {})",
-        ckpts[1].retired
-    );
-    Ok(())
-}
-
 // ===== Argument parsing =====
 
 enum Mode {
     Record,
     Replay,
     Navigate,
-    Smoke,
 }
 
 struct Opts {
@@ -600,7 +403,7 @@ struct Opts {
 
 fn parse_opts(mut args: Args) -> Result<Opts, String> {
     let mut a = Opts {
-        mode: Mode::Smoke,
+        mode: Mode::Record,
         engine: "block".to_string(),
         workload: "micro".to_string(),
         seed: 0,
@@ -622,7 +425,6 @@ fn parse_opts(mut args: Args) -> Result<Opts, String> {
                 mode = Some(Mode::Navigate);
                 a.file = args.value("--navigate")?;
             }
-            "--smoke" => mode = Some(Mode::Smoke),
             "--engine" => a.engine = args.value("--engine")?,
             "--workload" => a.workload = args.value("--workload")?,
             "--seed" => seed = Some(args.parse("--seed")?),
@@ -633,8 +435,7 @@ fn parse_opts(mut args: Args) -> Result<Opts, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    a.mode =
-        mode.ok_or("pick one of --record, --replay FILE, --navigate FILE --seek N, --smoke")?;
+    a.mode = mode.ok_or("pick one of --record, --replay FILE, --navigate FILE --seek N")?;
     a.seed = seed.unwrap_or_else(|| default_seed(&a.workload));
     Ok(a)
 }
@@ -644,7 +445,6 @@ fn main() -> ExitCode {
         Mode::Record => do_record(&opts),
         Mode::Replay => do_replay(&opts),
         Mode::Navigate => do_navigate(&opts),
-        Mode::Smoke => smoke().map(|()| ExitCode::SUCCESS),
     });
     cli::exit("simrecord", res)
 }

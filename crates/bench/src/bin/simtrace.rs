@@ -7,7 +7,7 @@
 //! simtrace [--interposer NAME] [--engine block|stepwise|trace]
 //!          [--app PATH | --micro N]
 //!          [--trace-out PATH] [--summary-out PATH]
-//!          [--no-micro-events] [--selfcheck] [--compare]
+//!          [--no-micro-events] [--compare]
 //! ```
 //!
 //! * `--interposer` — one of `native`, `ptrace`, `sud`, `sud-armed`,
@@ -20,8 +20,6 @@
 //! * `--app` — VFS path of a coreutil installed by `apps::install_world`
 //!   (default `/usr/bin/ls-sim`); `--micro N` instead runs the Table 5
 //!   syscall-500 stress loop for `N` iterations.
-//! * `--selfcheck` — re-parse the written trace with `sjson` and require
-//!   at least one syscall span (CI smoke gate); exits non-zero on failure.
 //! * `--compare` — additionally measure per-iteration microbenchmark
 //!   cycles under the main mechanisms and print the overhead ordering.
 
@@ -40,7 +38,6 @@ struct Opts {
     trace_out: String,
     summary_out: String,
     micro_events: bool,
-    selfcheck: bool,
     compare: bool,
 }
 
@@ -53,7 +50,6 @@ fn parse_opts(mut args: Args) -> Result<Opts, String> {
         trace_out: "SIMTRACE_trace.json".to_string(),
         summary_out: "SIMTRACE_summary.txt".to_string(),
         micro_events: true,
-        selfcheck: false,
         compare: false,
     };
     while let Some(flag) = args.flag() {
@@ -65,7 +61,6 @@ fn parse_opts(mut args: Args) -> Result<Opts, String> {
             "--trace-out" => a.trace_out = args.value("--trace-out")?,
             "--summary-out" => a.summary_out = args.value("--summary-out")?,
             "--no-micro-events" => a.micro_events = false,
-            "--selfcheck" => a.selfcheck = true,
             "--compare" => a.compare = true,
             other => return Err(format!("unknown flag {other}")),
         }
@@ -152,26 +147,6 @@ fn compare_table(n: u64) -> Result<String, String> {
     Ok(s)
 }
 
-/// Parses the written trace back and checks it contains ≥ 1 syscall span.
-fn selfcheck(trace_path: &str) -> Result<u64, String> {
-    let events = cli::read_json(trace_path)?;
-    let events = events
-        .get("traceEvents")
-        .and_then(|t| t.as_array())
-        .ok_or_else(|| format!("{trace_path} has no traceEvents array"))?;
-    let spans = events
-        .iter()
-        .filter(|e| {
-            e.get("ph").and_then(|p| p.as_str()) == Some("B")
-                && e.get("cat").and_then(|c| c.as_str()) == Some("syscall")
-        })
-        .count() as u64;
-    if spans == 0 {
-        return Err(format!("{trace_path} contains no syscall spans"));
-    }
-    Ok(spans)
-}
-
 fn run(opts: &Opts) -> Result<ExitCode, String> {
     let rec = traced_run(opts)?;
     cli::write(&opts.trace_out, rec.chrome_trace_json())?;
@@ -184,17 +159,12 @@ fn run(opts: &Opts) -> Result<ExitCode, String> {
         rec.summary()
     );
     if opts.compare {
-        let n = (2_000 / bench::scale().max(1)).max(200);
+        let n = (2_000 / bench::scale()).max(200);
         summary.push_str(&compare_table(n)?);
     }
     cli::write(&opts.summary_out, &summary)?;
     print!("{summary}");
     println!("wrote {} and {}", opts.trace_out, opts.summary_out);
-
-    if opts.selfcheck {
-        let spans = selfcheck(&opts.trace_out).map_err(|e| format!("selfcheck failed: {e}"))?;
-        println!("selfcheck: ok ({spans} syscall spans)");
-    }
     Ok(ExitCode::SUCCESS)
 }
 

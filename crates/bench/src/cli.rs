@@ -4,8 +4,7 @@
 //! failure through [`exit`]. It builds its kernels from the pieces here:
 //! the engine table, the mechanism registry, the one guest world, the K23
 //! offline phase ([`collect_log`]) and its log transplant
-//! ([`install_log`]). Gates read and write their baselines through
-//! [`read_json`], [`write()`] and [`gate_verdict`].
+//! ([`install_log`]). Output files go through [`write()`].
 
 use interpose::Interposer;
 use k23::{OfflineSession, SiteLog};
@@ -142,28 +141,9 @@ pub fn run_to_exit(
     Ok(())
 }
 
-/// Reads a committed JSON baseline.
-pub fn read_json(path: &str) -> Result<sjson::Value, String> {
-    let data = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    sjson::parse(&data).map_err(|e| format!("{path}: bad JSON: {e}"))
-}
-
 /// Writes an output file.
 pub fn write(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("write {path}: {e}"))
-}
-
-/// A gate's verdict: every violation prints as `bin: REGRESSION …` and
-/// the gate fails; with none it prints `gate: ok (ok)` and passes.
-pub fn gate_verdict(bin: &str, violations: &[String], ok: &str) -> ExitCode {
-    if violations.is_empty() {
-        println!("gate: ok ({ok})");
-        return ExitCode::SUCCESS;
-    }
-    for v in violations {
-        eprintln!("{bin}: REGRESSION {v}");
-    }
-    ExitCode::FAILURE
 }
 
 #[cfg(test)]
@@ -178,12 +158,12 @@ mod tests {
 
     #[test]
     fn args_read_flags_values_and_parsed_values() {
-        let mut a = args(&["--engine", "trace", "--period", "64", "--smoke"]);
+        let mut a = args(&["--engine", "trace", "--period", "64", "--compare"]);
         assert_eq!(a.flag().as_deref(), Some("--engine"));
         assert_eq!(a.value("--engine").as_deref(), Ok("trace"));
         assert_eq!(a.flag().as_deref(), Some("--period"));
         assert_eq!(a.parse::<u64>("--period"), Ok(64));
-        assert_eq!(a.flag().as_deref(), Some("--smoke"));
+        assert_eq!(a.flag().as_deref(), Some("--compare"));
         assert_eq!(a.flag(), None);
     }
 

@@ -20,7 +20,8 @@
 //! offline-log collection and transplant. `simaudit` regenerates the
 //! committed `MATRIX_simaudit.txt` coverage ledger.
 //!
-//! Scale with `K23_BENCH_SCALE` (default 10; 1 = full size, larger = faster).
+//! Scale with `K23_BENCH_SCALE` (default 10; 1 = full size, larger = faster;
+//! a value that is not a positive integer is an error).
 
 pub mod audit;
 pub mod cli;
@@ -33,13 +34,25 @@ pub mod table2;
 
 pub use config::Config;
 
-/// Reads the scale divisor from `K23_BENCH_SCALE` (default 10).
+/// The scale divisor `K23_BENCH_SCALE`, 10 when unset.
+///
+/// Any other value that is not a positive integer ends the process with
+/// exit status 1 and a message naming the variable and the value, so a
+/// typo never publishes tables at the default scale.
 pub fn scale() -> u64 {
-    std::env::var("K23_BENCH_SCALE")
+    let value = std::env::var_os("K23_BENCH_SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale(value.as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    })
+}
+
+fn parse_scale(value: Option<&str>) -> Result<u64, String> {
+    let Some(v) = value else { return Ok(10) };
+    v.parse()
         .ok()
-        .and_then(|s| s.parse().ok())
         .filter(|s| *s > 0)
-        .unwrap_or(10)
+        .ok_or_else(|| format!("K23_BENCH_SCALE={v:?} is not a positive integer"))
 }
 
 /// Formats a ratio like the paper's Table 5 ("1.2788x").
@@ -50,4 +63,23 @@ pub fn fmt_ratio(r: f64) -> String {
 /// Formats a relative-throughput percentage like Table 6 ("98.62").
 pub fn fmt_rel(r: f64) -> String {
     format!("{:.2}", r * 100.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn scale_is_ten_when_unset_and_rejects_anything_but_a_positive_integer() {
+        assert_eq!(parse_scale(None), Ok(10));
+        assert_eq!(parse_scale(Some("1")), Ok(1));
+        assert_eq!(parse_scale(Some("100")), Ok(100));
+        for bad in ["1O", "0", "-5", "", " 10", "2.5"] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("K23_BENCH_SCALE") && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
+        }
+    }
 }

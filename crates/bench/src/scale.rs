@@ -483,84 +483,3 @@ pub fn render_matrix(m: &ScaleMatrix) -> String {
     out.push_str(&format!("merged event digest: {:016x}\n", m.merged_digest));
     out
 }
-
-/// Gate checks against a committed `BENCH_scale.json`:
-///
-/// 1. the committed matrix itself must satisfy the scaling criterion
-///    (epoll >= 5x poll at the top connection count under K23), and
-/// 2. a fresh epoll-under-K23 run at the smallest committed connection
-///    count must reproduce the committed cell's `requests` and `cycles`
-///    exactly: both are simulated counts, the same on every host.
-///
-/// # Errors
-///
-/// A human-readable description of the first failed check.
-pub fn gate(baseline: &sjson::Value) -> Result<String, String> {
-    let cells = baseline
-        .get("cells")
-        .and_then(|c| c.as_array())
-        .ok_or("baseline has no cells")?;
-    let max_conns = baseline
-        .get("max_conns")
-        .and_then(|v| v.as_u64())
-        .ok_or("baseline has no max_conns")?;
-    let lookup = |variant: &str, conns: u64| {
-        cells.iter().find(|c| {
-            c.get("variant").and_then(|v| v.as_str()) == Some(variant)
-                && c.get("config").and_then(|v| v.as_str()) == Some(Config::K23Default.label())
-                && c.get("conns").and_then(|v| v.as_u64()) == Some(conns)
-        })
-    };
-    let field = |c: &sjson::Value, k: &str| c.get(k).and_then(|v| v.as_f64());
-    let e = lookup("epoll", max_conns)
-        .and_then(|c| field(c, "throughput_per_gcycle"))
-        .ok_or("baseline missing epoll K23 cell at max conns")?;
-    let p = lookup("poll", max_conns)
-        .and_then(|c| field(c, "throughput_per_gcycle"))
-        .ok_or("baseline missing poll K23 cell at max conns")?;
-    if e < 5.0 * p {
-        return Err(format!(
-            "committed criterion violated: epoll {e:.1} < 5x poll {p:.1} at c={max_conns}"
-        ));
-    }
-    // Re-measure the epoll K23 floor cell at the committed parameters.
-    let params = baseline.get("params").ok_or("baseline has no params")?;
-    let get = |k: &str| params.get(k).and_then(|v| v.as_u64());
-    let committed = ScaleParams {
-        requests: get("requests").ok_or("params.requests")? as u32,
-        active: get("active").ok_or("params.active")? as u32,
-        resp64: get("resp64").ok_or("params.resp64")? as u8,
-        server_work: get("server_work").ok_or("params.server_work")? as u8,
-        workers: get("workers").ok_or("params.workers")? as u8,
-    };
-    let min_conns = baseline
-        .get("conn_counts")
-        .and_then(|v| v.as_array())
-        .and_then(|a| a.iter().filter_map(|v| v.as_u64()).min())
-        .ok_or("baseline has no conn_counts")?;
-    let floor = lookup("epoll", min_conns).ok_or("baseline missing epoll K23 floor cell")?;
-    let count = |k: &str| floor.get(k).and_then(|v| v.as_u64());
-    let (Some(requests), Some(cycles)) = (count("requests"), count("cycles")) else {
-        return Err("epoll K23 floor cell has no requests/cycles".into());
-    };
-    let cell = ScaleCell {
-        variant: Variant::Epoll,
-        conns: min_conns as u32,
-        config: Config::K23Default,
-    };
-    let mut logs = BTreeMap::new();
-    logs.insert(
-        Variant::Epoll.label(),
-        collect_offline_log_scale(Variant::Epoll, &committed),
-    );
-    let fresh = run_cell(&cell, &committed, &logs);
-    if (fresh.requests, fresh.cycles) != (requests, cycles) {
-        return Err(format!(
-            "epoll K23 floor cell at c={min_conns} drifted: {} requests in {} cycles, committed {requests} in {cycles}",
-            fresh.requests, fresh.cycles
-        ));
-    }
-    Ok(format!(
-        "scale gate ok: criterion {e:.1} >= 5x {p:.1} at c={max_conns}; floor cell {requests} requests in {cycles} cycles, as committed"
-    ))
-}

@@ -196,10 +196,6 @@ impl Interposer for K23 {
         k.spawn(path, argv, &env, Some((tracer, K23::trace_opts())))
     }
 
-    fn attribution_path(&self) -> Option<String> {
-        Some(K23_LIB.to_string())
-    }
-
     fn forward_symbols(&self) -> Vec<String> {
         vec![
             "libk23.so:__k23_forward".to_string(),

@@ -70,12 +70,6 @@ pub trait Interposer {
         env: &[String],
     ) -> Result<Pid, i64>;
 
-    /// The guest path syscalls are attributed to when they are issued by
-    /// this mechanism's handler library, if any.
-    fn attribution_path(&self) -> Option<String> {
-        None
-    }
-
     /// Fully-qualified symbol names (`"lib basename:symbol"`) of the
     /// handler's *forwarding* `syscall` instructions. Every interposed call
     /// is re-issued from one of these exact sites, so counting executions at

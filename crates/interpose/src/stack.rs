@@ -386,10 +386,6 @@ impl Interposer for InterposerStack {
         Ok(pid)
     }
 
-    fn attribution_path(&self) -> Option<String> {
-        self.base.attribution_path()
-    }
-
     fn forward_symbols(&self) -> Vec<String> {
         self.base.forward_symbols()
     }

@@ -129,10 +129,6 @@ impl Interposer for SudInterposer {
         k.spawn(path, argv, &env, None)
     }
 
-    fn attribution_path(&self) -> Option<String> {
-        Some(SUD_LIB.to_string())
-    }
-
     fn forward_symbols(&self) -> Vec<String> {
         vec!["libsud-interpose.so:__interpose_forward".to_string()]
     }

@@ -213,10 +213,6 @@ impl Interposer for Lazypoline {
         k.spawn(path, argv, &env, None)
     }
 
-    fn attribution_path(&self) -> Option<String> {
-        Some(LAZYPOLINE_LIB.to_string())
-    }
-
     fn forward_symbols(&self) -> Vec<String> {
         vec![
             "liblazypoline.so:__lp_forward".to_string(),

@@ -256,10 +256,6 @@ impl Interposer for Zpoline {
         k.spawn(path, argv, &env, None)
     }
 
-    fn attribution_path(&self) -> Option<String> {
-        Some(ZPOLINE_LIB.to_string())
-    }
-
     fn forward_symbols(&self) -> Vec<String> {
         vec!["libzpoline.so:__zp_forward".to_string()]
     }

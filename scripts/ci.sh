@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full test suite, lint and rustdoc with warnings
-# denied.
+# CI gate: release build, the tier-1 suite, lint and rustdoc with warnings
+# denied, the paper tables against RESULTS.txt, the benchmark's self-checks
+# and the one host-time floor.
+# Every committed MATRIX_* and BENCH_* artifact is pinned by `cargo test`
+# (BENCH_simperf.json's host-time floor aside); this script runs no `sim*`
+# sweep of its own.
 # Run from anywhere; the script cd's to the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,70 +23,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --document-private-items, warnings denied"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
 
-echo "==> simtrace smoke (coreutil under K23, self-checked trace)"
-cargo run --release -q -p bench --bin simtrace -- \
-    --interposer k23 --selfcheck \
-    --trace-out target/SIMTRACE_smoke.json \
-    --summary-out target/SIMTRACE_smoke.txt
-
-# Re-runs the first failing cell a sweep printed (`  <bin> --replay <spec>
-# '<plan>'`); the replay must fail again.
-replay_first_failure() {
-    local bin=$1 spec plan out
-    read -r spec plan < <(grep -m1 -- "$bin --replay" "$2" | sed -E "s/^ *$bin --replay ([^ ]+) '(.*)'$/\1 \2/")
-    out=$(cargo run --release -q -p bench --bin "$bin" -- --replay "$spec" "$plan")
-    if ! grep -q '^  verdict:  FAILED$' <<<"$out"; then
-        echo "$bin --replay $spec '$plan' did not fail again:" >&2
-        echo "$out" >&2
-        exit 1
-    fi
-}
-
-echo "==> simfault smoke (fault matrix, byte-determinism check, first failing cell replays)"
-cargo run --release -q -p bench --bin simfault > target/SIMFAULT_smoke_a.txt
-cargo run --release -q -p bench --bin simfault > target/SIMFAULT_smoke_b.txt
-cmp target/SIMFAULT_smoke_a.txt target/SIMFAULT_smoke_b.txt
-replay_first_failure simfault target/SIMFAULT_smoke_a.txt
-
-echo "==> simstack smoke (composed-stack matrix + propagation, byte-determinism check, pinned to MATRIX_simstack.txt, first failing cell replays)"
-cargo run --release -q -p bench --bin simstack > target/SIMSTACK_smoke_a.txt
-cargo run --release -q -p bench --bin simstack > target/SIMSTACK_smoke_b.txt
-cmp target/SIMSTACK_smoke_a.txt target/SIMSTACK_smoke_b.txt
-cmp target/SIMSTACK_smoke_a.txt MATRIX_simstack.txt
-replay_first_failure simstack target/SIMSTACK_smoke_a.txt
-
-echo "==> simaudit smoke (coverage matrix + JSON export, byte-determinism check, pinned to MATRIX_simaudit.txt on every engine, K23 coreutil cell replays)"
-cargo run --release -q -p bench --bin simaudit -- --json target/SIMAUDIT_smoke_a.json > target/SIMAUDIT_smoke_a.txt
-cargo run --release -q -p bench --bin simaudit -- --json target/SIMAUDIT_smoke_b.json > target/SIMAUDIT_smoke_b.txt
-cmp target/SIMAUDIT_smoke_a.txt target/SIMAUDIT_smoke_b.txt
-cmp target/SIMAUDIT_smoke_a.json target/SIMAUDIT_smoke_b.json
-cmp target/SIMAUDIT_smoke_a.txt MATRIX_simaudit.txt
-for engine in stepwise trace; do
-    cargo run --release -q -p bench --bin simaudit -- --engine "$engine" > "target/SIMAUDIT_$engine.txt"
-    cmp "target/SIMAUDIT_$engine.txt" MATRIX_simaudit.txt
-done
-cargo run --release -q -p bench --bin simaudit -- --replay k23 coreutil > target/SIMAUDIT_replay.txt
-grep -q 'coverage 100.0%' target/SIMAUDIT_replay.txt
-
-echo "==> diagnostics reject an unknown flag"
-for bin in simaudit simfault simperf simprof simrecord simscale simstack simtrace; do
-    if "target/release/$bin" --no-such-flag 2>/dev/null; then
-        echo "$bin accepted an unknown flag" >&2
-        exit 1
-    fi
-done
-
-echo "==> simscale smoke (connection-scale matrix, byte-determinism across thread counts)"
-cargo run --release -q -p bench --bin simscale -- --smoke --threads 1 --json target/SIMSCALE_smoke_a.json > target/SIMSCALE_smoke_a.txt
-cargo run --release -q -p bench --bin simscale -- --smoke --threads 4 --json target/SIMSCALE_smoke_b.json > target/SIMSCALE_smoke_b.txt
-cmp target/SIMSCALE_smoke_a.txt target/SIMSCALE_smoke_b.txt
-cmp target/SIMSCALE_smoke_a.json target/SIMSCALE_smoke_b.json
-
-echo "==> simprof smoke (profiler determinism across runs and engines)"
-cargo run --release -q -p bench --bin simprof -- --smoke
-
-echo "==> simrecord smoke (record on trace, replay on stepwise, bisection, navigation)"
-cargo run --release -q -p bench --bin simrecord -- --smoke
+# Refresh after an intentional change with
+#   K23_BENCH_SCALE=10 cargo run --release -q -p bench --bin all > RESULTS.txt
+echo "==> paper tables at scale 10 (bench --bin all) vs RESULTS.txt"
+K23_BENCH_SCALE=10 target/release/all | cmp - RESULTS.txt
 
 echo "==> perfbench self-tests (the benchmark still builds against the crates' public API)"
 cargo test --manifest-path perfbench/Cargo.toml
@@ -104,7 +48,15 @@ perfbench_correct --workload epoll-10k
 perfbench_correct --workload observed-server --seed 1
 perfbench_correct --workload paper-tables
 
-echo "==> bench gate (profiler counts vs BENCH_simprof.json, engine throughput + determinism vs BENCH_simperf.json)"
-scripts/bench_gate.sh
+# Host time is not a simulated output, so no test can pin it. The gate
+# checks the engines' determinism and that block/trace inst/s stay above
+# half of the committed BENCH_simperf.json. Refresh after an intentional
+# change with
+#   cargo run --release -q -p bench --bin simperf -- --json BENCH_simperf.json
+# which drops the file's frozen `before`/`speedup` record of the deleted
+# pre-fast-path engine (the gate reads only `determinism`, `block` and
+# `after`).
+echo "==> simperf gate (engine determinism + throughput floor vs BENCH_simperf.json)"
+cargo run --release -q -p bench --bin simperf -- --gate BENCH_simperf.json
 
 echo "==> ci.sh: all green"

@@ -1,8 +1,10 @@
-//! Shared fixtures for the integration tests in `tests/tests/`.
+//! Shared fixtures for the integration tests in `tests/tests/` and
+//! `crates/bench/tests/`.
 //!
 //! The multi-core self-modifying-code (SMC) guest lives here so both the
 //! engine-determinism suite and the observability suite can drive the
-//! same worst-case workload.
+//! same worst-case workload, and so does [`assert_pinned`], the byte
+//! comparison every pin of a committed artifact makes.
 
 use std::collections::BTreeMap;
 
@@ -109,4 +111,25 @@ pub fn smc_guest_param(iters: u64, spin1: u64, spin2: u64) -> (Vec<u8>, u64) {
 /// The canonical SMC guest used by the determinism regression.
 pub fn smc_guest() -> (Vec<u8>, u64) {
     smc_guest_param(300, 2_000, 4_000)
+}
+
+/// Panics unless a fresh run's output `fresh` equals `committed`, the
+/// bytes of the committed artifact `file`. The message names the first
+/// differing line and `regen`, the command that regenerates the file.
+pub fn assert_pinned(fresh: &str, committed: &str, file: &str, regen: &str) {
+    if fresh == committed {
+        return;
+    }
+    let line = fresh
+        .lines()
+        .zip(committed.lines())
+        .position(|(f, c)| f != c)
+        .unwrap_or_else(|| fresh.lines().count().min(committed.lines().count()));
+    panic!(
+        "{file} differs from a fresh run at line {}:\n  committed: {:?}\n  fresh:     {:?}\n\
+         regenerate it with `{regen}`",
+        line + 1,
+        committed.lines().nth(line),
+        fresh.lines().nth(line),
+    );
 }

@@ -2,13 +2,17 @@
 //! known shadows with the right pitfall signatures (exec gaps → P1a, SUD
 //! disarm → P1b, vDSO reads attributed only to mechanisms that leave the
 //! vDSO in place), is byte-identical across all three engines, renders
-//! the committed `MATRIX_simaudit.txt`, and stays entirely absent when no
-//! audit session is configured.
+//! the committed `MATRIX_simaudit.txt` on each of them, and stays entirely
+//! absent when no audit session is configured.
 
-use bench::audit::{full_audit_matrix, render_audit_matrix, run_cell, server_spec, COREUTIL};
+use bench::audit::{
+    full_audit_matrix, matrix_json, render_audit_matrix, run_cell, server_spec, AuditRow, COREUTIL,
+};
+use k23_tests::assert_pinned;
 use pitfalls::{signature_pitfall, Pitfall};
 use sim_kernel::{EngineConfig, RunExit, Signature};
 use sim_loader::boot_kernel;
+use std::sync::OnceLock;
 
 /// The hostile workload's execve gap classifies as `P1a-exec` for a
 /// preload mechanism (the env-cleared victim sheds `libzpoline.so`),
@@ -100,13 +104,44 @@ fn ledger_is_identical_across_engines() {
     );
 }
 
-/// The block-engine sweep renders exactly the committed
-/// `MATRIX_simaudit.txt`.
+/// The block-engine sweep, run once per test process and shared by the
+/// three engine pins.
+fn block_sweep() -> &'static [AuditRow] {
+    static ROWS: OnceLock<Vec<AuditRow>> = OnceLock::new();
+    ROWS.get_or_init(|| full_audit_matrix(&EngineConfig::new()).unwrap())
+}
+
+/// Requires an engine's sweep to render exactly the committed
+/// `MATRIX_simaudit.txt` and to export (`simaudit --json`) the same JSON
+/// as the block engine's sweep.
+fn assert_sweep_pinned(rows: &[AuditRow]) {
+    let server = server_spec().name;
+    assert_pinned(
+        &render_audit_matrix(rows, &server),
+        include_str!("../../MATRIX_simaudit.txt"),
+        "MATRIX_simaudit.txt",
+        "cargo run --release -p bench --bin simaudit -- --out MATRIX_simaudit.txt",
+    );
+    assert!(
+        matrix_json(rows, &server).to_string_pretty()
+            == matrix_json(block_sweep(), &server).to_string_pretty(),
+        "the --json export differs from the block engine's"
+    );
+}
+
 #[test]
 fn block_sweep_matches_the_committed_matrix() {
-    let rows = full_audit_matrix(&EngineConfig::new()).unwrap();
-    let fresh = render_audit_matrix(&rows, &server_spec().name);
-    assert_eq!(fresh, include_str!("../../MATRIX_simaudit.txt"));
+    assert_sweep_pinned(block_sweep());
+}
+
+#[test]
+fn stepwise_sweep_matches_the_committed_matrix() {
+    assert_sweep_pinned(&full_audit_matrix(&EngineConfig::stepwise()).unwrap());
+}
+
+#[test]
+fn trace_sweep_matches_the_committed_matrix() {
+    assert_sweep_pinned(&full_audit_matrix(&EngineConfig::traced()).unwrap());
 }
 
 /// A kernel with no audit session configured exposes no ledger — the

@@ -1,11 +1,13 @@
 //! sim-fault integration: the same seeded [`FaultPlan`] is architectural —
 //! both engines observe every injection at the identical instruction and
 //! emit byte-identical event streams; a zero-fault plan is invisible to the
-//! guest; and the fault-resilience matrix verdicts are pinned.
+//! guest; and the fault-resilience matrix verdicts are pinned, as is its
+//! rendering, the committed `MATRIX_simfault.txt`.
 
+use k23_tests::assert_pinned;
 use pitfalls::fault::{
-    build_fault_probe, full_fault_matrix, plan_for, run_probe, run_probe_on, Scenario, MECHANISMS,
-    PROBE_PATH,
+    build_fault_probe, full_fault_matrix, plan_for, render_fault_matrix, run_probe, run_probe_on,
+    Scenario, MECHANISMS, PROBE_PATH,
 };
 use proptest::prelude::*;
 use sim_fault::FaultPlan;
@@ -88,14 +90,16 @@ proptest! {
 /// application's), while ptrace and binary rewriting forward it natively.
 /// lazypoline dies on the first not-yet-rewritten handler site and K23's
 /// offline phase never observes handler-only sites, so both inherit the
-/// SUD fallback hazard.
+/// SUD fallback hazard. The same sweep renders exactly the committed
+/// `MATRIX_simfault.txt`, the default `simfault` output.
 #[test]
 fn fault_matrix_verdicts_are_pinned() {
     let expected = |mech: &str, scenario: Scenario| match scenario {
         Scenario::Errno | Scenario::Sched | Scenario::PermFlip => true,
         Scenario::Signal => matches!(mech, "ptrace" | "zpoline"),
     };
-    for cell in full_fault_matrix(7) {
+    let cells = full_fault_matrix(7);
+    for cell in &cells {
         assert_eq!(cell.baseline_exit, Some(0), "{}: baseline must be clean", cell.mech);
         assert_eq!(
             cell.survived,
@@ -107,6 +111,12 @@ fn fault_matrix_verdicts_are_pinned() {
             cell.plan.encode()
         );
     }
+    assert_pinned(
+        &render_fault_matrix(7, &cells),
+        include_str!("../../MATRIX_simfault.txt"),
+        "MATRIX_simfault.txt",
+        "cargo run --release -p bench --bin simfault > MATRIX_simfault.txt",
+    );
 }
 
 /// The probe image itself stays well-formed: entry symbol present and the

@@ -5,14 +5,16 @@
 //! per-layer fork/execve propagation counts are exact; the default sweep
 //! renders the committed `MATRIX_simstack.txt`.
 
+use k23_tests::assert_pinned;
 use pitfalls::fault::{plan_for, run_probe, run_probe_on, ProbeRun, Scenario};
 use pitfalls::stack::{
-    full_stack_matrix, probe_propagation, render_propagation, render_stack_matrix,
+    full_stack_matrix, probe_propagation, render_propagation, render_stack_matrix, StackCell,
 };
 use proptest::prelude::*;
 use sim_fault::FaultPlan;
 use sim_kernel::EngineConfig;
 use sim_obs::ObsConfig;
+use std::sync::OnceLock;
 
 /// Runs the fault probe under `spec`, traced, on the chosen engine.
 fn traced(spec: &str, plan: Option<&FaultPlan>, cfg: EngineConfig) -> (String, ProbeRun) {
@@ -49,12 +51,10 @@ proptest! {
 /// The composed matrix verdicts at the default seed are pinned: the
 /// signal scenario kills exactly the naive-recorder stacks plus the
 /// stacks whose *base* already dies under it, and only the recorder
-/// failures are composition-only. Sweeping twice renders byte-identical
-/// text (the `simstack` double-run determinism contract).
+/// failures are composition-only.
 #[test]
 fn stack_matrix_verdicts_are_pinned() {
-    let cells = full_stack_matrix(7);
-    for c in &cells {
+    for c in default_sweep() {
         let expect_fail = c.scenario == Scenario::Signal
             && matches!(
                 c.spec,
@@ -77,20 +77,31 @@ fn stack_matrix_verdicts_are_pinned() {
             c.scenario
         );
     }
-    let again = full_stack_matrix(7);
-    assert_eq!(render_stack_matrix(7, &cells), render_stack_matrix(7, &again));
+}
+
+/// The composed matrix at the default seed, swept once per test process
+/// and shared by the verdict pin and the byte pin.
+fn default_sweep() -> &'static [StackCell] {
+    static CELLS: OnceLock<Vec<StackCell>> = OnceLock::new();
+    CELLS.get_or_init(|| full_stack_matrix(7))
 }
 
 /// The default `simstack` sweep (matrix, blank line, propagation report)
-/// renders exactly the committed `MATRIX_simstack.txt`.
+/// renders exactly the committed `MATRIX_simstack.txt`; a byte pin also
+/// holds the sweep to the `simstack` double-run determinism contract.
 #[test]
 fn default_sweep_matches_the_committed_matrix() {
     let fresh = format!(
         "{}\n{}",
-        render_stack_matrix(7, &full_stack_matrix(7)),
+        render_stack_matrix(7, default_sweep()),
         render_propagation()
     );
-    assert_eq!(fresh, include_str!("../../MATRIX_simstack.txt"));
+    assert_pinned(
+        &fresh,
+        include_str!("../../MATRIX_simstack.txt"),
+        "MATRIX_simstack.txt",
+        "cargo run --release -p bench --bin simstack > MATRIX_simstack.txt",
+    );
 }
 
 /// The nested-sigreturn hazard cell replays identically across the block
