@@ -29,7 +29,7 @@
 //! memory), which no longer exists to re-measure.
 
 use bench::cli::{self, Args};
-use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
+use bench::micro::{install_micro, MICRO_APP};
 use interpose::{Interposer, Native};
 use sim_kernel::{EngineConfig, Kernel, Pid, RunExit, TraceEntry};
 use sim_loader::boot_kernel_from;
@@ -83,8 +83,7 @@ impl Mode {
 
 fn boot(n: u64) -> (Kernel, Pid) {
     let mut k = boot_kernel_from(cli::world());
-    build_micro_app().install(&mut k.vfs);
-    k.vfs.write_file(MICRO_CFG, &n.to_le_bytes()).expect("cfg");
+    install_micro(&mut k.vfs, n).expect("microbench installs");
     let ip = Native;
     ip.install(&mut k);
     let pid = ip.spawn(&mut k, MICRO_APP, &[], &[]).expect("spawn");

@@ -1,4 +1,4 @@
-//! simrecord — record/replay driver with divergence bisection and
+//! simrecord — record/replay driver with divergence reports and
 //! time-travel navigation (DESIGN.md §11).
 //!
 //! Recording captures every source of nondeterminism a run consumes —
@@ -11,36 +11,36 @@
 //!
 //! ```text
 //! simrecord --record [--workload micro|coreutil|nginx] [--engine E]
-//!           [--seed N] [--fault] [--checkpoint-period N] [--out FILE]
-//! simrecord --replay FILE [--engine E]     # verify; bisect on divergence
+//!           [--seed N] [--fault] [--out FILE]
+//! simrecord --replay FILE [--engine E]     # verify; report the first divergence
 //! simrecord --navigate FILE --seek N [--engine E]   # time travel
 //! ```
 //!
 //! * `--replay` re-executes the header's workload on any engine and
 //!   verifies every produced record against the log in order. On
 //!   divergence it prints the first mismatched record (index +
-//!   retired-instruction coordinate, located by `O(log n)` prefix-digest
-//!   bisection for the obs stream) and a post-mortem dump: per-thread RIP,
-//!   symbolized guest stacks, and the tail of the replay's obs events.
-//! * `--navigate` seeks to a retired-instruction index: it rebuilds the
-//!   deterministic checkpoint chain, restores the nearest checkpoint at or
-//!   below the target through sim-mem page snapshots, and inject-replays
-//!   the remainder from the log (falling back to replay-from-start when
-//!   the chain is broken or restoration fails).
+//!   retired-instruction coordinate) and a post-mortem dump: per-thread
+//!   RIP, symbolized guest stacks, and the tail of the replay's obs
+//!   events.
+//! * `--navigate` seeks to a retired-instruction index by re-executing:
+//!   the same verify replay, halted exactly at instruction N
+//!   (`Kernel::stop_at_retired`), then a state dump. The simulator is
+//!   deterministic, so replaying from boot reproduces the machine at any
+//!   instruction of any workload `--record` writes; a divergence before
+//!   N is reported as `--replay` reports it.
 
 use bench::cli::{self, Args};
-use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
+use bench::micro::{install_micro, MICRO_APP};
 use interpose::{Interposer, Native};
 use sim_fault::{FaultKind, FaultPlan, SchedPlan, SyscallFault};
 use sim_kernel::{nr, EngineConfig, Kernel, RunExit};
 use sim_loader::boot_kernel_from;
-use sim_record::{first_obs_divergence, obs_lines, Header, Recording};
+use sim_record::{first_obs_divergence, obs_lines, Divergence, Header, Recording};
 use std::process::ExitCode;
 use std::rc::Rc;
 
 const COREUTIL: &str = "/usr/bin/ls-sim";
 const BUDGET: u64 = u64::MAX / 4;
-const DEFAULT_CKPT_PERIOD: u64 = 4096;
 
 /// The canned `--fault` plan per workload: errnos only syscalls whose
 /// callers must tolerate them, plus an adversarial scheduler rotation for
@@ -94,45 +94,25 @@ fn default_seed(workload: &str) -> u64 {
     }
 }
 
-/// Installs and spawns a single-process workload on a world kernel,
-/// leaving it ready to configure and run. (nginx is driven by
-/// `apps::run_macro` instead.)
-fn setup_single(workload: &str, seed: u64, k: &mut Kernel) -> Result<(), String> {
-    match workload {
-        "micro" => {
-            build_micro_app().install(&mut k.vfs);
-            k.vfs
-                .write_file(MICRO_CFG, &seed.to_le_bytes())
-                .map_err(|e| format!("micro cfg: {e}"))?;
-            let ip = Native;
-            ip.install(k);
-            ip.spawn(k, MICRO_APP, &[], &[])
-                .map_err(|e| format!("spawn {MICRO_APP}: {e}"))?;
-        }
-        "coreutil" => {
-            let ip = Native;
-            ip.install(k);
-            ip.spawn(k, COREUTIL, &[COREUTIL.to_string()], &[])
-                .map_err(|e| format!("spawn {COREUTIL}: {e}"))?;
-        }
-        other => return Err(format!("workload {other:?} is not single-process")),
-    }
-    Ok(())
-}
-
 /// One completed workload run: the kernel (holding the record session's
 /// final state), the canonicalized obs stream, and any workload-level
-/// failure (tolerated by callers when a divergence explains it).
+/// failure (tolerated by callers when a divergence or a stop explains it).
 struct RunDone {
     k: Kernel,
     obs: Vec<String>,
     err: Option<String>,
 }
 
-/// Runs `workload` to completion under `cfg` with obs capture enabled.
-fn run_workload(workload: &str, seed: u64, cfg: EngineConfig) -> Result<RunDone, String> {
+/// Runs `workload` under `cfg` with obs capture enabled, to completion or
+/// to retired instruction `seek`.
+fn run_workload(
+    workload: &str,
+    seed: u64,
+    cfg: EngineConfig,
+    seek: Option<u64>,
+) -> Result<RunDone, String> {
     sim_obs::enable(sim_obs::ObsConfig::default());
-    let out = run_workload_inner(workload, seed, cfg);
+    let out = run_workload_inner(workload, seed, cfg, seek);
     let rec = sim_obs::disable();
     let k = out?;
     let rec = rec.ok_or_else(|| "obs recorder missing".to_string())?;
@@ -147,19 +127,35 @@ fn run_workload_inner(
     workload: &str,
     seed: u64,
     cfg: EngineConfig,
+    seek: Option<u64>,
 ) -> Result<(Kernel, Option<String>), String> {
     let mut k = boot_kernel_from(cli::world());
+    let configure = |k: &mut Kernel| {
+        k.configure(cfg);
+        if let Some(n) = seek {
+            k.stop_at_retired(n);
+        }
+    };
     let err = match workload {
         "micro" | "coreutil" => {
-            setup_single(workload, seed, &mut k)?;
-            k.configure(cfg);
+            let (app, argv) = if workload == "micro" {
+                install_micro(&mut k.vfs, seed)?;
+                (MICRO_APP, Vec::new())
+            } else {
+                (COREUTIL, vec![COREUTIL.to_string()])
+            };
+            Native.install(&mut k);
+            Native
+                .spawn(&mut k, app, &argv, &[])
+                .map_err(|e| format!("spawn {app}: {e}"))?;
+            configure(&mut k);
             match k.run(BUDGET) {
                 RunExit::AllExited | RunExit::Stop => None,
                 other => Some(format!("{workload} run ended with {other:?}")),
             }
         }
         "nginx" => {
-            k.configure(cfg);
+            configure(&mut k);
             let spec = apps::table6_specs(seed.max(1))
                 .into_iter()
                 .next()
@@ -173,9 +169,8 @@ fn run_workload_inner(
     Ok((k, err))
 }
 
-/// Post-mortem dump at the kernel's current state: per-process RIP +
-/// symbolized guest stack, plus the tail of the obs event stream.
-fn post_mortem(k: &mut Kernel, obs: &[String]) {
+/// Per-process RIP and symbolized guest stack of each first thread.
+fn print_threads(k: &mut Kernel) {
     for pid in k.pids() {
         let Some(tid) = k
             .process(pid)
@@ -189,11 +184,6 @@ fn post_mortem(k: &mut Kernel, obs: &[String]) {
             println!("    {frame}");
         }
     }
-    let tail = &obs[obs.len().saturating_sub(8)..];
-    println!("  last {} obs events:", tail.len());
-    for line in tail {
-        println!("    {line}");
-    }
 }
 
 fn do_record(args: &Opts) -> Result<ExitCode, String> {
@@ -202,12 +192,7 @@ fn do_record(args: &Opts) -> Result<ExitCode, String> {
     if let Some(p) = &plan {
         cfg = cfg.fault(p.clone());
     }
-    let cfg = if args.ckpt_period > 0 {
-        cfg.record_with_checkpoints(args.ckpt_period)
-    } else {
-        cfg.record()
-    };
-    let mut run = run_workload(&args.workload, args.seed, cfg)?;
+    let mut run = run_workload(&args.workload, args.seed, cfg.record(), None)?;
     if let Some(e) = run.err {
         return Err(format!("recording run failed: {e}"));
     }
@@ -217,7 +202,7 @@ fn do_record(args: &Opts) -> Result<ExitCode, String> {
             workload: args.workload.clone(),
             seed: args.seed,
             fault_plan: plan.map(|p| p.encode()),
-            checkpoint_period: args.ckpt_period,
+            checkpoint_period: 0,
         },
         recs: run.k.take_recording(),
         obs: run.obs,
@@ -237,39 +222,46 @@ fn do_record(args: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Decodes a recording and rebuilds its engine config (fault plan
-/// re-installed from the header).
-fn load_recording(path: &str) -> Result<(Recording, Option<FaultPlan>), String> {
+/// Verify-replays the recording at `path` on `engine`, with the header's
+/// fault plan re-installed, to completion or to retired instruction
+/// `seek`.
+fn verify_run(path: &str, engine: &str, seek: Option<u64>) -> Result<(Recording, RunDone), String> {
     let data = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
     let recording = Recording::decode(&data).map_err(|e| format!("{path}: {e}"))?;
-    let plan = recording
-        .header
-        .fault_plan
-        .as_deref()
-        .map(FaultPlan::decode)
-        .transpose()
-        .map_err(|e| format!("{path}: bad fault plan: {e}"))?;
-    Ok((recording, plan))
+    let h = &recording.header;
+    let mut cfg = cli::engine(engine)?;
+    if let Some(plan) = &h.fault_plan {
+        let plan = FaultPlan::decode(plan).map_err(|e| format!("{path}: bad fault plan: {e}"))?;
+        cfg = cfg.fault(plan);
+    }
+    let log = Rc::new(recording.recs.clone());
+    let run = run_workload(&h.workload, h.seed, cfg.replay_verify(log), seek)?;
+    Ok((recording, run))
+}
+
+/// Prints the divergence a verify replay halted at, with the post-mortem
+/// dump: per-process RIP and guest stack, and the tail of the obs stream.
+fn report_divergence(d: &Divergence, run: &mut RunDone) -> ExitCode {
+    println!(
+        "replay: DIVERGED at record {} (retired instruction {})",
+        d.index, d.retired
+    );
+    println!("  expected: {:?}", d.expected);
+    println!("  got:      {:?}", d.got);
+    print_threads(&mut run.k);
+    let tail = &run.obs[run.obs.len().saturating_sub(8)..];
+    println!("  last {} obs events:", tail.len());
+    for line in tail {
+        println!("    {line}");
+    }
+    ExitCode::FAILURE
 }
 
 fn do_replay(args: &Opts) -> Result<ExitCode, String> {
-    let (recording, plan) = load_recording(&args.file)?;
+    let (recording, mut run) = verify_run(&args.file, &args.engine, None)?;
     let h = &recording.header;
-    let mut cfg = cli::engine(&args.engine)?;
-    if let Some(p) = &plan {
-        cfg = cfg.fault(p.clone());
-    }
-    let log = Rc::new(recording.recs.clone());
-    let mut run = run_workload(&h.workload, h.seed, cfg.replay_verify(Rc::clone(&log)))?;
     if let Some(d) = run.k.record_divergence().cloned() {
-        println!(
-            "replay: DIVERGED at record {} (retired instruction {})",
-            d.index, d.retired
-        );
-        println!("  expected: {:?}", d.expected);
-        println!("  got:      {:?}", d.got);
-        post_mortem(&mut run.k, &run.obs);
-        return Ok(ExitCode::FAILURE);
+        return Ok(report_divergence(&d, &mut run));
     }
     if let Some(e) = run.err {
         return Err(format!("replay run failed without diverging: {e}"));
@@ -282,10 +274,8 @@ fn do_replay(args: &Opts) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::FAILURE);
     }
-    if let Some((idx, probes)) = first_obs_divergence(&recording.obs, &run.obs) {
-        println!(
-            "replay: records match but obs stream DIVERGED at line {idx} ({probes} probes)"
-        );
+    if let Some(idx) = first_obs_divergence(&recording.obs, &run.obs) {
+        println!("replay: records match but obs stream DIVERGED at line {idx}");
         println!("  expected: {:?}", recording.obs.get(idx));
         println!("  got:      {:?}", run.obs.get(idx));
         return Ok(ExitCode::FAILURE);
@@ -301,83 +291,30 @@ fn do_replay(args: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Architectural state dump target for navigation.
-fn dump_state(k: &mut Kernel) {
-    println!("  retired {} clock {} — state:", k.retired(), k.clock);
-    for pid in k.pids() {
-        let Some(tid) = k
-            .process(pid)
-            .and_then(|p| p.threads.first().map(|t| t.tid))
-        else {
-            continue;
-        };
-        let rip = k.cpu_mut(pid, tid).map(|c| c.rip).unwrap_or(0);
-        println!("  pid {pid} tid {tid} rip {rip:#x}");
-        for frame in k.symbolized_stack(pid, tid) {
-            println!("    {frame}");
-        }
-    }
-}
-
+/// Seeks by re-executing: a verify replay halted at `--seek`, then the
+/// state dump there (or where the run ended, if it ended first).
 fn do_navigate(args: &Opts) -> Result<ExitCode, String> {
-    let (recording, plan) = load_recording(&args.file)?;
-    let h = recording.header.clone();
-    if h.workload == "nginx" {
-        return Err(
-            "navigation requires a single-process workload (checkpoint chains break on fork)"
-                .into(),
+    let (recording, mut run) = verify_run(&args.file, &args.engine, Some(args.seek))?;
+    if let Some(d) = run.k.record_divergence().cloned() {
+        return Ok(report_divergence(&d, &mut run));
+    }
+    let workload = &recording.header.workload;
+    let retired = run.k.retired();
+    if retired == args.seek {
+        println!("navigate: {workload} at retired instruction {retired}");
+    } else if let Some(e) = run.err {
+        return Err(format!(
+            "navigation run failed before instruction {}: {e}",
+            args.seek
+        ));
+    } else {
+        println!(
+            "navigate: {workload} ended at retired instruction {retired}, before {}",
+            args.seek
         );
     }
-    // Rebuild the deterministic checkpoint chain (recordings don't carry
-    // page snapshots for every checkpoint; the chain is re-derivable
-    // because the recording run itself is deterministic).
-    let period = if h.checkpoint_period > 0 {
-        h.checkpoint_period
-    } else {
-        DEFAULT_CKPT_PERIOD
-    };
-    let mut cfg = cli::engine(&h.engine)?;
-    if let Some(p) = &plan {
-        cfg = cfg.fault(p.clone());
-    }
-    let mut chain_run = run_workload(&h.workload, h.seed, cfg.record_with_checkpoints(period))?;
-    if let Some(e) = chain_run.err {
-        return Err(format!("chain rebuild failed: {e}"));
-    }
-    let ckpts = chain_run.k.take_checkpoints();
-    let chain_ok = chain_run.k.record_chain_ok();
-    let total = chain_run.k.retired();
-    let target = args.seek.min(total);
-
-    // Seek: inject-mode replay, seeded from the nearest checkpoint.
-    let log = Rc::new(recording.recs);
-    let mut k = boot_kernel_from(cli::world());
-    setup_single(&h.workload, h.seed, &mut k)?;
-    let mut cfg = cli::engine(&args.engine)?;
-    if let Some(p) = &plan {
-        cfg = cfg.fault(p.clone());
-    }
-    k.configure(cfg.replay_inject(Rc::clone(&log)));
-    let mut from = 0u64;
-    if chain_ok {
-        if let Some(at) = ckpts.iter().rposition(|c| c.retired <= target) {
-            match k.restore_to_checkpoint(&ckpts, at) {
-                Ok(()) => from = ckpts[at].retired,
-                Err(e) => eprintln!(
-                    "simrecord: checkpoint restore failed ({e}); replaying from the start"
-                ),
-            }
-        }
-    } else {
-        eprintln!("simrecord: checkpoint chain broken; replaying from the start");
-    }
-    let exit = k.run_to_retired(target, BUDGET);
-    println!(
-        "navigate: {} to retired instruction {target} (of {total}) from checkpoint at {from} (period {period}, {} checkpoints): {exit:?}",
-        h.workload,
-        ckpts.len()
-    );
-    dump_state(&mut k);
+    println!("  retired {retired} clock {} — state:", run.k.clock);
+    print_threads(&mut run.k);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -395,7 +332,6 @@ struct Opts {
     workload: String,
     seed: u64,
     fault: bool,
-    ckpt_period: u64,
     out: String,
     file: String,
     seek: u64,
@@ -408,7 +344,6 @@ fn parse_opts(mut args: Args) -> Result<Opts, String> {
         workload: "micro".to_string(),
         seed: 0,
         fault: false,
-        ckpt_period: 0,
         out: "SIMRECORD.srec".to_string(),
         file: String::new(),
         seek: 0,
@@ -429,7 +364,6 @@ fn parse_opts(mut args: Args) -> Result<Opts, String> {
             "--workload" => a.workload = args.value("--workload")?,
             "--seed" => seed = Some(args.parse("--seed")?),
             "--fault" => a.fault = true,
-            "--checkpoint-period" => a.ckpt_period = args.parse("--checkpoint-period")?,
             "--out" => a.out = args.value("--out")?,
             "--seek" => a.seek = args.parse("--seek")?,
             other => return Err(format!("unknown flag {other}")),

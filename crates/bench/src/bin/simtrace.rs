@@ -24,7 +24,7 @@
 //!   cycles under the main mechanisms and print the overhead ordering.
 
 use bench::cli::{self, Args};
-use bench::micro::{build_micro_app, per_iteration_cycles_with, MICRO_APP, MICRO_CFG};
+use bench::micro::{install_micro, per_iteration_cycles_with, MICRO_APP};
 use interpose::Interposer;
 use sim_kernel::Kernel;
 use sim_loader::boot_kernel_from;
@@ -74,10 +74,7 @@ fn traced_run(opts: &Opts) -> Result<Box<sim_obs::Recorder>, String> {
     let mut k = boot_kernel_from(cli::world());
     let (app, argv) = match opts.micro {
         Some(n) => {
-            build_micro_app().install(&mut k.vfs);
-            k.vfs
-                .write_file(MICRO_CFG, &n.to_le_bytes())
-                .map_err(|e| format!("write micro config: {e}"))?;
+            install_micro(&mut k.vfs, n)?;
             (MICRO_APP.to_string(), vec![])
         }
         None => (opts.app.clone(), vec![opts.app.clone()]),
@@ -119,15 +116,7 @@ fn compare_table(n: u64) -> Result<String, String> {
     let mut rows: Vec<(String, f64)> = Vec::new();
     for name in mechanisms {
         let ip = cli::mechanism(name)?;
-        let cycles = if k23::needs_offline(name) {
-            // The only offline-phase mechanism in the list is k23-default;
-            // the bench harness collects and seals its log before timing.
-            assert_eq!(*name, "k23", "only k23 needs offline here");
-            bench::micro::per_iteration_cycles(bench::Config::K23Default, n)
-        } else {
-            per_iteration_cycles_with(ip.as_ref(), n)
-        };
-        rows.push((ip.label(), cycles));
+        rows.push((ip.label(), per_iteration_cycles_with(ip.as_ref(), n)));
     }
     let native = rows[0].1;
     let mut s = String::new();

@@ -101,10 +101,7 @@ pub fn fig3() -> String {
 /// Figure 4: the online phase's main steps, narrated from a real run.
 pub fn fig4() -> String {
     let mut k = fresh_world();
-    crate::micro::build_micro_app().install(&mut k.vfs);
-    k.vfs
-        .write_file(crate::micro::MICRO_CFG, &256u64.to_le_bytes())
-        .expect("cfg");
+    crate::micro::install_micro(&mut k.vfs, 256).expect("microbench installs");
     // Offline first.
     let app = crate::micro::MICRO_APP;
     let log = cli::collect_log(&mut k, app, |k, ip| {

@@ -21,7 +21,7 @@
 //! committed `MATRIX_simaudit.txt` coverage ledger.
 //!
 //! Scale with `K23_BENCH_SCALE` (default 10; 1 = full size, larger = faster;
-//! a value that is not a positive integer is an error).
+//! a value that is not an integer from 1 to 2,000,000 is an error).
 
 pub mod audit;
 pub mod cli;
@@ -36,9 +36,11 @@ pub use config::Config;
 
 /// The scale divisor `K23_BENCH_SCALE`, 10 when unset.
 ///
-/// Any other value that is not a positive integer ends the process with
-/// exit status 1 and a message naming the variable and the value, so a
-/// typo never publishes tables at the default scale.
+/// Any other value that is not an integer from 1 to
+/// [`micro::TABLE5_ITERATIONS`] (the largest divisor that still leaves
+/// Table 5 one iteration) ends the process with exit status 1 and a
+/// message naming the variable and the value, so a typo never publishes
+/// tables at the default scale.
 pub fn scale() -> u64 {
     let value = std::env::var_os("K23_BENCH_SCALE").map(|v| v.to_string_lossy().into_owned());
     parse_scale(value.as_deref()).unwrap_or_else(|e| {
@@ -51,8 +53,13 @@ fn parse_scale(value: Option<&str>) -> Result<u64, String> {
     let Some(v) = value else { return Ok(10) };
     v.parse()
         .ok()
-        .filter(|s| *s > 0)
-        .ok_or_else(|| format!("K23_BENCH_SCALE={v:?} is not a positive integer"))
+        .filter(|s| (1..=micro::TABLE5_ITERATIONS).contains(s))
+        .ok_or_else(|| {
+            format!(
+                "K23_BENCH_SCALE={v:?} is not an integer from 1 to {}",
+                micro::TABLE5_ITERATIONS
+            )
+        })
 }
 
 /// Formats a ratio like the paper's Table 5 ("1.2788x").
@@ -74,7 +81,8 @@ mod tests {
         assert_eq!(parse_scale(None), Ok(10));
         assert_eq!(parse_scale(Some("1")), Ok(1));
         assert_eq!(parse_scale(Some("100")), Ok(100));
-        for bad in ["1O", "0", "-5", "", " 10", "2.5"] {
+        assert_eq!(parse_scale(Some("2000000")), Ok(2_000_000));
+        for bad in ["1O", "0", "-5", "", " 10", "2.5", "2000001"] {
             let err = parse_scale(Some(bad)).unwrap_err();
             assert!(
                 err.contains("K23_BENCH_SCALE") && err.contains(&format!("{bad:?}")),

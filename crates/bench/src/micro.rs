@@ -9,17 +9,23 @@
 //! paper's ±0.0x % measurement-noise column is identically zero here.
 
 use crate::{cli, Config};
+use interpose::Interposer;
 use sim_isa::Reg;
-use sim_kernel::{nr, Kernel, RunExit};
+use sim_kernel::{nr, RunExit, Vfs};
 use sim_loader::{boot_kernel, ImageBuilder, SimElf, LIBC_PATH};
 
 /// Path of the stress binary.
 pub const MICRO_APP: &str = "/usr/bin/microbench";
 /// Iteration-count config file.
 pub const MICRO_CFG: &str = "/etc/microbench.conf";
+/// Table 5's iteration count at full size (`K23_BENCH_SCALE=1`); the
+/// tables run `TABLE5_ITERATIONS / scale`.
+pub const TABLE5_ITERATIONS: u64 = 2_000_000;
 
 /// Builds the stress binary: reads the iteration count from its config,
-/// then loops `mov rax, 500; syscall`.
+/// then loops `mov rax, 500; syscall`. The loop tests its counter after
+/// the first iteration, so a count of 0 would run 2⁶⁴ iterations:
+/// [`install_micro`] is the way to install it.
 pub fn build_micro_app() -> SimElf {
     let mut b = ImageBuilder::new(MICRO_APP);
     b.entry("main");
@@ -56,63 +62,64 @@ pub fn build_micro_app() -> SimElf {
     b.finish()
 }
 
-fn total_cycles(config: Config, n: u64) -> u64 {
+/// Installs the stress binary with an iteration count of `iterations`.
+///
+/// # Errors
+///
+/// A count of 0, which the loop cannot run (see [`build_micro_app`]),
+/// named in the message.
+pub fn install_micro(vfs: &mut Vfs, iterations: u64) -> Result<(), String> {
+    if iterations == 0 {
+        return Err(
+            "microbench iteration count 0: the loop runs at least once, so 0 wraps to 2^64".into(),
+        );
+    }
+    build_micro_app().install(vfs);
+    vfs.write_file(MICRO_CFG, &iterations.to_le_bytes())
+        .map_err(|e| format!("write {MICRO_CFG}: {e}"))
+}
+
+/// The stress thread's cycles for `n` iterations under `ip`, after K23's
+/// offline phase when `ip` needs one.
+fn total_cycles(ip: &dyn Interposer, n: u64) -> u64 {
     let mut k = boot_kernel();
-    build_micro_app().install(&mut k.vfs);
-    if config.needs_offline() {
+    if k23::needs_offline(ip.name()) {
         // Offline phase with a small representative run (fixed size so it
         // contributes identically to both differencing runs).
-        k.vfs
-            .write_file(MICRO_CFG, &64u64.to_le_bytes())
-            .expect("cfg");
+        install_micro(&mut k.vfs, 64).expect("microbench installs");
         cli::collect_log(&mut k, MICRO_APP, |k, ip| {
             cli::run_to_exit(k, ip, MICRO_APP, &[], 10_000_000_000)
         })
         .expect("offline phase completed");
     }
-    k.vfs
-        .write_file(MICRO_CFG, &n.to_le_bytes())
-        .expect("cfg");
-    let ip = config.make();
+    install_micro(&mut k.vfs, n).expect("microbench installs");
     ip.install(&mut k);
     let pid = ip
         .spawn(&mut k, MICRO_APP, &[], &[])
         .expect("spawn microbench");
     let tid = k.process(pid).expect("proc").threads[0].tid;
     let exit = k.run(u64::MAX / 4);
-    assert_eq!(exit, RunExit::AllExited, "{}", config.label());
+    assert_eq!(exit, RunExit::AllExited, "{}", ip.label());
     assert_eq!(
         k.process(pid).and_then(|p| p.exit_status),
         Some(0),
         "{} run failed",
-        config.label()
+        ip.label()
     );
     k.cycles_of(pid, tid)
 }
 
-/// Per-iteration cycles under an arbitrary interposer instance (used by
-/// the Criterion benches for mechanisms outside the Table 5 set).
-pub fn per_iteration_cycles_with(ip: &dyn interpose::Interposer, n: u64) -> f64 {
-    let total = |n: u64| -> u64 {
-        let mut k = boot_kernel();
-        build_micro_app().install(&mut k.vfs);
-        k.vfs.write_file(MICRO_CFG, &n.to_le_bytes()).expect("cfg");
-        ip.install(&mut k);
-        let pid = ip.spawn(&mut k, MICRO_APP, &[], &[]).expect("spawn");
-        let tid = k.process(pid).expect("proc").threads[0].tid;
-        assert_eq!(k.run(u64::MAX / 4), RunExit::AllExited);
-        k.cycles_of(pid, tid)
-    };
-    let c1 = total(n);
-    let c2 = total(2 * n);
+/// Per-iteration cycles under an arbitrary interposer instance:
+/// differencing two run lengths cancels startup and offline-phase costs.
+pub fn per_iteration_cycles_with(ip: &dyn Interposer, n: u64) -> f64 {
+    let c1 = total_cycles(ip, n);
+    let c2 = total_cycles(ip, 2 * n);
     (c2 - c1) as f64 / n as f64
 }
 
 /// Per-iteration cycles for one configuration.
 pub fn per_iteration_cycles(config: Config, n: u64) -> f64 {
-    let c1 = total_cycles(config, n);
-    let c2 = total_cycles(config, 2 * n);
-    (c2 - c1) as f64 / n as f64
+    per_iteration_cycles_with(config.make().as_ref(), n)
 }
 
 /// One Table 5 row.
@@ -158,6 +165,3 @@ pub fn render_table5(rows: &[MicroRow]) -> String {
     out.push_str("(stddev is identically 0: the simulator is deterministic)\n");
     out
 }
-
-/// Expose the Kernel type for bin diagnostics.
-pub type BenchKernel = Kernel;

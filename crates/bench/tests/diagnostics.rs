@@ -125,11 +125,13 @@ fn first_failing_cells_replay_as_failed() {
 /// nginx-sim recorded under the canned fault plan on the trace engine
 /// replays on the stepwise oracle: every record verified, obs stream
 /// byte-identical. The log is long and holds asynchrony records, not only
-/// syscall results and exits.
+/// syscall results and exits. Navigating the two-process recording to
+/// half its retired instructions reaches the same state on the stepwise
+/// and block engines.
 #[test]
 fn simrecord_replays_a_faulted_nginx_recording_on_the_stepwise_engine() {
     let dir = scratch("simrecord");
-    run_ok(
+    let recorded = run_ok(
         "simrecord",
         &dir,
         &[
@@ -163,6 +165,39 @@ fn simrecord_replays_a_faulted_nginx_recording_on_the_stepwise_engine() {
         &["--replay", "nginx.srec", "--engine", "stepwise"],
     );
     assert!(out.starts_with("replay: ok"), "{out}");
+
+    let retired: u64 = recorded
+        .split(" retired instructions")
+        .next()
+        .and_then(|head| head.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no retired count in {recorded:?}"));
+    let seek = (retired / 2).to_string();
+    let navigate = |engine| {
+        run_ok(
+            "simrecord",
+            &dir,
+            &[
+                "--navigate",
+                "nginx.srec",
+                "--seek",
+                &seek,
+                "--engine",
+                engine,
+            ],
+        )
+    };
+    let stepwise = navigate("stepwise");
+    assert!(
+        stepwise.starts_with(&format!("navigate: nginx at retired instruction {seek}\n")),
+        "{stepwise}"
+    );
+    assert_eq!(
+        stepwise.lines().filter(|l| l.starts_with("  pid ")).count(),
+        2,
+        "{stepwise}"
+    );
+    assert_eq!(navigate("block"), stepwise);
 }
 
 /// simtrace's Chrome trace of a coreutil under K23 parses and holds
@@ -208,6 +243,29 @@ fn every_diagnostic_rejects_an_unknown_flag() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{bin}: {stderr}");
         assert!(stderr.starts_with(&format!("{bin}: ")), "{bin}: {stderr}");
+    }
+}
+
+/// A microbench count of 0 would loop 2⁶⁴ times: `simrecord --seed 0` and
+/// `simtrace --micro 0` exit 1 instead, naming the count.
+#[test]
+fn zero_microbench_counts_exit_1() {
+    let dir = scratch("zero-micro");
+    let cells: [(&str, &[&str]); 2] = [
+        (
+            "simrecord",
+            &["--record", "--workload", "micro", "--seed", "0"],
+        ),
+        ("simtrace", &["--micro", "0"]),
+    ];
+    for (bin, args) in cells {
+        let out = run(bin, &dir, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("{bin}: ")) && stderr.contains("count 0"),
+            "{bin}: {stderr}"
+        );
     }
 }
 

@@ -296,28 +296,6 @@ impl Cpu {
         self.trace.as_deref().map(TraceCache::stats).unwrap_or_default()
     }
 
-    /// Drops every host-side acceleration structure — decoded-instruction
-    /// cache, its page index, serialize-coalescing stamp, and the trace
-    /// cache pool (trace mode itself stays enabled).
-    /// Architecturally invisible: neither the icache nor the trace cache
-    /// participates in cycle accounting, so a core restored from a
-    /// checkpoint re-decodes from cold with an identical guest-visible
-    /// stream. Used by record/replay checkpoint restore, where cloned
-    /// cache entries would otherwise carry stale cross-space page-version
-    /// stamps.
-    pub fn reset_caches(&mut self) {
-        self.icache = FastMap::default();
-        self.icache_index = FastMap::default();
-        self.last_serialize_stamp = None;
-        self.trace_replaying = false;
-        self.trace_replay_break = false;
-        self.replay_pages.clear();
-        self.pending_trace_unlinks.clear();
-        if self.trace.is_some() {
-            self.trace = Some(Box::new(TraceCache::new()));
-        }
-    }
-
     /// Applies the x86-64 syscall-entry register clobbers: the kernel leaves
     /// the return address in `rcx` and saved flags in `r11` — which is why
     /// K23's trampoline may reuse them without saving (paper §6.2.1).

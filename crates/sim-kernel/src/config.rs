@@ -105,23 +105,11 @@ impl EngineConfig {
         self
     }
 
-    /// Enables recording (no checkpoints): syscall results, injected
-    /// faults/signals, scheduler decisions, and exits are captured into a
-    /// log keyed by retired-instruction counts.
+    /// Enables recording: syscall results, injected faults/signals,
+    /// scheduler decisions, and exits are captured into a log keyed by
+    /// retired-instruction counts.
     pub fn record(mut self) -> EngineConfig {
-        self.record = Some(RecordSpec::Record {
-            checkpoint_period: 0,
-        });
-        self
-    }
-
-    /// Enables navigation-grade recording: periodic checkpoints every
-    /// `period` retired instructions (clamped to ≥ 1) plus per-syscall
-    /// page-write snapshots for time-travel seeking.
-    pub fn record_with_checkpoints(mut self, period: u64) -> EngineConfig {
-        self.record = Some(RecordSpec::Record {
-            checkpoint_period: period.max(1),
-        });
+        self.record = Some(RecordSpec::Record);
         self
     }
 
@@ -137,15 +125,10 @@ impl EngineConfig {
 
     /// Enables verifying replay: re-execute in full and compare every
     /// produced record against `log`, halting at the first mismatch.
+    /// With a [`crate::Kernel::stop_at_retired`] target it is time-travel
+    /// navigation.
     pub fn replay_verify(mut self, log: Rc<Vec<Rec>>) -> EngineConfig {
         self.record = Some(RecordSpec::Verify { log });
-        self
-    }
-
-    /// Enables injecting replay (navigation): short-circuit
-    /// non-process-local syscalls and re-apply recorded asynchrony.
-    pub fn replay_inject(mut self, log: Rc<Vec<Rec>>) -> EngineConfig {
-        self.record = Some(RecordSpec::Inject { log });
         self
     }
 }

@@ -9,9 +9,7 @@ use crate::process::{
     Pid, Process, SeccompAction, SigAction, Source, Thread, ThreadState, Tid, Wait,
 };
 use crate::ptrace_if::{Stop, TraceOpts, Tracer, TracerAction};
-use crate::record::{
-    inject_passthrough, BoundaryAction, Checkpoint, PageSnap, RecordModeKind, RecordSession,
-};
+use crate::record::RecordSession;
 use crate::signal::{self, SigInfo};
 use crate::vfs::Vfs;
 use sim_cpu::{BlockExit, CostModel, Cpu, FastMap, HookAction, Step, StepEvent};
@@ -161,9 +159,9 @@ pub enum RunExit {
     Budget,
     /// No thread can make progress (all blocked with no wake source).
     Deadlock,
-    /// The record/replay session halted the run: a [`Kernel::run_to_retired`]
-    /// target was reached, a verifying replay found a divergence, or an
-    /// injecting replay exhausted its log.
+    /// The record/replay session halted the run: a
+    /// [`Kernel::stop_at_retired`] target was reached or a verifying
+    /// replay found a divergence.
     Stop,
 }
 
@@ -288,17 +286,6 @@ impl Kernel {
         self.prof = cfg.profile.map(ProfSession::new);
         self.record = cfg.record.map(RecordSession::new);
         self.audit = cfg.audit.map(crate::audit::AuditSession::new);
-        // Navigation-grade recording needs written-page tracking for its
-        // per-syscall write snapshots and incremental checkpoint deltas.
-        if self
-            .record
-            .as_ref()
-            .is_some_and(|rs| rs.mode == RecordModeKind::Record && rs.ckpt_period > 0)
-        {
-            for p in self.procs.values_mut() {
-                p.space.set_dirty_tracking(true);
-            }
-        }
     }
 
     /// Guest instructions retired since the last [`Kernel::configure`]
@@ -1152,33 +1139,32 @@ impl Kernel {
 
     /// The nearest retired-instruction boundary any session must stop at:
     /// the fault plan's next event or restore, the profiler's next sample,
-    /// or the record session's seek target, checkpoint or injected
-    /// asynchrony. The engines cap every budget to it, so each boundary
-    /// lands on the identical architectural instruction under every
-    /// engine. `None` when no session is live.
+    /// or the record session's stop target. The engines cap every budget
+    /// to it, so each boundary lands on the identical architectural
+    /// instruction under every engine. `None` when no session is live.
     fn next_stop(&self) -> Option<u64> {
         let fault = self
             .fault
             .as_ref()
             .and_then(|fs| fs.next_stop(self.retired));
         let prof = self.prof.as_ref().map(|ps| ps.next);
-        let record = self.record.as_ref().and_then(RecordSession::next_stop);
+        let record = self.record.as_ref().and_then(|rs| rs.stop_at);
         [fault, prof, record].into_iter().flatten().min()
     }
 
     /// Handles the session boundaries due at the current retired count.
-    /// Record boundaries come first: a checkpoint captures the
-    /// pre-asynchrony state, so signal/flip records landing at the same
-    /// retired count re-apply after a restore. Returns `true` when the
-    /// slice must end.
+    /// The record session's stop target comes first, so a run stopped at
+    /// instruction N has not applied the injections due at N. Returns
+    /// `true` when the slice must end.
     fn boundary_ends_slice(&mut self, pid: Pid, tid: Tid) -> bool {
         let at = self.retired;
-        let record_due = self
-            .record
-            .as_ref()
-            .is_some_and(|rs| rs.stopped || rs.next_stop().is_some_and(|s| s <= at));
-        if record_due && self.apply_record_boundary(pid, tid) {
-            return true;
+        if let Some(rs) = self.record.as_mut() {
+            if rs.stop_at.is_some_and(|s| s <= at) {
+                rs.stopped = true;
+            }
+            if rs.stopped {
+                return true;
+            }
         }
         let fault_due = self
             .fault
@@ -1279,284 +1265,50 @@ impl Kernel {
         }
     }
 
-    /// Handles a due record-session boundary. Checkpoints are taken
-    /// without ending the slice (a slice end would advance the fault
-    /// session's round counter, making a checkpointed recording diverge
-    /// from its checkpoint-free replay); stop targets and injected
-    /// asynchrony end the slice, mirroring [`Kernel::apply_fault_boundary`].
-    /// Returns `true` when the slice must end.
-    fn apply_record_boundary(&mut self, pid: Pid, tid: Tid) -> bool {
-        let at = self.retired;
-        let due_ckpt = self.record.as_ref().is_some_and(|rs| {
-            rs.mode == RecordModeKind::Record && rs.next_ckpt.is_some_and(|n| n <= at)
-        });
-        if due_ckpt {
-            self.take_record_checkpoint();
-        }
-        let mut due_actions: Vec<BoundaryAction> = Vec::new();
-        {
-            let Some(rs) = self.record.as_mut() else {
-                return false;
-            };
-            if rs.stopped {
-                return true;
-            }
-            if rs.stop_at.is_some_and(|s| s <= at) {
-                rs.stopped = true;
-                return true;
-            }
-            while rs.bcursor < rs.boundaries.len() && rs.boundaries[rs.bcursor].0 <= at {
-                due_actions.push(rs.boundaries[rs.bcursor].1);
-                rs.bcursor += 1;
-            }
-        }
-        for act in &due_actions {
-            match *act {
-                BoundaryAction::Signal { signo, delivered } => {
-                    // `delivered: false` recorded a skipped injection (no
-                    // handler); re-skipping reproduces it.
-                    if delivered {
-                        self.deliver_signal(
-                            pid,
-                            tid,
-                            SigInfo {
-                                signo,
-                                ..SigInfo::default()
-                            },
-                        );
-                    }
-                }
-                BoundaryAction::Flip { page, perms } => {
-                    let base = page & !(PAGE_SIZE - 1);
-                    if let Some(p) = self.procs.get_mut(&pid) {
-                        let _ = p.space.protect(base, PAGE_SIZE, Perms::from_bits(perms));
-                        let Process { space, threads, .. } = p;
-                        if let Some(t) = threads.iter_mut().find(|t| t.tid == tid) {
-                            t.cpu.serialize(space);
-                        }
-                    }
-                }
-            }
-        }
-        !due_actions.is_empty()
-    }
-
     /// Record bookkeeping at kernel entry: stamps the clock the recorded
     /// service cycles are measured from (skipped for in-kernel restarts,
-    /// which resume the original entry) and, for navigation-grade
-    /// recording, drains guest-execution dirty pages into the pending
-    /// checkpoint delta so the post-dispatch drain isolates the pages the
-    /// syscall itself writes.
+    /// which resume the original entry).
     fn record_syscall_entry(&mut self, pid: Pid, tid: Tid, restarting: bool) {
         let clock = self.clock;
-        let Some(rs) = self.record.as_mut() else {
-            return;
-        };
-        if !restarting {
-            rs.entry_clock.insert((pid, tid), clock);
-        }
-        if rs.mode == RecordModeKind::Record && rs.ckpt_period > 0 {
-            if let Some(p) = self.procs.get_mut(&pid) {
-                rs.pending_pages.extend(p.space.take_dirty_pages());
+        if let Some(rs) = self.record.as_mut() {
+            if !restarting {
+                rs.entry_clock.insert((pid, tid), clock);
             }
         }
     }
 
     /// Record bookkeeping at syscall completion (`Disp::Ret` /
-    /// `RetThenBlock`): captures (record), verifies (verify), or consumes
-    /// (inject passthrough) the completion record. Recorded cycles are
-    /// the clock delta from kernel entry — for restarted calls that
-    /// includes blocked time, which is exactly what injection must charge
-    /// since the blocking never re-occurs. Navigation-grade recording
-    /// additionally snapshots the pages the syscall wrote.
+    /// `RetThenBlock`): captures (record) or verifies (verify) the
+    /// completion record. Recorded cycles are the clock delta from kernel
+    /// entry — for restarted calls that includes blocked time.
     fn record_syscall_ret(&mut self, pid: Pid, tid: Tid, nr_: u64, site: u64, ret: u64) {
-        let clock = self.clock;
-        let Some(rs) = self.record.as_mut() else {
-            return;
-        };
-        match rs.mode {
-            RecordModeKind::Inject => {
-                // Passthrough completion: consume the matching record so
-                // the cursor stays aligned with injected syscalls.
-                let _ = rs.take_syscall();
-            }
-            RecordModeKind::Record | RecordModeKind::Verify => {
-                let entry = rs.entry_clock.remove(&(pid, tid)).unwrap_or(clock);
-                let cycles = clock.saturating_sub(entry);
-                let retired = self.retired;
-                let nav = rs.mode == RecordModeKind::Record && rs.ckpt_period > 0;
-                let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
-                if nav {
-                    if let Some(p) = self.procs.get_mut(&pid) {
-                        for base in p.space.take_dirty_pages() {
-                            if !inject_passthrough(nr_) {
-                                if let Some((_, _, data)) = p.space.snapshot_page(base) {
-                                    writes.push((base, data));
-                                }
-                            }
-                            rs.pending_pages.push(base);
-                        }
-                    }
-                }
-                rs.emit(Rec::Syscall {
-                    retired,
-                    nr: nr_,
-                    site,
-                    ret,
-                    cycles,
-                    writes,
-                });
-            }
-        }
-    }
-
-    /// Takes one periodic navigation checkpoint: register files, signal
-    /// dispositions, seccomp state, and the pages dirtied since the
-    /// previous checkpoint. Invariant (DESIGN.md §11): the chain only
-    /// reconstructs a *single-process* run whose address space still
-    /// carries the dirty tracking enabled at configure time — fork and
-    /// exec permanently break the chain, and navigation then replays from
-    /// the start instead.
-    fn take_record_checkpoint(&mut self) {
         let (clock, retired) = (self.clock, self.retired);
-        let single = self.procs.len() == 1;
         let Some(rs) = self.record.as_mut() else {
             return;
         };
-        while let Some(n) = rs.next_ckpt {
-            if n <= retired {
-                rs.next_ckpt = Some(n + rs.ckpt_period);
-            } else {
-                break;
-            }
-        }
-        if !rs.chain_ok {
-            return;
-        }
-        if !single {
-            rs.chain_ok = false;
-            return;
-        }
-        let p = self.procs.values_mut().next().expect("single process");
-        if p.exit_status.is_some() {
-            return;
-        }
-        if !p.space.dirty_tracking() {
-            // execve replaced the space; the delta baseline is gone.
-            rs.chain_ok = false;
-            return;
-        }
-        let mut bases: std::collections::BTreeSet<u64> = rs.pending_pages.drain(..).collect();
-        bases.extend(p.space.take_dirty_pages());
-        let pages: Vec<PageSnap> = bases
-            .into_iter()
-            .filter_map(|base| {
-                p.space.snapshot_page(base).map(|(perms, pkey, data)| PageSnap {
-                    base,
-                    perms: perms.bits(),
-                    pkey,
-                    data,
-                })
-            })
-            .collect();
-        rs.checkpoints.push(Checkpoint {
+        let entry = rs.entry_clock.remove(&(pid, tid)).unwrap_or(clock);
+        rs.emit(Rec::Syscall {
             retired,
-            clock,
-            cursor: rs.recs.len(),
-            pid: p.pid,
-            threads: p.threads.clone(),
-            sigactions: p.sigactions.clone(),
-            seccomp: p.seccomp.clone(),
-            interposer_live: p.interposer_live,
-            pages,
+            nr: nr_,
+            site,
+            ret,
+            cycles: clock.saturating_sub(entry),
         });
     }
 
-    /// Restores the process state captured by `chain[..=idx]` onto this
-    /// kernel, which must hold the same deterministically re-booted
-    /// process the chain was recorded from. Page snapshots of every
-    /// checkpoint in the prefix are applied in order (later deltas win),
-    /// then the last checkpoint's thread/signal/seccomp state. CPU caches
-    /// are reset — clock-invisible, since the cost model charges per
-    /// instruction regardless of decode-cache state — and the
-    /// retired-instruction clock and the record session's log
-    /// coordinates are aligned to the boundary.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason when the chain cannot reconstruct the
-    /// state (missing process, cross-process chain, or a snapshot page
-    /// that no longer maps — e.g. recorded after a runtime `mmap`). The
-    /// caller falls back to replaying from the start.
-    pub fn restore_to_checkpoint(&mut self, chain: &[Checkpoint], idx: usize) -> Result<(), String> {
-        let ckpt = chain.get(idx).ok_or("checkpoint index out of range")?;
-        let pid = ckpt.pid;
-        {
-            let p = self
-                .procs
-                .get_mut(&pid)
-                .ok_or("checkpointed process is not booted")?;
-            for c in chain.iter().take(idx + 1) {
-                if c.pid != pid {
-                    return Err("checkpoint chain crosses processes".to_string());
-                }
-                for ps in &c.pages {
-                    p.space
-                        .write_raw(ps.base, &ps.data)
-                        .map_err(|_| format!("page {:#x} is not mapped at restore time", ps.base))?;
-                    p.space
-                        .protect(ps.base, PAGE_SIZE, Perms::from_bits(ps.perms))
-                        .map_err(|_| format!("page {:#x} rejects protection restore", ps.base))?;
-                    p.space
-                        .set_pkey(ps.base, PAGE_SIZE, ps.pkey)
-                        .map_err(|_| format!("page {:#x} rejects pkey restore", ps.base))?;
-                }
-            }
-            p.threads = ckpt.threads.clone();
-            p.sigactions = ckpt.sigactions.clone();
-            p.seccomp = ckpt.seccomp.clone();
-            p.interposer_live = ckpt.interposer_live;
-            for t in &mut p.threads {
-                t.cpu.reset_caches();
-            }
-        }
-        self.clock = ckpt.clock;
-        if sim_obs::enabled() {
-            sim_obs::set_clock(self.clock);
-        }
-        self.retired = ckpt.retired;
-        if let Some(rs) = self.record.as_mut() {
-            rs.cursor = ckpt.cursor;
-            rs.bcursor = rs
-                .boundaries
-                .iter()
-                .position(|b| b.0 >= ckpt.retired)
-                .unwrap_or(rs.boundaries.len());
-            rs.stopped = false;
-            rs.entry_clock.clear();
-        }
-        Ok(())
-    }
-
-    /// Runs until the retired-instruction clock reaches `target` (or the
-    /// run otherwise ends): the time-travel seek primitive, which needs a
-    /// record session. Returns [`RunExit::Stop`] when the target was
-    /// reached.
-    pub fn run_to_retired(&mut self, target: u64, max_cycles: u64) -> RunExit {
+    /// Arms a stop target on the record session: the run halts exactly
+    /// when the retired-instruction clock reaches `target`, the
+    /// time-travel seek primitive. From then on every [`Kernel::run`]
+    /// returns [`RunExit::Stop`], so a driver that runs the kernel several
+    /// times (`apps::run_macro`) stops there too. Arm it after
+    /// [`Kernel::configure`], which replaces the session; without a record
+    /// or verify session it does nothing.
+    pub fn stop_at_retired(&mut self, target: u64) {
         let reached = self.retired >= target;
         if let Some(rs) = self.record.as_mut() {
             rs.stop_at = Some(target);
-            rs.stopped = reached;
+            rs.stopped |= reached;
         }
-        let exit = self.run(max_cycles);
-        let reached = self.retired >= target;
-        if let Some(rs) = self.record.as_mut() {
-            rs.stop_at = None;
-            if rs.divergence.is_none() && reached {
-                rs.stopped = false;
-            }
-        }
-        exit
     }
 
     // ---- record/replay public accessors ------------------------------------
@@ -1566,7 +1318,7 @@ impl Kernel {
         self.record.as_ref().and_then(|rs| rs.divergence.as_ref())
     }
 
-    /// Number of log records consumed (verify/inject) so far.
+    /// Number of log records a verifying replay has matched so far.
     pub fn record_cursor(&self) -> usize {
         self.record.as_ref().map_or(0, |rs| rs.cursor)
     }
@@ -1577,21 +1329,6 @@ impl Kernel {
             .as_mut()
             .map(|rs| std::mem::take(&mut rs.recs))
             .unwrap_or_default()
-    }
-
-    /// Drains the checkpoint chain (navigation-grade record mode). Empty
-    /// when the chain was broken by fork/exec — see
-    /// [`Kernel::record_chain_ok`].
-    pub fn take_checkpoints(&mut self) -> Vec<Checkpoint> {
-        self.record
-            .as_mut()
-            .map(|rs| std::mem::take(&mut rs.checkpoints))
-            .unwrap_or_default()
-    }
-
-    /// True while the checkpoint chain soundly reconstructs the run.
-    pub fn record_chain_ok(&self) -> bool {
-        self.record.as_ref().is_some_and(|rs| rs.chain_ok)
     }
 
     /// Applies every injection due at the current boundary: permission
@@ -2392,48 +2129,6 @@ impl Kernel {
             if obs {
                 sim_obs::fault_errno(self.clock, nr_, kind.tag());
             }
-        }
-
-        // Injecting replay: a non-process-local syscall is not re-executed;
-        // its recorded completion (return value, service cycles, page
-        // writes) is applied instead, so navigation after a checkpoint
-        // restore needs no VFS/net/RNG state.
-        if self
-            .record
-            .as_ref()
-            .is_some_and(|rs| rs.mode == RecordModeKind::Inject)
-            && !inject_passthrough(nr_)
-        {
-            let rec = self.record.as_mut().and_then(RecordSession::take_syscall);
-            match rec {
-                Some(Rec::Syscall {
-                    nr: rnr,
-                    ret,
-                    cycles,
-                    writes,
-                    ..
-                }) if rnr == nr_ => {
-                    if let Some(p) = self.procs.get_mut(&pid) {
-                        for (base, data) in &writes {
-                            let _ = p.space.write_raw(*base, data);
-                        }
-                        if let Some(t) = p.thread_mut(tid) {
-                            t.cpu.syscall_return(site, ret);
-                        }
-                    }
-                    self.charge(cycles);
-                    if obs {
-                        sim_obs::syscall_exit(self.clock, nr_, ret, nr::syscall_name(nr_));
-                    }
-                }
-                _ => {
-                    // Log exhausted or misaligned: halt navigation.
-                    if let Some(rs) = self.record.as_mut() {
-                        rs.stopped = true;
-                    }
-                }
-            }
-            return;
         }
 
         // Dispatch — through the interposer chain when a composed stack

@@ -37,7 +37,7 @@ pub mod vfs;
 
 pub use audit::{AuditLedger, AuditSession, AuditSpec, AuditTag, ProcAudit, Signature};
 pub use config::{Engine, EngineConfig};
-pub use record::{Checkpoint, RecordSpec};
+pub use record::RecordSpec;
 pub use kernel::{ExecLoader, ExecOpts, HostcallFn, Kernel, LoadedImage, RunExit, TraceEntry};
 // Re-exported so callers assemble an `EngineConfig` from this crate alone.
 pub use sim_fault::FaultPlan;

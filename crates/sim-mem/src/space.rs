@@ -1,7 +1,7 @@
 //! The paged guest address space.
 
 use crate::perms::{Access, Perms, Pkru, NO_PKEY};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Page size in bytes (4 KiB, as on x86-64).
@@ -158,9 +158,6 @@ pub struct AddressSpace {
     /// version can be compared across unmap/remap cycles.
     version_counter: u64,
     mappings: Vec<Mapping>,
-    /// Written-page set for incremental snapshots (`None` = tracking off,
-    /// the default; the write fast paths then pay a single branch).
-    dirty: Option<BTreeSet<u64>>,
 }
 
 impl Default for AddressSpace {
@@ -174,7 +171,6 @@ impl Default for AddressSpace {
             tlb_gen: 1,
             version_counter: 0,
             mappings: Vec::new(),
-            dirty: None,
         }
     }
 }
@@ -209,66 +205,6 @@ impl AddressSpace {
     fn next_version(&mut self) -> u64 {
         self.version_counter += 1;
         self.version_counter
-    }
-
-    /// Enables or disables written-page tracking. Enabling clears any
-    /// previously accumulated set; disabling drops it. While enabled, every
-    /// write path (checked, raw, and the byte-at-a-time reference twins)
-    /// and every protection/pkey change records the affected page bases for
-    /// [`AddressSpace::take_dirty_pages`].
-    pub fn set_dirty_tracking(&mut self, on: bool) {
-        self.dirty = if on { Some(BTreeSet::new()) } else { None };
-    }
-
-    /// True while written-page tracking is enabled. A space created after
-    /// tracking was configured (e.g. by `execve`) reports `false` until
-    /// re-enabled — checkpointing uses this to detect that its incremental
-    /// page deltas no longer cover the process.
-    pub fn dirty_tracking(&self) -> bool {
-        self.dirty.is_some()
-    }
-
-    /// Drains the set of page bases written (or re-protected) since the
-    /// last drain, sorted ascending. Empty when tracking is off.
-    pub fn take_dirty_pages(&mut self) -> Vec<u64> {
-        match self.dirty.as_mut() {
-            Some(d) => std::mem::take(d).into_iter().collect(),
-            None => Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, base: u64) {
-        if let Some(d) = self.dirty.as_mut() {
-            d.insert(base);
-        }
-    }
-
-    /// Marks every page base in `[addr, addr+len)` dirty (protection and
-    /// pkey changes must reach incremental snapshots too).
-    fn mark_range_dirty(&mut self, addr: u64, len: u64) {
-        if self.dirty.is_none() {
-            return;
-        }
-        let start = Self::page_base(addr);
-        let end = addr
-            .checked_add(len)
-            .map(|e| Self::page_base(e + PAGE_SIZE - 1))
-            .unwrap_or(u64::MAX);
-        let mut base = start;
-        while base < end {
-            self.mark_dirty(base);
-            base += PAGE_SIZE;
-        }
-    }
-
-    /// Snapshot of the materialized page at `base`: protection attributes
-    /// plus a copy of its 4 KiB contents. `None` if the page was never
-    /// touched (it is still implicitly zero and needs no snapshot).
-    pub fn snapshot_page(&self, base: u64) -> Option<(Perms, u8, Vec<u8>)> {
-        let &slot = self.pages.get(&base)?;
-        let f = &self.frames[slot as usize];
-        Some((f.perms, f.pkey, f.data.to_vec()))
     }
 
     /// Serialization stamp: `(generation, last issued content version)`.
@@ -444,7 +380,6 @@ impl AddressSpace {
     /// Faults with [`FaultReason::Unmapped`] if part of the range is
     /// unmapped.
     pub fn protect(&mut self, addr: u64, len: u64, perms: Perms) -> Result<(), Fault> {
-        self.mark_range_dirty(addr, len);
         self.for_each_page(addr, len, |page| page.perms = perms)?;
         for m in &mut self.mappings {
             if m.start >= addr && m.end <= addr.saturating_add(len) {
@@ -461,7 +396,6 @@ impl AddressSpace {
     ///
     /// Faults if part of the range is unmapped.
     pub fn set_pkey(&mut self, addr: u64, len: u64, pkey: u8) -> Result<(), Fault> {
-        self.mark_range_dirty(addr, len);
         self.for_each_page(addr, len, |page| page.pkey = pkey)?;
         for m in &mut self.mappings {
             if m.start >= addr && m.end <= addr.saturating_add(len) {
@@ -638,7 +572,6 @@ impl AddressSpace {
             match write_src {
                 Some(src) => {
                     let v = self.next_version();
-                    self.mark_dirty(base);
                     let frame = &mut self.frames[slot as usize];
                     frame.data[off..off + run].copy_from_slice(&src[done..done + run]);
                     frame.version = v;
@@ -683,7 +616,6 @@ impl AddressSpace {
             match write_src {
                 Some(src) => {
                     let v = self.next_version();
-                    self.mark_dirty(base);
                     self.frames[slot].data[off] = src[i];
                     self.frames[slot].version = v;
                 }
@@ -878,7 +810,6 @@ impl AddressSpace {
             match write_src {
                 Some(src) => {
                     let v = self.next_version();
-                    self.mark_dirty(base);
                     let frame = &mut self.frames[slot as usize];
                     frame.data[off..off + run].copy_from_slice(&src[done..done + run]);
                     frame.version = v;

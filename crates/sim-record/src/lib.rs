@@ -1,27 +1,21 @@
-//! # sim-record — record/replay log format and divergence bisection
+//! # sim-record — the record/replay log format
 //!
 //! The portable half of the record/replay subsystem (DESIGN.md §11). A
 //! [`Recording`] is what `simrecord` writes to disk: a self-describing
-//! header (workload, engine, fault plan, checkpoint period), the
-//! nondeterminism log — every syscall result, injected fault/signal/
-//! permission flip, and scheduler decision, keyed by the retired-
-//! instruction count at which it happened — and the canonicalized sim-obs
-//! event stream the recording run produced. Retired-instruction keys are
-//! the engine-invariant addressing scheme the fault planner already uses:
-//! a log recorded under any engine (stepwise, block, trace) replays
-//! byte-identically under any other, because all three agree on which
-//! instruction is the Nth to retire.
+//! header (workload, engine, seed, fault plan), the nondeterminism log —
+//! every syscall result, injected fault/signal/permission flip, and
+//! scheduler decision, keyed by the retired-instruction count at which
+//! it happened — and the canonicalized sim-obs event stream the recording
+//! run produced. Retired-instruction keys are the engine-invariant
+//! addressing scheme the fault planner already uses: a log recorded under
+//! any engine (stepwise, block, trace) replays byte-identically under any
+//! other, because all three agree on which instruction is the Nth to
+//! retire.
 //!
-//! The kernel-side half (sessions, capture/injection hooks, checkpoints)
-//! lives in `sim-kernel`; this crate stays dependency-light so exporters
-//! and offline tooling can parse logs without linking the simulator.
-//!
-//! Divergence hunting is a bisection, not a scan: [`first_divergence`]
-//! digests both logs once into chained prefix hashes, then binary-searches
-//! for the longest equal prefix in `O(log n)` probes, returning the first
-//! mismatched record and the retired-instruction index it is keyed by —
-//! the coordinate the stepwise oracle can then re-execute to for a
-//! register/stack dump.
+//! The kernel-side half (the record and verify sessions, and the stop
+//! target navigation seeks with) lives in `sim-kernel`; this crate stays
+//! dependency-light so exporters and offline tooling can parse logs
+//! without linking the simulator.
 
 use sim_obs::{EventKind, Recorder};
 
@@ -34,18 +28,14 @@ pub const MAGIC: &[u8; 6] = b"SREC1\n";
 pub enum Rec {
     /// A syscall completed: the guest observed `ret` at `retired`.
     /// `cycles` is the full kernel residency (entry to return, blocking
-    /// waits included) so injection-mode replay can advance the clock
-    /// without re-executing the handler. `writes` carries post-syscall
-    /// snapshots of the pages the handler wrote (captured only when the
-    /// recording is checkpoint-grade; empty otherwise) so navigation can
-    /// reproduce `read(2)`-style buffer fills without kernel state.
+    /// waits included), so a replay whose kernel charges differently
+    /// diverges at that syscall.
     Syscall {
         retired: u64,
         nr: u64,
         site: u64,
         ret: u64,
         cycles: u64,
-        writes: Vec<(u64, Vec<u8>)>,
     },
     /// An injected asynchronous signal at an instruction boundary.
     Signal {
@@ -110,17 +100,12 @@ impl Rec {
                 site,
                 ret,
                 cycles,
-                writes,
             } => {
                 for v in [retired, nr, site, ret, cycles] {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
-                out.extend_from_slice(&(writes.len() as u32).to_le_bytes());
-                for (base, data) in writes {
-                    out.extend_from_slice(&base.to_le_bytes());
-                    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-                    out.extend_from_slice(data);
-                }
+                // The frame's page-write count, always 0 (see `decode`).
+                out.extend_from_slice(&0u32.to_le_bytes());
             }
             Rec::Signal {
                 retired,
@@ -177,12 +162,14 @@ impl Rec {
                 let site = cur.u64()?;
                 let ret = cur.u64()?;
                 let cycles = cur.u64()?;
-                let n = cur.u32()? as usize;
-                let mut writes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let base = cur.u64()?;
-                    let dlen = cur.u32()? as usize;
-                    writes.push((base, cur.bytes(dlen)?.to_vec()));
+                // The page-write count: always 0, kept so `SREC1` frames
+                // stay byte-identical. A frame with page writes is from a
+                // format this decoder does not read.
+                let writes = cur.u32()?;
+                if writes != 0 {
+                    return Err(format!(
+                        "syscall frame at retired instruction {retired} carries {writes} page writes (expected 0)"
+                    ));
                 }
                 Rec::Syscall {
                     retired,
@@ -190,7 +177,6 @@ impl Rec {
                     site,
                     ret,
                     cycles,
-                    writes,
                 }
             }
             2 => Rec::Signal {
@@ -239,8 +225,8 @@ pub struct Header {
     pub seed: u64,
     /// `FaultPlan::encode()` string of the injected plan, if any.
     pub fault_plan: Option<String>,
-    /// Periodic checkpoint spacing in retired instructions (0 = recording
-    /// is not checkpoint-grade and cannot seed time-travel navigation).
+    /// Written as 0 and read by nothing; kept so the `SREC1` header
+    /// layout, and every digest that folds its bytes, stay unchanged.
     pub checkpoint_period: u64,
 }
 
@@ -286,7 +272,8 @@ impl Recording {
     /// # Errors
     ///
     /// Returns a description of the first framing violation (bad magic,
-    /// truncated field, unknown tag, length mismatch, trailing bytes).
+    /// truncated field, unknown tag, length mismatch, a syscall frame with
+    /// page writes, trailing bytes), naming the record it is in.
     pub fn decode(data: &[u8]) -> Result<Recording, String> {
         let mut cur = Cursor { data, pos: 0 };
         if cur.bytes(MAGIC.len())? != MAGIC {
@@ -303,8 +290,8 @@ impl Recording {
         let checkpoint_period = cur.u64()?;
         let nrecs = cur.u64()? as usize;
         let mut recs = Vec::with_capacity(nrecs.min(1 << 20));
-        for _ in 0..nrecs {
-            recs.push(Rec::decode(&mut cur)?);
+        for i in 0..nrecs {
+            recs.push(Rec::decode(&mut cur).map_err(|e| format!("record {i}: {e}"))?);
         }
         let nobs = cur.u64()? as usize;
         let mut obs = Vec::with_capacity(nobs.min(1 << 20));
@@ -434,7 +421,7 @@ pub fn obs_lines(rec: &Recorder) -> Vec<String> {
         .collect()
 }
 
-// ===== Divergence bisection =====
+// ===== Divergences =====
 
 /// A located divergence between an expected (recorded) stream and a live
 /// (replayed) one.
@@ -442,110 +429,25 @@ pub fn obs_lines(rec: &Recorder) -> Vec<String> {
 pub struct Divergence {
     /// Index of the first mismatched record.
     pub index: usize,
-    /// Retired-instruction coordinate of the mismatch — the address the
-    /// stepwise oracle re-executes to for the post-mortem dump.
+    /// Retired-instruction coordinate of the mismatch — the target to
+    /// give `simrecord --navigate --seek` for a state dump there.
     pub retired: u64,
     /// What the log said should happen (`None`: the live stream ran past
     /// the end of the log).
     pub expected: Option<Rec>,
     /// What actually happened (`None`: the live stream ended early).
     pub got: Option<Rec>,
-    /// Bisection probes spent locating the index (`⌈log₂ n⌉`-ish; kept
-    /// so tests can assert the search really is logarithmic).
-    pub probes: u32,
 }
 
-/// 64-bit FNV-1a.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Chained prefix digests: `out[i]` commits to `items[..i]`.
-fn prefix_digests<T>(items: &[T], h: impl Fn(&T) -> u64) -> Vec<u64> {
-    let mut out = Vec::with_capacity(items.len() + 1);
-    let mut acc = 0x9e37_79b9_7f4a_7c15u64;
-    out.push(acc);
-    for it in items {
-        acc = (acc.rotate_left(5) ^ h(it)).wrapping_mul(0x2545_f491_4f6c_dd1d);
-        out.push(acc);
-    }
-    out
-}
-
-/// Binary search over the prefix digests of two streams for the length of
-/// their longest common prefix. Returns `(first mismatched index, probes)`
-/// — the index equals the shorter length when one stream is a strict
-/// prefix of the other — or `None` when the streams are identical.
-fn bisect_prefix<T: PartialEq>(
-    a: &[T],
-    b: &[T],
-    h: impl Fn(&T) -> u64,
-) -> Option<(usize, u32)> {
-    let n = a.len().min(b.len());
-    let da = prefix_digests(&a[..n], &h);
-    let db = prefix_digests(&b[..n], &h);
-    let mut probes = 0u32;
-    if da[n] == db[n] {
-        // Digest-equal up to the shorter length; confirm (collision guard)
-        // then the only possible divergence is a length mismatch.
-        if a[..n] == b[..n] {
-            return (a.len() != b.len()).then_some((n, probes));
-        }
-    }
-    // Invariant: prefix of length `lo` matches, prefix of length `hi`
-    // does not.
-    let (mut lo, mut hi) = (0usize, n);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        probes += 1;
-        if da[mid] == db[mid] {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    // First mismatched item is at index `hi - 1 == lo`; walk forward over
-    // (astronomically unlikely) digest collisions.
-    let mut idx = lo;
-    while idx < n && a[idx] == b[idx] {
-        idx += 1;
-    }
-    Some((idx, probes))
-}
-
-/// Bisects to the first record where the live stream departs from the
-/// recorded one. `None` when the streams agree exactly.
-pub fn first_divergence(expected: &[Rec], live: &[Rec]) -> Option<Divergence> {
-    let (index, probes) = bisect_prefix(expected, live, |r| {
-        let mut buf = Vec::with_capacity(48);
-        r.encode_into(&mut buf);
-        fnv64(&buf)
-    })?;
-    let exp = expected.get(index).cloned();
-    let got = live.get(index).cloned();
-    let retired = exp
-        .as_ref()
-        .or(got.as_ref())
-        .map(Rec::retired)
-        .unwrap_or(0);
-    Some(Divergence {
-        index,
-        retired,
-        expected: exp,
-        got,
-        probes,
-    })
-}
-
-/// Bisects two canonicalized obs streams (see [`obs_lines`]) to the index
-/// of their first differing line. `None` when byte-identical.
-pub fn first_obs_divergence(expected: &[String], live: &[String]) -> Option<(usize, u32)> {
-    bisect_prefix(expected, live, |s| fnv64(s.as_bytes()))
+/// Index of the first line where two canonicalized obs streams (see
+/// [`obs_lines`]) differ — the shorter length when one is a strict prefix
+/// of the other. `None` when byte-identical.
+pub fn first_obs_divergence(expected: &[String], live: &[String]) -> Option<usize> {
+    expected
+        .iter()
+        .zip(live)
+        .position(|(a, b)| a != b)
+        .or_else(|| (expected.len() != live.len()).then(|| expected.len().min(live.len())))
 }
 
 #[cfg(test)]
@@ -559,7 +461,6 @@ mod tests {
             site: 0x40_1000,
             ret,
             cycles: 321,
-            writes: Vec::new(),
         }
     }
 
@@ -570,7 +471,7 @@ mod tests {
                 workload: "nginx".into(),
                 seed: 7,
                 fault_plan: Some("v1;seed=7".into()),
-                checkpoint_period: 4096,
+                checkpoint_period: 0,
             },
             recs: vec![
                 sys(10, 0),
@@ -597,7 +498,6 @@ mod tests {
                     site: 0x40_2000,
                     ret: 4096,
                     cycles: 900,
-                    writes: vec![(0x7000, vec![1, 2, 3]), (0x8000, vec![0; 4096])],
                 },
                 Rec::Exit {
                     retired: 150,
@@ -631,44 +531,39 @@ mod tests {
         );
     }
 
+    /// A syscall frame is its five words plus a zero page-write count; a
+    /// non-zero count fails to decode, naming the frame.
     #[test]
-    fn bisection_finds_exact_perturbed_index() {
-        let n = 10_000usize;
-        let base: Vec<Rec> = (0..n).map(|i| sys(i as u64 * 7, i as u64)).collect();
-        for &target in &[0usize, 1, 4999, 9998, 9999] {
-            let mut bad = base.clone();
-            if let Rec::Syscall { ret, .. } = &mut bad[target] {
-                *ret ^= 1;
-            }
-            let d = first_divergence(&base, &bad).expect("divergence");
-            assert_eq!(d.index, target);
-            assert_eq!(d.retired, target as u64 * 7);
-            assert!(
-                d.probes <= 16,
-                "bisection not logarithmic: {} probes for n={n}",
-                d.probes
-            );
-        }
-        assert!(first_divergence(&base, &base).is_none());
+    fn codec_rejects_a_syscall_frame_with_page_writes() {
+        let r = Recording {
+            recs: vec![sys(10, 0), sys(20, 0)],
+            ..Recording::default()
+        };
+        let mut bytes = r.encode();
+        // The last frame's count sits right before the obs count (8 bytes).
+        let count = bytes.len() - 8 - 4;
+        assert_eq!(
+            bytes[count - 45..count - 40],
+            [1, 44, 0, 0, 0],
+            "tag and length"
+        );
+        assert_eq!(bytes[count..count + 4], [0; 4], "page-write count");
+        bytes[count] = 1;
+        let err = Recording::decode(&bytes).unwrap_err();
+        assert!(
+            err.contains("record 1") && err.contains("retired instruction 20"),
+            "{err}"
+        );
     }
 
     #[test]
-    fn bisection_handles_prefix_truncation() {
-        let base: Vec<Rec> = (0..100).map(|i| sys(i, i)).collect();
-        let d = first_divergence(&base, &base[..40]).expect("divergence");
-        assert_eq!(d.index, 40);
-        assert_eq!(d.retired, 40);
-        assert!(d.expected.is_some() && d.got.is_none());
-    }
-
-    #[test]
-    fn obs_bisection_finds_first_line() {
+    fn obs_divergence_finds_first_line() {
         let a: Vec<String> = (0..1000).map(|i| format!("{i} 1/1 syscall_enter")).collect();
         let mut b = a.clone();
         b[617].push('!');
-        let (idx, probes) = first_obs_divergence(&a, &b).expect("divergence");
-        assert_eq!(idx, 617);
-        assert!(probes <= 12);
-        assert!(first_obs_divergence(&a, &a).is_none());
+        assert_eq!(first_obs_divergence(&a, &b), Some(617));
+        assert_eq!(first_obs_divergence(&a, &a[..400]), Some(400));
+        assert_eq!(first_obs_divergence(&a[..400], &a), Some(400));
+        assert_eq!(first_obs_divergence(&a, &a), None);
     }
 }

@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
+use bench::micro::{install_micro, MICRO_APP};
 use interpose::{Interposer, Native};
 use pitfalls::fault::{plan_for, run_probe, run_probe_on, Scenario};
 use sim_fault::{FaultKind, FaultPlan, SyscallFault};
@@ -77,10 +77,7 @@ type MicroRun = (Vec<TraceEntry>, u64, Option<i64>, u64, f64);
 /// Runs the syscall-500 stress guest under `cfg`.
 fn run_micro(cfg: EngineConfig, iters: u64, record: bool) -> MicroRun {
     let mut k = boot_kernel();
-    build_micro_app().install(&mut k.vfs);
-    k.vfs
-        .write_file(MICRO_CFG, &iters.to_le_bytes())
-        .expect("cfg");
+    install_micro(&mut k.vfs, iters).expect("microbench installs");
     let ip = Native;
     ip.install(&mut k);
     let pid = ip.spawn(&mut k, MICRO_APP, &[], &[]).expect("spawn");

@@ -8,9 +8,7 @@
 
 use std::rc::Rc;
 
-use bench::micro::{
-    build_micro_app, per_iteration_cycles, per_iteration_cycles_with, MICRO_APP, MICRO_CFG,
-};
+use bench::micro::{install_micro, per_iteration_cycles, per_iteration_cycles_with, MICRO_APP};
 use bench::Config;
 use interpose::{Interposer, PtraceInterposer, SudInterposer};
 use k23::{OfflineSession, Variant, K23};
@@ -213,8 +211,7 @@ fn sud_run_emits_sigsys_and_selector_flips() {
     let n = 50u64;
     let ip = SudInterposer::new();
     let mut k = boot_kernel();
-    build_micro_app().install(&mut k.vfs);
-    k.vfs.write_file(MICRO_CFG, &n.to_le_bytes()).expect("cfg");
+    install_micro(&mut k.vfs, n).expect("microbench installs");
     sim_obs::enable(ObsConfig::default());
     ip.install(&mut k);
     let pid = ip.spawn(&mut k, MICRO_APP, &[], &[]).expect("spawn");
@@ -246,15 +243,14 @@ fn sud_run_emits_sigsys_and_selector_flips() {
 fn k23_run_attributes_forwarded_syscalls() {
     let n = 50u64;
     let mut k = boot_kernel();
-    build_micro_app().install(&mut k.vfs);
-    k.vfs.write_file(MICRO_CFG, &64u64.to_le_bytes()).expect("cfg");
+    install_micro(&mut k.vfs, 64).expect("microbench installs");
     let session = OfflineSession::new(&mut k, MICRO_APP);
     let (_pid, exit) = session
         .run_once(&mut k, &[], &[], u64::MAX / 4)
         .expect("offline run");
     assert_eq!(exit, RunExit::AllExited);
     session.finish(&mut k);
-    k.vfs.write_file(MICRO_CFG, &n.to_le_bytes()).expect("cfg");
+    install_micro(&mut k.vfs, n).expect("microbench installs");
     let ip = K23::new(Variant::Default);
     sim_obs::enable(ObsConfig::default());
     ip.install(&mut k);

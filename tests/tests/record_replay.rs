@@ -3,21 +3,21 @@
 //! 1. The full engine matrix: a run recorded on any engine replays with
 //!    byte-identical logs and sim-obs event streams on any other engine
 //!    (9 record×replay pairs, with and without a fault plan).
-//! 2. Divergence bisection: an artificially perturbed log is pinned to
-//!    the exact record index and retired-instruction coordinate, both by
-//!    the live verifier and by the offline prefix-digest bisection.
-//! 3. Time-travel navigation: seeking to a retired-instruction target
-//!    from a restored checkpoint reproduces the architectural state of a
-//!    replay from the start.
+//! 2. Divergence location: the live verifier pins an artificially
+//!    perturbed log to the exact record index and retired-instruction
+//!    coordinate.
+//! 3. Time-travel navigation: a verify replay stopped at a
+//!    retired-instruction target reaches the identical state on every
+//!    engine, the state of a recording run stopped there.
 
 use std::rc::Rc;
 
-use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
+use bench::micro::{install_micro, MICRO_APP};
 use interpose::{Interposer, Native};
 use sim_fault::{FaultKind, FaultPlan, SyscallFault};
 use sim_kernel::{nr, EngineConfig, Kernel, RunExit};
 use sim_loader::boot_kernel;
-use sim_record::{first_divergence, obs_lines, Rec};
+use sim_record::{obs_lines, Rec};
 
 /// The three engine configurations, oracle first.
 fn engines() -> [(&'static str, EngineConfig); 3] {
@@ -49,10 +49,7 @@ fn plan() -> FaultPlan {
 /// Boots the syscall-500 stress guest, ready to configure and run.
 fn boot_micro(iters: u64) -> Kernel {
     let mut k = boot_kernel();
-    build_micro_app().install(&mut k.vfs);
-    k.vfs
-        .write_file(MICRO_CFG, &iters.to_le_bytes())
-        .expect("cfg");
+    install_micro(&mut k.vfs, iters).expect("microbench installs");
     let ip = Native;
     ip.install(&mut k);
     ip.spawn(&mut k, MICRO_APP, &[], &[]).expect("spawn");
@@ -166,8 +163,7 @@ fn record_replay_matrix_under_fault_plan() {
 
 /// A perturbed log is pinned to the exact divergence coordinate: the
 /// live verifier halts at the perturbed index with the record's retired
-/// count, and the offline prefix-digest bisection lands on the same
-/// index in O(log n) probes.
+/// count.
 #[test]
 fn perturbed_log_bisects_to_exact_index() {
     let iters = 2_000;
@@ -187,13 +183,6 @@ fn perturbed_log_bisects_to_exact_index() {
     } else {
         panic!("picked a non-syscall record");
     }
-    // Offline bisection between the pristine and perturbed logs.
-    let div = first_divergence(&log, &bad).expect("bisection found nothing");
-    assert_eq!(div.index, idx, "bisection index");
-    assert_eq!(div.retired, expect_retired, "bisection retired coordinate");
-    assert!(div.probes <= 16, "bisection probes: {}", div.probes);
-    // Live verification against the perturbed log halts at the same
-    // record with the same retired-instruction coordinate.
     let (div, cursor, _, _) = verify_micro(EngineConfig::stepwise(), iters, Rc::new(bad));
     let div = div.expect("verifier missed the perturbation");
     assert_eq!(div.index, idx, "verifier index");
@@ -215,58 +204,41 @@ fn cpu_state(k: &mut Kernel) -> (u64, Vec<u64>, u64) {
     (cpu.rip, cpu.regs.to_vec(), k.clock)
 }
 
-/// Time travel: a navigation-grade recording's checkpoint chain seeds a
-/// seek that reproduces the register file, RIP, clock, and retired count
-/// of an inject replay from the start.
+/// Time travel by re-execution: verify replays of a micro recording
+/// stopped at a target no record is keyed by (mid-loop, off any syscall
+/// boundary) stop exactly there on all three engines, stay stopped, and
+/// reach the RIP, registers and clock of a recording run stopped at the
+/// same target, whose log so far is the replayed prefix.
 #[test]
-fn navigation_seek_matches_replay_from_start() {
+fn navigation_seek_stops_at_the_target_on_every_engine() {
     let iters = 2_000;
-    // Navigation-grade record (block engine): checkpoints + page writes.
-    let (log, ckpts, total) = {
-        let mut k = boot_micro(iters);
-        k.configure(EngineConfig::new().record_with_checkpoints(2_000));
-        let exit = k.run(u64::MAX / 4);
-        assert_eq!(exit, RunExit::AllExited);
-        assert!(k.record_chain_ok(), "single-process run must keep the chain");
-        (
-            Rc::new(k.take_recording()),
-            k.take_checkpoints(),
-            k.retired(),
-        )
-    };
+    let (log, _, _) = record_micro(EngineConfig::new(), iters);
+    let target = log[log.len() / 2].retired() + 1;
     assert!(
-        ckpts.len() >= 2,
-        "expected ≥ 2 checkpoints over {total} retired instructions"
+        log.iter().all(|r| r.retired() != target),
+        "target is a record boundary"
     );
-    // Seek past the second checkpoint, not on a checkpoint boundary.
-    let target = ckpts[1].retired + 123;
-    assert!(target < total);
-    // Reference: inject replay from the start (stepwise engine).
-    let reference = {
+    let seek = |cfg: EngineConfig| {
         let mut k = boot_micro(iters);
-        k.configure(EngineConfig::stepwise().replay_inject(Rc::clone(&log)));
-        let exit = k.run_to_retired(target, u64::MAX / 4);
-        assert_eq!(exit, RunExit::Stop);
-        assert_eq!(k.retired(), target);
-        cpu_state(&mut k)
+        k.configure(cfg);
+        k.stop_at_retired(target);
+        for _ in 0..2 {
+            assert_eq!(k.run(u64::MAX / 4), RunExit::Stop);
+            assert_eq!(k.retired(), target);
+        }
+        let div = k.record_divergence();
+        assert!(div.is_none(), "{div:?}");
+        (cpu_state(&mut k), k)
     };
-    // Seek: restore the nearest checkpoint at or below the target, then
-    // inject-replay the remainder (block engine — cross-engine on top).
-    let sought = {
-        let mut k = boot_micro(iters);
-        k.configure(EngineConfig::new().replay_inject(Rc::clone(&log)));
-        let at = ckpts
-            .iter()
-            .rposition(|c| c.retired <= target)
-            .expect("no checkpoint below target");
-        k.restore_to_checkpoint(&ckpts, at).expect("restore");
-        assert_eq!(k.retired(), ckpts[at].retired);
-        let exit = k.run_to_retired(target, u64::MAX / 4);
-        assert_eq!(exit, RunExit::Stop);
-        assert_eq!(k.retired(), target);
-        cpu_state(&mut k)
-    };
-    assert_eq!(sought.0, reference.0, "rip differs after seek");
-    assert_eq!(sought.1, reference.1, "registers differ after seek");
-    assert_eq!(sought.2, reference.2, "clock differs after seek");
+    let (recorded, mut k) = seek(EngineConfig::new().record());
+    let prefix = k.take_recording();
+    let log = Rc::new(log);
+    for (name, cfg) in engines() {
+        let (sought, k) = seek(cfg.replay_verify(Rc::clone(&log)));
+        assert_eq!(sought.0, recorded.0, "{name}: rip differs after seek");
+        assert_eq!(sought.1, recorded.1, "{name}: registers differ after seek");
+        assert_eq!(sought.2, recorded.2, "{name}: clock differs after seek");
+        assert_eq!(k.record_cursor(), prefix.len(), "{name}: records verified");
+    }
+    assert_eq!(prefix[..], log[..prefix.len()], "recorded prefix");
 }
