@@ -11,6 +11,8 @@ pub mod coreutils;
 pub mod servers;
 pub mod workloads;
 
+use std::sync::OnceLock;
+
 pub use clients::{build_loadgen, build_redis_bench, build_wrk, install_clients};
 pub use coreutils::{install_coreutils, COREUTILS, EXPECTED_SITES};
 pub use servers::{
@@ -22,11 +24,25 @@ pub use workloads::{
     MacroError, MacroResult, MacroSpec, ScaleRun, CONNECTED_MARKER, RX_LOG,
 };
 
-/// Installs every application and its data into a VFS.
+/// Installs every application and its data into a VFS. The world is
+/// built and serialized once per process; every VFS shares its file bytes
+/// until it writes them ([`sim_kernel::Vfs::overlay`]).
+///
+/// # Panics
+///
+/// Panics if the VFS rejects one of the world's paths (an immutable
+/// target).
 pub fn install_world(vfs: &mut sim_kernel::Vfs) {
-    coreutils::install_coreutils(vfs);
-    servers::install_servers(vfs);
-    clients::install_clients(vfs);
+    static WORLD: OnceLock<sim_kernel::Vfs> = OnceLock::new();
+    let world = WORLD.get_or_init(|| {
+        let mut world = sim_kernel::Vfs::new();
+        coreutils::install_coreutils(&mut world);
+        servers::install_servers(&mut world);
+        clients::install_clients(&mut world);
+        world
+    });
+    vfs.overlay(world)
+        .unwrap_or_else(|e| panic!("installing the guest world failed: {e}"));
 }
 
 #[cfg(test)]
@@ -34,6 +50,26 @@ mod tests {
     use super::*;
     use interpose::Native;
     use sim_loader::boot_kernel;
+
+    #[test]
+    fn world_files_stay_private_to_the_vfs_that_writes_them() {
+        let nginx = "/usr/bin/nginx-sim";
+        let mut a = sim_kernel::Vfs::new();
+        install_world(&mut a);
+        let mut b = sim_kernel::Vfs::new();
+        install_world(&mut b);
+        let image = b.read_file(nginx).unwrap().to_vec();
+        assert_eq!(a.read_file(nginx).unwrap().as_ptr(), b.read_file(nginx).unwrap().as_ptr());
+        a.write_at(nginx, 0, b"X").unwrap();
+        a.append_file(nginx, b"Y").unwrap();
+        a.write_file("/home/user/a.txt", b"Z").unwrap();
+        assert_eq!(b.read_file(nginx).unwrap(), &image[..]);
+        let mut c = sim_kernel::Vfs::new();
+        install_world(&mut c);
+        assert_eq!(c.read_file(nginx).unwrap(), &image[..]);
+        assert_eq!(c.read_file("/home/user/a.txt").unwrap(), b"alpha file contents\n");
+        assert!(c.is_dir("/data"));
+    }
 
     #[test]
     fn nginx_serves_wrk_natively() {

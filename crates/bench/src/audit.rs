@@ -21,7 +21,6 @@ use crate::cli;
 use apps::MacroSpec;
 use interpose::Interposer;
 use sim_kernel::{AuditLedger, EngineConfig, Kernel, ProcAudit, RunExit, Signature};
-use sim_loader::boot_kernel_from;
 use std::collections::BTreeSet;
 
 /// Cycle budget per audited run (matches the macro harness).
@@ -101,7 +100,7 @@ pub fn epollsrv_spec() -> MacroSpec {
 /// An unknown spec, or an offline phase or coreutil run that fails.
 pub fn run_coreutil_audit(spec: &str, cfg: EngineConfig) -> Result<AuditLedger, String> {
     let ip = cli::mechanism(spec)?;
-    let mut k = boot_kernel_from(cli::world());
+    let mut k = cli::fresh_world();
     let run = |k: &mut Kernel, ip: &dyn Interposer| {
         cli::run_to_exit(k, ip, COREUTIL, &[COREUTIL.to_string()], BUDGET)
     };
@@ -137,7 +136,7 @@ pub const HOSTILE_POCS: [&str; 3] = [
 /// spawn or runs out of budget.
 pub fn run_hostile_audit(spec: &str, cfg: EngineConfig) -> Result<AuditLedger, String> {
     let ip = cli::mechanism(spec)?;
-    let mut k = boot_kernel_from(cli::world());
+    let mut k = cli::fresh_world();
     pitfalls::install_pocs(&mut k.vfs);
     if k23::needs_offline(spec) {
         for app in HOSTILE_POCS {
@@ -171,7 +170,7 @@ pub fn run_server_audit(
     log: Option<&(String, Vec<u8>)>,
 ) -> Result<AuditLedger, String> {
     let ip = cli::mechanism(spec)?;
-    let mut k = boot_kernel_from(cli::world());
+    let mut k = cli::fresh_world();
     cli::install_log(&mut k, log);
     k.configure(cfg.audit(ip.coverage()));
     apps::run_macro(&mut k, ip.as_ref(), mspec, BUDGET).map_err(|e| format!("{e:?}"))?;
@@ -197,7 +196,7 @@ pub fn run_epollsrv_audit(
     log: Option<&(String, Vec<u8>)>,
 ) -> Result<AuditLedger, String> {
     let ip = cli::mechanism(spec)?;
-    let mut k = boot_kernel_from(cli::world());
+    let mut k = cli::fresh_world();
     cli::install_log(&mut k, log);
     k.configure(cfg.audit(ip.coverage()));
     let mspec = epollsrv_spec();

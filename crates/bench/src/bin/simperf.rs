@@ -32,7 +32,6 @@ use bench::cli::{self, Args};
 use bench::micro::{install_micro, MICRO_APP};
 use interpose::{Interposer, Native};
 use sim_kernel::{EngineConfig, Kernel, Pid, RunExit, TraceEntry};
-use sim_loader::boot_kernel_from;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -82,7 +81,7 @@ impl Mode {
 }
 
 fn boot(n: u64) -> (Kernel, Pid) {
-    let mut k = boot_kernel_from(cli::world());
+    let mut k = cli::fresh_world();
     install_micro(&mut k.vfs, n).expect("microbench installs");
     let ip = Native;
     ip.install(&mut k);

@@ -32,7 +32,6 @@ use bench::cli::{self, Args};
 use bench::scale::{collect_offline_log_scale, ScaleParams, Variant};
 use interpose::Interposer;
 use sim_kernel::Kernel;
-use sim_loader::boot_kernel_from;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -176,7 +175,7 @@ fn profile(
     body: impl FnOnce(&mut Kernel, &dyn Interposer) -> Result<(), String>,
 ) -> Result<RunOutput, String> {
     let ip = cli::mechanism(name)?;
-    let mut k = boot_kernel_from(cli::world());
+    let mut k = cli::fresh_world();
     if k23::needs_offline(name) {
         cli::install_log(&mut k, Some(log.ok_or("offline log not collected")?));
     }
@@ -262,7 +261,7 @@ fn run(opts: &Opts) -> Result<ExitCode, String> {
     );
     let logs = [
         offline
-            .then(|| cli::collect_log(&mut boot_kernel_from(cli::world()), COREUTIL, run_coreutil))
+            .then(|| cli::collect_log(&mut cli::fresh_world(), COREUTIL, run_coreutil))
             .transpose()?
             .map(|log| log.file()),
         offline.then(|| bench::macros_::collect_offline_log(&spec)),

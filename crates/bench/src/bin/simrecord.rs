@@ -34,7 +34,6 @@ use bench::micro::{install_micro, MICRO_APP};
 use interpose::{Interposer, Native};
 use sim_fault::{FaultKind, FaultPlan, SchedPlan, SyscallFault};
 use sim_kernel::{nr, EngineConfig, Kernel, RunExit};
-use sim_loader::boot_kernel_from;
 use sim_record::{first_obs_divergence, obs_lines, Divergence, Header, Recording};
 use std::process::ExitCode;
 use std::rc::Rc;
@@ -129,7 +128,7 @@ fn run_workload_inner(
     cfg: EngineConfig,
     seek: Option<u64>,
 ) -> Result<(Kernel, Option<String>), String> {
-    let mut k = boot_kernel_from(cli::world());
+    let mut k = cli::fresh_world();
     let configure = |k: &mut Kernel| {
         k.configure(cfg);
         if let Some(n) = seek {

@@ -27,7 +27,6 @@ use bench::cli::{self, Args};
 use bench::micro::{install_micro, per_iteration_cycles_with, MICRO_APP};
 use interpose::Interposer;
 use sim_kernel::Kernel;
-use sim_loader::boot_kernel_from;
 use std::process::ExitCode;
 
 struct Opts {
@@ -71,7 +70,7 @@ fn parse_opts(mut args: Args) -> Result<Opts, String> {
 /// Runs the chosen workload traced; returns the recorder.
 fn traced_run(opts: &Opts) -> Result<Box<sim_obs::Recorder>, String> {
     let ip = cli::mechanism(&opts.interposer)?;
-    let mut k = boot_kernel_from(cli::world());
+    let mut k = cli::fresh_world();
     let (app, argv) = match opts.micro {
         Some(n) => {
             install_micro(&mut k.vfs, n)?;

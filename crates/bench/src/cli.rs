@@ -2,18 +2,17 @@
 //!
 //! Every diagnostics binary reads its flags through [`Args`] and reports a
 //! failure through [`exit`]. It builds its kernels from the pieces here:
-//! the engine table, the mechanism registry, the one guest world, the K23
-//! offline phase ([`collect_log`]) and its log transplant
-//! ([`install_log`]). Output files go through [`write()`].
+//! the engine table, the mechanism registry, the guest world
+//! ([`fresh_world`]), the K23 offline phase ([`collect_log`]) and its log
+//! transplant ([`install_log`]). Output files go through [`write()`].
 
 use interpose::Interposer;
 use k23::{OfflineSession, SiteLog};
-use sim_kernel::{EngineConfig, Kernel, RunExit, Vfs};
+use sim_kernel::{EngineConfig, Kernel, RunExit};
 use sim_loader::boot_kernel;
 use std::fmt::Debug;
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::sync::OnceLock;
 
 /// A command line, consumed flag by flag.
 pub struct Args(std::vec::IntoIter<String>);
@@ -71,17 +70,13 @@ pub fn mechanism(spec: &str) -> Result<Box<dyn Interposer>, String> {
     interpose::by_name_spec(spec).map_err(|e| format!("spec {spec:?}: {e}"))
 }
 
-/// The guest world (libc plus every `apps` image), assembled once per
-/// process; diagnostics kernels boot from clones of it
-/// (`sim_loader::boot_kernel_from`). `Vfs` is plain data, so worker
-/// threads share the template by reference.
-pub fn world() -> &'static Vfs {
-    static WORLD: OnceLock<Vfs> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        let mut k = boot_kernel();
-        apps::install_world(&mut k.vfs);
-        k.vfs
-    })
+/// A fresh kernel with the guest world (libc plus every `apps` image)
+/// installed. The images are built once per process and shared
+/// copy-on-write, so a boot copies no image bytes.
+pub fn fresh_world() -> Kernel {
+    let mut k = boot_kernel();
+    apps::install_world(&mut k.vfs);
+    k
 }
 
 /// Transplants a K23 offline log `(path, bytes)` into `k`'s log directory
@@ -150,7 +145,6 @@ pub fn write(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
 mod tests {
     use super::*;
     use sim_kernel::Engine;
-    use sim_loader::boot_kernel_from;
 
     fn args(list: &[&str]) -> Args {
         Args::new(list.iter().map(|s| s.to_string()))
@@ -189,7 +183,7 @@ mod tests {
     #[test]
     fn install_log_seals_the_transplanted_log() {
         let log = (k23::SiteLog::path_for("/usr/bin/ls-sim"), b"sites".to_vec());
-        let mut k = boot_kernel_from(world());
+        let mut k = fresh_world();
         install_log(&mut k, Some(&log));
         assert_eq!(k.vfs.read_file(&log.0).ok(), Some(&b"sites"[..]));
         let later = format!("{}/late.log", k23::LOG_DIR);
@@ -198,7 +192,7 @@ mod tests {
             "log dir must be sealed"
         );
 
-        let mut k = boot_kernel_from(world());
+        let mut k = fresh_world();
         install_log(&mut k, None);
         assert!(!k.vfs.exists(k23::LOG_DIR), "no log, no log dir");
     }

@@ -1,7 +1,7 @@
 //! Figure regeneration: textual versions of the paper's Figures 1–4.
 
-use crate::macros_::fresh_world;
-use crate::{cli, Config};
+use crate::cli::{self, fresh_world};
+use crate::Config;
 use k23::OfflineSession;
 use sim_isa::{disasm, Asm, Reg};
 use sim_kernel::RunExit;

@@ -1,20 +1,12 @@
 //! The Table 6 macrobenchmarks: nginx/lighttpd/redis throughput relative to
 //! native, plus the sqlite completion-time row.
 
-use crate::{cli, Config};
-use apps::{install_world, run_macro, run_sqlite, sqlite_cfg, MacroSpec};
+use crate::cli::{self, fresh_world};
+use crate::Config;
+use apps::{run_macro, run_sqlite, sqlite_cfg, MacroSpec};
 use k23::SiteLog;
-use sim_kernel::Kernel;
-use sim_loader::boot_kernel;
 
 const BUDGET: u64 = 40_000_000_000_000;
-
-/// A kernel with its own freshly installed guest world.
-pub(crate) fn fresh_world() -> Kernel {
-    let mut k = boot_kernel();
-    install_world(&mut k.vfs);
-    k
-}
 
 /// The K23 site log of a server spec, collected on a scratch kernel under
 /// the spec's own client load.

@@ -11,10 +11,9 @@
 //! the per-kernel event streams is ordered by `(sim clock, cell, seq)`,
 //! never by host completion order (DESIGN.md §14).
 
-use crate::cli::{self, world};
+use crate::cli::{self, fresh_world};
 use crate::Config;
 use apps::{run_scale, scale_spec, MacroSpec};
-use sim_loader::boot_kernel_from;
 use sim_obs::{EventKind, ObsConfig};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -155,7 +154,7 @@ pub fn collect_offline_log_scale(variant: Variant, params: &ScaleParams) -> (Str
     let mut params = *params;
     params.requests = params.requests.min(64);
     let spec = spec_for(&cell, &params);
-    cli::collect_log(&mut boot_kernel_from(world()), spec.server, |k, ip| {
+    cli::collect_log(&mut fresh_world(), spec.server, |k, ip| {
         run_scale(k, ip, &spec, BUDGET)
     })
     .unwrap_or_else(|e| panic!("{e}"))
@@ -170,7 +169,7 @@ pub fn run_cell(
     logs: &BTreeMap<&'static str, (String, Vec<u8>)>,
 ) -> CellResult {
     let spec = spec_for(cell, params);
-    let mut k = boot_kernel_from(world());
+    let mut k = fresh_world();
     let log = cell.config.needs_offline().then(|| {
         logs.get(cell.variant.label())
             .expect("offline log collected for variant")

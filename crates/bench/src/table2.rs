@@ -1,8 +1,8 @@
 //! Table 2: unique `syscall`/`sysenter` sites the offline phase logs per
 //! application.
 
-use crate::cli;
-use crate::macros_::{fresh_world, server_log, sqlite_log};
+use crate::cli::{self, fresh_world};
+use crate::macros_::{server_log, sqlite_log};
 use apps::MacroSpec;
 
 /// One Table 2 row.

@@ -359,6 +359,60 @@ mod tests {
     }
 
     #[test]
+    fn reused_instance_starts_each_kernel_from_zeroed_state() {
+        // Runs the stress app under `k23` on a fresh kernel and returns the
+        // startup count the ptracer handed to libK23's state word.
+        let run = |k23: &K23| {
+            let mut k = offline_then_kernel(5);
+            k23.install(&mut k);
+            let pid = k23.spawn(&mut k, "/usr/bin/stress", &[], &[]).unwrap();
+            k.run(100_000_000_000);
+            let p = k.process_mut(pid).unwrap();
+            assert_eq!(p.exit_status, Some(0));
+            let state_addr = p.symbols["libk23.so:__k23_state"];
+            let mut buf = [0u8; 8];
+            p.space.read_raw(state_addr, &mut buf).unwrap();
+            u64::from_le_bytes(buf)
+        };
+        let fresh = K23::new(Variant::Default);
+        let want = (run(&fresh), fresh.startup_syscalls(), fresh.handoffs());
+        assert!(want.0 > 0 && want.0 == want.1, "{want:?}");
+        let reused = K23::new(Variant::Default);
+        run(&reused);
+        let got = (run(&reused), reused.startup_syscalls(), reused.handoffs());
+        assert_eq!(got, want, "(handoff word, startup_syscalls, handoffs)");
+    }
+
+    #[test]
+    fn guest_write_into_the_sealed_log_fails_with_eperm() {
+        // §5.3 hardening: once the offline phase seals the log directory,
+        // an application that opens its log for writing cannot change it.
+        let mut k = offline_then_kernel(5);
+        let log = SiteLog::path_for("/usr/bin/stress");
+        let sealed = k.vfs.read_file(&log).unwrap().to_vec();
+        let mut b = ImageBuilder::new("/usr/bin/tamper");
+        b.entry("main");
+        b.needs(LIBC_PATH);
+        b.asm.label("main");
+        b.asm.mov_imm(Reg::Rdi, (-100i64) as u64); // AT_FDCWD
+        b.asm.lea_label(Reg::Rsi, "log");
+        b.asm.mov_imm(Reg::Rdx, 1); // O_WRONLY
+        b.call_import("openat");
+        b.asm.mov_reg(Reg::Rdi, Reg::Rax);
+        b.asm.lea_label(Reg::Rsi, "junk");
+        b.asm.mov_imm(Reg::Rdx, 4);
+        b.call_import("write");
+        b.asm.ret(); // exit status = write's return value
+        b.data_object("log", format!("{log}\0").as_bytes());
+        b.data_object("junk", b"junk");
+        b.finish().install(&mut k.vfs);
+        let pid = k.spawn("/usr/bin/tamper", &[], &[], None).unwrap();
+        k.run(100_000_000_000);
+        assert_eq!(k.process(pid).unwrap().exit_status, Some(-nr::EPERM));
+        assert_eq!(k.vfs.read_file(&log).unwrap(), &sealed[..]);
+    }
+
+    #[test]
     fn execve_with_cleared_env_still_interposed() {
         // P1a: the child execs with an EMPTY environment (Listing 1); K23's
         // guards force LD_PRELOAD back and re-attach the ptracer, so the

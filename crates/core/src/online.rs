@@ -90,7 +90,12 @@ impl Interposer for K23 {
         self.variant.label().to_string()
     }
 
+    /// Each kernel starts from zeroed statistics and ptracer state, so
+    /// counts and the startup handoff word never carry over from a kernel
+    /// the instance was installed into before.
     fn install(&self, k: &mut Kernel) {
+        *self.stats.borrow_mut() = K23Stats::default();
+        *self.ptracer_state.borrow_mut() = PtracerState::default();
         build_libk23(self.variant).install(&mut k.vfs);
         sim_obs::register_region_path(K23_LIB, &self.label());
 

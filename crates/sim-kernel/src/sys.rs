@@ -347,13 +347,13 @@ impl Kernel {
         match entry {
             FdEntry::Console => Disp::Ret(0),
             FdEntry::File { path, offset } => {
-                let data = match self.vfs.read_file(&path) {
-                    Ok(d) => d.to_vec(),
+                let chunk = match self.vfs.read_file(&path) {
+                    Ok(d) => {
+                        let start = (offset as usize).min(d.len());
+                        d[start..start + count.min(d.len() - start)].to_vec()
+                    }
                     Err(e) => return Disp::Ret(e),
                 };
-                let start = (offset as usize).min(data.len());
-                let end = (start + count).min(data.len());
-                let chunk = data[start..end].to_vec();
                 if let Err(e) = self.guest_write(pid, buf, &chunk) {
                     return Disp::Ret(e);
                 }
@@ -447,13 +447,7 @@ impl Kernel {
                 Disp::Ret(count as u64)
             }
             FdEntry::File { path, offset } => {
-                let mut content = self.vfs.read_file(&path).map(|d| d.to_vec()).unwrap_or_default();
-                let off = offset as usize;
-                if content.len() < off + data.len() {
-                    content.resize(off + data.len(), 0);
-                }
-                content[off..off + data.len()].copy_from_slice(&data);
-                if let Err(e) = self.vfs.write_file(&path, &content) {
+                if let Err(e) = self.vfs.write_at(&path, offset as usize, &data) {
                     return Disp::Ret(e);
                 }
                 if let Some(FdEntry::File { offset, .. }) =

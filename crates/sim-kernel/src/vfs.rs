@@ -4,16 +4,21 @@
 //! data, and K23's offline log directory — which can be marked **immutable**
 //! once the offline phase completes, exactly as the paper hardens its logs
 //! (§5.3).
+//!
+//! A file's bytes are a shared buffer, copied on its first write: cloning
+//! a `Vfs`, or grafting a prebuilt tree into one ([`Vfs::overlay`]),
+//! copies no file bytes, and no VFS's write reaches another.
 
 use crate::nr::{self, err};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Node identifier within a [`Vfs`].
 pub type NodeId = usize;
 
 #[derive(Debug, Clone)]
 enum Node {
-    File { data: Vec<u8>, immutable: bool },
+    File { data: Arc<Vec<u8>>, immutable: bool },
     Dir { entries: BTreeMap<String, NodeId>, immutable: bool },
 }
 
@@ -114,51 +119,64 @@ impl Vfs {
         Ok(())
     }
 
+    /// The buffer behind `path`, created empty (with any missing
+    /// ancestors) when the file does not exist.
+    fn file_mut(&mut self, path: &str) -> Result<&mut Arc<Vec<u8>>, u64> {
+        if self.resolve_parent(path).is_none() {
+            let comps = split_path(path);
+            if comps.len() > 1 {
+                self.mkdir_p(&comps[..comps.len() - 1].join("/"))?;
+            }
+        }
+        let (dir, name) = self.resolve_parent(path).ok_or(err(nr::ENOENT))?;
+        let id = match &self.nodes[dir] {
+            Node::Dir { immutable: true, .. } => return Err(err(nr::EPERM)),
+            Node::Dir { entries, .. } => entries.get(&name).copied(),
+            Node::File { .. } => return Err(err(nr::ENOTDIR)),
+        };
+        let id = id.unwrap_or_else(|| {
+            let id = self.nodes.len();
+            self.nodes.push(Node::File {
+                data: Arc::default(),
+                immutable: false,
+            });
+            if let Node::Dir { entries, .. } = &mut self.nodes[dir] {
+                entries.insert(name, id);
+            }
+            id
+        });
+        match &mut self.nodes[id] {
+            Node::File { immutable: true, .. } => Err(err(nr::EPERM)),
+            Node::File { data, .. } => Ok(data),
+            Node::Dir { .. } => Err(err(nr::EISDIR)),
+        }
+    }
+
     /// Writes (creates or truncates) a file, creating parent directories.
     ///
     /// # Errors
     ///
-    /// Returns `-EPERM` if the file or its directory is immutable.
+    /// Returns `-EPERM` if the file or its directory is immutable,
+    /// `-EISDIR` for a directory.
     pub fn write_file(&mut self, path: &str, data: &[u8]) -> Result<(), u64> {
-        if let Some((dir, _)) = self.resolve_parent(path) {
-            if let Node::Dir { immutable: true, .. } = &self.nodes[dir] {
-                return Err(err(nr::EPERM));
-            }
-        } else {
-            // Create ancestors then retry parent resolution.
-            let comps = split_path(path);
-            if comps.len() > 1 {
-                let parent = comps[..comps.len() - 1].join("/");
-                self.mkdir_p(&parent)?;
-            }
+        *self.file_mut(path)? = Arc::new(data.to_vec());
+        Ok(())
+    }
+
+    /// Writes `data` at byte `offset` of a file, in place: a gap past the
+    /// end fills with zeros, and a missing file is created as
+    /// [`Vfs::write_file`] creates it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vfs::write_file`].
+    pub fn write_at(&mut self, path: &str, offset: usize, data: &[u8]) -> Result<(), u64> {
+        let file = Arc::make_mut(self.file_mut(path)?);
+        let end = offset + data.len();
+        if file.len() < end {
+            file.resize(end, 0);
         }
-        let (dir, name) = self.resolve_parent(path).ok_or(err(nr::ENOENT))?;
-        if let Node::Dir { immutable: true, .. } = &self.nodes[dir] {
-            return Err(err(nr::EPERM));
-        }
-        if let Some(id) = self.resolve(path) {
-            match &mut self.nodes[id] {
-                Node::File { data: d, immutable } => {
-                    if *immutable {
-                        return Err(err(nr::EPERM));
-                    }
-                    *d = data.to_vec();
-                    return Ok(());
-                }
-                Node::Dir { .. } => return Err(err(nr::EISDIR)),
-            }
-        }
-        let id = self.nodes.len();
-        self.nodes.push(Node::File {
-            data: data.to_vec(),
-            immutable: false,
-        });
-        match &mut self.nodes[dir] {
-            Node::Dir { entries, .. } => {
-                entries.insert(name, id);
-            }
-            Node::File { .. } => return Err(err(nr::ENOTDIR)),
-        }
+        file[offset..end].copy_from_slice(data);
         Ok(())
     }
 
@@ -174,7 +192,7 @@ impl Vfs {
                     if *immutable {
                         return Err(err(nr::EPERM));
                     }
-                    d.extend_from_slice(data);
+                    Arc::make_mut(d).extend_from_slice(data);
                     Ok(())
                 }
                 Node::Dir { .. } => Err(err(nr::EISDIR)),
@@ -182,6 +200,28 @@ impl Vfs {
         } else {
             self.write_file(path, data)
         }
+    }
+
+    /// Grafts every directory and file of `set` into this VFS at the same
+    /// paths, sharing the files' buffers: a prebuilt tree installs without
+    /// copying its bytes. Existing files at those paths are replaced.
+    ///
+    /// # Errors
+    ///
+    /// The first error [`Vfs::write_file`] or [`Vfs::mkdir_p`] returns for
+    /// one of `set`'s paths.
+    pub fn overlay(&mut self, set: &Vfs) -> Result<(), u64> {
+        let mut stack = vec![(0, String::new())];
+        while let Some((id, path)) = stack.pop() {
+            match &set.nodes[id] {
+                Node::File { data, .. } => *self.file_mut(&path)? = Arc::clone(data),
+                Node::Dir { entries, .. } => {
+                    self.mkdir_p(&path)?;
+                    stack.extend(entries.iter().map(|(n, &c)| (c, format!("{path}/{n}"))));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Reads a file's contents.
@@ -324,6 +364,74 @@ mod tests {
         v.write_file("/dir/b", b"").unwrap();
         assert_eq!(v.read_dir("/dir").unwrap(), vec!["a", "b"]);
         assert_eq!(v.read_dir("/dir/a").unwrap_err(), err(nr::ENOTDIR));
+    }
+
+    #[test]
+    fn shared_buffers_are_copied_on_first_write() {
+        const ORIG: &[u8] = b"shared image bytes";
+        type Write = fn(&mut Vfs) -> Result<(), u64>;
+        let writes: [Write; 3] = [
+            |v| v.write_file("/lib/img", b"replaced"),
+            |v| v.append_file("/lib/img", b"+tail"),
+            |v| v.write_at("/lib/img", 3, b"X"),
+        ];
+        let ptr = |v: &Vfs| v.read_file("/lib/img").unwrap().as_ptr();
+        let mut set = Vfs::new();
+        set.write_file("/lib/img", ORIG).unwrap();
+        for write in writes {
+            let mut cloned = set.clone();
+            let mut grafted = Vfs::new();
+            grafted.overlay(&set).unwrap();
+            assert_eq!(ptr(&cloned), ptr(&set));
+            assert_eq!(ptr(&grafted), ptr(&set));
+            write(&mut cloned).unwrap();
+            write(&mut grafted).unwrap();
+            assert_ne!(ptr(&cloned), ptr(&set));
+            assert_ne!(cloned.read_file("/lib/img").unwrap(), ORIG);
+            assert_eq!(cloned.read_file("/lib/img"), grafted.read_file("/lib/img"));
+            assert_eq!(set.read_file("/lib/img").unwrap(), ORIG);
+            // A writer's copy is its own: the next write needs no copy.
+            let before = ptr(&grafted);
+            grafted.write_at("/lib/img", 0, b"Y").unwrap();
+            assert_eq!(ptr(&grafted), before);
+        }
+    }
+
+    #[test]
+    fn write_at_fills_holes_recreates_and_refuses_like_write_file() {
+        let mut v = Vfs::new();
+        v.write_at("/d/f", 3, b"ab").unwrap();
+        assert_eq!(v.read_file("/d/f").unwrap(), b"\0\0\0ab");
+        v.write_at("/d/f", 1, b"xyzw").unwrap();
+        assert_eq!(v.read_file("/d/f").unwrap(), b"\0xyzw");
+        v.unlink("/d/f").unwrap();
+        v.write_at("/d/f", 0, b"again").unwrap();
+        assert_eq!(v.read_file("/d/f").unwrap(), b"again");
+        assert_eq!(v.write_at("/d", 0, b"x").unwrap_err(), err(nr::EISDIR));
+        v.set_immutable("/d/f", true).unwrap();
+        assert_eq!(v.write_at("/d/f", 0, b"x").unwrap_err(), err(nr::EPERM));
+        v.set_immutable("/d/f", false).unwrap();
+        v.set_immutable("/d", true).unwrap();
+        assert_eq!(v.write_at("/d/f", 0, b"x").unwrap_err(), err(nr::EPERM));
+        assert_eq!(v.write_at("/d/g", 0, b"x").unwrap_err(), err(nr::EPERM));
+        assert_eq!(v.read_file("/d/f").unwrap(), b"again");
+        assert!(!v.exists("/d/g"));
+    }
+
+    #[test]
+    fn overlay_grafts_files_and_empty_directories() {
+        let mut set = Vfs::new();
+        set.write_file("/usr/bin/app", b"image").unwrap();
+        set.mkdir_p("/data").unwrap();
+        let mut v = Vfs::new();
+        v.write_file("/usr/bin/app", b"stale").unwrap();
+        v.write_file("/usr/bin/other", b"kept").unwrap();
+        v.overlay(&set).unwrap();
+        assert_eq!(v.read_file("/usr/bin/app").unwrap(), b"image");
+        assert_eq!(v.read_file("/usr/bin/other").unwrap(), b"kept");
+        assert!(v.is_dir("/data"));
+        v.set_immutable("/usr/bin", true).unwrap();
+        assert_eq!(v.overlay(&set).unwrap_err(), err(nr::EPERM));
     }
 
     #[test]

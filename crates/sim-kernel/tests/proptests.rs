@@ -47,18 +47,56 @@ proptest! {
         prop_assert_eq!(c.readable(End::A), 0);
     }
 
+    /// The three write paths match a byte-vector model on one file:
+    /// in-place overwrites, extensions and zero-filled holes past the end,
+    /// appends and truncating writes. A clone taken before the first
+    /// write shares the buffer and must keep the original bytes.
+    #[test]
+    fn write_paths_match_a_vec_model(init in proptest::collection::vec(any::<u8>(), 0..64), ops in proptest::collection::vec((0u8..3, 0usize..96, proptest::collection::vec(any::<u8>(), 0..32)), 1..24)) {
+        let mut vfs = Vfs::new();
+        vfs.write_file("/dir/f", &init).unwrap();
+        let before = vfs.clone();
+        let mut model = init.clone();
+        for (kind, off, data) in &ops {
+            match kind {
+                0 => {
+                    vfs.write_at("/dir/f", *off, data).unwrap();
+                    let end = off + data.len();
+                    if model.len() < end {
+                        model.resize(end, 0);
+                    }
+                    model[*off..end].copy_from_slice(data);
+                }
+                1 => {
+                    vfs.append_file("/dir/f", data).unwrap();
+                    model.extend_from_slice(data);
+                }
+                _ => {
+                    vfs.write_file("/dir/f", data).unwrap();
+                    model.clone_from(data);
+                }
+            }
+            prop_assert_eq!(vfs.read_file("/dir/f").unwrap(), &model[..]);
+            prop_assert_eq!(vfs.file_len("/dir/f").unwrap(), model.len() as u64);
+        }
+        prop_assert_eq!(before.read_file("/dir/f").unwrap(), &init[..]);
+    }
+
     /// Immutability is airtight: no write/append/unlink mutates sealed state.
     #[test]
-    fn immutability_holds(data in proptest::collection::vec(any::<u8>(), 0..64), attempt in proptest::collection::vec(any::<u8>(), 0..64)) {
+    fn immutability_holds(data in proptest::collection::vec(any::<u8>(), 0..64), attempt in proptest::collection::vec(any::<u8>(), 0..64), offset in 0usize..96) {
         let mut vfs = Vfs::new();
         vfs.write_file("/sealed/f", &data).unwrap();
         vfs.set_immutable("/sealed", true).unwrap();
         let _ = vfs.write_file("/sealed/f", &attempt);
         let _ = vfs.append_file("/sealed/f", &attempt);
+        let _ = vfs.write_at("/sealed/f", offset, &attempt);
+        let _ = vfs.write_at("/sealed/h", offset, &attempt);
         let _ = vfs.unlink("/sealed/f");
         let _ = vfs.write_file("/sealed/g", &attempt);
         prop_assert_eq!(vfs.read_file("/sealed/f").unwrap(), &data[..]);
         prop_assert!(!vfs.exists("/sealed/g"));
+        prop_assert!(!vfs.exists("/sealed/h"));
     }
 }
 

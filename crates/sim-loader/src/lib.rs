@@ -54,6 +54,41 @@ mod tests {
     }
 
     #[test]
+    fn read_with_an_unbounded_count_returns_the_rest_of_the_file() {
+        let mut k = boot_kernel();
+        k.vfs.write_file("/etc/motd", b"hello\n").unwrap();
+        let mut b = ImageBuilder::new("/usr/bin/slurp");
+        b.entry("main");
+        b.needs(LIBC_PATH);
+        b.asm.label("main");
+        b.asm.mov_imm(Reg::Rdi, (-100i64) as u64); // AT_FDCWD
+        b.asm.lea_label(Reg::Rsi, "path");
+        b.asm.mov_imm(Reg::Rdx, 0);
+        b.call_import("openat");
+        b.asm.mov_reg(Reg::R12, Reg::Rax);
+        // Two bytes first, so the unbounded read starts past offset 0.
+        for (at, count) in [("buf", 2), ("buf_rest", u64::MAX)] {
+            b.asm.mov_reg(Reg::Rdi, Reg::R12);
+            b.asm.lea_label(Reg::Rsi, at);
+            b.asm.mov_imm(Reg::Rdx, count);
+            b.call_import("read");
+        }
+        b.asm.ret(); // exit status = the second read's return value
+        b.data_object("path", b"/etc/motd\0");
+        b.data_object("buf", &[0u8; 2]);
+        b.data_object("buf_rest", &[0u8; 14]);
+        b.finish().install(&mut k.vfs);
+        let pid = k.spawn("/usr/bin/slurp", &[], &[], None).unwrap();
+        assert_eq!(k.run(500_000_000), RunExit::AllExited);
+        let p = k.process_mut(pid).unwrap();
+        assert_eq!(p.exit_status, Some(4));
+        let mut got = [0u8; 2 + 4];
+        p.space.read_raw(p.symbols["slurp:buf"], &mut got[..2]).unwrap();
+        p.space.read_raw(p.symbols["slurp:buf_rest"], &mut got[2..]).unwrap();
+        assert_eq!(&got, b"hello\n");
+    }
+
+    #[test]
     fn startup_issues_many_syscalls_before_interposer() {
         // The P2b measurement: a library-injection interposer cannot see any
         // of these.

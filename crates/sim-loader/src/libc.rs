@@ -5,7 +5,8 @@
 
 use crate::image::{ImageBuilder, SimElf};
 use sim_isa::Reg;
-use sim_kernel::nr;
+use sim_kernel::{nr, Vfs};
+use std::sync::OnceLock;
 
 /// Install path of the simulated libc.
 pub const LIBC_PATH: &str = "/usr/lib/libc-sim.so.6";
@@ -121,12 +122,25 @@ pub fn build_filler(path: &str) -> SimElf {
     b.finish()
 }
 
-/// Installs libc-sim and the filler libraries into a VFS.
-pub fn install_standard_libs(vfs: &mut sim_kernel::Vfs) {
-    build_libc().install(vfs);
-    for p in FILLER_LIBS {
-        build_filler(p).install(vfs);
-    }
+/// Installs libc-sim and the filler libraries into a VFS. The images are
+/// built and serialized once per process; every VFS shares those bytes
+/// until it writes them ([`Vfs::overlay`]).
+///
+/// # Panics
+///
+/// Panics if the VFS rejects a library's path (an immutable target).
+pub fn install_standard_libs(vfs: &mut Vfs) {
+    static LIBS: OnceLock<Vfs> = OnceLock::new();
+    let libs = LIBS.get_or_init(|| {
+        let mut libs = Vfs::new();
+        build_libc().install(&mut libs);
+        for p in FILLER_LIBS {
+            build_filler(p).install(&mut libs);
+        }
+        libs
+    });
+    vfs.overlay(libs)
+        .unwrap_or_else(|e| panic!("installing the standard libraries failed: {e}"));
 }
 
 #[cfg(test)]

@@ -153,7 +153,7 @@ fn emit_module_load_syscalls(b: &mut ImageBuilder, path_label: &str) {
 }
 
 fn build_stub(
-    modules: &[Placed],
+    modules: &[&str],
     ctors: &[u64],
     main_entry: u64,
     argc: u64,
@@ -218,9 +218,7 @@ fn build_stub(
     b.data_object("__str_preload_cfg", b"/etc/ld.so.preload\0");
     b.data_object("__str_locale", b"/usr/lib/locale/locale-archive\0");
     for (i, m) in modules.iter().enumerate() {
-        let mut s = m.img.name.clone().into_bytes();
-        s.push(0);
-        b.data_object(&format!("__str_mod_{i}"), &s);
+        b.data_object(&format!("__str_mod_{i}"), format!("{m}\0").as_bytes());
     }
     b.finish()
 }
@@ -354,18 +352,13 @@ impl ExecLoader for Ld {
                 .ok_or(-nr::EACCES)?;
 
         // The startup stub narrates loading of every non-main module.
-        let stub_modules: Vec<&Placed> = placed
+        let stub_modules: Vec<&str> = placed
             .iter()
-            .filter(|p| p.img.name != path && p.img.name != "[vdso]")
+            .map(|p| p.img.name.as_str())
+            .filter(|&name| name != path && name != "[vdso]")
             .collect();
         let stub = build_stub(
-            &stub_modules
-                .iter()
-                .map(|p| Placed {
-                    img: p.img.clone(),
-                    base: p.base,
-                })
-                .collect::<Vec<_>>(),
+            &stub_modules,
             &ctors,
             main_entry,
             argv.len() as u64,
@@ -461,12 +454,10 @@ pub fn boot_kernel() -> sim_kernel::Kernel {
     k
 }
 
-/// Builds a kernel whose VFS is a clone of a prebuilt template. Serial
-/// mechanism sweeps (simperf, simprof, the simscale matrix) boot one
-/// kernel per mechanism x workload cell; assembling libc and every guest
-/// image each time is pure startup waste. Build the world once, then
-/// clone it per cell — the clone is a plain `Vec`/`BTreeMap` copy, no
-/// assembly.
+/// Builds a kernel whose VFS is a clone of `template`. The workspace boots
+/// with [`boot_kernel`] plus `apps::install_world`, which share the
+/// once-built images already; this stays only because the host-time
+/// benchmark (`perfbench`) calls it.
 pub fn boot_kernel_from(template: &sim_kernel::Vfs) -> sim_kernel::Kernel {
     let mut k = sim_kernel::Kernel::new();
     k.set_loader(std::rc::Rc::new(Ld));
