@@ -13,9 +13,9 @@
 //! bypass counts broken down by pitfall signature.
 //!
 //! Everything here is byte-deterministic: identical across consecutive
-//! runs and across the stepwise/block/trace engines (the ledger only
+//! runs and across the stepwise and block engines (the ledger only
 //! consumes architectural state), so `MATRIX_simaudit.txt` is committed
-//! and tier-1 requires the sweep on every engine to reproduce it.
+//! and tier-1 requires the sweep on both engines to reproduce it.
 
 use crate::cli;
 use apps::MacroSpec;

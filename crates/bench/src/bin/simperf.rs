@@ -1,32 +1,29 @@
 //! simperf — host wall-clock throughput of the simulator engines.
 //!
-//! Runs the Table 5 syscall-500 stress guest under three engines — the
-//! stepwise oracle (per-step scheduler loop, `EngineConfig::stepwise()`),
-//! the block/page-run engine, and the trace engine (hot blocks promoted
-//! into linked superblocks with generation revalidation) — reporting
-//! simulated instructions per second for each. A three-way trace diff at
-//! a smaller count first proves the engines are instruction-for-instruction
-//! identical, so the throughput comparison is apples to apples. Results
-//! land in `BENCH_simperf.json` (override with `--json PATH`), including
-//! a `sim-obs` counter snapshot (TLB hit rate, icache reuse and
-//! coalescing, trace formation/link/side-exit counts) so perf changes
-//! regress-check hit rates, not just throughput. The snapshot run sizes
-//! the event ring to hold the full workload so `dropped_events` is zero
-//! and counters are never skewed by ring overflow. Timed runs keep
-//! tracing and obs disabled.
+//! Runs the Table 5 syscall-500 stress guest under both engines — the
+//! stepwise oracle (per-step scheduler loop, `EngineConfig::stepwise()`)
+//! and the block engine (run-until-event blocks, page-run memory, and
+//! hot code promoted into linked superblocks with generation
+//! revalidation) — reporting simulated instructions per second for each.
+//! A trace diff at a smaller count first proves the two are
+//! instruction-for-instruction identical, so the throughput comparison is
+//! apples to apples. Results land in `BENCH_simperf.json` (override with
+//! `--json PATH`), including a `sim-obs` counter snapshot (TLB hit rate,
+//! icache reuse and coalescing, trace formation/link/side-exit counts) so
+//! perf changes regress-check hit rates, not just throughput. The
+//! snapshot run sizes the event ring to hold the full workload so
+//! `dropped_events` is zero and counters are never skewed by ring
+//! overflow. Timed runs keep tracing and obs disabled.
 //!
 //! `--gate FILE` re-measures and compares against a committed baseline:
 //! determinism must hold, the snapshot ring must not drop events, and
-//! block/trace inst/s must not fall below baseline × (1 − `TOL`), a
-//! fixed 0.5 — generous because wall-clock throughput on shared CI is
-//! noisy; only slowdowns fail, speedups pass. Host time is not a
-//! simulated output, so this is the one check of a committed artifact that
-//! `cargo test` cannot make; `scripts/ci.sh` runs it against
-//! `BENCH_simperf.json` and says how to refresh that file.
-//! The gate reads only the baseline's `determinism`, `block` and `after`
-//! entries: the committed file's `before`/`speedup` fields are a frozen
-//! record of the pre-fast-path engine (stepwise loop plus byte-at-a-time
-//! memory), which no longer exists to re-measure.
+//! block inst/s must not fall below baseline × (1 − `TOL`), a fixed 0.5 —
+//! generous because wall-clock throughput on shared CI is noisy; only
+//! slowdowns fail, speedups pass. Host time is not a simulated output, so
+//! this is the one check of a committed artifact that `cargo test` cannot
+//! make; `scripts/ci.sh` runs it against `BENCH_simperf.json` and says how
+//! to refresh that file. The gate reads only the baseline's `determinism`
+//! and `block` entries; the `stepwise` row is informational.
 
 use bench::cli::{self, Args};
 use bench::micro::{install_micro, MICRO_APP};
@@ -35,7 +32,7 @@ use sim_kernel::{EngineConfig, Kernel, Pid, RunExit, TraceEntry};
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// The gate's tolerated fall in block/trace inst/s below the baseline.
+/// The gate's tolerated fall in block inst/s below the baseline.
 const TOL: f64 = 0.5;
 
 /// Which engine a run uses.
@@ -43,20 +40,17 @@ const TOL: f64 = 0.5;
 enum Mode {
     /// The stepwise oracle: one scheduler step per instruction.
     Stepwise,
-    /// Block engine: `run_block` + page runs + TLB.
+    /// Block engine: `run_block` + superblocks + page runs + TLB.
     Block,
-    /// Trace engine: blocks promoted into linked superblocks.
-    Trace,
 }
 
 impl Mode {
-    const ALL: [Mode; 3] = [Mode::Stepwise, Mode::Block, Mode::Trace];
+    const ALL: [Mode; 2] = [Mode::Stepwise, Mode::Block];
 
     fn config(self) -> EngineConfig {
         match self {
             Mode::Stepwise => EngineConfig::stepwise(),
             Mode::Block => EngineConfig::new(),
-            Mode::Trace => EngineConfig::traced(),
         }
     }
 
@@ -64,18 +58,16 @@ impl Mode {
     fn label(self) -> &'static str {
         match self {
             Mode::Stepwise => "stepwise",
-            Mode::Block => "run_block+page-runs+tlb",
-            Mode::Trace => "superblocks+generation-revalidation",
+            Mode::Block => "run_block+superblocks+page-runs+tlb",
         }
     }
 
     /// Key of this engine's row in the JSON document (the gate reads
-    /// `block` and `after`, the headline engine's key).
+    /// `block`).
     fn json_key(self) -> &'static str {
         match self {
             Mode::Stepwise => "stepwise",
             Mode::Block => "block",
-            Mode::Trace => "after",
         }
     }
 }
@@ -136,32 +128,30 @@ struct Measured {
 fn measure() -> Measured {
     let scale = bench::scale();
 
-    // 1. Determinism proof: full three-way trace diff at a modest count.
-    // The stepwise run is the oracle; block and trace must match it
-    // entry for entry (pid, tid, rip, clock, event).
+    // 1. Determinism proof: full trace diff at a modest count. The
+    // stepwise run is the oracle; the block engine must match it entry
+    // for entry (pid, tid, rip, clock, event).
     let diff_n = 2_000 / scale.clamp(1, 10);
     let (_, clock_ref, ref_tr) = run(diff_n, Mode::Stepwise, true);
     let ref_tr = ref_tr.unwrap();
-    for mode in [Mode::Block, Mode::Trace] {
-        let (_, clock, tr) = run(diff_n, mode, true);
-        let tr = tr.unwrap();
-        assert_eq!(clock, clock_ref, "{}: engine clocks diverge", mode.label());
-        assert_eq!(tr.len(), ref_tr.len(), "{}: trace lengths diverge", mode.label());
-        for (i, (f, r)) in tr.iter().zip(ref_tr.iter()).enumerate() {
-            assert_eq!(f, r, "{}: trace diverges at step {i}", mode.label());
-        }
+    let (_, clock, tr) = run(diff_n, Mode::Block, true);
+    let tr = tr.unwrap();
+    assert_eq!(clock, clock_ref, "engine clocks diverge");
+    assert_eq!(tr.len(), ref_tr.len(), "trace lengths diverge");
+    for (i, (f, r)) in tr.iter().zip(ref_tr.iter()).enumerate() {
+        assert_eq!(f, r, "block trace diverges at step {i}");
     }
     println!(
-        "determinism: {} traced instructions identical across stepwise/block/trace (clock {})",
+        "determinism: {} traced instructions identical across stepwise/block (clock {})",
         ref_tr.len(),
         clock_ref
     );
 
     // 2. Throughput: same guest, bigger count, timed without tracing.
     let n = (1_000_000 / scale).max(20_000);
-    // All engines retire the identical instruction stream (proved above),
-    // so one traced run yields the retired-instruction count for all.
-    let (_, _, count_tr) = run(n, Mode::Trace, true);
+    // Both engines retire the identical instruction stream (proved
+    // above), so one traced run yields the retired-instruction count.
+    let (_, _, count_tr) = run(n, Mode::Block, true);
     let instructions = count_tr.unwrap().len() as u64;
     println!("guest: {MICRO_APP} (syscall-500 stress), {n} iterations, {instructions} instructions");
     let rows: Vec<Row> = Mode::ALL
@@ -175,12 +165,11 @@ fn measure() -> Measured {
         .collect();
     let ips = |m: Mode| rows.iter().find(|r| r.mode == m).unwrap().inst_per_sec;
     println!(
-        "speedup over stepwise baseline: block {:.2}x, trace {:.2}x",
-        ips(Mode::Block) / ips(Mode::Stepwise),
-        ips(Mode::Trace) / ips(Mode::Stepwise)
+        "speedup over the stepwise oracle: block {:.2}x",
+        ips(Mode::Block) / ips(Mode::Stepwise)
     );
 
-    // 3. Counter snapshot from one extra trace-engine run with sim-obs on
+    // 3. Counter snapshot from one extra block-engine run with sim-obs on
     // (tracing and obs stay off during every timed run above). The ring
     // is sized for the workload (~2 events per guest iteration) so the
     // snapshot counters are never skewed by silent event drops; the
@@ -191,7 +180,7 @@ fn measure() -> Measured {
         ring_capacity: ring_cap,
         ..sim_obs::ObsConfig::default()
     });
-    let _ = run(obs_n, Mode::Trace, false);
+    let _ = run(obs_n, Mode::Block, false);
     let rec = sim_obs::disable().expect("recorder");
     let dropped_events = rec.total_dropped();
     println!(
@@ -252,7 +241,7 @@ fn gate(baseline_path: &str, m: &Measured) -> Result<Vec<String>, String> {
     let v = sjson::parse(&data).map_err(|e| format!("{baseline_path}: bad JSON: {e}"))?;
     let mut violations = Vec::new();
     // The committed baseline must itself claim determinism; the fresh
-    // run already proved it (measure() asserts the three-way diff).
+    // run already proved it (measure() asserts the trace diff).
     let base_identical = v
         .get("determinism")
         .and_then(|d| d.get("identical"))
@@ -324,7 +313,7 @@ fn run_cli(mut args: Args) -> Result<ExitCode, String> {
         return Ok(ExitCode::FAILURE);
     }
     println!(
-        "gate: ok (block+trace inst/s within {:.0}% of {baseline}, determinism held, 0 dropped events)",
+        "gate: ok (block inst/s within {:.0}% of {baseline}, determinism held, 0 dropped events)",
         TOL * 100.0
     );
     Ok(ExitCode::SUCCESS)

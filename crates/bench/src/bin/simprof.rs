@@ -14,11 +14,11 @@
 //!   the default sweep to reproduce it byte for byte.
 //!
 //! ```text
-//! simprof [--engine block|stepwise|trace] [--period N (default 64)]
+//! simprof [--engine block|stepwise] [--period N (default 64)]
 //!         [--scale N] [--interposer NAME]... [--json PATH] [--out-prefix P]
 //! ```
 //!
-//! Under `--engine trace` the stage table is followed by a per-trace
+//! Under the block engine each stage table is followed by a per-trace
 //! occupancy table (replayed steps per trace and side-exit rate, hottest
 //! trace first) drawn from the trace cache's per-entry counters.
 //!
@@ -88,8 +88,9 @@ struct RunOutput {
     dropped: u64,
 }
 
-/// Per-trace occupancy rows (trace engine only; empty elsewhere): replayed
-/// steps per trace and the side-exit rate, hottest trace first.
+/// Per-trace occupancy rows (empty on the stepwise oracle, which forms
+/// no traces): replayed steps per trace and the side-exit rate, hottest
+/// trace first.
 fn trace_table(k: &mut sim_kernel::Kernel) -> String {
     let mut rows = Vec::new();
     for pid in k.pids() {

@@ -4,7 +4,7 @@
 //! summary with per-interposer syscall-latency attribution.
 //!
 //! ```text
-//! simtrace [--interposer NAME] [--engine block|stepwise|trace]
+//! simtrace [--interposer NAME] [--engine block|stepwise]
 //!          [--app PATH | --micro N]
 //!          [--trace-out PATH] [--summary-out PATH]
 //!          [--no-micro-events] [--compare]
@@ -15,8 +15,8 @@
 //!   `k23-ultra+` (default `k23`). K23 variants run the offline phase
 //!   first, untraced, so the trace covers only the online run.
 //! * `--engine` — execution engine for the traced run (default `block`).
-//!   The summary's counter block always includes the trace-engine rows
-//!   (formation/link/side-exit counts — zero outside `trace`).
+//!   The summary's counter block always includes the trace-cache rows
+//!   (formation/link/side-exit counts — zero on `stepwise`).
 //! * `--app` — VFS path of a coreutil installed by `apps::install_world`
 //!   (default `/usr/bin/ls-sim`); `--micro N` instead runs the Table 5
 //!   syscall-500 stress loop for `N` iterations.

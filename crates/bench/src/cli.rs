@@ -53,13 +53,12 @@ pub fn exit(bin: &str, res: Result<ExitCode, String>) -> ExitCode {
     })
 }
 
-/// The execution engine named `block`, `stepwise` or `trace`.
+/// The execution engine named `block` or `stepwise`.
 pub fn engine(name: &str) -> Result<EngineConfig, String> {
     match name {
         "block" => Ok(EngineConfig::new()),
         "stepwise" => Ok(EngineConfig::stepwise()),
-        "trace" => Ok(EngineConfig::traced()),
-        other => Err(format!("unknown engine {other:?} (block|stepwise|trace)")),
+        other => Err(format!("unknown engine {other:?} (block|stepwise)")),
     }
 }
 
@@ -152,9 +151,9 @@ mod tests {
 
     #[test]
     fn args_read_flags_values_and_parsed_values() {
-        let mut a = args(&["--engine", "trace", "--period", "64", "--compare"]);
+        let mut a = args(&["--engine", "stepwise", "--period", "64", "--compare"]);
         assert_eq!(a.flag().as_deref(), Some("--engine"));
-        assert_eq!(a.value("--engine").as_deref(), Ok("trace"));
+        assert_eq!(a.value("--engine").as_deref(), Ok("stepwise"));
         assert_eq!(a.flag().as_deref(), Some("--period"));
         assert_eq!(a.parse::<u64>("--period"), Ok(64));
         assert_eq!(a.flag().as_deref(), Some("--compare"));
@@ -176,8 +175,14 @@ mod tests {
     fn engine_names_map_to_their_engines() {
         assert_eq!(engine("block").unwrap().engine, Engine::Block);
         assert_eq!(engine("stepwise").unwrap().engine, Engine::Stepwise);
-        assert_eq!(engine("trace").unwrap().engine, Engine::Trace);
-        assert!(engine("turbo").unwrap_err().contains("turbo"));
+        // The block engine replays traces itself; `trace` names nothing.
+        for name in ["trace", "turbo"] {
+            let err = engine(name).unwrap_err();
+            assert!(
+                err.contains(name) && err.contains("block|stepwise"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn first_failing_cells_replay_as_failed() {
     }
 }
 
-/// nginx-sim recorded under the canned fault plan on the trace engine
+/// nginx-sim recorded under the canned fault plan on the block engine
 /// replays on the stepwise oracle: every record verified, obs stream
 /// byte-identical. The log is long and holds asynchrony records, not only
 /// syscall results and exits. Navigating the two-process recording to
@@ -139,7 +139,7 @@ fn simrecord_replays_a_faulted_nginx_recording_on_the_stepwise_engine() {
             "--workload",
             "nginx",
             "--engine",
-            "trace",
+            "block",
             "--fault",
             "--out",
             "nginx.srec",

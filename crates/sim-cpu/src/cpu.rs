@@ -138,12 +138,11 @@ pub struct Cpu {
     /// (nothing was written anywhere in the space, so every revalidation
     /// would trivially succeed). Reset by any unconditional flush.
     last_serialize_stamp: Option<(u64, u64)>,
-    /// Trace cache (superblock promotion); `None` outside trace mode.
+    /// Trace cache (superblock promotion). `None` only while
+    /// [`Cpu::exec_trace`] has moved it out of `self`; store invalidation
+    /// then buffers into `pending_trace_unlinks` instead of unlinking
+    /// directly.
     trace: Option<Box<TraceCache>>,
-    /// True while [`Cpu::exec_trace`] has moved the trace cache out of
-    /// `self`; store invalidation then buffers into
-    /// `pending_trace_unlinks` instead of unlinking directly.
-    trace_replaying: bool,
     /// Set mid-replay (store into the replaying trace's pages, or any
     /// icache flush) to force a side exit at the next op boundary. A
     /// spurious side exit is always safe: cold execution is
@@ -194,8 +193,7 @@ impl Cpu {
             flush_gen: 0,
             seed_flush: false,
             last_serialize_stamp: None,
-            trace: None,
-            trace_replaying: false,
+            trace: Some(Box::new(TraceCache::new())),
             trace_replay_break: false,
             replay_pages: Vec::new(),
             pending_trace_unlinks: Vec::new(),
@@ -275,23 +273,14 @@ impl Cpu {
         self.seed_flush = on;
     }
 
-    /// Enables or disables trace mode (superblock promotion). Formed
-    /// traces and heat survive across slices while it stays enabled;
-    /// disabling drops the cache.
-    pub fn set_trace_mode(&mut self, on: bool) {
-        if on != self.trace.is_some() {
-            self.trace = on.then(|| Box::new(TraceCache::new()));
-        }
-    }
-
     /// Number of decoded entries currently cached (observability for P5
     /// experiments).
     pub fn icache_len(&self) -> usize {
         self.icache.len()
     }
 
-    /// Per-trace occupancy rows (empty outside trace mode) — see
-    /// [`TraceCache::stats`].
+    /// Per-trace occupancy rows (empty until [`Cpu::run_block`] has
+    /// formed and entered a trace) — see [`TraceCache::stats`].
     pub fn trace_stats(&self) -> Vec<crate::trace::TraceStat> {
         self.trace.as_deref().map(TraceCache::stats).unwrap_or_default()
     }
@@ -362,7 +351,7 @@ impl Cpu {
                 }
                 page += sim_mem::PAGE_SIZE;
             }
-        } else if self.trace_replaying {
+        } else {
             // The cache is moved out during replay (see `exec_trace`):
             // buffer the written pages for unlinking when it is put
             // back, and side-exit the replay only if the store hits the
@@ -880,444 +869,13 @@ impl Cpu {
     /// the architectural state exactly as a block exit + kernel entry +
     /// re-entry would have. Only consulted from warm trace replay; cold
     /// execution surfaces every syscall as a block exit.
-    pub fn run_block_hooked(
-        &mut self,
-        mem: &mut AddressSpace,
-        clock: u64,
-        cost: &CostModel,
-        budget: u64,
-        mut on_step: impl FnMut(u64, &Step),
-        syscall_fast: impl FnMut(&mut Cpu, &mut AddressSpace, u64, u64) -> HookAction,
-    ) -> BlockExit {
-        if self.trace.is_some() {
-            return self.run_block_traced(mem, clock, cost, budget, on_step, syscall_fast);
-        }
-        let mut cycles = 0u64;
-        let mut steps = 0u64;
-        let mut vdso_calls = 0u64;
-        let mut inst = None;
-        let obs = sim_obs::enabled();
-        while steps < budget {
-            if obs {
-                sim_obs::set_clock(clock + cycles);
-            }
-            let rip_before = self.rip;
-            let s = self.step(mem, clock + cycles, cost);
-            steps += 1;
-            cycles += s.cycles;
-            inst = s.inst;
-            on_step(rip_before, &s);
-            if obs {
-                // Post-step clock and RIP: identical to the stepwise
-                // engine's per-step hook, so range-span streams match.
-                sim_obs::span_step(clock + cycles, self.rip);
-            }
-            match s.event {
-                StepEvent::Executed => {
-                    if matches!(s.inst, Some(Inst::Vsyscall)) {
-                        vdso_calls += 1;
-                    }
-                }
-                event => {
-                    sim_obs::block_len(steps);
-                    return BlockExit {
-                        event,
-                        cycles,
-                        steps,
-                        vdso_calls,
-                        inst,
-                    };
-                }
-            }
-        }
-        sim_obs::block_len(steps);
-        BlockExit {
-            event: StepEvent::Executed,
-            cycles,
-            steps,
-            vdso_calls,
-            inst,
-        }
-    }
-
-    /// True for instructions that end a basic block (control transfers);
-    /// the traced dispatcher profiles and looks up traces only at block
-    /// heads, i.e. after one of these or at `run_block` entry.
-    #[inline]
-    fn ends_block(inst: Option<Inst>) -> bool {
-        matches!(
-            inst,
-            Some(
-                Inst::Jmp(_)
-                    | Inst::Call(_)
-                    | Inst::Jcc(_, _)
-                    | Inst::CallReg(_)
-                    | Inst::JmpReg(_)
-                    | Inst::Ret
-            )
-        )
-    }
-
-    /// Validates the trace entered at the current `rip`, if any: a single
-    /// `fresh_gen` compare on the fast path, else one `mem_gen` compare
-    /// plus a walk of the recorded page versions (restamp on success,
-    /// unlink on failure). This replaces the block engine's per-entry
-    /// page-version walk with a per-trace generation check.
-    fn trace_validate(&mut self, mem: &mut AddressSpace) -> Option<u32> {
-        let rip = self.rip;
-        let flush_gen = self.flush_gen;
-        let tc = self.trace.as_deref_mut()?;
-        let idx = tc.lookup(rip)?;
-        let t = tc.get_mut(idx);
-        if t.fresh_gen == flush_gen {
-            return Some(idx);
-        }
-        let mut valid = t.mem_gen == mem.generation();
-        if valid {
-            for &(page, ver) in &t.pages {
-                if mem.page_version(page) != Some(ver) {
-                    valid = false;
-                    break;
-                }
-            }
-        }
-        if valid {
-            t.fresh_gen = flush_gen;
-            sim_obs::trace_revalidate();
-            Some(idx)
-        } else {
-            tc.unlink_entry(rip);
-            None
-        }
-    }
-
-    /// Replays the ops of trace `idx`. Each op is a full architectural
-    /// step (via [`Cpu::exec`]) with the identical per-step clock, trace
-    /// hook, and span stream as cold execution — only the fetch and icache
-    /// lookup are elided. Stops mid-trace on the step budget, on a kernel
-    /// event, when control flow diverges from the recording, or when an
-    /// own-core store (or a serializing op) invalidates the trace under
-    /// our feet.
     ///
-    /// The trace cache is moved out of `self` for the duration of the
-    /// replay so the op stream is a plain slice walk with no per-op
-    /// `Option<Box<..>>` re-derefs. Invalidation raised by replayed ops
-    /// is routed through `trace_replay_break` (side-exit at the next op
-    /// boundary) and `pending_trace_unlinks` (applied once the cache is
-    /// put back) — see [`Cpu::invalidate_icache_range`] and
-    /// [`Cpu::flush_icache`]. No recording is ever in progress here: the
-    /// dispatcher closes any before entering a trace.
-    ///
-    /// A [`Cpu::Syscall`](StepEvent::Syscall) op consults `syscall_fast`
-    /// (see [`Cpu::run_block_hooked`]): a handled syscall charges its
-    /// cycles into the block and replay continues in place — a trace
-    /// whose terminal syscall returns to its own entry loops without
-    /// ever leaving this function.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_trace(
-        &mut self,
-        idx: u32,
-        mem: &mut AddressSpace,
-        clock: u64,
-        cost: &CostModel,
-        budget: u64,
-        obs: bool,
-        cycles: &mut u64,
-        steps: &mut u64,
-        vdso_calls: &mut u64,
-        inst: &mut Option<Inst>,
-        on_step: &mut impl FnMut(u64, &Step),
-        syscall_fast: &mut impl FnMut(&mut Cpu, &mut AddressSpace, u64, u64) -> HookAction,
-    ) -> TraceRun {
-        let mut tc = self.trace.take().expect("exec_trace without trace cache");
-        let t = tc.get(idx);
-        self.replay_pages.clear();
-        self.replay_pages.extend(t.pages.iter().map(|&(p, _)| p));
-        self.trace_replay_break = false;
-        self.trace_replaying = true;
-        let entry = t.entry;
-        let ops = &t.ops[..];
-        let mut i = 0usize;
-        // Batched accounting: the loop accumulates into locals (registers)
-        // and writes the caller's counters back once at exit — the exact
-        // retired-instruction boundary is preserved because every break
-        // path flows through the write-back below.
-        let mut linst = *inst;
-        let mut lsteps = *steps;
-        let mut lcycles = *cycles;
-        let mut lvdso = *vdso_calls;
-        let steps0 = lsteps;
-        let mut wraps = 0u64;
-        let run = 'replay: loop {
-            if lsteps >= budget {
-                break TraceRun::Budget;
-            }
-            let op = ops[i];
-            if self.rip != op.rip {
-                if obs {
-                    sim_obs::trace_side_exit();
-                }
-                break TraceRun::SideExit;
-            }
-            if obs {
-                sim_obs::set_clock(clock + lcycles);
-            }
-            let rip_before = self.rip;
-            // Inlined fast paths: the hottest ops execute right here with
-            // the same helpers, cost, and `retired`/`rip` effects as their
-            // `exec` arms — no full-match dispatch, no event analysis.
-            // Every op below is non-faulting, non-serializing, and
-            // storeless (can't set `trace_replay_break`), always retires
-            // with `StepEvent::Executed`, and is not `Vsyscall` — so the
-            // slow path's event match, vdso count, and replay-break check
-            // are statically settled. Cross-engine byte-identity tests
-            // pin these arms to `exec`'s.
-            'fast: {
-                let next = op.rip.wrapping_add(op.len as u64);
-                match op.inst {
-                    Inst::MovImm(r, v) => {
-                        self.set(r, v);
-                        self.rip = next;
-                    }
-                    Inst::MovReg(d, sr) => {
-                        self.set(d, self.get(sr));
-                        self.rip = next;
-                    }
-                    Inst::Lea(d, off) => {
-                        self.set(d, next.wrapping_add(off as i64 as u64));
-                        self.rip = next;
-                    }
-                    Inst::AddImm(r, im) => {
-                        let v = self.flags_add(self.get(r), im as i64 as u64);
-                        self.set(r, v);
-                        self.rip = next;
-                    }
-                    Inst::SubImm(r, im) => {
-                        let v = self.flags_sub(self.get(r), im as i64 as u64);
-                        self.set(r, v);
-                        self.rip = next;
-                    }
-                    Inst::CmpImm(r, im) => {
-                        self.flags_sub(self.get(r), im as i64 as u64);
-                        self.rip = next;
-                    }
-                    Inst::AddReg(d, sr) => {
-                        let v = self.flags_add(self.get(d), self.get(sr));
-                        self.set(d, v);
-                        self.rip = next;
-                    }
-                    Inst::SubReg(d, sr) => {
-                        let v = self.flags_sub(self.get(d), self.get(sr));
-                        self.set(d, v);
-                        self.rip = next;
-                    }
-                    Inst::CmpReg(d, sr) => {
-                        self.flags_sub(self.get(d), self.get(sr));
-                        self.rip = next;
-                    }
-                    Inst::TestReg(d, sr) => {
-                        self.flags_logic(self.get(d) & self.get(sr));
-                        self.rip = next;
-                    }
-                    Inst::Jmp(rel) => {
-                        self.rip = next.wrapping_add(rel as i64 as u64);
-                    }
-                    Inst::Jcc(c, rel) => {
-                        self.rip = if self.flags.test(c) {
-                            next.wrapping_add(rel as i64 as u64)
-                        } else {
-                            next
-                        };
-                    }
-                    _ => break 'fast,
-                }
-                self.retired += 1;
-                let cycles = cost.inst_cost(&op.inst);
-                lsteps += 1;
-                lcycles += cycles;
-                linst = Some(op.inst);
-                on_step(
-                    rip_before,
-                    &Step {
-                        event: StepEvent::Executed,
-                        cycles,
-                        inst: Some(op.inst),
-                    },
-                );
-                if obs {
-                    sim_obs::span_step(clock + lcycles, self.rip);
-                }
-                i += 1;
-                if i >= ops.len() {
-                    break 'replay TraceRun::Done;
-                }
-                continue 'replay;
-            }
-            let s = self.exec(op.inst, op.len as usize, mem, clock + lcycles, cost);
-            lsteps += 1;
-            lcycles += s.cycles;
-            linst = s.inst;
-            on_step(rip_before, &s);
-            if obs {
-                sim_obs::span_step(clock + lcycles, self.rip);
-            }
-            match s.event {
-                StepEvent::Executed => {
-                    if matches!(s.inst, Some(Inst::Vsyscall)) {
-                        lvdso += 1;
-                    }
-                }
-                StepEvent::Syscall { site, .. } => {
-                    // Direct-path syscall entry inside trace execution:
-                    // the kernel-provided hook may service the syscall in
-                    // place (identical register, clock, and statistics
-                    // effects as a block exit + re-entry would have).
-                    match syscall_fast(&mut *self, &mut *mem, site, clock + lcycles) {
-                        HookAction::Pass => break TraceRun::Event(s.event),
-                        HookAction::Handled { charge, stop } => {
-                            lcycles += charge;
-                            if stop {
-                                // Deadline reached: end the block; the
-                                // caller's clock += cycles lands exactly
-                                // on the post-syscall boundary.
-                                break TraceRun::Budget;
-                            }
-                            // The serialize in the hook may have flushed
-                            // (stamp changed): revalidate from cold.
-                            if self.trace_replay_break {
-                                if obs {
-                                    sim_obs::trace_side_exit();
-                                }
-                                break TraceRun::SideExit;
-                            }
-                            i += 1;
-                            if i < ops.len() {
-                                // Syscalls are terminal ops today, but a
-                                // mid-trace return lands on the loop-top
-                                // rip check either way.
-                                continue;
-                            }
-                            if self.rip == entry {
-                                // Self-looping trace: the return address
-                                // is our own entry and nothing was
-                                // flushed, so the fresh-gen compare the
-                                // dispatcher would do is a foregone
-                                // conclusion — loop in place.
-                                i = 0;
-                                wraps += 1;
-                                continue;
-                            }
-                            break TraceRun::Done;
-                        }
-                    }
-                }
-                event => break TraceRun::Event(event),
-            }
-            i += 1;
-            if i >= ops.len() {
-                break TraceRun::Done;
-            }
-            // An own-core store in this op may have rewritten upcoming
-            // bytes (or a serializing op flushed the icache); fall back
-            // to cold fetch which sees the new bytes (x86 coherent SMC).
-            if self.trace_replay_break {
-                if obs {
-                    sim_obs::trace_side_exit();
-                }
-                break TraceRun::SideExit;
-            }
-        };
-        *inst = linst;
-        *steps = lsteps;
-        *cycles = lcycles;
-        *vdso_calls = lvdso;
-        // Occupancy bookkeeping (host-side only; never observable by the
-        // guest): one enter per dispatch plus one per in-place self-loop
-        // wrap, every step retired inside the trace, and the exit kind.
-        {
-            let t = tc.get_mut(idx);
-            t.enters += 1 + wraps;
-            t.steps += lsteps - steps0;
-            if matches!(run, TraceRun::SideExit) {
-                t.side_exits += 1;
-            }
-        }
-        self.trace_replaying = false;
-        self.trace = Some(tc);
-        if !self.pending_trace_unlinks.is_empty() {
-            let mut pages = std::mem::take(&mut self.pending_trace_unlinks);
-            if let Some(tc) = self.trace.as_deref_mut() {
-                for &page in &pages {
-                    tc.unlink_page(page);
-                }
-            }
-            pages.clear();
-            self.pending_trace_unlinks = pages; // keep the allocation
-        }
-        run
-    }
-
-    /// Like [`Cpu::step`], but captures the decoded instruction (and its
-    /// icache entry's decode-time page versions) into the in-progress
-    /// trace recording.
-    fn step_capture(&mut self, mem: &mut AddressSpace, clock: u64, cost: &CostModel) -> Step {
-        let (inst, len) = match self.fetch_decode(mem) {
-            Ok(x) => x,
-            Err(event) => {
-                return Step {
-                    event,
-                    cycles: cost.alu,
-                    inst: None,
-                }
-            }
-        };
-        let rip = self.rip;
-        if let Some(tc) = self.trace.as_deref_mut() {
-            if let Some(rec) = tc.rec.as_mut() {
-                if !rec.aborted {
-                    // Take the staleness witness from the icache entry,
-                    // never from current memory: a trace must only ever
-                    // validate against the exact bytes its ops decoded
-                    // from (a stale-but-fresh decode after a cross-core
-                    // write would otherwise survive the next serialize).
-                    match self.icache.get(&rip) {
-                        Some(e) if e.mem_gen == rec.mem_gen => {
-                            let mut ok = true;
-                            for &(page, ver) in &e.pages[..e.npages as usize] {
-                                match rec.pages.iter().position(|&(p, _)| p == page) {
-                                    Some(j) => {
-                                        if rec.pages[j].1 != ver {
-                                            ok = false;
-                                            break;
-                                        }
-                                    }
-                                    None => rec.pages.push((page, ver)),
-                                }
-                            }
-                            if ok && rec.ops.len() < MAX_OPS {
-                                rec.ops.push(TraceOp {
-                                    rip,
-                                    inst,
-                                    len: len as u8,
-                                });
-                            } else {
-                                rec.aborted = true;
-                            }
-                        }
-                        _ => rec.aborted = true,
-                    }
-                }
-            }
-        }
-        self.exec(inst, len, mem, clock, cost)
-    }
-
-    /// The trace-engine dispatcher: enters validated traces at block
+    /// This is the trace dispatcher: it enters validated traces at block
     /// heads, profiles cold heads, records hot ones, and otherwise steps
-    /// exactly like the plain block loop. Accounting (`steps`, `cycles`,
+    /// exactly like a [`Cpu::step`] loop. Accounting (`steps`, `cycles`,
     /// per-step clock, the `on_step` hook, span streams) is identical to
-    /// [`Cpu::run_block`] instruction for instruction.
-    fn run_block_traced(
+    /// that loop instruction for instruction.
+    pub fn run_block_hooked(
         &mut self,
         mem: &mut AddressSpace,
         clock: u64,
@@ -1417,6 +975,8 @@ impl Cpu {
             inst = s.inst;
             on_step(rip_before, &s);
             if obs {
+                // Post-step clock and RIP: identical to the stepwise
+                // engine's per-step hook, so range-span streams match.
                 sim_obs::span_step(clock + cycles, self.rip);
             }
             match s.event {
@@ -1466,6 +1026,353 @@ impl Cpu {
             vdso_calls,
             inst,
         }
+    }
+
+    /// True for instructions that end a basic block (control transfers);
+    /// the dispatcher profiles and looks up traces only at block heads,
+    /// i.e. after one of these or at `run_block` entry.
+    #[inline]
+    fn ends_block(inst: Option<Inst>) -> bool {
+        matches!(
+            inst,
+            Some(
+                Inst::Jmp(_)
+                    | Inst::Call(_)
+                    | Inst::Jcc(_, _)
+                    | Inst::CallReg(_)
+                    | Inst::JmpReg(_)
+                    | Inst::Ret
+            )
+        )
+    }
+
+    /// Validates the trace entered at the current `rip`, if any: a single
+    /// `fresh_gen` compare on the fast path, else one `mem_gen` compare
+    /// plus a walk of the recorded page versions (restamp on success,
+    /// unlink on failure). This replaces the icache's per-instruction
+    /// page-version walk with a per-trace generation check.
+    fn trace_validate(&mut self, mem: &mut AddressSpace) -> Option<u32> {
+        let rip = self.rip;
+        let flush_gen = self.flush_gen;
+        let tc = self.trace.as_deref_mut()?;
+        let idx = tc.lookup(rip)?;
+        let t = tc.get_mut(idx);
+        if t.fresh_gen == flush_gen {
+            return Some(idx);
+        }
+        let mut valid = t.mem_gen == mem.generation();
+        if valid {
+            for &(page, ver) in &t.pages {
+                if mem.page_version(page) != Some(ver) {
+                    valid = false;
+                    break;
+                }
+            }
+        }
+        if valid {
+            t.fresh_gen = flush_gen;
+            sim_obs::trace_revalidate();
+            Some(idx)
+        } else {
+            tc.unlink_entry(rip);
+            None
+        }
+    }
+
+    /// Executes `inst` in place if it is one of trace replay's inlined
+    /// fast paths, returning false (with no effect) for any other op.
+    ///
+    /// The inlined ops run with the same helpers, cost, and
+    /// `retired`/`rip` effects as their [`Cpu::exec`] arms, with no
+    /// full-match dispatch and no event analysis. Every one is
+    /// non-faulting, non-serializing, and storeless (it can't set
+    /// `trace_replay_break`), always retires with
+    /// [`StepEvent::Executed`], and is not `Vsyscall`. Cross-engine
+    /// byte-identity tests pin these arms to `exec`'s.
+    #[inline(always)]
+    fn exec_inline(&mut self, inst: Inst, next: u64) -> bool {
+        match inst {
+            Inst::MovImm(r, v) => self.set(r, v),
+            Inst::MovReg(d, s) => self.set(d, self.get(s)),
+            Inst::Lea(d, off) => self.set(d, next.wrapping_add(off as i64 as u64)),
+            Inst::AddImm(r, im) => {
+                let v = self.flags_add(self.get(r), im as i64 as u64);
+                self.set(r, v);
+            }
+            Inst::SubImm(r, im) => {
+                let v = self.flags_sub(self.get(r), im as i64 as u64);
+                self.set(r, v);
+            }
+            Inst::CmpImm(r, im) => {
+                self.flags_sub(self.get(r), im as i64 as u64);
+            }
+            Inst::AddReg(d, s) => {
+                let v = self.flags_add(self.get(d), self.get(s));
+                self.set(d, v);
+            }
+            Inst::SubReg(d, s) => {
+                let v = self.flags_sub(self.get(d), self.get(s));
+                self.set(d, v);
+            }
+            Inst::CmpReg(d, s) => {
+                self.flags_sub(self.get(d), self.get(s));
+            }
+            Inst::TestReg(d, s) => {
+                self.flags_logic(self.get(d) & self.get(s));
+            }
+            Inst::Jmp(rel) => {
+                self.rip = next.wrapping_add(rel as i64 as u64);
+                self.retired += 1;
+                return true;
+            }
+            Inst::Jcc(c, rel) => {
+                self.rip = if self.flags.test(c) {
+                    next.wrapping_add(rel as i64 as u64)
+                } else {
+                    next
+                };
+                self.retired += 1;
+                return true;
+            }
+            _ => return false,
+        }
+        self.rip = next;
+        self.retired += 1;
+        true
+    }
+
+    /// Replays the ops of trace `idx`. Each op is a full architectural
+    /// step (via [`Cpu::exec`], or [`Cpu::exec_inline`] for the hottest
+    /// ops) with the identical per-step clock, trace hook, and span
+    /// stream as cold execution — only the fetch and icache lookup are
+    /// elided. Stops mid-trace on the step budget, on a kernel event,
+    /// when control flow diverges from the recording, or when an own-core
+    /// store (or a serializing op) invalidates the trace under our feet.
+    ///
+    /// The trace cache is moved out of `self` for the duration of the
+    /// replay so the op stream is a plain slice walk with no per-op
+    /// `Option<Box<..>>` re-derefs. Invalidation raised by replayed ops
+    /// is routed through `trace_replay_break` (side-exit at the next op
+    /// boundary) and `pending_trace_unlinks` (applied once the cache is
+    /// put back) — see [`Cpu::invalidate_icache_range`] and
+    /// [`Cpu::flush_icache`]. No recording is ever in progress here: the
+    /// dispatcher closes any before entering a trace.
+    ///
+    /// A [`Cpu::Syscall`](StepEvent::Syscall) op consults `syscall_fast`
+    /// (see [`Cpu::run_block_hooked`]): a handled syscall charges its
+    /// cycles into the block and replay continues in place.
+    ///
+    /// A terminal op that lands back on the trace's own entry with
+    /// `trace_replay_break` clear wraps to op 0 without returning to the
+    /// dispatcher: nothing was flushed and nothing was stored on the
+    /// trace's pages, so the dispatcher's lookup and fresh-gen compare
+    /// would find this same trace valid. Each wrap counts as one more
+    /// `enters`; it is not a `trace_link`.
+    #[allow(clippy::too_many_arguments)]
+    fn exec_trace(
+        &mut self,
+        idx: u32,
+        mem: &mut AddressSpace,
+        clock: u64,
+        cost: &CostModel,
+        budget: u64,
+        obs: bool,
+        cycles: &mut u64,
+        steps: &mut u64,
+        vdso_calls: &mut u64,
+        inst: &mut Option<Inst>,
+        on_step: &mut impl FnMut(u64, &Step),
+        syscall_fast: &mut impl FnMut(&mut Cpu, &mut AddressSpace, u64, u64) -> HookAction,
+    ) -> TraceRun {
+        let mut tc = self.trace.take().expect("exec_trace without trace cache");
+        let t = tc.get(idx);
+        self.replay_pages.clear();
+        self.replay_pages.extend(t.pages.iter().map(|&(p, _)| p));
+        self.trace_replay_break = false;
+        let entry = t.entry;
+        let ops = &t.ops[..];
+        let mut i = 0usize;
+        // Batched accounting: the loop accumulates into locals (registers)
+        // and writes the caller's counters back once at exit — the exact
+        // retired-instruction boundary is preserved because every break
+        // path flows through the write-back below.
+        let mut linst = *inst;
+        let mut lsteps = *steps;
+        let mut lcycles = *cycles;
+        let mut lvdso = *vdso_calls;
+        let steps0 = lsteps;
+        let mut wraps = 0u64;
+        let run = loop {
+            if lsteps >= budget {
+                break TraceRun::Budget;
+            }
+            let op = ops[i];
+            if self.rip != op.rip {
+                if obs {
+                    sim_obs::trace_side_exit();
+                }
+                break TraceRun::SideExit;
+            }
+            if obs {
+                sim_obs::set_clock(clock + lcycles);
+            }
+            let rip_before = self.rip;
+            if self.exec_inline(op.inst, op.rip.wrapping_add(op.len as u64)) {
+                let cycles = cost.inst_cost(&op.inst);
+                lsteps += 1;
+                lcycles += cycles;
+                linst = Some(op.inst);
+                on_step(
+                    rip_before,
+                    &Step {
+                        event: StepEvent::Executed,
+                        cycles,
+                        inst: Some(op.inst),
+                    },
+                );
+                if obs {
+                    sim_obs::span_step(clock + lcycles, self.rip);
+                }
+            } else {
+                let s = self.exec(op.inst, op.len as usize, mem, clock + lcycles, cost);
+                lsteps += 1;
+                lcycles += s.cycles;
+                linst = s.inst;
+                on_step(rip_before, &s);
+                if obs {
+                    sim_obs::span_step(clock + lcycles, self.rip);
+                }
+                match s.event {
+                    StepEvent::Executed => {
+                        if matches!(s.inst, Some(Inst::Vsyscall)) {
+                            lvdso += 1;
+                        }
+                    }
+                    StepEvent::Syscall { site, .. } => {
+                        // Direct-path syscall entry inside trace execution:
+                        // the kernel-provided hook may service the syscall
+                        // in place (identical register, clock, and
+                        // statistics effects as a block exit + re-entry
+                        // would have). Its serialize may flush, which
+                        // raises `trace_replay_break` like any flush.
+                        match syscall_fast(&mut *self, &mut *mem, site, clock + lcycles) {
+                            HookAction::Pass => break TraceRun::Event(s.event),
+                            HookAction::Handled { charge, stop } => {
+                                lcycles += charge;
+                                if stop {
+                                    // Deadline reached: end the block; the
+                                    // caller's clock += cycles lands
+                                    // exactly on the post-syscall boundary.
+                                    break TraceRun::Budget;
+                                }
+                            }
+                        }
+                    }
+                    event => break TraceRun::Event(event),
+                }
+            }
+            i += 1;
+            if i == ops.len() {
+                if self.rip != entry || self.trace_replay_break {
+                    break TraceRun::Done;
+                }
+                // Self-looping trace, nothing flushed or rewritten: loop
+                // in place.
+                i = 0;
+                wraps += 1;
+            } else if self.trace_replay_break {
+                // An own-core store in this op may have rewritten upcoming
+                // bytes (or a serializing op flushed the icache); fall
+                // back to cold fetch, which sees the new bytes (x86
+                // coherent SMC).
+                if obs {
+                    sim_obs::trace_side_exit();
+                }
+                break TraceRun::SideExit;
+            }
+        };
+        *inst = linst;
+        *steps = lsteps;
+        *cycles = lcycles;
+        *vdso_calls = lvdso;
+        // Occupancy bookkeeping (host-side only; never observable by the
+        // guest): one enter per dispatch plus one per in-place wrap, every
+        // step retired inside the trace, and the exit kind.
+        {
+            let t = tc.get_mut(idx);
+            t.enters += 1 + wraps;
+            t.steps += lsteps - steps0;
+            if matches!(run, TraceRun::SideExit) {
+                t.side_exits += 1;
+            }
+        }
+        self.trace = Some(tc);
+        if !self.pending_trace_unlinks.is_empty() {
+            let mut pages = std::mem::take(&mut self.pending_trace_unlinks);
+            if let Some(tc) = self.trace.as_deref_mut() {
+                for &page in &pages {
+                    tc.unlink_page(page);
+                }
+            }
+            pages.clear();
+            self.pending_trace_unlinks = pages; // keep the allocation
+        }
+        run
+    }
+
+    /// Like [`Cpu::step`], but captures the decoded instruction (and its
+    /// icache entry's decode-time page versions) into the in-progress
+    /// trace recording.
+    fn step_capture(&mut self, mem: &mut AddressSpace, clock: u64, cost: &CostModel) -> Step {
+        let (inst, len) = match self.fetch_decode(mem) {
+            Ok(x) => x,
+            Err(event) => {
+                return Step {
+                    event,
+                    cycles: cost.alu,
+                    inst: None,
+                }
+            }
+        };
+        let rip = self.rip;
+        if let Some(tc) = self.trace.as_deref_mut() {
+            if let Some(rec) = tc.rec.as_mut() {
+                if !rec.aborted {
+                    // Take the staleness witness from the icache entry,
+                    // never from current memory: a trace must only ever
+                    // validate against the exact bytes its ops decoded
+                    // from (a stale-but-fresh decode after a cross-core
+                    // write would otherwise survive the next serialize).
+                    match self.icache.get(&rip) {
+                        Some(e) if e.mem_gen == rec.mem_gen => {
+                            let mut ok = true;
+                            for &(page, ver) in &e.pages[..e.npages as usize] {
+                                match rec.pages.iter().position(|&(p, _)| p == page) {
+                                    Some(j) => {
+                                        if rec.pages[j].1 != ver {
+                                            ok = false;
+                                            break;
+                                        }
+                                    }
+                                    None => rec.pages.push((page, ver)),
+                                }
+                            }
+                            if ok && rec.ops.len() < MAX_OPS {
+                                rec.ops.push(TraceOp {
+                                    rip,
+                                    inst,
+                                    len: len as u8,
+                                });
+                            } else {
+                                rec.aborted = true;
+                            }
+                        }
+                        _ => rec.aborted = true,
+                    }
+                }
+            }
+        }
+        self.exec(inst, len, mem, clock, cost)
     }
 
     /// Closes any in-progress recording at a block exit.

@@ -1,13 +1,14 @@
 //! Trace cache: hot blocks promoted into linked superblocks.
 //!
-//! The block engine's per-entry costs — one icache lookup per fetched
-//! instruction and one dispatcher round-trip per block — dominate tight
-//! guest loops. The trace engine profiles block-entry counts and, past a
-//! hotness threshold, records the executed instruction sequence into a
-//! [`Trace`]: a decoded superblock replayed without any fetch or icache
-//! lookup. A trace whose terminal branch lands on another trace's entry
-//! chains into it directly ("linking") without returning to the cold
-//! dispatcher.
+//! Stepping costs one icache lookup per fetched instruction and one
+//! dispatcher round-trip per block, which dominates tight guest loops.
+//! The block engine ([`crate::Cpu::run_block`]) profiles block-entry
+//! counts and, past a hotness threshold, records the executed
+//! instruction sequence into a [`Trace`]: a decoded superblock replayed
+//! without any fetch or icache lookup. A trace whose terminal branch
+//! lands on another trace's entry chains into it directly ("linking")
+//! without returning to the cold dispatcher; one whose terminal op lands
+//! on its own entry loops in place.
 //!
 //! Staleness is governed by the same two-level scheme as the icache
 //! (see `cpu.rs`):
@@ -64,7 +65,8 @@ pub struct Trace {
     /// Cleared by unlinking (store overlap or failed revalidation);
     /// dead traces stay in the pool until the next pool reset.
     pub valid: bool,
-    /// Replay dispatches into this trace (self-loop wraps included).
+    /// Replay dispatches into this trace, plus its in-place self-loop
+    /// wraps.
     pub enters: u64,
     /// Instructions retired from inside this trace across all replays.
     pub steps: u64,
@@ -215,9 +217,12 @@ impl TraceCache {
     }
 
     /// Closes the in-progress recording, forming a trace unless it was
-    /// aborted or captured nothing.
+    /// aborted or captured nothing. The head's heat is dropped (a formed
+    /// trace is found by lookup first, and an unlinked one re-earns
+    /// promotion from zero), and the op and page vectors are trimmed to
+    /// size, since a trace lives until it is unlinked or the pool resets.
     pub fn finalize(&mut self, flush_gen: u64) {
-        let Some(rec) = self.rec.take() else {
+        let Some(mut rec) = self.rec.take() else {
             return;
         };
         if rec.aborted || rec.ops.is_empty() {
@@ -232,6 +237,9 @@ impl TraceCache {
             self.page_index = FastMap::default();
             self.heat = FastMap::default();
         }
+        self.heat.remove(&rec.entry);
+        rec.ops.shrink_to_fit();
+        rec.pages.shrink_to_fit();
         let idx = self.pool.len() as u32;
         for &(page, _) in &rec.pages {
             self.page_index.entry(page).or_default().push(idx);

@@ -19,8 +19,8 @@
 //!
 //! The ledger is purely architectural: every input (issuing region,
 //! `interposer_live`, SUD thread state, the selector byte, tracer
-//! attachment, stack masks) advances identically under the stepwise,
-//! block, and trace engines, so coverage tables are byte-deterministic
+//! attachment, stack masks) advances identically under the stepwise and
+//! block engines, so coverage tables are byte-deterministic
 //! across engines and runs. When no session is configured the fast
 //! syscall paths stay enabled and nothing changes — auditing off is
 //! zero-overhead (see the invisibility proptests in `tests/audit.rs`).

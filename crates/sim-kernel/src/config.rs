@@ -20,13 +20,11 @@ use std::rc::Rc;
 /// Which scheduler engine executes guest code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The block-based fast path ([`sim_cpu::Cpu::run_block`]).
+    /// The fast path ([`sim_cpu::Cpu::run_block`]): run-until-event
+    /// blocks whose hot code is promoted into linked superblocks replayed
+    /// without per-instruction fetches (see `sim_cpu::trace`).
     #[default]
     Block,
-    /// The block engine plus the trace cache: hot blocks are promoted
-    /// into linked superblocks replayed without per-instruction fetches
-    /// (see `sim_cpu::trace`).
-    Trace,
     /// The original per-step loop with the flush-everything icache,
     /// retained as the determinism oracle.
     Stepwise,
@@ -39,8 +37,6 @@ pub enum Engine {
 ///
 /// let fast = EngineConfig::new();
 /// assert_eq!(fast.engine, Engine::Block);
-/// let traced = EngineConfig::traced();
-/// assert_eq!(traced.engine, Engine::Trace);
 /// let oracle = EngineConfig::stepwise().profile(64).record();
 /// assert_eq!(oracle.engine, Engine::Stepwise);
 /// assert_eq!(oracle.profile, Some(64));
@@ -66,13 +62,12 @@ impl EngineConfig {
         EngineConfig::default()
     }
 
-    /// The trace-engine configuration: block engine plus superblock
-    /// promotion.
+    /// An alias of [`EngineConfig::new`]. The block engine replays
+    /// traces itself, so there is no separate trace engine any more; this
+    /// name stays only because the host-time benchmark's syscall-loop
+    /// workload calls it, and goes with that benchmark's next change.
     pub fn traced() -> EngineConfig {
-        EngineConfig {
-            engine: Engine::Trace,
-            ..EngineConfig::default()
-        }
+        EngineConfig::new()
     }
 
     /// The oracle configuration the determinism tests compare against:

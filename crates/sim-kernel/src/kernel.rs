@@ -1456,11 +1456,7 @@ impl Kernel {
         }
         match self.engine {
             Engine::Stepwise => self.run_slice_stepwise(pid, tid),
-            // The trace engine shares the block slice loop: the same
-            // budget capping makes fault, profiler, and slice boundaries
-            // land on identical instructions; only the core-level
-            // execution strategy differs.
-            Engine::Block | Engine::Trace => self.run_slice_blocks(pid, tid),
+            Engine::Block => self.run_slice_blocks(pid, tid),
         }
     }
 
@@ -1471,21 +1467,20 @@ impl Kernel {
     /// kernel or guest state.
     fn run_slice_blocks(&mut self, pid: Pid, tid: Tid) {
         self.current = Some((pid, tid));
-        let traced = self.engine == Engine::Trace;
         let mut remaining = self.effective_slice(tid);
         while remaining > 0 {
             if self.boundary_ends_slice(pid, tid) {
                 return;
             }
-            // Single-threaded hot path: alternate block/trace execution
-            // and direct-path syscall handling under one process borrow,
+            // Single-threaded hot path: alternate block execution and
+            // direct-path syscall handling under one process borrow,
             // with clock/cycle/stat accounting batched and flushed at
             // exact retired-instruction boundaries. Falls out with a
             // pending block exit when anything needs the general path;
             // the loop below then handles that exit exactly as if it had
             // produced it itself.
             let hot = if self.hot_slice_ok(pid, tid) {
-                let Some(block) = self.run_slice_hot(pid, tid, traced, &mut remaining) else {
+                let Some(block) = self.run_slice_hot(pid, tid, &mut remaining) else {
                     return; // slice (or run deadline) ended inside the hot loop
                 };
                 Some(block)
@@ -1520,7 +1515,6 @@ impl Kernel {
                 }
                 let mut traced_clock = clock;
                 t.cpu.set_seed_flush(false);
-                t.cpu.set_trace_mode(traced);
                 t.cpu
                     .run_block(space, clock, &cost, budget, |rip, step: &Step| {
                         if let Some(rec) = trace.as_mut() {
@@ -1606,7 +1600,7 @@ impl Kernel {
             })
     }
 
-    /// The single-threaded hot loop: alternates block/trace execution and
+    /// The single-threaded hot loop: alternates block execution and
     /// direct-path handling of trivial syscalls under **one** process
     /// borrow, batching clock, per-thread cycle, retired-instruction and
     /// syscall-statistic accounting in locals that are flushed at exact
@@ -1630,7 +1624,6 @@ impl Kernel {
         &mut self,
         pid: Pid,
         tid: Tid,
-        traced: bool,
         remaining: &mut u64,
     ) -> Option<BlockExit> {
         let cost = self.cost;
@@ -1661,7 +1654,6 @@ impl Kernel {
             } = p;
             let t = &mut threads[0];
             t.cpu.set_seed_flush(false);
-            t.cpu.set_trace_mode(traced);
             // Constant for the whole hot slice: only non-trivial syscalls
             // (which exit this loop) can arm SUD or set `restarting`.
             let restarting = t.restarting;
@@ -2518,10 +2510,10 @@ mod tests {
     }
 
     /// The trivial syscalls have one set of effects whichever path serves
-    /// them: the hot loop at block exits (`new`) and inside trace replay
-    /// (`traced`), or `handle_syscall` when a profiler session closes the
-    /// hot loop (without obs it samples and charges nothing) and on the
-    /// stepwise oracle.
+    /// them: the hot loop at block exits (while the loop is cold) and
+    /// inside trace replay (once its trace forms), or `handle_syscall`
+    /// when a profiler session closes the hot loop (without obs it
+    /// samples and charges nothing) and on the stepwise oracle.
     #[test]
     fn direct_path_matches_slow_path() {
         let mut a = Asm::new();
@@ -2554,7 +2546,6 @@ mod tests {
         };
         let hot = run(EngineConfig::new());
         assert_eq!(hot.1.syscalls, 1001);
-        assert_eq!(run(EngineConfig::traced()), hot);
         assert_eq!(run(EngineConfig::new().profile(7)), hot);
         assert_eq!(run(EngineConfig::stepwise()), hot);
     }

@@ -130,6 +130,7 @@ pub const EEXIST: i64 = 17;
 pub const ENOTDIR: i64 = 20;
 pub const EISDIR: i64 = 21;
 pub const EINVAL: i64 = 22;
+pub const EFBIG: i64 = 27;
 pub const ENOSYS: i64 = 38;
 pub const ECONNREFUSED: i64 = 111;
 pub const EADDRINUSE: i64 = 98;

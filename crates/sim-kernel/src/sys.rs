@@ -70,10 +70,22 @@ pub(crate) fn trivial_ret(nr_: u64, pid: Pid, tid: Tid) -> Option<u64> {
 }
 
 impl Kernel {
+    /// Copies `len` guest bytes at `addr`, one page run at a time, so
+    /// the host buffer grows only with bytes the guest has mapped: a
+    /// guest-chosen count past its mapping fails with `-EFAULT` before
+    /// the host allocates for it.
     fn guest_read(&mut self, pid: Pid, addr: u64, len: usize) -> Result<Vec<u8>, u64> {
         let p = self.process_mut(pid).ok_or(err(nr::EFAULT))?;
-        let mut buf = vec![0u8; len];
-        p.space.read_raw(addr, &mut buf).map_err(|_| err(nr::EFAULT))?;
+        let mut buf = Vec::new();
+        while buf.len() < len {
+            let at = addr.wrapping_add(buf.len() as u64);
+            let run = (sim_mem::PAGE_SIZE - at % sim_mem::PAGE_SIZE).min((len - buf.len()) as u64);
+            let start = buf.len();
+            buf.resize(start + run as usize, 0);
+            p.space
+                .read_raw(at, &mut buf[start..])
+                .map_err(|_| err(nr::EFAULT))?;
+        }
         Ok(buf)
     }
 
@@ -624,6 +636,11 @@ impl Kernel {
             2 => flen.wrapping_add(off),       // SEEK_END
             _ => return Disp::Ret(err(nr::EINVAL)),
         };
+        // The offset is signed: a negative result fails, as on Linux,
+        // rather than wrapping to a huge offset.
+        if new > i64::MAX as u64 {
+            return Disp::Ret(err(nr::EINVAL));
+        }
         *cur = new;
         Disp::Ret(new)
     }

@@ -16,6 +16,12 @@ use std::sync::Arc;
 /// Node identifier within a [`Vfs`].
 pub type NodeId = usize;
 
+/// The largest size a write may grow a file to (256 MiB, far above any
+/// file the workloads write). A guest chooses its file offset, so a write
+/// that would end past this fails with `-EFBIG` instead of making the
+/// host zero-fill the gap.
+pub const MAX_FILE_SIZE: usize = 1 << 28;
+
 #[derive(Debug, Clone)]
 enum Node {
     File { data: Arc<Vec<u8>>, immutable: bool },
@@ -169,10 +175,14 @@ impl Vfs {
     ///
     /// # Errors
     ///
-    /// As [`Vfs::write_file`].
+    /// Returns `-EFBIG`, before touching the file, when the write would end
+    /// past [`MAX_FILE_SIZE`]; otherwise as [`Vfs::write_file`].
     pub fn write_at(&mut self, path: &str, offset: usize, data: &[u8]) -> Result<(), u64> {
+        let end = offset
+            .checked_add(data.len())
+            .filter(|&end| end <= MAX_FILE_SIZE)
+            .ok_or(err(nr::EFBIG))?;
         let file = Arc::make_mut(self.file_mut(path)?);
-        let end = offset + data.len();
         if file.len() < end {
             file.resize(end, 0);
         }
@@ -397,6 +407,9 @@ mod tests {
         }
     }
 
+    /// Besides `write_file`'s refusals, an end past `MAX_FILE_SIZE`, or
+    /// one that overflows, fails with `-EFBIG` before the file is touched:
+    /// no zero fill, no creation.
     #[test]
     fn write_at_fills_holes_recreates_and_refuses_like_write_file() {
         let mut v = Vfs::new();
@@ -414,6 +427,17 @@ mod tests {
         v.set_immutable("/d", true).unwrap();
         assert_eq!(v.write_at("/d/f", 0, b"x").unwrap_err(), err(nr::EPERM));
         assert_eq!(v.write_at("/d/g", 0, b"x").unwrap_err(), err(nr::EPERM));
+        assert_eq!(v.read_file("/d/f").unwrap(), b"again");
+        assert!(!v.exists("/d/g"));
+        v.set_immutable("/d", false).unwrap();
+        for (path, offset) in [
+            ("/d/f", usize::MAX - 1),
+            ("/d/f", MAX_FILE_SIZE - 2),
+            ("/d/g", usize::MAX),
+        ] {
+            let e = v.write_at(path, offset, b"abcd").unwrap_err();
+            assert_eq!(e, err(nr::EFBIG), "{offset}");
+        }
         assert_eq!(v.read_file("/d/f").unwrap(), b"again");
         assert!(!v.exists("/d/g"));
     }

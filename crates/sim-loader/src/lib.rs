@@ -88,6 +88,96 @@ mod tests {
         assert_eq!(&got, b"hello\n");
     }
 
+    /// Builds and spawns `/usr/bin/probe`, whose `main` is `body` followed
+    /// by `ret`; `body` stores each result through r13, which points at
+    /// `n` zeroed quads named `rets`. Runs it to exit and returns them.
+    fn run_probe(
+        k: &mut sim_kernel::Kernel,
+        n: usize,
+        body: impl FnOnce(&mut ImageBuilder),
+    ) -> Vec<u64> {
+        let mut b = ImageBuilder::new("/usr/bin/probe");
+        b.entry("main");
+        b.needs(LIBC_PATH);
+        b.asm.label("main");
+        b.asm.lea_label(Reg::R13, "rets");
+        body(&mut b);
+        b.asm.mov_imm(Reg::Rax, 0);
+        b.asm.ret();
+        b.data_object("rets", &vec![0u8; 8 * n]);
+        b.finish().install(&mut k.vfs);
+        let pid = k.spawn("/usr/bin/probe", &[], &[], None).unwrap();
+        assert_eq!(k.run(500_000_000), RunExit::AllExited);
+        let p = k.process_mut(pid).unwrap();
+        assert_eq!(p.exit_status, Some(0));
+        let mut raw = vec![0u8; 8 * n];
+        p.space.read_raw(p.symbols["probe:rets"], &mut raw).unwrap();
+        raw.chunks(8)
+            .map(|q| u64::from_le_bytes(q.try_into().unwrap()))
+            .collect()
+    }
+
+    /// A guest chooses its file offset: `lseek` to a negative offset fails
+    /// with `-EINVAL` and leaves the offset alone, and a `write` that would
+    /// end past `MAX_FILE_SIZE` fails with `-EFBIG`, allocating nothing.
+    #[test]
+    fn seeks_below_zero_and_writes_past_the_size_limit_fail() {
+        let mut k = boot_kernel();
+        let big = sim_kernel::vfs::MAX_FILE_SIZE as u64;
+        let rets = run_probe(&mut k, 5, |b| {
+            b.asm.mov_imm(Reg::Rdi, (-100i64) as u64); // AT_FDCWD
+            b.asm.lea_label(Reg::Rsi, "path");
+            b.asm.mov_imm(Reg::Rdx, 0x40); // O_CREAT
+            b.call_import("openat");
+            b.asm.mov_reg(Reg::R12, Reg::Rax);
+            // (syscall, second argument, third argument) per result slot.
+            let calls: [(&str, u64, u64); 5] = [
+                ("lseek", u64::MAX - 1, 0),   // SEEK_SET to 2^64 - 2
+                ("write", 0, 4),              // "abcd", at offset 0
+                ("lseek", (-8i64) as u64, 1), // SEEK_CUR to 4 - 8
+                ("lseek", big - 2, 0),
+                ("write", 0, 4), // would end at MAX_FILE_SIZE + 2
+            ];
+            for (slot, (call, arg, arg2)) in calls.into_iter().enumerate() {
+                b.asm.mov_reg(Reg::Rdi, Reg::R12);
+                if call == "write" {
+                    b.asm.lea_label(Reg::Rsi, "data");
+                } else {
+                    b.asm.mov_imm(Reg::Rsi, arg);
+                }
+                b.asm.mov_imm(Reg::Rdx, arg2);
+                b.call_import(call);
+                b.asm.store(Reg::R13, 8 * slot as i32, Reg::Rax);
+            }
+            b.data_object("path", b"/tmp/seek\0");
+            b.data_object("data", b"abcd");
+        });
+        let einval = nr::err(nr::EINVAL);
+        assert_eq!(rets, [einval, 4, einval, big - 2, nr::err(nr::EFBIG)]);
+        assert_eq!(k.vfs.read_file("/tmp/seek").unwrap(), b"abcd");
+    }
+
+    /// A guest chooses its buffer length: a `write` whose count runs past
+    /// the buffer's mapping fails with `-EFAULT`, however large the count,
+    /// and prints nothing.
+    #[test]
+    fn writes_with_a_count_past_the_mapping_fail_with_efault() {
+        let mut k = boot_kernel();
+        let rets = run_probe(&mut k, 2, |b| {
+            for (slot, count) in [u64::MAX, 1 << 40].into_iter().enumerate() {
+                b.asm.mov_imm(Reg::Rdi, 1);
+                b.asm.lea_label(Reg::Rsi, "data");
+                b.asm.mov_imm(Reg::Rdx, count);
+                b.call_import("write");
+                b.asm.store(Reg::R13, 8 * slot as i32, Reg::Rax);
+            }
+            b.data_object("data", b"never printed");
+        });
+        assert_eq!(rets, [nr::err(nr::EFAULT); 2]);
+        let pid = k.pids()[0];
+        assert_eq!(k.process(pid).unwrap().output_string(), "");
+    }
+
     #[test]
     fn startup_issues_many_syscalls_before_interposer() {
         // The P2b measurement: a library-injection interposer cannot see any

@@ -333,7 +333,7 @@ impl Recorder {
             c.block_lengths.mean(),
             c.block_lengths.max
         );
-        // Always emitted (zero outside the trace engine) so the counter
+        // Always emitted (zero on the stepwise oracle) so the counter
         // snapshot has a stable shape tools can diff across engines.
         let _ = writeln!(
             s,

@@ -290,7 +290,7 @@ pub struct Counters {
     /// would have revalidated every entry trivially.
     pub icache_flush_coalesced: u64,
     pub block_lengths: Hist,
-    // sim-cpu trace engine
+    // sim-cpu trace cache
     pub trace_forms: u64,
     pub trace_entries: u64,
     pub trace_links: u64,

@@ -8,9 +8,8 @@
 //! it happened — and the canonicalized sim-obs event stream the recording
 //! run produced. Retired-instruction keys are the engine-invariant
 //! addressing scheme the fault planner already uses: a log recorded under
-//! any engine (stepwise, block, trace) replays byte-identically under any
-//! other, because all three agree on which instruction is the Nth to
-//! retire.
+//! either engine (stepwise, block) replays byte-identically under the
+//! other, because both agree on which instruction is the Nth to retire.
 //!
 //! The kernel-side half (the record and verify sessions, and the stop
 //! target navigation seeks with) lives in `sim-kernel`; this crate stays
@@ -216,8 +215,9 @@ impl Rec {
 /// recording run (and therefore to replay-verify it on another engine).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Header {
-    /// Engine label the log was recorded under (`stepwise`/`block`/
-    /// `trace`) — informational; replay may pick any engine.
+    /// Engine label the log was recorded under (`stepwise`/`block`; logs
+    /// written before the trace engine merged into the block engine may
+    /// say `trace`) — informational; replay may pick any engine.
     pub engine: String,
     /// Workload name, interpreted by the `simrecord` driver.
     pub workload: String,

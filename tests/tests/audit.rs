@@ -1,7 +1,7 @@
 //! Audit-ledger integration: the kernel's coverage ledger classifies the
 //! known shadows with the right pitfall signatures (exec gaps → P1a, SUD
 //! disarm → P1b, vDSO reads attributed only to mechanisms that leave the
-//! vDSO in place), is byte-identical across all three engines, renders
+//! vDSO in place), is byte-identical across both engines, renders
 //! the committed `MATRIX_simaudit.txt` on each of them, and stays entirely
 //! absent when no audit session is configured.
 
@@ -88,16 +88,14 @@ fn vdso_shadow_attribution_respects_mechanism_claims() {
 }
 
 /// The full ledger — per-process maps, bypass sites and all — is
-/// identical across the block, stepwise, and trace engines: the audit
+/// identical across the block and stepwise engines: the audit
 /// only consumes architectural state, so the engine choice is invisible
 /// to it (the property that makes the committed matrix meaningful).
 #[test]
 fn ledger_is_identical_across_engines() {
     let block = run_cell("sud", "coreutil", EngineConfig::new()).unwrap();
     let stepwise = run_cell("sud", "coreutil", EngineConfig::stepwise()).unwrap();
-    let traced = run_cell("sud", "coreutil", EngineConfig::traced()).unwrap();
     assert_eq!(block, stepwise, "block vs stepwise ledgers diverge");
-    assert_eq!(block, traced, "block vs trace ledgers diverge");
     assert!(
         block.totals().total() > 0,
         "the compared ledgers must not be vacuously empty"
@@ -105,7 +103,7 @@ fn ledger_is_identical_across_engines() {
 }
 
 /// The block-engine sweep, run once per test process and shared by the
-/// three engine pins.
+/// two engine pins.
 fn block_sweep() -> &'static [AuditRow] {
     static ROWS: OnceLock<Vec<AuditRow>> = OnceLock::new();
     ROWS.get_or_init(|| full_audit_matrix(&EngineConfig::new()).unwrap())
@@ -137,11 +135,6 @@ fn block_sweep_matches_the_committed_matrix() {
 #[test]
 fn stepwise_sweep_matches_the_committed_matrix() {
     assert_sweep_pinned(&full_audit_matrix(&EngineConfig::stepwise()).unwrap());
-}
-
-#[test]
-fn trace_sweep_matches_the_committed_matrix() {
-    assert_sweep_pinned(&full_audit_matrix(&EngineConfig::traced()).unwrap());
 }
 
 /// A kernel with no audit session configured exposes no ledger — the

@@ -1,11 +1,11 @@
-//! Determinism regression: the block-based fast engine and the trace
-//! engine (superblock promotion) must be instruction-for-instruction
-//! identical to the retained per-step oracle (`EngineConfig::stepwise()`)
-//! — same rips, same cycle stamps, same events, same scheduler
-//! interleaving — even for a multi-core self-modifying-code guest that
-//! exercises every P5 icache hazard the simulator models (and, for the
-//! trace engine, every trace-unlink path: SMC stores on trace pages,
-//! serialization points mid-replay, torn cross-core writes).
+//! Determinism regression: the block engine (run-until-event blocks plus
+//! superblock promotion) must be instruction-for-instruction identical to
+//! the retained per-step oracle (`EngineConfig::stepwise()`) — same rips,
+//! same cycle stamps, same events, same scheduler interleaving — even for
+//! a multi-core self-modifying-code guest that exercises every P5 icache
+//! hazard the simulator models and every trace-unlink path (SMC stores
+//! on trace pages, serialization points mid-replay, torn cross-core
+//! writes).
 
 use std::rc::Rc;
 
@@ -56,23 +56,17 @@ fn assert_smc_matches_oracle(cfg: EngineConfig) {
     assert_ne!(fast_status, Some(44), "guest never observed a code patch");
 }
 
-/// The fast engine's instruction-level trace (rip, cycle stamp, event,
-/// thread) is bit-identical to the per-step oracle's on the SMC guest.
+/// The block engine's instruction-level trace (rip, cycle stamp, event,
+/// thread) is bit-identical to the per-step oracle's on the SMC guest:
+/// superblocks formed over self-modifying code are unlinked and
+/// side-exited such that the stream matches the oracle's.
 #[test]
 fn block_engine_trace_matches_stepwise_oracle() {
     assert_smc_matches_oracle(engine_cfg(false));
 }
 
-/// Same for the trace engine: superblocks formed over self-modifying code
-/// are unlinked and side-exited such that the instruction stream stays
-/// bit-identical to the oracle's.
-#[test]
-fn trace_engine_trace_matches_stepwise_oracle() {
-    assert_smc_matches_oracle(EngineConfig::traced());
-}
-
 /// A real application through the full loader stack behaves identically
-/// under all three engines: same output, same exit, same final clock.
+/// under both engines: same output, same exit, same final clock.
 #[test]
 fn engines_agree_on_real_application() {
     let run = |cfg: EngineConfig| {
@@ -88,5 +82,4 @@ fn engines_agree_on_real_application() {
     };
     let oracle = run(engine_cfg(true));
     assert_eq!(run(engine_cfg(false)), oracle, "block engine diverges");
-    assert_eq!(run(EngineConfig::traced()), oracle, "trace engine diverges");
 }

@@ -19,12 +19,11 @@ use sim_kernel::{nr, EngineConfig, Kernel, RunExit};
 use sim_loader::boot_kernel;
 use sim_record::{obs_lines, Rec};
 
-/// The three engine configurations, oracle first.
-fn engines() -> [(&'static str, EngineConfig); 3] {
+/// The two engine configurations, oracle first.
+fn engines() -> [(&'static str, EngineConfig); 2] {
     [
         ("stepwise", EngineConfig::stepwise()),
         ("block", EngineConfig::new()),
-        ("trace", EngineConfig::traced()),
     ]
 }
 
@@ -91,7 +90,7 @@ fn verify_micro(
     (div, cursor, obs_lines(&rec), k.clock)
 }
 
-/// Runs the 3×3 record×replay matrix for one optional fault plan.
+/// Runs the 2×2 record×replay matrix for one optional fault plan.
 fn run_matrix(fault: Option<FaultPlan>) {
     let iters = 2_000;
     let with = |cfg: EngineConfig| match &fault {
@@ -124,7 +123,7 @@ fn run_matrix(fault: Option<FaultPlan>) {
         assert_eq!(*obs, recordings[0].2, "{name}: obs differs from stepwise");
         assert_eq!(*clock, recordings[0].3, "{name}: clock differs");
     }
-    // All 9 record-on-A / replay-on-B pairs: no divergence, the full log
+    // All 4 record-on-A / replay-on-B pairs: no divergence, the full log
     // consumed, and a byte-identical obs event stream.
     for (rec_name, log, obs, clock) in &recordings {
         for (rep_name, cfg) in engines() {
@@ -167,7 +166,7 @@ fn record_replay_matrix_under_fault_plan() {
 #[test]
 fn perturbed_log_bisects_to_exact_index() {
     let iters = 2_000;
-    let (log, _, _) = record_micro(EngineConfig::traced(), iters);
+    let (log, _, _) = record_micro(EngineConfig::new(), iters);
     // Perturb a mid-log syscall record's return value.
     let idx = log
         .iter()
@@ -206,7 +205,7 @@ fn cpu_state(k: &mut Kernel) -> (u64, Vec<u64>, u64) {
 
 /// Time travel by re-execution: verify replays of a micro recording
 /// stopped at a target no record is keyed by (mid-loop, off any syscall
-/// boundary) stop exactly there on all three engines, stay stopped, and
+/// boundary) stop exactly there on both engines, stay stopped, and
 /// reach the RIP, registers and clock of a recording run stopped at the
 /// same target, whose log so far is the replayed prefix.
 #[test]

@@ -4,7 +4,7 @@
 //! boundaries, so fault, sample and record stops interleave on the
 //! kernel's one retired-instruction clock.
 //!
-//! 1. Across the stepwise, block and trace engines, the record log, the
+//! 1. Across the stepwise and block engines, the record log, the
 //!    profiler sample stream, the audit ledger and `Kernel::retired` are
 //!    identical.
 //! 2. On each engine, the profile, record and audit sessions are
@@ -96,7 +96,6 @@ proptest! {
         for (name, base) in [
             ("stepwise", EngineConfig::stepwise()),
             ("block", EngineConfig::new()),
-            ("trace", EngineConfig::traced()),
         ] {
             let alone = run(base.clone(), &plan, false);
             let all = run(base, &plan, true);

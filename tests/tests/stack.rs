@@ -28,7 +28,7 @@ proptest! {
     /// A stack of exactly one `passthrough` layer (zero overhead, no
     /// span) is byte-identical to the bare mechanism — same obs event
     /// stream, exit, output, and final clock — on the stepwise oracle
-    /// and the trace engine, with and without an injected fault plan.
+    /// and the block engine, with and without an injected fault plan.
     #[test]
     fn passthrough_stack_is_invisible(seed in any::<u64>(), mech_idx in 0usize..2, faulted in any::<bool>()) {
         let mech = ["zpoline", "sud"][mech_idx];
@@ -39,7 +39,7 @@ proptest! {
         } else {
             None
         };
-        for cfg in [EngineConfig::stepwise(), EngineConfig::traced()] {
+        for cfg in [EngineConfig::stepwise(), EngineConfig::new()] {
             let (bare_json, bare_run) = traced(mech, plan.as_ref(), cfg.clone());
             let (stack_json, stack_run) = traced(&spec, plan.as_ref(), cfg);
             prop_assert_eq!(&bare_run, &stack_run, "{}: outcomes diverge", mech);
@@ -104,18 +104,16 @@ fn default_sweep_matches_the_committed_matrix() {
     );
 }
 
-/// The nested-sigreturn hazard cell replays identically across the block
-/// engine, the stepwise oracle, and the trace engine — including the
-/// deterministic SIGSEGV death (exit 139).
+/// The nested-sigreturn hazard cell replays identically on the block
+/// engine and the stepwise oracle — including the deterministic SIGSEGV
+/// death (exit 139).
 #[test]
 fn hazard_cell_is_identical_across_engines() {
     let baseline = run_probe("zpoline+recorder", None);
     let plan = plan_for(Scenario::Signal, 7, &baseline);
     let block = run_probe_on("zpoline+recorder", Some(&plan), EngineConfig::new());
     let stepwise = run_probe_on("zpoline+recorder", Some(&plan), EngineConfig::stepwise());
-    let trace = run_probe_on("zpoline+recorder", Some(&plan), EngineConfig::traced());
     assert_eq!(block, stepwise);
-    assert_eq!(block, trace);
     assert_eq!(block.exit, Some(139), "modeled hazard is a SIGSEGV kill");
     // The same plan through the safe recorder survives on all engines.
     let safe_base = run_probe("zpoline+tracer+recorder-safe", None);
