@@ -35,6 +35,11 @@ use std::time::Instant;
 /// The gate's tolerated fall in block inst/s below the baseline.
 const TOL: f64 = 0.5;
 
+/// Guest iterations per timed run, at every `K23_BENCH_SCALE`: long
+/// enough (about 40 ms per block run) that one host preemption cannot
+/// sink the best of three.
+const TIMED_ITERATIONS: u64 = 1_000_000;
+
 /// Which engine a run uses.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -81,9 +86,10 @@ fn boot(n: u64) -> (Kernel, Pid) {
     (k, pid)
 }
 
-/// Runs the stress guest to completion under one engine. `trace` records
-/// the instruction-level trace.
-fn run(n: u64, mode: Mode, trace: bool) -> (f64, u64, Option<Vec<TraceEntry>>) {
+/// Runs the stress guest to completion under one engine: host seconds,
+/// final clock and retired instructions. `trace` records the
+/// instruction-level trace.
+fn run(n: u64, mode: Mode, trace: bool) -> (f64, u64, u64, Option<Vec<TraceEntry>>) {
     let (mut k, pid) = boot(n);
     k.configure(mode.config());
     if trace {
@@ -95,13 +101,13 @@ fn run(n: u64, mode: Mode, trace: bool) -> (f64, u64, Option<Vec<TraceEntry>>) {
     assert_eq!(exit, RunExit::AllExited);
     assert_eq!(k.process(pid).and_then(|p| p.exit_status), Some(0));
     let tr = if trace { Some(k.take_exec_trace()) } else { None };
-    (dt, k.clock, tr)
+    (dt, k.clock, k.retired(), tr)
 }
 
 fn best_of(runs: u32, n: u64, mode: Mode) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..runs {
-        let (dt, _, _) = run(n, mode, false);
+        let (dt, _, _, _) = run(n, mode, false);
         best = best.min(dt);
     }
     best
@@ -132,9 +138,9 @@ fn measure() -> Measured {
     // stepwise run is the oracle; the block engine must match it entry
     // for entry (pid, tid, rip, clock, event).
     let diff_n = 2_000 / scale.clamp(1, 10);
-    let (_, clock_ref, ref_tr) = run(diff_n, Mode::Stepwise, true);
+    let (_, clock_ref, _, ref_tr) = run(diff_n, Mode::Stepwise, true);
     let ref_tr = ref_tr.unwrap();
-    let (_, clock, tr) = run(diff_n, Mode::Block, true);
+    let (_, clock, _, tr) = run(diff_n, Mode::Block, true);
     let tr = tr.unwrap();
     assert_eq!(clock, clock_ref, "engine clocks diverge");
     assert_eq!(tr.len(), ref_tr.len(), "trace lengths diverge");
@@ -148,11 +154,10 @@ fn measure() -> Measured {
     );
 
     // 2. Throughput: same guest, bigger count, timed without tracing.
-    let n = (1_000_000 / scale).max(20_000);
+    let n = TIMED_ITERATIONS;
     // Both engines retire the identical instruction stream (proved
-    // above), so one traced run yields the retired-instruction count.
-    let (_, _, count_tr) = run(n, Mode::Block, true);
-    let instructions = count_tr.unwrap().len() as u64;
+    // above), so one run's retired-instruction clock is the count.
+    let (_, _, instructions, _) = run(n, Mode::Block, false);
     println!("guest: {MICRO_APP} (syscall-500 stress), {n} iterations, {instructions} instructions");
     let rows: Vec<Row> = Mode::ALL
         .iter()

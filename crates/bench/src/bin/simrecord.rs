@@ -6,8 +6,8 @@
 //! decisions, process exits — into a length-prefixed `SREC1` log keyed by
 //! retired-instruction counts, alongside the canonicalized sim-obs event
 //! stream of the recording run. Because retired instructions are the
-//! engine-invariant coordinate system, a log recorded under any engine
-//! (stepwise, block, trace) replays byte-identically under any other.
+//! engine-invariant coordinate system, a log recorded under either engine
+//! (stepwise, block) replays byte-identically under the other.
 //!
 //! ```text
 //! simrecord --record [--workload micro|coreutil|nginx] [--engine E]

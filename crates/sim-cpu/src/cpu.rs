@@ -101,8 +101,10 @@ pub struct BlockExit {
     pub steps: u64,
     /// `vsyscall` instructions executed within the block.
     pub vdso_calls: u64,
-    /// Decoded instruction of the final step, if fetch succeeded.
-    pub inst: Option<Inst>,
+    /// Steps left of the slice the block ended in: the budget less the
+    /// steps taken, where a syscall the hook served started a new slice
+    /// with the budget it returned.
+    pub slice_left: u64,
 }
 
 /// One guest core: registers + flags + PKRU + a decoded-instruction cache.
@@ -483,6 +485,7 @@ impl Cpu {
         let rsp = self.get(Reg::Rsp).wrapping_sub(8);
         mem.write_u64(rsp, v, self.pkru)?;
         self.set(Reg::Rsp, rsp);
+        self.invalidate_icache_range(rsp, 8);
         Ok(())
     }
 
@@ -838,60 +841,51 @@ impl Cpu {
         }
     }
 
-    /// Runs up to `budget` steps without returning to the scheduler,
-    /// stopping early at the first event that needs the kernel (syscall,
-    /// fault, `hlt`, `int3`).
+    /// Runs until the slice's step budget, `budget`, runs out without
+    /// returning to the scheduler, stopping early at the first event that
+    /// needs the kernel (syscall, fault, `hlt`, `int3`).
     ///
     /// Semantically this is exactly a [`Cpu::step`] loop: each step `i`
     /// observes the clock `clock + cycles-of-steps-0..i`, mirroring a
     /// caller that charges the global clock after every step. `on_step` is
-    /// invoked after each step with the pre-step `rip` and the [`Step`]
-    /// (pass a no-op closure for the fast path — it compiles away; pass a
-    /// recording closure to capture an instruction-level trace).
-    pub fn run_block(
-        &mut self,
-        mem: &mut AddressSpace,
-        clock: u64,
-        cost: &CostModel,
-        budget: u64,
-        on_step: impl FnMut(u64, &Step),
-    ) -> BlockExit {
-        self.run_block_hooked(mem, clock, cost, budget, on_step, |_, _, _, _| {
-            HookAction::Pass
-        })
-    }
-
-    /// [`Cpu::run_block`] with a direct-path syscall hook: when trace
-    /// replay hits a `syscall` op, `syscall_fast(cpu, mem, site, clock)`
-    /// may service it in place (returning [`HookAction::Handled`]) so
-    /// the replay — and a self-looping trace — continues without a block
-    /// exit and dispatcher round trip per syscall. The hook must leave
-    /// the architectural state exactly as a block exit + kernel entry +
-    /// re-entry would have. Only consulted from warm trace replay; cold
-    /// execution surfaces every syscall as a block exit.
+    /// invoked after each step with the pre-step `rip`, the [`Step`] and
+    /// the clock after it (pass a no-op closure for the fast path — it
+    /// compiles away; pass a recording closure to capture an
+    /// instruction-level trace).
+    ///
+    /// A syscall first goes to the kernel's direct-path hook,
+    /// `syscall_fast(cpu, mem, site, clock)`, in trace replay and in cold
+    /// execution alike. [`HookAction::Handled`] means the hook serviced
+    /// it in place, leaving the architectural state exactly as a block
+    /// exit, kernel entry and re-entry would have: its charge joins the
+    /// block's cycles, and since a kernel entry ends the slice, the step
+    /// budget restarts at the hook's `budget` (so a block can run more
+    /// than `budget` steps). A self-looping trace thus runs its syscalls
+    /// without a block exit or dispatcher round trip.
+    /// [`HookAction::Pass`] surfaces the syscall as the block's exit.
     ///
     /// This is the trace dispatcher: it enters validated traces at block
     /// heads, profiles cold heads, records hot ones, and otherwise steps
     /// exactly like a [`Cpu::step`] loop. Accounting (`steps`, `cycles`,
     /// per-step clock, the `on_step` hook, span streams) is identical to
     /// that loop instruction for instruction.
-    pub fn run_block_hooked(
+    pub fn run_block(
         &mut self,
         mem: &mut AddressSpace,
         clock: u64,
         cost: &CostModel,
         budget: u64,
-        mut on_step: impl FnMut(u64, &Step),
+        mut on_step: impl FnMut(u64, &Step, u64),
         mut syscall_fast: impl FnMut(&mut Cpu, &mut AddressSpace, u64, u64) -> HookAction,
     ) -> BlockExit {
         let mut cycles = 0u64;
         let mut steps = 0u64;
         let mut vdso_calls = 0u64;
-        let mut inst = None;
+        let mut slice_left = budget;
         let obs = sim_obs::enabled();
         let mut at_head = true;
         let mut from_trace = false;
-        while steps < budget {
+        while slice_left > 0 {
             if at_head {
                 let mut idx = self.trace_validate(mem);
                 if idx.is_some() {
@@ -921,12 +915,11 @@ impl Cpu {
                         mem,
                         clock,
                         cost,
-                        budget,
                         obs,
                         &mut cycles,
                         &mut steps,
+                        &mut slice_left,
                         &mut vdso_calls,
-                        &mut inst,
                         &mut on_step,
                         &mut syscall_fast,
                     ) {
@@ -939,7 +932,7 @@ impl Cpu {
                                 cycles,
                                 steps,
                                 vdso_calls,
-                                inst,
+                                slice_left,
                             };
                         }
                         TraceRun::Done => {
@@ -971,9 +964,9 @@ impl Cpu {
             let rip_before = self.rip;
             let s = self.step_capture(mem, clock + cycles, cost);
             steps += 1;
+            slice_left -= 1;
             cycles += s.cycles;
-            inst = s.inst;
-            on_step(rip_before, &s);
+            on_step(rip_before, &s, clock + cycles);
             if obs {
                 // Post-step clock and RIP: identical to the stepwise
                 // engine's per-step hook, so range-span streams match.
@@ -987,13 +980,25 @@ impl Cpu {
                 }
                 event => {
                     self.trace_finalize_recording();
+                    if let StepEvent::Syscall { site, .. } = event {
+                        if let HookAction::Handled { charge, budget } =
+                            syscall_fast(self, mem, site, clock + cycles)
+                        {
+                            // Served: carry on as a fresh block would.
+                            cycles += charge;
+                            slice_left = budget;
+                            at_head = true;
+                            from_trace = false;
+                            continue;
+                        }
+                    }
                     sim_obs::block_len(steps);
                     return BlockExit {
                         event,
                         cycles,
                         steps,
                         vdso_calls,
-                        inst,
+                        slice_left,
                     };
                 }
             }
@@ -1024,7 +1029,7 @@ impl Cpu {
             cycles,
             steps,
             vdso_calls,
-            inst,
+            slice_left,
         }
     }
 
@@ -1159,8 +1164,9 @@ impl Cpu {
     /// dispatcher closes any before entering a trace.
     ///
     /// A [`Cpu::Syscall`](StepEvent::Syscall) op consults `syscall_fast`
-    /// (see [`Cpu::run_block_hooked`]): a handled syscall charges its
-    /// cycles into the block and replay continues in place.
+    /// (see [`Cpu::run_block`]): a handled syscall charges its cycles
+    /// into the block, restarts the slice budget, and replay continues in
+    /// place.
     ///
     /// A terminal op that lands back on the trace's own entry with
     /// `trace_replay_break` clear wraps to op 0 without returning to the
@@ -1175,13 +1181,12 @@ impl Cpu {
         mem: &mut AddressSpace,
         clock: u64,
         cost: &CostModel,
-        budget: u64,
         obs: bool,
         cycles: &mut u64,
         steps: &mut u64,
+        slice_left: &mut u64,
         vdso_calls: &mut u64,
-        inst: &mut Option<Inst>,
-        on_step: &mut impl FnMut(u64, &Step),
+        on_step: &mut impl FnMut(u64, &Step, u64),
         syscall_fast: &mut impl FnMut(&mut Cpu, &mut AddressSpace, u64, u64) -> HookAction,
     ) -> TraceRun {
         let mut tc = self.trace.take().expect("exec_trace without trace cache");
@@ -1196,14 +1201,14 @@ impl Cpu {
         // and writes the caller's counters back once at exit — the exact
         // retired-instruction boundary is preserved because every break
         // path flows through the write-back below.
-        let mut linst = *inst;
         let mut lsteps = *steps;
+        let mut lleft = *slice_left;
         let mut lcycles = *cycles;
         let mut lvdso = *vdso_calls;
         let steps0 = lsteps;
         let mut wraps = 0u64;
         let run = loop {
-            if lsteps >= budget {
+            if lleft == 0 {
                 break TraceRun::Budget;
             }
             let op = ops[i];
@@ -1220,8 +1225,8 @@ impl Cpu {
             if self.exec_inline(op.inst, op.rip.wrapping_add(op.len as u64)) {
                 let cycles = cost.inst_cost(&op.inst);
                 lsteps += 1;
+                lleft -= 1;
                 lcycles += cycles;
-                linst = Some(op.inst);
                 on_step(
                     rip_before,
                     &Step {
@@ -1229,6 +1234,7 @@ impl Cpu {
                         cycles,
                         inst: Some(op.inst),
                     },
+                    clock + lcycles,
                 );
                 if obs {
                     sim_obs::span_step(clock + lcycles, self.rip);
@@ -1236,9 +1242,9 @@ impl Cpu {
             } else {
                 let s = self.exec(op.inst, op.len as usize, mem, clock + lcycles, cost);
                 lsteps += 1;
+                lleft -= 1;
                 lcycles += s.cycles;
-                linst = s.inst;
-                on_step(rip_before, &s);
+                on_step(rip_before, &s, clock + lcycles);
                 if obs {
                     sim_obs::span_step(clock + lcycles, self.rip);
                 }
@@ -1253,18 +1259,14 @@ impl Cpu {
                         // the kernel-provided hook may service the syscall
                         // in place (identical register, clock, and
                         // statistics effects as a block exit + re-entry
-                        // would have). Its serialize may flush, which
-                        // raises `trace_replay_break` like any flush.
+                        // would have), starting a new slice. Its serialize
+                        // may flush, which raises `trace_replay_break` like
+                        // any flush.
                         match syscall_fast(&mut *self, &mut *mem, site, clock + lcycles) {
                             HookAction::Pass => break TraceRun::Event(s.event),
-                            HookAction::Handled { charge, stop } => {
+                            HookAction::Handled { charge, budget } => {
                                 lcycles += charge;
-                                if stop {
-                                    // Deadline reached: end the block; the
-                                    // caller's clock += cycles lands
-                                    // exactly on the post-syscall boundary.
-                                    break TraceRun::Budget;
-                                }
+                                lleft = budget;
                             }
                         }
                     }
@@ -1291,8 +1293,8 @@ impl Cpu {
                 break TraceRun::SideExit;
             }
         };
-        *inst = linst;
         *steps = lsteps;
+        *slice_left = lleft;
         *cycles = lcycles;
         *vdso_calls = lvdso;
         // Occupancy bookkeeping (host-side only; never observable by the
@@ -1386,8 +1388,8 @@ impl Cpu {
     }
 }
 
-/// Disposition of a syscall hit during trace replay, returned by the
-/// kernel-provided fast-path hook (see [`Cpu::run_block_hooked`]).
+/// Disposition of a syscall inside [`Cpu::run_block`], returned by the
+/// kernel-provided fast-path hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HookAction {
     /// Not a fast-path syscall: surface it as a normal block exit.
@@ -1395,8 +1397,10 @@ pub enum HookAction {
     /// Serviced in place: the hook already applied the architectural
     /// effects (rip, registers, serialization, statistics); `charge` is
     /// the kernel-entry + service cost to fold into the block's cycles.
-    /// `stop` ends the block (the caller's run deadline was reached).
-    Handled { charge: u64, stop: bool },
+    /// The kernel entry ended the slice: `budget` is the step budget of
+    /// the slice that follows (0 ends the block, e.g. at the caller's run
+    /// deadline).
+    Handled { charge: u64, budget: u64 },
 }
 
 /// How one [`Cpu::exec_trace`] replay ended.

@@ -111,8 +111,9 @@ impl EngineConfig {
     /// Enables the interposition coverage ledger, auditing every retired
     /// syscall against `spec` (a mechanism's expected-coverage
     /// declaration, `interpose::Interposer::coverage`). Auditing closes
-    /// the hot slice loop so every syscall reaches the dispatch choke
-    /// point; with no session configured the hot loop is untouched.
+    /// the block loop's direct path so every syscall reaches the dispatch
+    /// choke point; with no session configured the direct path is
+    /// untouched.
     pub fn audit(mut self, spec: crate::audit::AuditSpec) -> EngineConfig {
         self.audit = Some(spec);
         self

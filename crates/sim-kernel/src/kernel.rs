@@ -12,7 +12,7 @@ use crate::ptrace_if::{Stop, TraceOpts, Tracer, TracerAction};
 use crate::record::RecordSession;
 use crate::signal::{self, SigInfo};
 use crate::vfs::Vfs;
-use sim_cpu::{BlockExit, CostModel, Cpu, FastMap, HookAction, Step, StepEvent};
+use sim_cpu::{CostModel, Cpu, FastMap, HookAction, Step, StepEvent};
 use sim_fault::{FaultKind, PermFlip};
 use sim_record::{Divergence, Rec};
 use sim_isa::Reg;
@@ -45,9 +45,9 @@ fn region_of<'a>(
 
 /// Folds `count` executions of syscall `nr_` issued from `site` into the
 /// process statistics. The one stats fold: [`Kernel::handle_syscall`]
-/// counts each syscall here, and the hot slice loop batches runs of
-/// identical trivial syscalls and flushes them before anything else can
-/// observe the stats.
+/// counts each syscall here, and the block loop's direct path batches
+/// runs of identical trivial syscalls and flushes them before anything
+/// else can observe the stats.
 fn flush_syscall_stats(
     stats: &mut crate::process::ProcStats,
     region_cache: &mut FastMap<u64, (u64, String)>,
@@ -221,9 +221,11 @@ pub struct Kernel {
     /// multi-worker workloads); read through [`Kernel::cycles_of`].
     thread_cycles: sim_cpu::FastMap<(Pid, Tid), u64>,
     current: Option<(Pid, Tid)>,
-    /// Clock deadline of the current [`Kernel::run`] call; the hot slice
-    /// loop checks it so `RunExit::Budget` still fires at the same
-    /// granularity as the scheduler loop.
+    /// Clock deadline of the current [`Kernel::run`] call. The scheduler
+    /// returns `RunExit::Budget` at the first slice end at or past it; the
+    /// direct path, which starts slices in place, checks it at the same
+    /// slice ends (each served syscall and each slice that runs out), so
+    /// every engine stops on the same instruction.
     run_deadline: u64,
     /// Scheduler engine (see [`EngineConfig`]).
     engine: Engine,
@@ -1464,7 +1466,7 @@ impl Kernel {
     /// code without per-instruction scheduler overhead, returning at
     /// kernel-relevant events. A slice can span several blocks when
     /// hostcalls (`int3`) occur mid-slice, since hostcalls may mutate any
-    /// kernel or guest state.
+    /// kernel or guest state, and when a session boundary caps a block.
     fn run_slice_blocks(&mut self, pid: Pid, tid: Tid) {
         self.current = Some((pid, tid));
         let mut remaining = self.effective_slice(tid);
@@ -1472,114 +1474,156 @@ impl Kernel {
             if self.boundary_ends_slice(pid, tid) {
                 return;
             }
-            // Single-threaded hot path: alternate block execution and
-            // direct-path syscall handling under one process borrow,
-            // with clock/cycle/stat accounting batched and flushed at
-            // exact retired-instruction boundaries. Falls out with a
-            // pending block exit when anything needs the general path;
-            // the loop below then handles that exit exactly as if it had
-            // produced it itself.
-            let hot = if self.hot_slice_ok(pid, tid) {
-                let Some(block) = self.run_slice_hot(pid, tid, &mut remaining) else {
-                    return; // slice (or run deadline) ended inside the hot loop
-                };
-                Some(block)
-            } else {
-                None
+            let Some((event, left)) = self.run_blocks(pid, tid, remaining) else {
+                return;
             };
-            let budget = self.next_stop().map_or(remaining, |stop| {
-                remaining.min(stop.saturating_sub(self.retired).max(1))
-            });
-            let clock = self.clock;
-            let cost = self.cost;
-            let mut trace = self.exec_trace.take();
-            let block = if let Some(block) = hot {
-                block
-            } else {
-                let Some(p) = self.procs.get_mut(&pid) else {
-                    self.exec_trace = trace;
-                    return;
-                };
-                if p.exit_status.is_some() {
-                    self.exec_trace = trace;
-                    return;
-                }
-                let Process { space, threads, .. } = p;
-                let Some(t) = threads.iter_mut().find(|t| t.tid == tid) else {
-                    self.exec_trace = trace;
-                    return;
-                };
-                if t.state != ThreadState::Runnable {
-                    self.exec_trace = trace;
-                    return;
-                }
-                let mut traced_clock = clock;
-                t.cpu.set_seed_flush(false);
-                t.cpu
-                    .run_block(space, clock, &cost, budget, |rip, step: &Step| {
-                        if let Some(rec) = trace.as_mut() {
-                            traced_clock += step.cycles;
-                            rec.push(TraceEntry {
-                                pid,
-                                tid,
-                                rip,
-                                clock: traced_clock,
-                                event: step.event,
-                            });
-                        }
-                    })
-            };
-            self.exec_trace = trace;
-            self.charge(block.cycles);
-            remaining -= block.steps;
-            self.retire(pid, tid, block.steps);
-            if block.vdso_calls > 0 {
-                if let Some(p) = self.procs.get_mut(&pid) {
-                    p.stats.vdso_calls += block.vdso_calls;
-                }
+            if self.block_exit(pid, tid, event) {
+                return;
             }
-            match block.event {
-                StepEvent::Executed => {} // budget exhausted: slice over
-                StepEvent::Syscall { site, .. } => {
-                    self.handle_syscall(pid, tid, site);
-                    return; // end the slice at kernel entry
-                }
-                StepEvent::Hlt => {
-                    self.kill_process(pid, 0);
-                    return;
-                }
-                StepEvent::Int3 => {
-                    self.handle_int3(pid, tid);
-                }
-                StepEvent::Fault(f) => {
-                    if sim_obs::enabled() && f.reason == sim_mem::FaultReason::PkuDenied {
-                        sim_obs::pku_fault(self.clock, f.addr);
-                    }
-                    self.deliver_signal(
-                        pid,
-                        tid,
-                        SigInfo {
-                            signo: nr::SIGSEGV,
-                            fault_addr: f.addr,
-                            ..SigInfo::default()
-                        },
-                    );
-                    return;
-                }
-            }
+            remaining = left;
         }
     }
 
-    /// True when [`Kernel::run_slice_hot`] may run: no instrumentation
-    /// (obs, fault, profiler, record or audit session, interposer stack,
-    /// tracers) is armed, the machine has exactly one process with
-    /// exactly one runnable thread (the current one), no seccomp filter
-    /// is installed, no deferred writes are queued, and the run deadline
-    /// is not reached. The one place that lists what a direct path must
-    /// stand down for: every other syscall takes
-    /// [`Kernel::handle_syscall`]. Everything that could invalidate these
-    /// conditions — arming syscalls, hostcalls, thread creation — exits
-    /// the hot loop first.
+    /// One step of the block loop: runs `(pid, tid)` for the `remaining`
+    /// steps of its slice under one process borrow, then applies the
+    /// clock, per-thread cycle, retired-instruction and statistics
+    /// accounting. Returns the event that ended the last block and the
+    /// steps left of the slice, or `None` when the thread cannot run.
+    ///
+    /// Under [`Kernel::hot_slice_ok`] this is the direct path: the block's
+    /// syscall hook serves trivial syscalls in place (`serve_trivial`),
+    /// each one starting a new slice as a kernel entry does, and a slice
+    /// that runs out restarts in place, since the scheduler round that
+    /// would follow has no write to flush, no fault round to advance and
+    /// only this thread to run. Both stop at the run deadline, where the
+    /// scheduler stops. Otherwise the hook passes every syscall on to
+    /// [`Kernel::block_exit`], and the next session boundary caps the
+    /// block.
+    fn run_blocks(&mut self, pid: Pid, tid: Tid, mut remaining: u64) -> Option<(StepEvent, u64)> {
+        let mut budget = self.next_stop().map_or(remaining, |stop| {
+            remaining.min(stop.saturating_sub(self.retired).max(1))
+        });
+        let hot = self.hot_slice_ok(pid, tid);
+        let (cost, deadline, clock) = (self.cost, self.run_deadline, self.clock);
+        let p = self
+            .procs
+            .get_mut(&pid)
+            .filter(|p| p.exit_status.is_none())?;
+        let Process {
+            space,
+            threads,
+            stats,
+            region_cache,
+            interposer_live,
+            ..
+        } = p;
+        let t = threads
+            .iter_mut()
+            .find(|t| t.tid == tid && t.state == ThreadState::Runnable)?;
+        t.cpu.set_seed_flush(false);
+        // Only syscalls the hook passes can arm SUD or set `restarting`.
+        let serve = hot && !t.restarting && t.sud.is_none();
+        // Pending syscall-statistics run: `pend` occurrences of syscall
+        // `pend_nr` issued from `pend_site`, not yet folded into
+        // `ProcStats`. The stress loops this path serves issue the same
+        // syscall from the same site, so the fold is one memoized region
+        // lookup and five counter adds per run instead of per call.
+        let (mut pend_nr, mut pend_site, mut pend) = (0u64, 0u64, 0u64);
+        let mut syscall_fast = |cpu: &mut Cpu, space: &mut AddressSpace, site: u64, at: u64| {
+            if !serve {
+                return HookAction::Pass;
+            }
+            let Some(nr_) = serve_trivial(cpu, space, pid, tid, site) else {
+                return HookAction::Pass;
+            };
+            if pend > 0 && (pend_nr != nr_ || pend_site != site) {
+                flush_syscall_stats(
+                    stats,
+                    region_cache,
+                    space,
+                    *interposer_live,
+                    pend_nr,
+                    pend_site,
+                    pend,
+                );
+                pend = 0;
+            }
+            pend_nr = nr_;
+            pend_site = site;
+            pend += 1;
+            let charge = cost.kernel_entry + crate::sys::service_cost(nr_, 0);
+            let budget = if at + charge < deadline { SLICE } else { 0 };
+            HookAction::Handled { charge, budget }
+        };
+        let mut trace = self.exec_trace.take();
+        let (mut cycles, mut steps, mut vdso_calls) = (0, 0, 0);
+        let (event, left) = loop {
+            let at = clock + cycles;
+            // Monomorphized on whether an exec trace is being recorded:
+            // the no-trace instantiation's step hook is a true no-op.
+            let block = match trace.as_mut() {
+                None => t
+                    .cpu
+                    .run_block(space, at, &cost, budget, |_, _, _| {}, &mut syscall_fast),
+                Some(rec) => t.cpu.run_block(
+                    space,
+                    at,
+                    &cost,
+                    budget,
+                    |rip, step: &Step, clock| {
+                        rec.push(TraceEntry {
+                            pid,
+                            tid,
+                            rip,
+                            clock,
+                            event: step.event,
+                        })
+                    },
+                    &mut syscall_fast,
+                ),
+            };
+            cycles += block.cycles;
+            steps += block.steps;
+            vdso_calls += block.vdso_calls;
+            if hot && block.event == StepEvent::Executed && clock + cycles < deadline {
+                (remaining, budget) = (SLICE, SLICE);
+                continue;
+            }
+            // Nothing caps a hot block, so `budget` equals `remaining`
+            // wherever the hook served; elsewhere a session boundary may
+            // have held `budget` below it.
+            break (block.event, remaining - budget + block.slice_left);
+        };
+        if pend > 0 {
+            flush_syscall_stats(
+                stats,
+                region_cache,
+                space,
+                *interposer_live,
+                pend_nr,
+                pend_site,
+                pend,
+            );
+        }
+        stats.vdso_calls += vdso_calls;
+        self.exec_trace = trace;
+        self.charge(cycles);
+        self.retire(pid, tid, steps);
+        Some((event, left))
+    }
+
+    /// True when the block loop's direct path may run (see
+    /// [`Kernel::run_blocks`]): no instrumentation (obs, fault, profiler,
+    /// record or audit session, interposer stack, tracers) is armed, the
+    /// machine has exactly one process with exactly one runnable thread
+    /// (the current one), no seccomp filter is installed, no deferred
+    /// writes are queued, and the run deadline is not reached. It decides
+    /// two things: whether the block's syscall hook serves trivial
+    /// syscalls, and whether a slice that runs out restarts in place. The
+    /// one place that lists what a direct path must stand down for: every
+    /// other syscall takes [`Kernel::handle_syscall`]. Nothing the direct
+    /// path serves can invalidate these conditions; everything that could
+    /// (arming syscalls, hostcalls, thread creation) ends the block first.
     fn hot_slice_ok(&self, pid: Pid, tid: Tid) -> bool {
         !sim_obs::enabled()
             && self.fault.is_none()
@@ -1600,184 +1644,36 @@ impl Kernel {
             })
     }
 
-    /// The single-threaded hot loop: alternates block execution and
-    /// direct-path handling of trivial syscalls under **one** process
-    /// borrow, batching clock, per-thread cycle, retired-instruction and
-    /// syscall-statistic accounting in locals that are flushed at exact
-    /// retired-instruction boundaries (before any state the general path
-    /// could observe).
-    ///
-    /// Guarded by [`Kernel::hot_slice_ok`]; nothing the loop handles can
-    /// invalidate those conditions, so they are checked once. Slice
-    /// exhaustion and direct-path syscalls restart the slice in place —
-    /// architecturally identical to unwinding into the scheduler loop,
-    /// which under those conditions has no write to flush, no fault round
-    /// to advance and only this thread to run.
-    ///
-    /// Returns `Some(block)` when a block ended with an exit the general
-    /// loop must handle — that block's accounting has **not** been
-    /// applied yet (the caller's normal bookkeeping applies it), though
-    /// its exec-trace entries are already recorded. Returns `None` when
-    /// the slice ended cleanly (run deadline reached); the caller returns
-    /// to the scheduler.
-    fn run_slice_hot(
-        &mut self,
-        pid: Pid,
-        tid: Tid,
-        remaining: &mut u64,
-    ) -> Option<BlockExit> {
-        let cost = self.cost;
-        let deadline = self.run_deadline;
-        let mut exec_trace = self.exec_trace.take();
-        let mut clock = self.clock;
-        let mut cycles_acc = 0u64;
-        let mut steps_acc = 0u64;
-        let mut vdso_acc = 0u64;
-        // Pending syscall-statistics run: `pend` occurrences of syscall
-        // `pend_nr` issued from `pend_site`, not yet folded into
-        // `ProcStats`. The stress loops this path serves issue the same
-        // syscall from the same site, so the fold is one memoized region
-        // lookup and five counter adds per run instead of per call.
-        let mut pend_nr = 0u64;
-        let mut pend_site = 0u64;
-        let mut pend = 0u64;
-        let result;
-        {
-            let p = self.procs.get_mut(&pid).expect("hot_slice_ok checked");
-            let Process {
-                space,
-                threads,
-                stats,
-                region_cache,
-                interposer_live,
-                ..
-            } = p;
-            let t = &mut threads[0];
-            t.cpu.set_seed_flush(false);
-            // Constant for the whole hot slice: only non-trivial syscalls
-            // (which exit this loop) can arm SUD or set `restarting`.
-            let restarting = t.restarting;
-            let sud_armed = t.sud.is_some();
-            result = loop {
-                let budget = *remaining;
-                // Shared between the step hook and the syscall hook (a
-                // handled syscall's charge must show up in the clocks of
-                // the trace entries that follow it), hence a Cell.
-                let traced_clock = std::cell::Cell::new(clock);
-                // Direct-path syscall entry, inside trace replay and at a
-                // block exit alike: the trivial-syscall service with the
-                // register, serialization, clock and statistics effects of
-                // `handle_syscall` — so a self-looping trace handles its
-                // syscall without ever leaving `run_block`.
-                let mut syscall_fast =
-                    |cpu: &mut Cpu, space: &mut AddressSpace, site: u64, abs: u64| {
-                        if restarting || sud_armed {
-                            return HookAction::Pass;
-                        }
-                        let Some(nr_) = serve_trivial(cpu, space, pid, tid, site) else {
-                            return HookAction::Pass;
-                        };
-                        if pend > 0 && (pend_nr != nr_ || pend_site != site) {
-                            flush_syscall_stats(
-                                stats,
-                                region_cache,
-                                space,
-                                *interposer_live,
-                                pend_nr,
-                                pend_site,
-                                pend,
-                            );
-                            pend = 0;
-                        }
-                        pend_nr = nr_;
-                        pend_site = site;
-                        pend += 1;
-                        let charge = cost.kernel_entry + crate::sys::service_cost(nr_, 0);
-                        traced_clock.set(traced_clock.get() + charge);
-                        HookAction::Handled {
-                            charge,
-                            stop: abs + charge >= deadline,
-                        }
-                    };
-                // Monomorphize the replay loop on whether an exec trace
-                // is being recorded: the no-trace instantiation's step
-                // hook is a true no-op instead of a per-op branch.
-                let block = if exec_trace.is_none() {
-                    t.cpu.run_block_hooked(
-                        space,
-                        clock,
-                        &cost,
-                        budget,
-                        |_, _: &Step| {},
-                        &mut syscall_fast,
-                    )
-                } else {
-                    t.cpu.run_block_hooked(
-                        space,
-                        clock,
-                        &cost,
-                        budget,
-                        |rip, step: &Step| {
-                            if let Some(rec) = exec_trace.as_mut() {
-                                traced_clock.set(traced_clock.get() + step.cycles);
-                                rec.push(TraceEntry {
-                                    pid,
-                                    tid,
-                                    rip,
-                                    clock: traced_clock.get(),
-                                    event: step.event,
-                                });
-                            }
-                        },
-                        &mut syscall_fast,
-                    )
-                };
-                // A block-exit syscall takes the same hook as one inside
-                // trace replay. Hlt, Int3, Fault and syscalls the hook
-                // passes go to the caller with their accounting unapplied.
-                let served = match block.event {
-                    StepEvent::Executed => 0,
-                    StepEvent::Syscall { site, .. } => {
-                        match syscall_fast(&mut t.cpu, space, site, clock + block.cycles) {
-                            HookAction::Handled { charge, .. } => charge,
-                            HookAction::Pass => break Some(block),
-                        }
-                    }
-                    _ => break Some(block),
-                };
-                clock += block.cycles + served;
-                cycles_acc += block.cycles + served;
-                steps_acc += block.steps;
-                vdso_acc += block.vdso_calls;
-                if clock >= deadline {
-                    *remaining = 0;
-                    break None;
+    /// Handles the event that ended a step or a block, for both engines:
+    /// kernel entry for a syscall the direct path did not serve, process
+    /// exit at `hlt`, the hostcall at an `int3`, and SIGSEGV for a fault.
+    /// Returns `true` when the event ends the slice, as all but a plain
+    /// step and a hostcall do.
+    fn block_exit(&mut self, pid: Pid, tid: Tid, event: StepEvent) -> bool {
+        match event {
+            StepEvent::Executed => return false,
+            StepEvent::Syscall { site, .. } => self.handle_syscall(pid, tid, site),
+            StepEvent::Hlt => self.kill_process(pid, 0),
+            StepEvent::Int3 => {
+                self.handle_int3(pid, tid);
+                return false;
+            }
+            StepEvent::Fault(f) => {
+                if sim_obs::enabled() && f.reason == sim_mem::FaultReason::PkuDenied {
+                    sim_obs::pku_fault(self.clock, f.addr);
                 }
-                // Budget exhausted or a direct-path return: the slice is
-                // over, and the scheduler round that follows is a no-op,
-                // so start the next slice in place.
-                *remaining = SLICE;
-            };
-            if pend > 0 {
-                flush_syscall_stats(
-                    stats,
-                    region_cache,
-                    space,
-                    *interposer_live,
-                    pend_nr,
-                    pend_site,
-                    pend,
+                self.deliver_signal(
+                    pid,
+                    tid,
+                    SigInfo {
+                        signo: nr::SIGSEGV,
+                        fault_addr: f.addr,
+                        ..SigInfo::default()
+                    },
                 );
             }
-            stats.vdso_calls += vdso_acc;
         }
-        self.exec_trace = exec_trace;
-        self.clock = clock;
-        self.retired += steps_acc;
-        if cycles_acc > 0 {
-            *self.thread_cycles.entry((pid, tid)).or_insert(0) += cycles_acc;
-        }
-        result
+        true
     }
 
     /// The original per-step slice loop, retained as the determinism
@@ -1827,40 +1723,13 @@ impl Kernel {
                     event: step.event,
                 });
             }
-            match step.event {
-                StepEvent::Executed => {
-                    if matches!(step.inst, Some(sim_isa::Inst::Vsyscall)) {
-                        if let Some(p) = self.procs.get_mut(&pid) {
-                            p.stats.vdso_calls += 1;
-                        }
-                    }
+            if matches!(step.inst, Some(sim_isa::Inst::Vsyscall)) {
+                if let Some(p) = self.procs.get_mut(&pid) {
+                    p.stats.vdso_calls += 1;
                 }
-                StepEvent::Syscall { site, .. } => {
-                    self.handle_syscall(pid, tid, site);
-                    return; // end the slice at kernel entry
-                }
-                StepEvent::Hlt => {
-                    self.kill_process(pid, 0);
-                    return;
-                }
-                StepEvent::Int3 => {
-                    self.handle_int3(pid, tid);
-                }
-                StepEvent::Fault(f) => {
-                    if sim_obs::enabled() && f.reason == sim_mem::FaultReason::PkuDenied {
-                        sim_obs::pku_fault(self.clock, f.addr);
-                    }
-                    self.deliver_signal(
-                        pid,
-                        tid,
-                        SigInfo {
-                            signo: nr::SIGSEGV,
-                            fault_addr: f.addr,
-                            ..SigInfo::default()
-                        },
-                    );
-                    return;
-                }
+            }
+            if self.block_exit(pid, tid, step.event) {
+                return;
             }
         }
     }
@@ -1895,8 +1764,8 @@ impl Kernel {
 
     /// Kernel entry for a `syscall`/`sysenter` at `site`: SUD dispatch,
     /// ptrace stops, seccomp, statistics, fault injection, and the
-    /// syscall table. Every syscall the hot slice loop does not serve
-    /// takes this walk, on every engine.
+    /// syscall table. Every syscall the block loop's direct path does not
+    /// serve takes this walk, on every engine.
     fn handle_syscall(&mut self, pid: Pid, tid: Tid, site: u64) {
         let cost = self.cost;
         // Gather thread state.
@@ -2510,9 +2379,9 @@ mod tests {
     }
 
     /// The trivial syscalls have one set of effects whichever path serves
-    /// them: the hot loop at block exits (while the loop is cold) and
-    /// inside trace replay (once its trace forms), or `handle_syscall`
-    /// when a profiler session closes the hot loop (without obs it
+    /// them: the direct path in cold execution (while the loop is cold)
+    /// and inside trace replay (once its trace forms), or `handle_syscall`
+    /// when a profiler session closes the direct path (without obs it
     /// samples and charges nothing) and on the stepwise oracle.
     #[test]
     fn direct_path_matches_slow_path() {
@@ -2548,6 +2417,49 @@ mod tests {
         assert_eq!(hot.1.syscalls, 1001);
         assert_eq!(run(EngineConfig::new().profile(7)), hot);
         assert_eq!(run(EngineConfig::stepwise()), hot);
+    }
+
+    /// Repeated `run(chunk)` calls stop on the same instruction whichever
+    /// engine runs them: a syscall the direct path serves (at a block exit
+    /// or inside trace replay) starts a new slice exactly as the stepwise
+    /// oracle's kernel entry does, so the slice ends, where the run
+    /// deadline is checked, line up. The profiler session (period past
+    /// the run) closes the direct path without sampling.
+    #[test]
+    fn run_chunks_stop_where_the_stepwise_oracle_stops() {
+        for body in [2, 10, 30, 40, 60, 70, 100] {
+            let mut a = Asm::new();
+            a.mov_imm(Reg::R13, 300);
+            a.label("loop");
+            for _ in 0..body {
+                a.add_imm(Reg::R12, 1);
+            }
+            a.mov_imm(Reg::Rax, nr::SYS_GETPID);
+            a.syscall();
+            a.sub_imm(Reg::R13, 1);
+            a.jnz("loop");
+            emit_exit(&mut a, 0);
+            let code = a.finish();
+            for chunk in [97, 500, 1_001, 3_333, 10_007] {
+                let stops = |cfg: EngineConfig| {
+                    let (mut k, _) = kernel_with(code.clone());
+                    k.configure(cfg);
+                    let mut stops = Vec::new();
+                    loop {
+                        let exit = k.run(chunk);
+                        stops.push((exit, k.clock, k.retired()));
+                        if exit != RunExit::Budget {
+                            return stops;
+                        }
+                    }
+                };
+                let oracle = stops(EngineConfig::stepwise());
+                assert_eq!(oracle.last().map(|s| s.0), Some(RunExit::AllExited));
+                for cfg in [EngineConfig::new(), EngineConfig::new().profile(1 << 40)] {
+                    assert_eq!(stops(cfg), oracle, "body {body}, chunk {chunk}");
+                }
+            }
+        }
     }
 
     /// Emits `exit_group(code)`.

@@ -56,8 +56,8 @@ pub(crate) fn service_cost(nr_: u64, bytes: u64) -> u64 {
 
 /// The result of a trivial syscall: one whose only effect is its return
 /// value (`SYS_NONEXISTENT` is the Table 5 stress nr). `None` for any
-/// other syscall. The hot slice loop serves these in place, and the
-/// dispatch answers them from here too.
+/// other syscall. The block loop's direct path serves these in place,
+/// and the dispatch answers them from here too.
 pub(crate) fn trivial_ret(nr_: u64, pid: Pid, tid: Tid) -> Option<u64> {
     match nr_ {
         nr::SYS_NONEXISTENT => Some(err(nr::ENOSYS)),

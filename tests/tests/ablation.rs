@@ -81,8 +81,8 @@ enum Guest {
     /// then `exit_group(0)`: no syscall inside the loop, so its trace
     /// wraps in place at the `jnz`.
     CountDown(u64),
-    /// A self-looping trace that ends in a trivial syscall and rewrites
-    /// its own code once: see [`self_patching_loop`].
+    /// A self-looping trace whose terminal `call` rewrites its own code
+    /// once: see [`self_patching_loop`].
     SelfPatch,
 }
 
@@ -90,22 +90,18 @@ enum Guest {
 /// forms (`sim_cpu::trace::HOT_THRESHOLD` is 16) well before it.
 const PATCH_AT: u64 = 100;
 
-/// A loop whose trace runs `entry` → `call prep` → `getpid` → back to
-/// `entry`, adding `mov rax, 1`'s immediate into r14 each iteration.
-/// Each `call` pushes 0x100 bytes below the last push, walking down from
-/// the pages above the code, and the push of iteration [`PATCH_AT`]
-/// lands exactly on that immediate. A push is not an invalidating store
-/// (on either engine the old decode stands until the next serialization
-/// point), so the rewrite becomes visible at the `getpid`, which the
-/// block engine serves inside trace replay: its serialize flushes, which
-/// must stop the trace from wrapping in place, so the remaining
-/// iterations add the pushed return address instead. The loop is eight
-/// steps long, so every 64-step slice starts at `entry`. Returns the
-/// code and the exit status that proves the new bytes ran.
+/// A loop whose trace runs `entry` → `call entry`, adding `mov rax, 1`'s
+/// immediate into r14 each iteration. Each `call` pushes 0x100 bytes
+/// below the last push, walking down from the pages above the code, and
+/// the push of iteration [`PATCH_AT`] lands exactly on that immediate.
+/// A push invalidates the decodes it overwrites at once, on both engines,
+/// and its store onto the trace's own page must stop the trace from
+/// wrapping in place, so the remaining iterations add the pushed return
+/// address instead. Returns the code and the exit status that proves the
+/// new bytes ran.
 fn self_patching_loop() -> (Vec<u8>, i64) {
     const BASE: u64 = 0x1000; // where `RwxLoader` maps the code
     const ENTRY: usize = 0xf00; // near the top of the code page
-    const PREP: usize = ENTRY - 12; // `mov rax, imm64; syscall`
     let iterations = PATCH_AT + 6;
     let mut a = Asm::new();
     a.mov_imm(Reg::Rbx, iterations);
@@ -115,18 +111,15 @@ fn self_patching_loop() -> (Vec<u8>, i64) {
     a.add_imm(Reg::Rsp, (2 + (PATCH_AT + 1) * 0x100) as i32);
     a.jmp("entry");
     // Later pushes walk down into this sled, never into live code.
-    let pad = PREP - a.here();
+    let pad = ENTRY - a.here();
     a.nops(pad);
-    a.label("prep");
-    a.mov_imm(Reg::Rax, nr::SYS_GETPID);
-    a.syscall(); // returns to `entry`
     a.label("entry");
     a.mov_imm(Reg::Rax, 1);
     a.add_reg(Reg::R14, Reg::Rax);
     a.sub_imm(Reg::Rbx, 1);
     a.jz("done");
     a.sub_imm(Reg::Rsp, 0xf8);
-    a.call("prep");
+    a.call("entry");
     a.label("done");
     a.mov_reg(Reg::Rdi, Reg::R14);
     a.and_imm(Reg::Rdi, 0x7f);
@@ -238,12 +231,13 @@ fn assert_streams_equal(name: &str, got: &[TraceEntry], oracle: &[TraceEntry]) {
 
 /// Plain run: every engine's instruction stream, final clock, and exit
 /// status match the stepwise oracle bit-for-bit, and with no session
-/// configured the retired-instruction clock — credited by the stepwise,
-/// block and hot slice loops alike — counts every recorded step. Three
-/// guests: the syscall stress loop, sqlite-sim's `sub rcx, 1; jnz` loop
-/// (whose trace must wrap in place rather than return to the dispatcher
-/// every iteration), and a self-looping trace that rewrites its own code
-/// (whose flush must stop the wrap, so the new bytes run).
+/// configured the retired-instruction clock — credited by the stepwise
+/// and block loops alike — counts every recorded step. Three guests: the
+/// syscall stress loop, sqlite-sim's `sub rcx, 1; jnz` loop (whose trace
+/// must wrap in place rather than return to the dispatcher every
+/// iteration), and a self-looping trace that rewrites its own code
+/// (whose store onto its own page must stop the wrap, so the new bytes
+/// run).
 #[test]
 fn engine_matrix_streams_identical() {
     for guest in [
@@ -370,7 +364,7 @@ fn engine_matrix_streams_identical_with_profiler() {
 /// Throughput is monotonically non-decreasing across the ablation:
 /// stepwise ≤ block in simulated instructions per host second (best-of-3
 /// to damp scheduler noise; the observed gap is a multiple, so the
-/// ordering is robust). These runs take the hot loop's fastest shape —
+/// ordering is robust). These runs take the direct path's fastest shape —
 /// no session, no exec trace — and both engines' retired-instruction
 /// clocks must still agree.
 #[test]
