@@ -87,6 +87,11 @@ pub struct Step {
     pub inst: Option<Inst>,
 }
 
+/// A per-step observer for [`Cpu::run_block`], such as an
+/// instruction-level trace recorder: called after each step with the
+/// pre-step `rip`, the [`Step`] and the clock after it.
+pub type StepObserver<'a> = &'a mut dyn FnMut(u64, &Step, u64);
+
 /// What [`Cpu::run_block`] produced: the exit event plus the block's
 /// aggregate accounting, which matches a per-[`Cpu::step`] loop exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -841,28 +846,29 @@ impl Cpu {
         }
     }
 
-    /// Runs until the slice's step budget, `budget`, runs out without
-    /// returning to the scheduler, stopping early at the first event that
-    /// needs the kernel (syscall, fault, `hlt`, `int3`).
+    /// Runs the slice whose step budget is `budget`, stopping early at the
+    /// first event that needs the kernel (syscall, fault, `hlt`, `int3`).
     ///
     /// Semantically this is exactly a [`Cpu::step`] loop: each step `i`
     /// observes the clock `clock + cycles-of-steps-0..i`, mirroring a
-    /// caller that charges the global clock after every step. `on_step` is
-    /// invoked after each step with the pre-step `rip`, the [`Step`] and
-    /// the clock after it (pass a no-op closure for the fast path — it
-    /// compiles away; pass a recording closure to capture an
-    /// instruction-level trace).
+    /// caller that charges the global clock after every step. `on_step`,
+    /// when given, is invoked after each step (see [`StepObserver`]). With
+    /// `None` nothing observes single steps, so replay may retire a
+    /// counted work loop (`sub r, imm` or `add r, imm`, then `jnz` back to
+    /// it) in closed form.
     ///
-    /// A syscall first goes to the kernel's direct-path hook,
-    /// `syscall_fast(cpu, mem, site, clock)`, in trace replay and in cold
-    /// execution alike. [`HookAction::Handled`] means the hook serviced
-    /// it in place, leaving the architectural state exactly as a block
-    /// exit, kernel entry and re-entry would have: its charge joins the
-    /// block's cycles, and since a kernel entry ends the slice, the step
-    /// budget restarts at the hook's `budget` (so a block can run more
-    /// than `budget` steps). A self-looping trace thus runs its syscalls
-    /// without a block exit or dispatcher round trip.
-    /// [`HookAction::Pass`] surfaces the syscall as the block's exit.
+    /// The kernel's `hook(cpu, mem, site, clock)` is consulted in trace
+    /// replay and in cold execution alike, at every syscall (`site` is its
+    /// address) and whenever the slice's budget runs out (`site` is
+    /// `None`). [`HookAction::Handled`] means the kernel entry was served
+    /// in place, leaving the architectural state exactly as a block exit,
+    /// kernel entry and re-entry would have: its charge joins the block's
+    /// cycles, and the slice that follows gets the hook's `budget` (so a
+    /// block can run more than `budget` steps). A self-looping trace thus
+    /// runs its syscalls and its slice ends without a block exit or
+    /// dispatcher round trip. [`HookAction::Pass`] ends the block: a
+    /// syscall surfaces as its exit event, a spent slice as
+    /// [`StepEvent::Executed`].
     ///
     /// This is the trace dispatcher: it enters validated traces at block
     /// heads, profiles cold heads, records hot ones, and otherwise steps
@@ -875,8 +881,8 @@ impl Cpu {
         clock: u64,
         cost: &CostModel,
         budget: u64,
-        mut on_step: impl FnMut(u64, &Step, u64),
-        mut syscall_fast: impl FnMut(&mut Cpu, &mut AddressSpace, u64, u64) -> HookAction,
+        mut on_step: Option<StepObserver<'_>>,
+        mut hook: impl FnMut(&mut Cpu, &mut AddressSpace, Option<u64>, u64) -> HookAction,
     ) -> BlockExit {
         let mut cycles = 0u64;
         let mut steps = 0u64;
@@ -885,7 +891,20 @@ impl Cpu {
         let obs = sim_obs::enabled();
         let mut at_head = true;
         let mut from_trace = false;
-        while slice_left > 0 {
+        loop {
+            if slice_left == 0 {
+                // The slice ran out: the kernel may start the next one in
+                // place.
+                let HookAction::Handled { charge, budget } = hook(self, mem, None, clock + cycles)
+                else {
+                    break;
+                };
+                cycles += charge;
+                slice_left = budget;
+                if budget == 0 {
+                    break;
+                }
+            }
             if at_head {
                 let mut idx = self.trace_validate(mem);
                 if idx.is_some() {
@@ -921,7 +940,7 @@ impl Cpu {
                         &mut slice_left,
                         &mut vdso_calls,
                         &mut on_step,
-                        &mut syscall_fast,
+                        &mut hook,
                     ) {
                         TraceRun::Event(event) => {
                             if obs {
@@ -966,7 +985,9 @@ impl Cpu {
             steps += 1;
             slice_left -= 1;
             cycles += s.cycles;
-            on_step(rip_before, &s, clock + cycles);
+            if let Some(f) = on_step.as_mut() {
+                f(rip_before, &s, clock + cycles);
+            }
             if obs {
                 // Post-step clock and RIP: identical to the stepwise
                 // engine's per-step hook, so range-span streams match.
@@ -982,7 +1003,7 @@ impl Cpu {
                     self.trace_finalize_recording();
                     if let StepEvent::Syscall { site, .. } = event {
                         if let HookAction::Handled { charge, budget } =
-                            syscall_fast(self, mem, site, clock + cycles)
+                            hook(self, mem, Some(site), clock + cycles)
                         {
                             // Served: carry on as a fresh block would.
                             cycles += charge;
@@ -1150,9 +1171,10 @@ impl Cpu {
     /// step (via [`Cpu::exec`], or [`Cpu::exec_inline`] for the hottest
     /// ops) with the identical per-step clock, trace hook, and span
     /// stream as cold execution — only the fetch and icache lookup are
-    /// elided. Stops mid-trace on the step budget, on a kernel event,
-    /// when control flow diverges from the recording, or when an own-core
-    /// store (or a serializing op) invalidates the trace under our feet.
+    /// elided. Stops mid-trace when the kernel ends the slice, on a
+    /// kernel event, when control flow diverges from the recording, or
+    /// when an own-core store (or a serializing op) invalidates the trace
+    /// under our feet.
     ///
     /// The trace cache is moved out of `self` for the duration of the
     /// replay so the op stream is a plain slice walk with no per-op
@@ -1163,8 +1185,8 @@ impl Cpu {
     /// [`Cpu::flush_icache`]. No recording is ever in progress here: the
     /// dispatcher closes any before entering a trace.
     ///
-    /// A [`Cpu::Syscall`](StepEvent::Syscall) op consults `syscall_fast`
-    /// (see [`Cpu::run_block`]): a handled syscall charges its cycles
+    /// A [`Cpu::Syscall`](StepEvent::Syscall) op and a spent slice consult
+    /// `hook` (see [`Cpu::run_block`]): a handled entry charges its cycles
     /// into the block, restarts the slice budget, and replay continues in
     /// place.
     ///
@@ -1173,7 +1195,10 @@ impl Cpu {
     /// dispatcher: nothing was flushed and nothing was stored on the
     /// trace's pages, so the dispatcher's lookup and fresh-gen compare
     /// would find this same trace valid. Each wrap counts as one more
-    /// `enters`; it is not a `trace_link`.
+    /// `enters`; it is not a `trace_link`. At a wrap of a [`CountedLoop`]
+    /// with no step observer, and no span boundary in the loop, the
+    /// iterations left of the slice that cannot end the loop retire at
+    /// once ([`Cpu::run_counted`]).
     #[allow(clippy::too_many_arguments)]
     fn exec_trace(
         &mut self,
@@ -1186,8 +1211,8 @@ impl Cpu {
         steps: &mut u64,
         slice_left: &mut u64,
         vdso_calls: &mut u64,
-        on_step: &mut impl FnMut(u64, &Step, u64),
-        syscall_fast: &mut impl FnMut(&mut Cpu, &mut AddressSpace, u64, u64) -> HookAction,
+        on_step: &mut Option<StepObserver<'_>>,
+        hook: &mut impl FnMut(&mut Cpu, &mut AddressSpace, Option<u64>, u64) -> HookAction,
     ) -> TraceRun {
         let mut tc = self.trace.take().expect("exec_trace without trace cache");
         let t = tc.get(idx);
@@ -1196,6 +1221,12 @@ impl Cpu {
         self.trace_replay_break = false;
         let entry = t.entry;
         let ops = &t.ops[..];
+        // Only an unobserved replay may skip steps.
+        let counted = if on_step.is_none() {
+            CountedLoop::of(ops, cost)
+        } else {
+            None
+        };
         let mut i = 0usize;
         // Batched accounting: the loop accumulates into locals (registers)
         // and writes the caller's counters back once at exit — the exact
@@ -1209,7 +1240,16 @@ impl Cpu {
         let mut wraps = 0u64;
         let run = loop {
             if lleft == 0 {
-                break TraceRun::Budget;
+                let HookAction::Handled { charge, budget } =
+                    hook(&mut *self, &mut *mem, None, clock + lcycles)
+                else {
+                    break TraceRun::Budget;
+                };
+                lcycles += charge;
+                lleft = budget;
+                if budget == 0 {
+                    break TraceRun::Budget;
+                }
             }
             let op = ops[i];
             if self.rip != op.rip {
@@ -1227,15 +1267,14 @@ impl Cpu {
                 lsteps += 1;
                 lleft -= 1;
                 lcycles += cycles;
-                on_step(
-                    rip_before,
-                    &Step {
+                if let Some(f) = on_step.as_mut() {
+                    let s = Step {
                         event: StepEvent::Executed,
                         cycles,
                         inst: Some(op.inst),
-                    },
-                    clock + lcycles,
-                );
+                    };
+                    f(rip_before, &s, clock + lcycles);
+                }
                 if obs {
                     sim_obs::span_step(clock + lcycles, self.rip);
                 }
@@ -1244,7 +1283,9 @@ impl Cpu {
                 lsteps += 1;
                 lleft -= 1;
                 lcycles += s.cycles;
-                on_step(rip_before, &s, clock + lcycles);
+                if let Some(f) = on_step.as_mut() {
+                    f(rip_before, &s, clock + lcycles);
+                }
                 if obs {
                     sim_obs::span_step(clock + lcycles, self.rip);
                 }
@@ -1262,7 +1303,7 @@ impl Cpu {
                         // would have), starting a new slice. Its serialize
                         // may flush, which raises `trace_replay_break` like
                         // any flush.
-                        match syscall_fast(&mut *self, &mut *mem, site, clock + lcycles) {
+                        match hook(&mut *self, &mut *mem, Some(site), clock + lcycles) {
                             HookAction::Pass => break TraceRun::Event(s.event),
                             HookAction::Handled { charge, budget } => {
                                 lcycles += charge;
@@ -1282,6 +1323,21 @@ impl Cpu {
                 // in place.
                 i = 0;
                 wraps += 1;
+                if let Some(lp) = &counted {
+                    // Skipped steps make no `span_step` calls, so under
+                    // sim-obs both post-step rips must sit inside the
+                    // span cache's current containment interval.
+                    if !obs || sim_obs::span_interval_covers(entry, lp.branch) {
+                        let n = self.run_counted(lp, lleft / 2);
+                        lsteps += 2 * n;
+                        lleft -= 2 * n;
+                        lcycles += n * lp.cycles;
+                        wraps += n;
+                        if obs {
+                            sim_obs::set_clock(clock + lcycles);
+                        }
+                    }
+                }
             } else if self.trace_replay_break {
                 // An own-core store in this op may have rewritten upcoming
                 // bytes (or a serializing op flushed the icache); fall
@@ -1386,15 +1442,93 @@ impl Cpu {
             }
         }
     }
+
+    /// Retires up to `max` more iterations of the counted loop `lp` at
+    /// once, with `rip` on its entry, and returns how many. The effects
+    /// are the interpreter's: the counter falls by `n × step`, the flags
+    /// are the `n`-th iteration's, computed by the same helper as its
+    /// `sub`/`add` arm, and `retired` grows by both ops of every
+    /// iteration; `rip` stays on the entry.
+    ///
+    /// `n = min((v − 1) / step, max)` in wrapping u64 arithmetic, for
+    /// counter `v`. Every counter value the skipped iterations produce,
+    /// `v − j·step` for 1 ≤ j ≤ n, is then non-zero, so every skipped
+    /// `jnz` is taken: for v ≥ 1, `j·step ≤ n·step ≤ v − 1` as integers;
+    /// for v = 0, `v − 1` wraps to 2⁶⁴ − 1, `j·step ≤ 2⁶⁴ − 1`, and
+    /// `0 − j·step` wraps to `2⁶⁴ − j·step ≥ 1`.
+    fn run_counted(&mut self, lp: &CountedLoop, max: u64) -> u64 {
+        let v = self.get(lp.reg);
+        let n = (v.wrapping_sub(1) / lp.step).min(max);
+        if n == 0 {
+            return 0;
+        }
+        let before = v.wrapping_sub((n - 1).wrapping_mul(lp.step));
+        let after = match lp.op {
+            Inst::AddImm(_, imm) => self.flags_add(before, imm as i64 as u64),
+            // A `sub`'s step is its own operand.
+            _ => self.flags_sub(before, lp.step),
+        };
+        self.set(lp.reg, after);
+        self.retired += 2 * n;
+        n
+    }
 }
 
-/// Disposition of a syscall inside [`Cpu::run_block`], returned by the
-/// kernel-provided fast-path hook.
+/// A self-looping trace that is exactly `sub r, imm` (or `add r, imm`)
+/// and a `jnz` back to its entry, with a non-zero step: a counted work
+/// loop, such as sqlite-sim's `sub rcx, 1; jnz` or Linux's x86
+/// `delay_loop`. Replay retires its iterations in closed form
+/// ([`Cpu::run_counted`]).
+#[derive(Debug, Clone, Copy)]
+struct CountedLoop {
+    /// The `sub`/`add` op.
+    op: Inst,
+    /// The counter.
+    reg: Reg,
+    /// What one iteration subtracts from the counter: `imm` for `sub`,
+    /// `−imm` for `add`.
+    step: u64,
+    /// Address of the `jnz`: the `sub`'s post-step rip.
+    branch: u64,
+    /// Cycles of one iteration, both ops.
+    cycles: u64,
+}
+
+impl CountedLoop {
+    fn of(ops: &[TraceOp], cost: &CostModel) -> Option<CountedLoop> {
+        let [op, jnz] = ops else {
+            return None;
+        };
+        let (reg, step) = match op.inst {
+            Inst::SubImm(r, imm) => (r, imm as i64 as u64),
+            Inst::AddImm(r, imm) => (r, (imm as i64 as u64).wrapping_neg()),
+            _ => return None,
+        };
+        let Inst::Jcc(Cond::Ne, rel) = jnz.inst else {
+            return None;
+        };
+        let target = jnz
+            .rip
+            .wrapping_add(jnz.len as u64)
+            .wrapping_add(rel as i64 as u64);
+        (step != 0 && target == op.rip).then(|| CountedLoop {
+            op: op.inst,
+            reg,
+            step,
+            branch: jnz.rip,
+            cycles: cost.inst_cost(&op.inst) + cost.inst_cost(&jnz.inst),
+        })
+    }
+}
+
+/// What the kernel's hook did with a kernel entry inside
+/// [`Cpu::run_block`]: a syscall, or the end of the slice's step budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HookAction {
-    /// Not a fast-path syscall: surface it as a normal block exit.
+    /// Not served in place: a syscall surfaces as a normal block exit, a
+    /// spent slice ends the block.
     Pass,
-    /// Serviced in place: the hook already applied the architectural
+    /// Served in place: the hook already applied the architectural
     /// effects (rip, registers, serialization, statistics); `charge` is
     /// the kernel-entry + service cost to fold into the block's cycles.
     /// The kernel entry ended the slice: `budget` is the step budget of

@@ -12,7 +12,7 @@ use crate::ptrace_if::{Stop, TraceOpts, Tracer, TracerAction};
 use crate::record::RecordSession;
 use crate::signal::{self, SigInfo};
 use crate::vfs::Vfs;
-use sim_cpu::{CostModel, Cpu, FastMap, HookAction, Step, StepEvent};
+use sim_cpu::{CostModel, Cpu, FastMap, HookAction, Step, StepEvent, StepObserver};
 use sim_fault::{FaultKind, PermFlip};
 use sim_record::{Divergence, Rec};
 use sim_isa::Reg;
@@ -1487,20 +1487,20 @@ impl Kernel {
     /// One step of the block loop: runs `(pid, tid)` for the `remaining`
     /// steps of its slice under one process borrow, then applies the
     /// clock, per-thread cycle, retired-instruction and statistics
-    /// accounting. Returns the event that ended the last block and the
-    /// steps left of the slice, or `None` when the thread cannot run.
+    /// accounting. Returns the event that ended the block and the steps
+    /// left of the slice, or `None` when the thread cannot run.
     ///
     /// Under [`Kernel::hot_slice_ok`] this is the direct path: the block's
-    /// syscall hook serves trivial syscalls in place (`serve_trivial`),
-    /// each one starting a new slice as a kernel entry does, and a slice
-    /// that runs out restarts in place, since the scheduler round that
-    /// would follow has no write to flush, no fault round to advance and
-    /// only this thread to run. Both stop at the run deadline, where the
-    /// scheduler stops. Otherwise the hook passes every syscall on to
-    /// [`Kernel::block_exit`], and the next session boundary caps the
-    /// block.
-    fn run_blocks(&mut self, pid: Pid, tid: Tid, mut remaining: u64) -> Option<(StepEvent, u64)> {
-        let mut budget = self.next_stop().map_or(remaining, |stop| {
+    /// kernel hook serves trivial syscalls in place (`serve_trivial`),
+    /// each one starting a new slice as a kernel entry does, and starts
+    /// the next slice in place when one runs out, since the scheduler
+    /// round that would follow has no write to flush, no fault round to
+    /// advance and only this thread to run. Both stop at the run deadline,
+    /// where the scheduler stops. Otherwise the hook passes every syscall
+    /// on to [`Kernel::block_exit`] and ends the block with the slice, and
+    /// the next session boundary caps the block.
+    fn run_blocks(&mut self, pid: Pid, tid: Tid, remaining: u64) -> Option<(StepEvent, u64)> {
+        let budget = self.next_stop().map_or(remaining, |stop| {
             remaining.min(stop.saturating_sub(self.retired).max(1))
         });
         let hot = self.hot_slice_ok(pid, tid);
@@ -1529,71 +1529,49 @@ impl Kernel {
         // syscall from the same site, so the fold is one memoized region
         // lookup and five counter adds per run instead of per call.
         let (mut pend_nr, mut pend_site, mut pend) = (0u64, 0u64, 0u64);
-        let mut syscall_fast = |cpu: &mut Cpu, space: &mut AddressSpace, site: u64, at: u64| {
-            if !serve {
-                return HookAction::Pass;
-            }
-            let Some(nr_) = serve_trivial(cpu, space, pid, tid, site) else {
-                return HookAction::Pass;
+        let hook = |cpu: &mut Cpu, space: &mut AddressSpace, site: Option<u64>, at: u64| {
+            let charge = match site {
+                None if hot => 0,
+                Some(site) if serve => {
+                    let Some(nr_) = serve_trivial(cpu, space, pid, tid, site) else {
+                        return HookAction::Pass;
+                    };
+                    if pend > 0 && (pend_nr != nr_ || pend_site != site) {
+                        flush_syscall_stats(
+                            stats,
+                            region_cache,
+                            space,
+                            *interposer_live,
+                            pend_nr,
+                            pend_site,
+                            pend,
+                        );
+                        pend = 0;
+                    }
+                    pend_nr = nr_;
+                    pend_site = site;
+                    pend += 1;
+                    cost.kernel_entry + crate::sys::service_cost(nr_, 0)
+                }
+                _ => return HookAction::Pass,
             };
-            if pend > 0 && (pend_nr != nr_ || pend_site != site) {
-                flush_syscall_stats(
-                    stats,
-                    region_cache,
-                    space,
-                    *interposer_live,
-                    pend_nr,
-                    pend_site,
-                    pend,
-                );
-                pend = 0;
-            }
-            pend_nr = nr_;
-            pend_site = site;
-            pend += 1;
-            let charge = cost.kernel_entry + crate::sys::service_cost(nr_, 0);
             let budget = if at + charge < deadline { SLICE } else { 0 };
             HookAction::Handled { charge, budget }
         };
         let mut trace = self.exec_trace.take();
-        let (mut cycles, mut steps, mut vdso_calls) = (0, 0, 0);
-        let (event, left) = loop {
-            let at = clock + cycles;
-            // Monomorphized on whether an exec trace is being recorded:
-            // the no-trace instantiation's step hook is a true no-op.
-            let block = match trace.as_mut() {
-                None => t
-                    .cpu
-                    .run_block(space, at, &cost, budget, |_, _, _| {}, &mut syscall_fast),
-                Some(rec) => t.cpu.run_block(
-                    space,
-                    at,
-                    &cost,
-                    budget,
-                    |rip, step: &Step, clock| {
-                        rec.push(TraceEntry {
-                            pid,
-                            tid,
-                            rip,
-                            clock,
-                            event: step.event,
-                        })
-                    },
-                    &mut syscall_fast,
-                ),
-            };
-            cycles += block.cycles;
-            steps += block.steps;
-            vdso_calls += block.vdso_calls;
-            if hot && block.event == StepEvent::Executed && clock + cycles < deadline {
-                (remaining, budget) = (SLICE, SLICE);
-                continue;
+        let mut record = trace.as_mut().map(|rec| {
+            move |rip, step: &Step, clock| {
+                rec.push(TraceEntry {
+                    pid,
+                    tid,
+                    rip,
+                    clock,
+                    event: step.event,
+                })
             }
-            // Nothing caps a hot block, so `budget` equals `remaining`
-            // wherever the hook served; elsewhere a session boundary may
-            // have held `budget` below it.
-            break (block.event, remaining - budget + block.slice_left);
-        };
+        });
+        let on_step = record.as_mut().map(|f| f as StepObserver);
+        let block = t.cpu.run_block(space, clock, &cost, budget, on_step, hook);
         if pend > 0 {
             flush_syscall_stats(
                 stats,
@@ -1605,11 +1583,14 @@ impl Kernel {
                 pend,
             );
         }
-        stats.vdso_calls += vdso_calls;
+        stats.vdso_calls += block.vdso_calls;
         self.exec_trace = trace;
-        self.charge(cycles);
-        self.retire(pid, tid, steps);
-        Some((event, left))
+        self.charge(block.cycles);
+        self.retire(pid, tid, block.steps);
+        // Nothing caps a hot block, so `budget` equals `remaining`
+        // wherever the hook served; elsewhere a session boundary may have
+        // held `budget` below it.
+        Some((block.event, remaining - budget + block.slice_left))
     }
 
     /// True when the block loop's direct path may run (see
@@ -2457,6 +2438,99 @@ mod tests {
                 assert_eq!(oracle.last().map(|s| s.0), Some(RunExit::AllExited));
                 for cfg in [EngineConfig::new(), EngineConfig::new().profile(1 << 40)] {
                     assert_eq!(stops(cfg), oracle, "body {body}, chunk {chunk}");
+                }
+            }
+        }
+    }
+
+    /// The block engine retires a counted work loop (`sub r, imm` or
+    /// `add r, imm`, then `jnz` back to it) in closed form when nothing
+    /// observes single steps, never past the slice's steps left. After
+    /// every `run(chunk)` the `(RunExit, clock, retired)`, every register
+    /// and the flags equal the stepwise oracle's: on the direct path
+    /// (slices start in place, and chunk 1 stops after every slice), one
+    /// instruction out of slice phase, under a profiler session whose
+    /// samples cap the budget, with the exec-trace recorder attached
+    /// (whose stream must match, so the skip stands down), and under
+    /// sim-obs with a span range around the loop (the skip runs) or
+    /// around its `sub` alone (every iteration leaves and re-enters the
+    /// range, so it must not); the span events must match too. Counters
+    /// near 2^63 cross the sign boundary, where consecutive iterations'
+    /// flags differ. A run stops once `LIMIT` instructions have retired,
+    /// which cuts off the loops that would take 2^64 / 3 iterations.
+    #[test]
+    fn counted_loops_stop_where_the_stepwise_oracle_stops() {
+        const LIMIT: u64 = 8_000;
+        #[derive(Clone, Copy, Debug)]
+        enum Leg {
+            Plain,
+            Recorded,
+            Span(u64, u64),
+        }
+        let stops = |code: &[u8], cfg: EngineConfig, chunk: u64, leg: Leg| {
+            let (mut k, pid) = kernel_with(code.to_vec());
+            k.configure(cfg);
+            match leg {
+                Leg::Plain => {}
+                Leg::Recorded => k.start_exec_trace(),
+                Leg::Span(start, end) => {
+                    sim_obs::enable(sim_obs::ObsConfig::default());
+                    sim_obs::register_span_range(pid, start, end, "loop");
+                }
+            }
+            let mut stops = Vec::new();
+            loop {
+                let exit = k.run(chunk);
+                let t = &k.process(pid).expect("proc").threads[0];
+                let regs = (t.cpu.regs, t.cpu.packed_flags());
+                stops.push((exit, k.clock, k.retired(), regs));
+                if exit != RunExit::Budget || k.retired() > LIMIT {
+                    break;
+                }
+            }
+            let spans = sim_obs::disable().map(|r| (r.rings, r.stage_cycles));
+            (stops, k.take_exec_trace(), spans)
+        };
+        let steps = [
+            sim_isa::Inst::SubImm(Reg::R13, 1),
+            sim_isa::Inst::SubImm(Reg::R13, 3),
+            sim_isa::Inst::AddImm(Reg::R13, -1),
+        ];
+        for counter in [0, 1, 2, 3, 31, 32, 33, 64, 65, 10_000, (1 << 63) + 40] {
+            for step in steps {
+                for phase in [0, 1] {
+                    let mut a = Asm::new();
+                    a.mov_imm(Reg::R13, counter);
+                    for _ in 0..phase {
+                        a.add_imm(Reg::R12, 1);
+                    }
+                    let entry = 0x1000 + a.here() as u64;
+                    a.label("loop");
+                    a.inst(step);
+                    let branch = 0x1000 + a.here() as u64;
+                    a.jnz("loop");
+                    emit_exit(&mut a, 0);
+                    let code = a.finish();
+                    let legs = [
+                        (Leg::Plain, 1, None),
+                        (Leg::Plain, 1_001, None),
+                        (Leg::Plain, 1_001, Some(37)),
+                        (Leg::Recorded, 1_001, None),
+                        (Leg::Span(entry, branch + 6), 1_001, None),
+                        (Leg::Span(entry, branch), 1_001, None),
+                    ];
+                    for (leg, chunk, period) in legs {
+                        let cfg = |c: EngineConfig| match period {
+                            Some(p) => c.profile(p),
+                            None => c,
+                        };
+                        let oracle = stops(&code, cfg(EngineConfig::stepwise()), chunk, leg);
+                        assert_eq!(
+                            stops(&code, cfg(EngineConfig::new()), chunk, leg),
+                            oracle,
+                            "counter {counter}, {step:?}, phase {phase}, {leg:?}, chunk {chunk}, profile {period:?}"
+                        );
+                    }
                 }
             }
         }

@@ -898,7 +898,7 @@ impl Kernel {
         let _ = tid;
         match self.exec_into(pid, &path, argv, env) {
             Ok(()) => Disp::NoReturn,
-            Err(e) => Disp::Ret((-e) as u64),
+            Err(e) => Disp::Ret(e as u64),
         }
     }
 

@@ -11,7 +11,7 @@
 //! material of pitfall P3.
 
 use sim_isa::{Asm, Reg};
-use sim_kernel::Vfs;
+use sim_kernel::{nr, Vfs};
 use std::collections::BTreeMap;
 
 /// Page size used for section alignment (matches `sim_mem::PAGE_SIZE`).
@@ -53,142 +53,188 @@ pub struct SimElf {
 }
 
 impl SimElf {
-    /// Serializes and installs the image into the VFS at its `name` path.
+    /// Installs the image into the VFS at its `name` path, in the
+    /// [`SimElf::encode`] format.
     ///
     /// # Panics
     ///
     /// Panics if the VFS rejects the write (immutable target).
     pub fn install(&self, vfs: &mut Vfs) {
-        let data = self.to_json().to_vec();
-        vfs.write_file(&self.name, &data)
+        vfs.write_file(&self.name, &self.encode())
             .unwrap_or_else(|e| panic!("installing {} failed: {e}", self.name));
     }
 
-    /// Loads an image previously installed at `path`.
+    /// Loads the image installed at `path`.
     ///
     /// # Errors
     ///
-    /// `None` when the file is missing or not a SimElf.
-    pub fn load_from(vfs: &Vfs, path: &str) -> Option<SimElf> {
-        let data = vfs.read_file(path).ok()?;
-        Self::from_json(&sjson::parse(data).ok()?)
+    /// `-ENOENT` when `path` is not a file, `-ENOEXEC` when the file is
+    /// not an image [`SimElf::decode`] accepts.
+    pub fn load_from(vfs: &Vfs, path: &str) -> Result<SimElf, i64> {
+        let data = vfs.read_file(path).map_err(|_| -nr::ENOENT)?;
+        Self::decode(data).ok_or(-nr::ENOEXEC)
     }
 
-    fn to_json(&self) -> sjson::Value {
-        use sjson::Value;
-        Value::object(vec![
-            ("name", self.name.as_str().into()),
-            ("bytes", sjson::bytes_value(&self.bytes)),
-            ("data_offset", self.data_offset.into()),
-            ("bss", self.bss.into()),
-            (
-                "symbols",
-                Value::Object(
-                    self.symbols
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "abs_relocs",
-                Value::Array(self.abs_relocs.iter().map(|r| Value::UInt(*r)).collect()),
-            ),
-            (
-                "imports",
-                Value::Array(
-                    self.imports
-                        .iter()
-                        .map(|(s, o)| {
-                            Value::Array(vec![s.as_str().into(), Value::UInt(*o)])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "init",
-                self.init
-                    .as_deref()
-                    .map(Into::into)
-                    .unwrap_or(Value::Null),
-            ),
-            (
-                "entry",
-                self.entry
-                    .as_deref()
-                    .map(Into::into)
-                    .unwrap_or(Value::Null),
-            ),
-            (
-                "needed",
-                Value::Array(self.needed.iter().map(|n| n.as_str().into()).collect()),
-            ),
-            (
-                "hostcall_syms",
-                Value::Array(
-                    self.hostcall_syms
-                        .iter()
-                        .map(|n| n.as_str().into())
-                        .collect(),
-                ),
-            ),
-            ("isolated_namespace", self.isolated_namespace.into()),
-        ])
-    }
-
-    fn from_json(v: &sjson::Value) -> Option<SimElf> {
-        let opt_str = |key: &str| -> Option<String> {
-            match v.get(key) {
-                Some(sjson::Value::Str(s)) => Some(s.clone()),
-                _ => None,
+    /// The installed file format: the 8-byte magic `SIMELF\0\x01`, then
+    /// every field in declaration order, little-endian. Integers are
+    /// u64s; strings and `bytes` are a u64 length and the raw bytes; lists
+    /// and the symbol table are a u64 count and the items; `init` and
+    /// `entry` are a 0/1 byte and the string when it is 1;
+    /// `isolated_namespace` is a 0/1 byte.
+    pub fn encode(&self) -> Vec<u8> {
+        fn put_u64(out: &mut Vec<u8>, v: u64) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        fn put_str(out: &mut Vec<u8>, s: &[u8]) {
+            put_u64(out, s.len() as u64);
+            out.extend_from_slice(s);
+        }
+        fn put_opt(out: &mut Vec<u8>, s: &Option<String>) {
+            out.push(s.is_some() as u8);
+            if let Some(s) = s {
+                put_str(out, s.as_bytes());
             }
-        };
-        let str_list = |key: &str| -> Option<Vec<String>> {
-            v.get(key)?
-                .as_array()?
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect()
-        };
-        let symbols = match v.get("symbols")? {
-            sjson::Value::Object(m) => m
-                .iter()
-                .map(|(k, val)| Some((k.clone(), val.as_u64()?)))
-                .collect::<Option<BTreeMap<String, u64>>>()?,
-            _ => return None,
-        };
-        Some(SimElf {
-            name: opt_str("name")?,
-            bytes: v.get("bytes")?.as_bytes()?,
-            data_offset: v.get("data_offset")?.as_u64()?,
-            bss: v.get("bss")?.as_u64()?,
-            symbols,
-            abs_relocs: v
-                .get("abs_relocs")?
-                .as_array()?
-                .iter()
-                .map(sjson::Value::as_u64)
-                .collect::<Option<Vec<u64>>>()?,
-            imports: v
-                .get("imports")?
-                .as_array()?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_array()?;
-                    Some((pair.first()?.as_str()?.to_string(), pair.get(1)?.as_u64()?))
-                })
-                .collect::<Option<Vec<(String, u64)>>>()?,
-            init: opt_str("init"),
-            entry: opt_str("entry"),
-            needed: str_list("needed")?,
-            hostcall_syms: str_list("hostcall_syms")?,
-            isolated_namespace: v.get("isolated_namespace")?.as_bool()?,
-        })
+        }
+        let mut out = Vec::with_capacity(self.bytes.len() + 1024);
+        out.extend_from_slice(MAGIC);
+        put_str(&mut out, self.name.as_bytes());
+        put_str(&mut out, &self.bytes);
+        put_u64(&mut out, self.data_offset);
+        put_u64(&mut out, self.bss);
+        put_u64(&mut out, self.symbols.len() as u64);
+        for (sym, &off) in &self.symbols {
+            put_str(&mut out, sym.as_bytes());
+            put_u64(&mut out, off);
+        }
+        put_u64(&mut out, self.abs_relocs.len() as u64);
+        for &off in &self.abs_relocs {
+            put_u64(&mut out, off);
+        }
+        put_u64(&mut out, self.imports.len() as u64);
+        for (sym, slot) in &self.imports {
+            put_str(&mut out, sym.as_bytes());
+            put_u64(&mut out, *slot);
+        }
+        put_opt(&mut out, &self.init);
+        put_opt(&mut out, &self.entry);
+        for list in [&self.needed, &self.hostcall_syms] {
+            put_u64(&mut out, list.len() as u64);
+            for s in list {
+                put_str(&mut out, s.as_bytes());
+            }
+        }
+        out.push(self.isolated_namespace as u8);
+        out
     }
 
-    /// Total mapped size (code + data + bss), page-rounded.
-    pub fn mapped_len(&self) -> u64 {
-        (self.bytes.len() as u64 + self.bss).div_ceil(PAGE) * PAGE
+    /// Decodes the [`SimElf::encode`] format. A guest can write any file
+    /// and `execve` it, so `data` is outside input: the decoder reads only
+    /// inside it and allocates nothing it does not hold. `None` for a bad
+    /// magic, a length or count past the end, invalid UTF-8, a duplicate
+    /// symbol, a flag byte other than 0 or 1, trailing bytes, or an image
+    /// the loader could not place: a mapped length past `u64::MAX`, a
+    /// symbol, relocation or import slot outside it, or a hostcall symbol
+    /// that is not defined.
+    pub fn decode(data: &[u8]) -> Option<SimElf> {
+        let mut r = Reader(data.strip_prefix(MAGIC)?);
+        let name = r.str()?;
+        let bytes = r.take_len()?.to_vec();
+        let (data_offset, bss) = (r.u64()?, r.u64()?);
+        let pairs = r.list(|r| Some((r.str()?, r.u64()?)))?;
+        let defined = pairs.len();
+        let symbols: BTreeMap<String, u64> = pairs.into_iter().collect();
+        let img = SimElf {
+            name,
+            bytes,
+            data_offset,
+            bss,
+            abs_relocs: r.list(Reader::u64)?,
+            imports: r.list(|r| Some((r.str()?, r.u64()?)))?,
+            init: r.opt_str()?,
+            entry: r.opt_str()?,
+            needed: r.list(Reader::str)?,
+            hostcall_syms: r.list(Reader::str)?,
+            isolated_namespace: r.flag()?,
+            symbols,
+        };
+        let len = img.mapped_len()?;
+        let slot_fits = |off: &u64| off.checked_add(8).is_some_and(|end| end <= len);
+        let placeable = r.0.is_empty()
+            && img.symbols.len() == defined
+            && img.symbols.values().all(|&off| off <= len)
+            && img.abs_relocs.iter().all(slot_fits)
+            && img.imports.iter().all(|(_, slot)| slot_fits(slot))
+            && img
+                .hostcall_syms
+                .iter()
+                .all(|s| img.symbols.contains_key(s));
+        placeable.then_some(img)
+    }
+
+    /// Total mapped size (code + data + bss), page-rounded; `None` when a
+    /// huge `bss` takes it past `u64::MAX` ([`SimElf::decode`] rejects
+    /// such an image).
+    pub fn mapped_len(&self) -> Option<u64> {
+        (self.bytes.len() as u64)
+            .checked_add(self.bss)?
+            .div_ceil(PAGE)
+            .checked_mul(PAGE)
+    }
+}
+
+/// First bytes of an installed image file: "SIMELF" and format 1.
+const MAGIC: &[u8; 8] = b"SIMELF\x00\x01";
+
+/// A cursor over an encoded image that reads only inside it.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: u64) -> Option<&'a [u8]> {
+        let n = usize::try_from(n).ok().filter(|&n| n <= self.0.len())?;
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    /// A u64 length and that many bytes.
+    fn take_len(&mut self) -> Option<&'a [u8]> {
+        let n = self.u64()?;
+        self.take(n)
+    }
+
+    fn str(&mut self) -> Option<String> {
+        String::from_utf8(self.take_len()?.to_vec()).ok()
+    }
+
+    fn flag(&mut self) -> Option<bool> {
+        match self.take(1)? {
+            [0] => Some(false),
+            [1] => Some(true),
+            _ => None,
+        }
+    }
+
+    fn opt_str(&mut self) -> Option<Option<String>> {
+        match self.flag()? {
+            true => self.str().map(Some),
+            false => Some(None),
+        }
+    }
+
+    /// A u64 count and that many items. Every item reads at least eight
+    /// bytes, so a count past the end fails before the list outgrows the
+    /// input.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.u64()?;
+        let mut out = Vec::new();
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Some(out)
     }
 }
 
@@ -354,6 +400,36 @@ mod tests {
         assert_eq!(back.bytes, img.bytes);
         assert_eq!(back.entry.as_deref(), Some("_start"));
         assert_eq!(back.symbols["_start"], 0);
+    }
+
+    /// `decode` inverts `encode` field for field, and rejects every
+    /// proper prefix and a trailing byte.
+    #[test]
+    fn encode_decode_roundtrip() {
+        let mut b = ImageBuilder::new("/lib/libround.so");
+        b.init("ctor").needs("/usr/lib/libc-sim.so.6").isolated();
+        b.asm.label("ctor");
+        b.call_import("write");
+        b.asm.ret();
+        b.hostcall_fn("__host_round");
+        b.jump_table("table", &["ctor", "__host_round"]);
+        b.data_object("state", &[7; 12]);
+        let mut img = b.finish();
+        img.bss = 3 * PAGE + 5;
+        img.entry = Some("ctor".into());
+        let data = img.encode();
+        let back = SimElf::decode(&data).expect("decodes");
+        assert_eq!(format!("{back:?}"), format!("{img:?}"));
+        assert_eq!(back.encode(), data);
+        for len in 0..data.len() {
+            assert!(
+                SimElf::decode(&data[..len]).is_none(),
+                "prefix of {len} bytes"
+            );
+        }
+        let mut longer = data.clone();
+        longer.push(0);
+        assert!(SimElf::decode(&longer).is_none());
     }
 
     #[test]

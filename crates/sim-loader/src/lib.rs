@@ -178,6 +178,49 @@ mod tests {
         assert_eq!(k.process(pid).unwrap().output_string(), "");
     }
 
+    /// A guest can write any file and `execve` it, so the loader treats
+    /// an image file as outside input: a missing path fails with
+    /// `-ENOENT`, and a file that does not decode (garbage, a truncated
+    /// image, a length prefix past the end of the file) or whose mapped
+    /// length overflows fails with `-ENOEXEC`, leaving the caller running.
+    #[test]
+    fn exec_of_a_missing_or_malformed_image_fails_with_its_errno() {
+        let mut k = boot_kernel();
+        let image = {
+            let mut vfs = sim_kernel::Vfs::new();
+            hello_app().install(&mut vfs);
+            vfs.read_file("/usr/bin/hello").unwrap().to_vec()
+        };
+        let mut past_end = image.clone();
+        past_end[8..16].copy_from_slice(&u64::MAX.to_le_bytes()); // the name's length
+        k.vfs
+            .write_file("/tmp/garbage", b"#!/bin/sh\necho hi\n")
+            .unwrap();
+        k.vfs
+            .write_file("/tmp/truncated", &image[..image.len() / 2])
+            .unwrap();
+        k.vfs.write_file("/tmp/past_end", &past_end).unwrap();
+        let mut huge = hello_app();
+        huge.name = "/tmp/huge_bss".into();
+        huge.bss = u64::MAX - 100;
+        huge.install(&mut k.vfs);
+        let paths = ["nope", "garbage", "truncated", "past_end", "huge_bss"];
+        let rets = run_probe(&mut k, paths.len(), |b| {
+            for (slot, path) in paths.iter().enumerate() {
+                b.asm.lea_label(Reg::Rdi, path);
+                b.asm.mov_imm(Reg::Rsi, 0);
+                b.asm.mov_imm(Reg::Rdx, 0);
+                b.call_import("execve");
+                b.asm.store(Reg::R13, 8 * slot as i32, Reg::Rax);
+            }
+            for path in paths {
+                b.data_object(path, format!("/tmp/{path}\0").as_bytes());
+            }
+        });
+        let noexec = nr::err(nr::ENOEXEC);
+        assert_eq!(rets, [nr::err(nr::ENOENT), noexec, noexec, noexec, noexec]);
+    }
+
     #[test]
     fn startup_issues_many_syscalls_before_interposer() {
         // The P2b measurement: a library-injection interposer cannot see any

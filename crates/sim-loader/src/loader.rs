@@ -42,7 +42,7 @@ fn collect_deps(vfs: &Vfs, img: &SimElf, out: &mut Vec<SimElf>, seen: &mut BTree
             continue;
         }
         seen.insert(dep.clone());
-        if let Some(d) = SimElf::load_from(vfs, dep) {
+        if let Ok(d) = SimElf::load_from(vfs, dep) {
             collect_deps(vfs, &d, out, seen);
             out.push(d);
         }
@@ -55,7 +55,7 @@ struct Placed {
 }
 
 fn map_module(space: &mut AddressSpace, img: &SimElf, base: u64) -> Result<(), i64> {
-    let total = img.mapped_len();
+    let total = img.mapped_len().ok_or(-nr::ENOEXEC)?;
     let code_len = img.data_offset.min(total);
     if code_len > 0 {
         space
@@ -232,7 +232,7 @@ impl ExecLoader for Ld {
         env: &[String],
         opts: &ExecOpts,
     ) -> Result<LoadedImage, i64> {
-        let main = SimElf::load_from(vfs, path).ok_or(-nr::ENOENT)?;
+        let main = SimElf::load_from(vfs, path)?;
         let main_entry_sym = main.entry.clone().ok_or(-nr::EACCES)?;
 
         // Dependency closure (post-order: dependencies first).
@@ -254,7 +254,7 @@ impl ExecLoader for Ld {
                 continue;
             }
             seen.insert(p.to_string());
-            if let Some(img) = SimElf::load_from(vfs, p) {
+            if let Ok(img) = SimElf::load_from(vfs, p) {
                 collect_deps(vfs, &img, &mut preloads, &mut seen);
                 preloads.push(img);
             }
@@ -268,7 +268,10 @@ impl ExecLoader for Ld {
         let mut lib_cursor = 0x7f00_0000_0000 + slide;
         for img in deps.into_iter().chain(preloads) {
             let base = lib_cursor;
-            lib_cursor += img.mapped_len() + 0x20_0000;
+            lib_cursor = img
+                .mapped_len()
+                .and_then(|len| base.checked_add(len)?.checked_add(0x20_0000))
+                .ok_or(-nr::ENOMEM)?;
             map_module(&mut space, &img, base)?;
             placed.push(Placed { img, base });
         }

@@ -990,6 +990,17 @@ pub fn span_step(clock: u64, rip: u64) {
     span_step_slow(clock, rip, pid, tid);
 }
 
+/// True when [`span_step`] takes its fast path, recording nothing, for
+/// every post-step rip in `[lo, hi]` on the current CPU: the cached
+/// containment interval is this CPU's and covers both ends. A caller may
+/// then retire instructions there without calling it.
+#[inline]
+pub fn span_interval_covers(lo: u64, hi: u64) -> bool {
+    let (pid, tid) = CPU.with(|c| c.get());
+    let cur = SPAN_CUR.with(|c| c.get());
+    pid == cur.pid && tid == cur.tid && lo >= cur.lo && hi < cur.hi
+}
+
 #[cold]
 fn span_step_slow(clock: u64, rip: u64, pid: u64, tid: u64) {
     // Compute the containment interval around `rip` for this pid: the

@@ -2,9 +2,9 @@
 //!
 //! The repository builds in a fully offline container, so it cannot pull
 //! `serde`/`serde_json` from crates.io. The only serialization needs are
-//! small and structural (SimElf images in the VFS, offline site logs, and
-//! benchmark result files), so this crate provides exactly that: a JSON
-//! [`Value`], a strict parser, and compact/pretty writers.
+//! small and structural (offline site logs and benchmark result files),
+//! so this crate provides exactly that: a JSON [`Value`], a strict parser,
+//! and compact/pretty writers.
 //!
 //! Numbers are kept as `u64`/`i64`/`f64` variants so guest addresses (up to
 //! 2^47) round-trip exactly rather than through a lossy double.
@@ -93,20 +93,6 @@ impl Value {
             Value::Array(v) => Some(v),
             _ => None,
         }
-    }
-
-    /// Array of bytes (`[0..=255]` integers), if shaped like one.
-    pub fn as_bytes(&self) -> Option<Vec<u8>> {
-        let arr = self.as_array()?;
-        let mut out = Vec::with_capacity(arr.len());
-        for v in arr {
-            let b = v.as_u64()?;
-            if b > 255 {
-                return None;
-            }
-            out.push(b as u8);
-        }
-        Some(out)
     }
 
     /// Serializes compactly (no whitespace).
@@ -518,11 +504,6 @@ impl From<f64> for Value {
     }
 }
 
-/// Encodes a byte slice as a JSON array of integers.
-pub fn bytes_value(data: &[u8]) -> Value {
-    Value::Array(data.iter().map(|b| Value::UInt(*b as u64)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,7 +516,10 @@ mod tests {
             ("neg", Value::Int(-7)),
             ("ok", Value::Bool(true)),
             ("ratio", Value::Float(1.25)),
-            ("bytes", bytes_value(&[0, 127, 255])),
+            (
+                "bytes",
+                Value::Array(vec![Value::UInt(0), Value::UInt(127), Value::UInt(255)]),
+            ),
             ("nothing", Value::Null),
         ]);
         let compact = v.to_string_compact();

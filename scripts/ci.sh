@@ -12,8 +12,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# --no-fail-fast: every test binary runs even after one fails, so one
+# broken pin cannot hide the others.
+echo "==> cargo test -q --no-fail-fast"
+cargo test -q --no-fail-fast
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
