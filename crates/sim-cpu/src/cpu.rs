@@ -124,10 +124,12 @@ pub struct Cpu {
     /// Protection-key rights register (thread-local, as on real hardware).
     pub pkru: Pkru,
     icache: FastMap<u64, ICacheEntry>,
-    /// Page base → rips of cached decodes whose bytes touch that page.
-    /// Store invalidation consults only the (at most three) pages a store
-    /// can affect instead of scanning the whole icache. Entries may be
-    /// stale (decode already evicted); they are pruned lazily.
+    /// Page base → rips of cached decodes whose bytes touch that page,
+    /// sorted and without repeats. Store invalidation consults only the
+    /// (at most three) pages a store can affect, and in each only the rips
+    /// that can start an overlapping decode, instead of scanning the whole
+    /// icache. Entries may be stale (decode already evicted); a store
+    /// prunes those inside its window.
     icache_index: FastMap<u64, Vec<u64>>,
     /// Serialization generation: bumped by [`Cpu::flush_icache`]. Cached
     /// decodes whose `fresh_gen` lags are revalidated against page content
@@ -335,11 +337,13 @@ impl Cpu {
 
     /// Invalidates any cached decode whose bytes overlap `[addr, addr+len)`.
     ///
-    /// Decodes are at most 10 bytes, so only rips in `(addr-9 ..
-    /// addr+len)` can overlap — and those live in at most a handful of
+    /// Decodes are at most 10 bytes, so only rips in `[addr − 9,
+    /// addr + len)` can overlap — and those live in at most a handful of
     /// pages, found through `icache_index` rather than a full-cache scan.
-    /// Cross-page decodes are registered under every page they touch, so a
-    /// store into either page finds them.
+    /// Each page's rips are sorted, so a binary search finds the window
+    /// and nothing outside it is inspected. Cross-page decodes are
+    /// registered under every page they touch, so a store into either
+    /// page finds them.
     fn invalidate_icache_range(&mut self, addr: u64, len: u64) {
         let end = addr.saturating_add(len);
         // Traces are registered under every page their ops' bytes touch,
@@ -383,7 +387,8 @@ impl Cpu {
         if self.icache.is_empty() {
             return;
         }
-        let first = Self::page_of(addr.saturating_sub(9));
+        let lo = addr.saturating_sub(9);
+        let first = Self::page_of(lo);
         let last = Self::page_of(end - 1); // len >= 1 always
         let Cpu {
             icache,
@@ -394,18 +399,24 @@ impl Cpu {
         let mut page = first;
         loop {
             if let Some(rips) = icache_index.get_mut(&page) {
-                rips.retain(|&rip| match icache.get(&rip) {
-                    Some(e) => {
-                        if rip < end && rip.wrapping_add(e.len as u64) > addr {
+                let from = rips.partition_point(|&rip| rip < lo);
+                let to = from + rips[from..].partition_point(|&rip| rip < end);
+                let mut kept = from;
+                for j in from..to {
+                    let rip = rips[j];
+                    match icache.get(&rip) {
+                        Some(e) if rip.wrapping_add(e.len as u64) > addr => {
                             icache.remove(&rip);
                             removed += 1;
-                            false
-                        } else {
-                            true
                         }
+                        Some(_) => {
+                            rips[kept] = rip;
+                            kept += 1;
+                        }
+                        None => {} // stale entry: decode already evicted
                     }
-                    None => false, // stale entry: decode already evicted
-                });
+                }
+                rips.drain(kept..to);
                 if rips.is_empty() {
                     icache_index.remove(&page);
                 }
@@ -466,8 +477,8 @@ impl Cpu {
                         (page, mem.page_version(page).unwrap_or(0));
                     entry.npages += 1;
                     let rips = self.icache_index.entry(page).or_default();
-                    if !rips.contains(&self.rip) {
-                        rips.push(self.rip);
+                    if let Err(at) = rips.binary_search(&self.rip) {
+                        rips.insert(at, self.rip);
                     }
                     if page == last {
                         break;
@@ -612,28 +623,12 @@ impl Cpu {
                 // Batch-consume nop runs (the trampoline sled): zero-cost
                 // single-byte nops with no architectural effect, so skipping
                 // the whole run in one step is semantically identical and
-                // keeps sled traversal cheap for the host.
-                let mut end = next;
-                let mut buf = [0u8; 64];
-                #[allow(clippy::while_let_loop)] // labeled break from the inner scan
-                'scan: loop {
-                    let n = match mem.fetch(end, &mut buf, self.pkru) {
-                        Ok(n) => n,
-                        Err(_) => break,
-                    };
-                    for &b in &buf[..n] {
-                        if b != 0x90 {
-                            break 'scan;
-                        }
-                        end += 1;
-                        self.retired += 1;
-                    }
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                self.rip = end;
-                self.retired += 1;
+                // keeps sled traversal cheap for the host. The run stops
+                // where fetch would: at another byte, or at a page it may
+                // not execute, whose fault the next step then raises.
+                let run = mem.nop_run(next, self.pkru);
+                self.rip = next.wrapping_add(run);
+                self.retired += run + 1;
                 return Step {
                     event: StepEvent::Executed,
                     cycles,
@@ -1758,6 +1753,37 @@ mod tests {
         // *would* have run from a stale icache if self-writes didn't
         // invalidate.
         assert_eq!(cpu.get(Reg::Rbx), 0);
+    }
+
+    #[test]
+    fn own_store_reaches_a_decode_nine_bytes_back() {
+        // A 10-byte `mov rbx, imm64` starting 9 bytes before a page
+        // boundary ends on the boundary's first byte, so a one-byte store
+        // there is the furthest a store reaches back: the invalidation
+        // window starts at `addr − 9`, in the previous page.
+        const BOUNDARY: u64 = 0x2000;
+        const MOV: u64 = BOUNDARY - 9;
+        let mut mem = AddressSpace::new();
+        mem.map(0x1000, 0x2000, Perms::RWX, "code").unwrap();
+        let mut mov = Inst::MovImm(Reg::Rbx, 0x1111_1111_1111_1111).encode();
+        assert_eq!(mov.len(), 10);
+        mov.push(0xf4); // hlt
+        mem.write_raw(MOV, &mov).unwrap();
+        let mut a = Asm::new();
+        a.mov_imm(Reg::Rdi, BOUNDARY);
+        a.mov_imm(Reg::Rax, 0x77);
+        a.store_byte(Reg::Rdi, 0, Reg::Rax);
+        a.inst(Inst::Hlt);
+        mem.write_raw(0x1000, &a.finish()).unwrap();
+        let mut cpu = Cpu::new();
+        cpu.rip = MOV;
+        run_until_hlt(&mut cpu, &mut mem); // decodes and caches the mov
+        assert_eq!(cpu.get(Reg::Rbx), 0x1111_1111_1111_1111);
+        cpu.rip = 0x1000;
+        run_until_hlt(&mut cpu, &mut mem); // the own-core store
+        cpu.rip = MOV;
+        run_until_hlt(&mut cpu, &mut mem);
+        assert_eq!(cpu.get(Reg::Rbx), 0x7711_1111_1111_1111);
     }
 
     #[test]

@@ -559,23 +559,11 @@ impl AddressSpace {
         let mut done = 0usize;
         while done < len {
             let a = addr.wrapping_add(done as u64);
-            let base = Self::page_base(a);
-            let off = (a - base) as usize;
+            let off = (a - Self::page_base(a)) as usize;
             let run = (PAGE_SIZE as usize - off).min(len - done);
-            sim_obs::page_run(run as u64);
-            let (slot, perms, pkey) = self.load_page(base).ok_or(Fault {
-                addr: a,
-                access,
-                reason: FaultReason::Unmapped,
-            })?;
-            Self::check_attrs(perms, pkey, a, access, pkru)?;
+            let slot = self.checked_page(a, run, access, pkru)?;
             match write_src {
-                Some(src) => {
-                    let v = self.next_version();
-                    let frame = &mut self.frames[slot as usize];
-                    frame.data[off..off + run].copy_from_slice(&src[done..done + run]);
-                    frame.version = v;
-                }
+                Some(src) => self.write_frame(slot, off, &src[done..done + run]),
                 None => {
                     let frame = &self.frames[slot as usize];
                     buf[done..done + run].copy_from_slice(&frame.data[off..off + run]);
@@ -583,6 +571,66 @@ impl AddressSpace {
             }
             done += run;
         }
+        Ok(())
+    }
+
+    /// One page run of a checked access: records the run's length, looks
+    /// the page holding `a` up (TLB, page table, lazy materialization) and
+    /// checks its permissions and PKU key for `access`. Returns the
+    /// frame's slab slot.
+    #[inline]
+    fn checked_page(
+        &mut self,
+        a: u64,
+        run: usize,
+        access: Access,
+        pkru: Pkru,
+    ) -> Result<u32, Fault> {
+        sim_obs::page_run(run as u64);
+        let (slot, perms, pkey) = self.load_page(Self::page_base(a)).ok_or(Fault {
+            addr: a,
+            access,
+            reason: FaultReason::Unmapped,
+        })?;
+        Self::check_attrs(perms, pkey, a, access, pkru)?;
+        Ok(slot)
+    }
+
+    /// Copies `src` into frame `slot` at `off` and stamps the frame with a
+    /// fresh content version.
+    #[inline]
+    fn write_frame(&mut self, slot: u32, off: usize, src: &[u8]) {
+        let v = self.next_version();
+        let frame = &mut self.frames[slot as usize];
+        frame.data[off..off + src.len()].copy_from_slice(src);
+        frame.version = v;
+    }
+
+    /// A checked read of `N` bytes: one page run when they lie in one
+    /// page, [`AddressSpace::access`] when they straddle two.
+    #[inline]
+    fn read_n<const N: usize>(&mut self, addr: u64, pkru: Pkru) -> Result<[u8; N], Fault> {
+        let mut b = [0u8; N];
+        let off = (addr - Self::page_base(addr)) as usize;
+        if off + N > PAGE_SIZE as usize {
+            self.access(addr, &mut b, Access::Read, pkru, None)?;
+        } else {
+            let slot = self.checked_page(addr, N, Access::Read, pkru)?;
+            b.copy_from_slice(&self.frames[slot as usize].data[off..off + N]);
+        }
+        Ok(b)
+    }
+
+    /// A checked write of `N` bytes: one page run when they lie in one
+    /// page, [`AddressSpace::access`] when they straddle two.
+    #[inline]
+    fn write_n<const N: usize>(&mut self, addr: u64, b: [u8; N], pkru: Pkru) -> Result<(), Fault> {
+        let off = (addr - Self::page_base(addr)) as usize;
+        if off + N > PAGE_SIZE as usize {
+            return self.access(addr, &mut [], Access::Write, pkru, Some(&b));
+        }
+        let slot = self.checked_page(addr, N, Access::Write, pkru)?;
+        self.write_frame(slot, off, &b);
         Ok(())
     }
 
@@ -675,22 +723,9 @@ impl AddressSpace {
         let mut done = 0usize;
         while done < len {
             let a = addr.wrapping_add(done as u64);
-            let base = Self::page_base(a);
-            let off = (a - base) as usize;
+            let off = (a - Self::page_base(a)) as usize;
             let run = (PAGE_SIZE as usize - off).min(len - done);
-            sim_obs::page_run(run as u64);
-            let checked = self
-                .load_page(base)
-                .ok_or(Fault {
-                    addr: a,
-                    access: Access::Fetch,
-                    reason: FaultReason::Unmapped,
-                })
-                .and_then(|(slot, perms, pkey)| {
-                    Self::check_attrs(perms, pkey, a, Access::Fetch, pkru)?;
-                    Ok(slot)
-                });
-            match checked {
+            match self.checked_page(a, run, Access::Fetch, pkru) {
                 Ok(slot) => {
                     let frame = &self.frames[slot as usize];
                     buf[done..done + run].copy_from_slice(&frame.data[off..off + run]);
@@ -726,24 +761,53 @@ impl AddressSpace {
         Ok(buf.len())
     }
 
-    /// Checked u64 read (little-endian).
+    /// Length in bytes of the run of one-byte nops (`0x90`) that starts at
+    /// `addr`, as far as instruction fetch reaches: the run ends at the
+    /// first other byte, or where a page is unmapped or not executable
+    /// (fetch ignores PKU). Never faults; a run that cannot be fetched is
+    /// 0 bytes long.
+    ///
+    /// One page run per page: a TLB lookup and a fetch-permission check,
+    /// then the frame's bytes are compared a word at a time. The CPU
+    /// retires a whole trampoline sled with one call.
+    #[inline]
+    pub fn nop_run(&mut self, addr: u64, pkru: Pkru) -> u64 {
+        let mut len = 0u64;
+        loop {
+            let a = addr.wrapping_add(len);
+            let off = (a - Self::page_base(a)) as usize;
+            let run = PAGE_SIZE as usize - off;
+            let Ok(slot) = self.checked_page(a, run, Access::Fetch, pkru) else {
+                return len;
+            };
+            let n = nop_prefix(&self.frames[slot as usize].data[off..]);
+            len += n as u64;
+            if n < run {
+                return len;
+            }
+        }
+    }
+
+    /// Checked u64 read (little-endian), in one page run when its eight
+    /// bytes share a page.
     ///
     /// # Errors
     ///
     /// Faults like [`AddressSpace::read`].
+    #[inline]
     pub fn read_u64(&mut self, addr: u64, pkru: Pkru) -> Result<u64, Fault> {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b, pkru)?;
-        Ok(u64::from_le_bytes(b))
+        self.read_n(addr, pkru).map(u64::from_le_bytes)
     }
 
-    /// Checked u64 write (little-endian).
+    /// Checked u64 write (little-endian), in one page run when its eight
+    /// bytes share a page.
     ///
     /// # Errors
     ///
     /// Faults like [`AddressSpace::write`].
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, v: u64, pkru: Pkru) -> Result<(), Fault> {
-        self.write(addr, &v.to_le_bytes(), pkru)
+        self.write_n(addr, v.to_le_bytes(), pkru)
     }
 
     /// Checked u8 read.
@@ -751,10 +815,9 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Faults like [`AddressSpace::read`].
+    #[inline]
     pub fn read_u8(&mut self, addr: u64, pkru: Pkru) -> Result<u8, Fault> {
-        let mut b = [0u8; 1];
-        self.read(addr, &mut b, pkru)?;
-        Ok(b[0])
+        self.read_n(addr, pkru).map(|[b]: [u8; 1]| b)
     }
 
     /// Checked u8 write.
@@ -762,8 +825,9 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Faults like [`AddressSpace::write`].
+    #[inline]
     pub fn write_u8(&mut self, addr: u64, v: u8, pkru: Pkru) -> Result<(), Fault> {
-        self.write(addr, &[v], pkru)
+        self.write_n(addr, [v], pkru)
     }
 
     /// Kernel-privileged read ignoring permissions and PKU (used by syscall
@@ -808,12 +872,7 @@ impl AddressSpace {
                 reason: FaultReason::Unmapped,
             })?;
             match write_src {
-                Some(src) => {
-                    let v = self.next_version();
-                    let frame = &mut self.frames[slot as usize];
-                    frame.data[off..off + run].copy_from_slice(&src[done..done + run]);
-                    frame.version = v;
-                }
+                Some(src) => self.write_frame(slot, off, &src[done..done + run]),
                 None => {
                     let frame = &self.frames[slot as usize];
                     buf[done..done + run].copy_from_slice(&frame.data[off..off + run]);
@@ -857,6 +916,22 @@ impl AddressSpace {
         }
         Ok(String::from_utf8_lossy(&out).into_owned())
     }
+}
+
+/// Number of leading `0x90` bytes in `bytes`, compared eight at a time.
+fn nop_prefix(bytes: &[u8]) -> usize {
+    const NOPS: u64 = u64::from_le_bytes([0x90; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut n = 0;
+    for w in &mut words {
+        let diff = u64::from_le_bytes(w.try_into().expect("8-byte chunk")) ^ NOPS;
+        if diff != 0 {
+            // Little-endian: the lowest differing byte comes first.
+            return n + diff.trailing_zeros() as usize / 8;
+        }
+        n += 8;
+    }
+    n + words.remainder().iter().take_while(|&&b| b == 0x90).count()
 }
 
 #[cfg(test)]

@@ -62,6 +62,18 @@ proptest! {
     }
 }
 
+/// The mapped pages of [`hostile_layout`].
+const ARENA: [u64; 10] = [
+    0x1000, 0x2000, 0x3000, 0x5000, 0x6000, 0x7000, 0x8000, 0x9000, 0xb000, 0xc000,
+];
+
+/// The bytes of the mapped page at `page`, read through the raw view.
+fn raw_page(s: &mut AddressSpace, page: u64) -> Vec<u8> {
+    let mut b = vec![0u8; PAGE_SIZE as usize];
+    s.read_raw(page, &mut b).unwrap();
+    b
+}
+
 /// A hostile layout for the fast-path/reference equivalence properties:
 /// a patchwork of RW, RO, RX, XOM (PKU-guarded), and pkey-tagged regions
 /// with unmapped holes between them, so random accesses cross page
@@ -79,7 +91,7 @@ fn hostile_layout() -> AddressSpace {
     s.map(0xb000, 2 * PAGE_SIZE, Perms::RW, "keyed").unwrap();
     s.set_pkey(0xb000, 2 * PAGE_SIZE, 2).unwrap();
     // seed deterministic contents so reads see non-zero data
-    for page in [0x1000u64, 0x2000, 0x3000, 0x5000, 0x6000, 0x7000, 0x8000, 0x9000, 0xb000, 0xc000] {
+    for page in ARENA {
         let fill: Vec<u8> = (0..PAGE_SIZE).map(|i| (page >> 8) as u8 ^ i as u8).collect();
         s.write_raw(page, &fill).unwrap();
     }
@@ -139,12 +151,9 @@ proptest! {
         prop_assert_eq!(ra, rb);
         // Partial-transfer semantics must match exactly: compare the whole
         // arena through the raw view.
-        for page in [0x1000u64, 0x2000, 0x3000, 0x5000, 0x6000, 0x7000, 0x8000, 0x9000, 0xb000, 0xc000] {
-            let mut pa = vec![0u8; PAGE_SIZE as usize];
-            let mut pb = vec![0u8; PAGE_SIZE as usize];
-            fast.read_raw(page, &mut pa).unwrap();
-            reference.read_raw(page, &mut pb).unwrap();
-            prop_assert_eq!(pa, pb, "page {:#x} diverged", page);
+        for page in ARENA {
+            prop_assert_eq!(raw_page(&mut fast, page), raw_page(&mut reference, page),
+                            "page {:#x} diverged", page);
         }
     }
 
@@ -170,13 +179,16 @@ proptest! {
         }
     }
 
-    /// Equivalence holds across interleaved mixes of reads, writes, and
-    /// fetches on the *same* pair of spaces — exercising TLB reuse,
-    /// invalidation by protect/set_pkey, and frame recycling by unmap.
+    /// Equivalence holds across interleaved mixes of reads, writes,
+    /// fetches and the typed `u64`/`u8` accessors on the *same* pair of
+    /// spaces — exercising TLB reuse, invalidation by protect/set_pkey,
+    /// and frame recycling by unmap. Typed accesses land anywhere, or in
+    /// the last eight bytes of a page, so `u64`s straddle into the next
+    /// page (and past its end into holes) as often as they fit in one.
     #[test]
     fn fast_mixed_ops_equal_reference(
         ops in proptest::collection::vec(
-            (0u8..6, 0x0800u64..0xe000, 1usize..64, any::<u64>()), 1..40),
+            (0u8..10, 0x0800u64..0xe000, 1usize..64, any::<u64>()), 1..40),
     ) {
         let mut fast = hostile_layout();
         let mut reference = fast.clone();
@@ -204,6 +216,30 @@ proptest! {
                                     reference.fetch_ref(*addr, &mut b, pkru));
                     prop_assert_eq!(a, b);
                 }
+                5..=8 => {
+                    let at = if seed % 2 == 0 { *addr } else { (*addr | (PAGE_SIZE - 1)) - seed % 8 };
+                    match kind {
+                        5 => {
+                            let mut b = [0u8; 8];
+                            prop_assert_eq!(fast.read_u64(at, pkru),
+                                            reference.read_ref(at, &mut b, pkru)
+                                                .map(|()| u64::from_le_bytes(b)));
+                        }
+                        6 => prop_assert_eq!(fast.write_u64(at, *seed, pkru),
+                                             reference.write_ref(at, &seed.to_le_bytes(), pkru)),
+                        7 => {
+                            let mut b = [0u8; 1];
+                            prop_assert_eq!(fast.read_u8(at, pkru),
+                                            reference.read_ref(at, &mut b, pkru).map(|()| b[0]));
+                        }
+                        _ => prop_assert_eq!(fast.write_u8(at, *seed as u8, pkru),
+                                             reference.write_ref(at, &[*seed as u8], pkru)),
+                    }
+                    for page in ARENA {
+                        prop_assert_eq!(raw_page(&mut fast, page), raw_page(&mut reference, page),
+                                        "page {:#x} diverged", page);
+                    }
+                }
                 _ => {
                     // Protection churn invalidates the TLB; both views get
                     // the same mutation.
@@ -214,5 +250,55 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Nop sleds for [`nop_run_equals_a_fetch_byte_loop`]: two RX pages
+/// ending at an RO page, an RX page ending at an unmapped hole, and an RX
+/// page running into the PKU-keyed XOM page, itself followed by a hole.
+/// Every mapped byte is a nop except at `stops`, offsets from `0x1000`
+/// (a stop in a hole is dropped).
+fn sled_layout(stops: &[u64]) -> AddressSpace {
+    let mut s = AddressSpace::new();
+    s.map(0x1000, 2 * PAGE_SIZE, Perms::RX, "sled").unwrap();
+    s.map(0x3000, PAGE_SIZE, Perms::R, "ro").unwrap();
+    // hole at 0x4000
+    s.map(0x5000, PAGE_SIZE, Perms::RX, "sled2").unwrap();
+    // hole at 0x6000
+    s.map(0x7000, PAGE_SIZE, Perms::RX, "sled3").unwrap();
+    s.map(0x8000, PAGE_SIZE, Perms::RX, "xom").unwrap();
+    s.set_pkey(0x8000, PAGE_SIZE, 1).unwrap();
+    // hole at 0x9000
+    for page in [0x1000u64, 0x2000, 0x3000, 0x5000, 0x7000, 0x8000] {
+        s.write_raw(page, &[0x90; PAGE_SIZE as usize]).unwrap();
+    }
+    for &off in stops {
+        if s.is_mapped(0x1000 + off) {
+            s.write_raw(0x1000 + off, &[0xc3]).unwrap();
+        }
+    }
+    s
+}
+
+proptest! {
+    /// `nop_run` is the number of leading `0x90` bytes that a byte-at-a-time
+    /// fetch loop reads: runs cross from one RX page into the next, end at
+    /// a non-nop byte, an RO page or an unmapped hole, and run on through
+    /// the XOM page whatever the PKRU (fetch ignores PKU).
+    #[test]
+    fn nop_run_equals_a_fetch_byte_loop(
+        addr in 0x0ff0u64..0x9010,
+        stops in proptest::collection::vec(0u64..0x8000, 0..6),
+        which_pkru in 0usize..4,
+    ) {
+        let pkru = pkru_variants()[which_pkru];
+        let mut fast = sled_layout(&stops);
+        let mut reference = fast.clone();
+        let mut n = 0u64;
+        let mut b = [0u8; 1];
+        while reference.fetch_ref(addr + n, &mut b, pkru) == Ok(1) && b[0] == 0x90 {
+            n += 1;
+        }
+        prop_assert_eq!(fast.nop_run(addr, pkru), n);
     }
 }

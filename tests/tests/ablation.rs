@@ -5,9 +5,10 @@
 //!    the linear sweep both misses and fabricates.
 //! 2. The engine-mode matrix (DESIGN.md §10): stepwise × block produce
 //!    instruction-for-instruction identical streams — plain, under a
-//!    fault plan, and with the profiler enabled — and, with no session
-//!    configured, the same retired-instruction clock, while the block
-//!    engine's throughput is at least the stepwise oracle's.
+//!    fault plan, with the profiler enabled, and on nop sleds that cross
+//!    page boundaries — and, with no session configured, the same
+//!    retired-instruction clock, while the block engine's throughput is
+//!    at least the stepwise oracle's.
 
 use std::rc::Rc;
 use std::time::Instant;
@@ -16,10 +17,12 @@ use bench::micro::{install_micro, MICRO_APP};
 use interpose::{Interposer, Native};
 use k23_tests::RwxLoader;
 use pitfalls::fault::{plan_for, run_probe, run_probe_on, Scenario};
+use sim_cpu::StepEvent;
 use sim_fault::{FaultKind, FaultPlan, SyscallFault};
 use sim_isa::{Asm, Reg};
 use sim_kernel::{nr, EngineConfig, Kernel, Pid, RunExit, TraceEntry};
 use sim_loader::boot_kernel;
+use sim_mem::{Access, Fault, FaultReason};
 use sim_obs::ObsConfig;
 use zpoline::{ScanStrategy, Zpoline};
 
@@ -84,6 +87,82 @@ enum Guest {
     /// A self-looping trace whose terminal `call` rewrites its own code
     /// once: see [`self_patching_loop`].
     SelfPatch,
+    /// Calls into a nop sled at falling offsets, some of whose runs cross
+    /// from one executable page into the next: see [`sled_across_pages`].
+    SledAcrossPages,
+    /// A nop sled that crosses a page and runs into a page mprotected
+    /// non-executable: see [`sled_into_no_exec`].
+    SledIntoNoExec,
+}
+
+/// Where `RwxLoader` maps the code.
+const CODE_BASE: u64 = 0x1000;
+
+/// The page boundary both sled guests' runs cross.
+const SLED_BOUNDARY: u64 = 0x2000;
+
+/// Pads `a` with `int3`s (nothing runs there) up to offset `to`.
+fn pad_to(a: &mut Asm, to: u64) {
+    let pad = to as usize - a.here();
+    a.bytes(&vec![0xcc; pad]);
+}
+
+/// `SLED_CALLS` calls into a 4 KiB nop sled at `sled + 64·k`, k =
+/// `SLED_CALLS`..1, each returning through the `ret` at its end. Entries
+/// below [`SLED_BOUNDARY`] walk a run across it. Returns the code and
+/// the address of the `ret`.
+fn sled_across_pages() -> (Vec<u8>, u64) {
+    const SLED_CALLS: u64 = 40;
+    let mut a = Asm::new();
+    a.mov_imm(Reg::Rbx, SLED_CALLS);
+    a.label("top");
+    a.lea_label(Reg::Rax, "sled");
+    a.mov_reg(Reg::Rcx, Reg::Rbx);
+    a.shl_imm(Reg::Rcx, 6);
+    a.add_reg(Reg::Rax, Reg::Rcx);
+    a.call_reg(Reg::Rax);
+    a.sub_imm(Reg::Rbx, 1);
+    a.jnz("top");
+    a.mov_imm(Reg::Rdi, 0);
+    a.mov_imm(Reg::Rax, nr::SYS_EXIT_GROUP);
+    a.syscall();
+    pad_to(&mut a, SLED_BOUNDARY - CODE_BASE - 0x800);
+    a.label("sled");
+    a.nops(0x1000);
+    a.label("ret");
+    a.ret();
+    let prog = a.finish_program();
+    // The first call enters above the boundary, the last ones below it.
+    assert!(CODE_BASE + prog.sym("sled") + 64 * SLED_CALLS > SLED_BOUNDARY);
+    let ret = CODE_BASE + prog.sym("ret");
+    (prog.bytes, ret)
+}
+
+/// mprotects the page after a nop sled read-write, then jumps to the
+/// sled, which crosses [`SLED_BOUNDARY`] and ends where that page starts.
+/// The page holds more nops and an `exit_group(0)`, none of which may
+/// run: fetch faults on its first byte. Returns the code and the
+/// non-executable page's address.
+fn sled_into_no_exec() -> (Vec<u8>, u64) {
+    const NX_PAGE: u64 = SLED_BOUNDARY + 0x1000;
+    let mut a = Asm::new();
+    a.mov_imm(Reg::Rdi, NX_PAGE);
+    a.mov_imm(Reg::Rsi, 0x1000);
+    a.mov_imm(Reg::Rdx, 3); // PROT_READ | PROT_WRITE
+    a.mov_imm(Reg::Rax, nr::SYS_MPROTECT);
+    a.syscall();
+    a.jmp("sled");
+    pad_to(&mut a, SLED_BOUNDARY - CODE_BASE - 0x400);
+    a.label("sled");
+    a.nops(0x1400);
+    a.label("nx");
+    a.nops(16);
+    a.mov_imm(Reg::Rdi, 0);
+    a.mov_imm(Reg::Rax, nr::SYS_EXIT_GROUP);
+    a.syscall();
+    let prog = a.finish_program();
+    assert_eq!(CODE_BASE + prog.sym("nx"), NX_PAGE);
+    (prog.bytes, NX_PAGE)
 }
 
 /// Iterations [`self_patching_loop`] runs before its patch, so its trace
@@ -163,6 +242,8 @@ fn boot_guest(guest: Guest) -> (Kernel, Pid) {
             raw(a.finish())
         }
         Guest::SelfPatch => raw(self_patching_loop().0),
+        Guest::SledAcrossPages => raw(sled_across_pages().0),
+        Guest::SledIntoNoExec => raw(sled_into_no_exec().0),
     }
 }
 
@@ -283,7 +364,71 @@ fn engine_matrix_streams_identical() {
                     "the patched bytes never ran"
                 );
             }
-            Guest::Micro(_) => {}
+            Guest::Micro(_) | Guest::SledAcrossPages | Guest::SledIntoNoExec => {}
+        }
+    }
+}
+
+/// Nop sleds across page boundaries: the nop arm retires a whole run in
+/// one step, up to the first byte fetch cannot execute, on both engines.
+/// The run exit, clock, retired count, exit status, fault and exec-trace
+/// stream match the stepwise oracle; one step carries a run across
+/// [`SLED_BOUNDARY`], and a run into a non-executable page stops on its
+/// first byte, where the next step's fetch faults.
+#[test]
+fn engine_matrix_agrees_on_sled_page_crossings() {
+    for guest in [Guest::SledAcrossPages, Guest::SledIntoNoExec] {
+        type Outcome = (RunExit, u64, u64, Option<i64>, Option<(u64, Fault)>);
+        let mut oracle: Option<(Outcome, Vec<TraceEntry>)> = None;
+        for (name, cfg) in engines() {
+            let (mut k, pid) = boot_guest(guest);
+            k.configure(cfg);
+            k.start_exec_trace();
+            let exit = k.run(u64::MAX / 4);
+            let stream = k.take_exec_trace();
+            let fault = stream.iter().find_map(|e| match e.event {
+                StepEvent::Fault(f) => Some((e.rip, f)),
+                _ => None,
+            });
+            let status = k.process(pid).expect("proc").exit_status;
+            let outcome = (exit, k.clock, k.retired(), status, fault);
+            match &oracle {
+                None => oracle = Some((outcome, stream)),
+                Some((ref_outcome, ref_stream)) => {
+                    assert_eq!(outcome, *ref_outcome, "{guest:?} {name}: outcome diverges");
+                    assert_streams_equal(name, &stream, ref_stream);
+                }
+            }
+        }
+        let ((exit, _, _, status, fault), stream) = oracle.expect("ran");
+        assert_eq!(exit, RunExit::AllExited, "{guest:?}");
+        // The step before `to` started below the boundary: one run crossed it.
+        let crossed_to = |to: u64| {
+            stream
+                .windows(2)
+                .any(|w| w[0].rip < SLED_BOUNDARY && w[1].rip == to)
+        };
+        match guest {
+            Guest::SledAcrossPages => {
+                assert_eq!(status, Some(0));
+                assert_eq!(fault, None);
+                assert!(
+                    crossed_to(sled_across_pages().1),
+                    "no run crossed the boundary"
+                );
+            }
+            Guest::SledIntoNoExec => {
+                let nx = sled_into_no_exec().1;
+                assert_eq!(status, Some(128 + nr::SIGSEGV as i64));
+                let want = Fault {
+                    addr: nx,
+                    access: Access::Fetch,
+                    reason: FaultReason::Protection,
+                };
+                assert_eq!(fault, Some((nx, want)));
+                assert!(crossed_to(nx), "the run did not stop at the page");
+            }
+            other => unreachable!("{other:?} is not a sled guest"),
         }
     }
 }
