@@ -180,8 +180,6 @@ fn profile(
     if k23::needs_offline(name) {
         cli::install_log(&mut k, Some(log.ok_or("offline log not collected")?));
     }
-    sim_obs::clear_region_paths();
-    sim_obs::clear_span_ranges();
     k.configure(cli::engine(engine)?.profile(period));
     sim_obs::enable(sim_obs::ObsConfig {
         micro_events: false,

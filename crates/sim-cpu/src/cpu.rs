@@ -104,8 +104,6 @@ pub struct BlockExit {
     /// Steps consumed (every step counts, including the final event step —
     /// the scheduler's slice accounting unit).
     pub steps: u64,
-    /// `vsyscall` instructions executed within the block.
-    pub vdso_calls: u64,
     /// Steps left of the slice the block ended in: the budget less the
     /// steps taken, where a syscall the hook served started a new slice
     /// with the budget it returned.
@@ -147,23 +145,19 @@ pub struct Cpu {
     /// (nothing was written anywhere in the space, so every revalidation
     /// would trivially succeed). Reset by any unconditional flush.
     last_serialize_stamp: Option<(u64, u64)>,
-    /// Trace cache (superblock promotion). `None` only while
-    /// [`Cpu::exec_trace`] has moved it out of `self`; store invalidation
-    /// then buffers into `pending_trace_unlinks` instead of unlinking
-    /// directly.
-    trace: Option<Box<TraceCache>>,
-    /// Set mid-replay (store into the replaying trace's pages, or any
+    /// Trace cache (superblock promotion).
+    trace: Box<TraceCache>,
+    /// Pool index of the trace [`Cpu::exec_trace`] is replaying.
+    replaying: Option<u32>,
+    /// Set mid-replay (a store that unlinked the replaying trace, or any
     /// icache flush) to force a side exit at the next op boundary. A
     /// spurious side exit is always safe: cold execution is
     /// architecturally identical.
     trace_replay_break: bool,
-    /// Page bases of the trace currently being replayed.
-    replay_pages: Vec<u64>,
-    /// Pages written while the trace cache was moved out; their traces
-    /// are unlinked when the cache is put back.
-    pending_trace_unlinks: Vec<u64>,
     /// Retired instruction count (for debugging and run limits).
     pub retired: u64,
+    /// `vsyscall` instructions retired.
+    pub vsyscalls: u64,
 }
 
 /// One cached decode, revalidatable across serialization points.
@@ -202,11 +196,11 @@ impl Cpu {
             flush_gen: 0,
             seed_flush: false,
             last_serialize_stamp: None,
-            trace: Some(Box::new(TraceCache::new())),
+            trace: Box::new(TraceCache::new()),
+            replaying: None,
             trace_replay_break: false,
-            replay_pages: Vec::new(),
-            pending_trace_unlinks: Vec::new(),
             retired: 0,
+            vsyscalls: 0,
         }
     }
 
@@ -236,9 +230,7 @@ impl Cpu {
         // serialize call, and invalidates any trace being recorded (its
         // ops were captured under the pre-flush generation).
         self.last_serialize_stamp = None;
-        if let Some(tc) = &mut self.trace {
-            tc.abort_recording();
-        }
+        self.trace.abort_recording();
         // A replay in flight must side-exit: its ops were decoded under
         // the pre-flush generation (see `exec_trace`). Harmless outside
         // replay — the flag is reset when a replay starts.
@@ -291,7 +283,7 @@ impl Cpu {
     /// Per-trace occupancy rows (empty until [`Cpu::run_block`] has
     /// formed and entered a trace) — see [`TraceCache::stats`].
     pub fn trace_stats(&self) -> Vec<crate::trace::TraceStat> {
-        self.trace.as_deref().map(TraceCache::stats).unwrap_or_default()
+        self.trace.stats()
     }
 
     /// Applies the x86-64 syscall-entry register clobbers: the kernel leaves
@@ -352,44 +344,26 @@ impl Cpu {
         // too). Page-granular is coarser than the icache's byte-overlap
         // rule below, which is safe: cold execution is architecturally
         // identical, an unlink only costs re-warming.
-        if let Some(tc) = &mut self.trace {
-            let mut page = Self::page_of(addr);
-            let last = Self::page_of(end - 1); // len >= 1 always
-            loop {
-                tc.unlink_page(page);
-                if page == last {
-                    break;
-                }
-                page += sim_mem::PAGE_SIZE;
+        let last = Self::page_of(end - 1); // len >= 1 always
+        let mut page = Self::page_of(addr);
+        loop {
+            self.trace.unlink_page(page);
+            if page == last {
+                break;
             }
-        } else {
-            // The cache is moved out during replay (see `exec_trace`):
-            // buffer the written pages for unlinking when it is put
-            // back, and side-exit the replay only if the store hits the
-            // replaying trace's own pages — matching the immediate
-            // unlink's effect on the `valid` flag the old per-op check
-            // read.
-            let mut page = Self::page_of(addr);
-            let last = Self::page_of(end - 1); // len >= 1 always
-            loop {
-                if !self.pending_trace_unlinks.contains(&page) {
-                    self.pending_trace_unlinks.push(page);
-                }
-                if self.replay_pages.contains(&page) {
-                    self.trace_replay_break = true;
-                }
-                if page == last {
-                    break;
-                }
-                page += sim_mem::PAGE_SIZE;
-            }
+            page += sim_mem::PAGE_SIZE;
+        }
+        // Mid-replay only a store unlinks a trace, so a replaying trace
+        // found unlinked had its pages written, perhaps its upcoming ops:
+        // side-exit at the next op boundary.
+        if self.replaying.is_some_and(|idx| !self.trace.get(idx).valid) {
+            self.trace_replay_break = true;
         }
         if self.icache.is_empty() {
             return;
         }
         let lo = addr.saturating_sub(9);
         let first = Self::page_of(lo);
-        let last = Self::page_of(end - 1); // len >= 1 always
         let Cpu {
             icache,
             icache_index,
@@ -552,6 +526,11 @@ impl Cpu {
     /// `vsyscall` fast time path). Kernel-entering instructions are *not*
     /// executed — they surface as [`StepEvent::Syscall`] with state
     /// untouched, and the kernel performs the architectural effects.
+    ///
+    /// While [`Cpu::run_block`] records a trace, the decoded instruction
+    /// (and its icache entry's decode-time page versions) joins the
+    /// recording. No recording outlives `run_block`, so the stepwise
+    /// oracle's steps never capture.
     pub fn step(&mut self, mem: &mut AddressSpace, clock: u64, cost: &CostModel) -> Step {
         let (inst, len) = match self.fetch_decode(mem) {
             Ok(x) => x,
@@ -563,6 +542,40 @@ impl Cpu {
                 }
             }
         };
+        let rip = self.rip;
+        if let Some(rec) = self.trace.rec.as_mut().filter(|rec| !rec.aborted) {
+            // Take the staleness witness from the icache entry, never
+            // from current memory: a trace must only ever validate
+            // against the exact bytes its ops decoded from (a
+            // stale-but-fresh decode after a cross-core write would
+            // otherwise survive the next serialize).
+            match self.icache.get(&rip) {
+                Some(e) if e.mem_gen == rec.mem_gen => {
+                    let mut ok = true;
+                    for &(page, ver) in &e.pages[..e.npages as usize] {
+                        match rec.pages.iter().position(|&(p, _)| p == page) {
+                            Some(j) => {
+                                if rec.pages[j].1 != ver {
+                                    ok = false;
+                                    break;
+                                }
+                            }
+                            None => rec.pages.push((page, ver)),
+                        }
+                    }
+                    if ok && rec.ops.len() < MAX_OPS {
+                        rec.ops.push(TraceOp {
+                            rip,
+                            inst,
+                            len: len as u8,
+                        });
+                    } else {
+                        rec.aborted = true;
+                    }
+                }
+                _ => rec.aborted = true,
+            }
+        }
         self.exec(inst, len, mem, clock, cost)
     }
 
@@ -636,7 +649,10 @@ impl Cpu {
                 };
             }
             Inst::Cpuid | Inst::Fence => self.serialize(mem),
-            Inst::Vsyscall => self.set(Reg::Rax, clock),
+            Inst::Vsyscall => {
+                self.set(Reg::Rax, clock);
+                self.vsyscalls += 1;
+            }
             Inst::Rdpkru => self.set(Reg::Rax, self.pkru.0 as u64),
             Inst::Wrpkru => self.pkru = Pkru(self.get(Reg::Rax) as u32),
             Inst::Push(r) => {
@@ -881,7 +897,6 @@ impl Cpu {
     ) -> BlockExit {
         let mut cycles = 0u64;
         let mut steps = 0u64;
-        let mut vdso_calls = 0u64;
         let mut slice_left = budget;
         let obs = sim_obs::enabled();
         let mut at_head = true;
@@ -902,19 +917,13 @@ impl Cpu {
             }
             if at_head {
                 let mut idx = self.trace_validate(mem);
-                if idx.is_some() {
+                if idx.is_some() && self.trace.rec.is_some() {
                     // A recording that ran into an existing trace closes
                     // here so the two can chain. Finalizing can reset a
                     // full pool, so the index is re-resolved afterwards
                     // rather than trusted.
-                    let flush_gen = self.flush_gen;
-                    let rip = self.rip;
-                    if let Some(tc) = self.trace.as_deref_mut() {
-                        if tc.rec.is_some() {
-                            tc.finalize(flush_gen);
-                            idx = tc.lookup(rip);
-                        }
-                    }
+                    self.trace.finalize(self.flush_gen);
+                    idx = self.trace.lookup(self.rip);
                 }
                 if let Some(idx) = idx {
                     if obs {
@@ -933,7 +942,6 @@ impl Cpu {
                         &mut cycles,
                         &mut steps,
                         &mut slice_left,
-                        &mut vdso_calls,
                         &mut on_step,
                         &mut hook,
                     ) {
@@ -945,7 +953,6 @@ impl Cpu {
                                 event,
                                 cycles,
                                 steps,
-                                vdso_calls,
                                 slice_left,
                             };
                         }
@@ -964,19 +971,15 @@ impl Cpu {
                 }
                 // Cold head: profile it, start recording past the
                 // threshold.
-                let rip = self.rip;
-                let mem_gen = mem.generation();
-                if let Some(tc) = self.trace.as_deref_mut() {
-                    if tc.rec.is_none() && tc.bump_heat(rip) {
-                        tc.start_recording(rip, mem_gen);
-                    }
+                if self.trace.rec.is_none() && self.trace.bump_heat(self.rip) {
+                    self.trace.start_recording(self.rip, mem.generation());
                 }
             }
             if obs {
                 sim_obs::set_clock(clock + cycles);
             }
             let rip_before = self.rip;
-            let s = self.step_capture(mem, clock + cycles, cost);
+            let s = self.step(mem, clock + cycles, cost);
             steps += 1;
             slice_left -= 1;
             cycles += s.cycles;
@@ -989,11 +992,7 @@ impl Cpu {
                 sim_obs::span_step(clock + cycles, self.rip);
             }
             match s.event {
-                StepEvent::Executed => {
-                    if matches!(s.inst, Some(Inst::Vsyscall)) {
-                        vdso_calls += 1;
-                    }
-                }
+                StepEvent::Executed => {}
                 event => {
                     self.trace_finalize_recording();
                     if let StepEvent::Syscall { site, .. } = event {
@@ -1013,7 +1012,6 @@ impl Cpu {
                         event,
                         cycles,
                         steps,
-                        vdso_calls,
                         slice_left,
                     };
                 }
@@ -1024,18 +1022,13 @@ impl Cpu {
             // entry), on an abort, or when it reaches an already-formed
             // trace; max-op overflow marks itself aborted in capture.
             let rip_now = self.rip;
-            let flush_gen = self.flush_gen;
-            if let Some(tc) = self.trace.as_deref_mut() {
-                let mut close = match &tc.rec {
-                    Some(rec) => rec.aborted || rip_now == rec.entry,
-                    None => false,
-                };
-                if !close && tc.rec.is_some() && tc.lookup(rip_now).is_some() {
-                    close = true;
-                }
-                if close {
-                    tc.finalize(flush_gen);
-                }
+            let tc = &mut self.trace;
+            let close = match &tc.rec {
+                Some(rec) => rec.aborted || rip_now == rec.entry || tc.lookup(rip_now).is_some(),
+                None => false,
+            };
+            if close {
+                tc.finalize(self.flush_gen);
             }
         }
         self.trace_finalize_recording();
@@ -1044,7 +1037,6 @@ impl Cpu {
             event: StepEvent::Executed,
             cycles,
             steps,
-            vdso_calls,
             slice_left,
         }
     }
@@ -1075,7 +1067,7 @@ impl Cpu {
     fn trace_validate(&mut self, mem: &mut AddressSpace) -> Option<u32> {
         let rip = self.rip;
         let flush_gen = self.flush_gen;
-        let tc = self.trace.as_deref_mut()?;
+        let tc = &mut self.trace;
         let idx = tc.lookup(rip)?;
         let t = tc.get_mut(idx);
         if t.fresh_gen == flush_gen {
@@ -1107,9 +1099,9 @@ impl Cpu {
     /// `retired`/`rip` effects as their [`Cpu::exec`] arms, with no
     /// full-match dispatch and no event analysis. Every one is
     /// non-faulting, non-serializing, and storeless (it can't set
-    /// `trace_replay_break`), always retires with
-    /// [`StepEvent::Executed`], and is not `Vsyscall`. Cross-engine
-    /// byte-identity tests pin these arms to `exec`'s.
+    /// `trace_replay_break`), and always retires with
+    /// [`StepEvent::Executed`]. Cross-engine byte-identity tests pin
+    /// these arms to `exec`'s.
     #[inline(always)]
     fn exec_inline(&mut self, inst: Inst, next: u64) -> bool {
         match inst {
@@ -1171,14 +1163,15 @@ impl Cpu {
     /// when an own-core store (or a serializing op) invalidates the trace
     /// under our feet.
     ///
-    /// The trace cache is moved out of `self` for the duration of the
-    /// replay so the op stream is a plain slice walk with no per-op
-    /// `Option<Box<..>>` re-derefs. Invalidation raised by replayed ops
-    /// is routed through `trace_replay_break` (side-exit at the next op
-    /// boundary) and `pending_trace_unlinks` (applied once the cache is
-    /// put back) — see [`Cpu::invalidate_icache_range`] and
-    /// [`Cpu::flush_icache`]. No recording is ever in progress here: the
-    /// dispatcher closes any before entering a trace.
+    /// The trace's op vector is taken out of the pool for the duration
+    /// of the replay, so the op stream is a plain slice walk, while the
+    /// cache itself stays in place: a replayed store unlinks traces as a
+    /// cold one does ([`Cpu::invalidate_icache_range`]), and raises
+    /// `trace_replay_break` (side-exit at the next op boundary) when it
+    /// unlinked this trace, as [`Cpu::flush_icache`] always does. No
+    /// recording is ever in progress here (the dispatcher closes any
+    /// before entering a trace), so nothing resets the pool under the
+    /// replay.
     ///
     /// A [`Cpu::Syscall`](StepEvent::Syscall) op and a spent slice consult
     /// `hook` (see [`Cpu::run_block`]): a handled entry charges its cycles
@@ -1205,20 +1198,17 @@ impl Cpu {
         cycles: &mut u64,
         steps: &mut u64,
         slice_left: &mut u64,
-        vdso_calls: &mut u64,
         on_step: &mut Option<StepObserver<'_>>,
         hook: &mut impl FnMut(&mut Cpu, &mut AddressSpace, Option<u64>, u64) -> HookAction,
     ) -> TraceRun {
-        let mut tc = self.trace.take().expect("exec_trace without trace cache");
-        let t = tc.get(idx);
-        self.replay_pages.clear();
-        self.replay_pages.extend(t.pages.iter().map(|&(p, _)| p));
-        self.trace_replay_break = false;
+        let t = self.trace.get_mut(idx);
         let entry = t.entry;
-        let ops = &t.ops[..];
+        let ops = std::mem::take(&mut t.ops);
+        self.replaying = Some(idx);
+        self.trace_replay_break = false;
         // Only an unobserved replay may skip steps.
         let counted = if on_step.is_none() {
-            CountedLoop::of(ops, cost)
+            CountedLoop::of(&ops, cost)
         } else {
             None
         };
@@ -1230,7 +1220,6 @@ impl Cpu {
         let mut lsteps = *steps;
         let mut lleft = *slice_left;
         let mut lcycles = *cycles;
-        let mut lvdso = *vdso_calls;
         let steps0 = lsteps;
         let mut wraps = 0u64;
         let run = loop {
@@ -1285,11 +1274,7 @@ impl Cpu {
                     sim_obs::span_step(clock + lcycles, self.rip);
                 }
                 match s.event {
-                    StepEvent::Executed => {
-                        if matches!(s.inst, Some(Inst::Vsyscall)) {
-                            lvdso += 1;
-                        }
-                    }
+                    StepEvent::Executed => {}
                     StepEvent::Syscall { site, .. } => {
                         // Direct-path syscall entry inside trace execution:
                         // the kernel-provided hook may service the syscall
@@ -1347,94 +1332,24 @@ impl Cpu {
         *steps = lsteps;
         *slice_left = lleft;
         *cycles = lcycles;
-        *vdso_calls = lvdso;
+        self.replaying = None;
         // Occupancy bookkeeping (host-side only; never observable by the
         // guest): one enter per dispatch plus one per in-place wrap, every
         // step retired inside the trace, and the exit kind.
-        {
-            let t = tc.get_mut(idx);
-            t.enters += 1 + wraps;
-            t.steps += lsteps - steps0;
-            if matches!(run, TraceRun::SideExit) {
-                t.side_exits += 1;
-            }
-        }
-        self.trace = Some(tc);
-        if !self.pending_trace_unlinks.is_empty() {
-            let mut pages = std::mem::take(&mut self.pending_trace_unlinks);
-            if let Some(tc) = self.trace.as_deref_mut() {
-                for &page in &pages {
-                    tc.unlink_page(page);
-                }
-            }
-            pages.clear();
-            self.pending_trace_unlinks = pages; // keep the allocation
+        let t = self.trace.get_mut(idx);
+        t.ops = ops;
+        t.enters += 1 + wraps;
+        t.steps += lsteps - steps0;
+        if matches!(run, TraceRun::SideExit) {
+            t.side_exits += 1;
         }
         run
     }
 
-    /// Like [`Cpu::step`], but captures the decoded instruction (and its
-    /// icache entry's decode-time page versions) into the in-progress
-    /// trace recording.
-    fn step_capture(&mut self, mem: &mut AddressSpace, clock: u64, cost: &CostModel) -> Step {
-        let (inst, len) = match self.fetch_decode(mem) {
-            Ok(x) => x,
-            Err(event) => {
-                return Step {
-                    event,
-                    cycles: cost.alu,
-                    inst: None,
-                }
-            }
-        };
-        let rip = self.rip;
-        if let Some(tc) = self.trace.as_deref_mut() {
-            if let Some(rec) = tc.rec.as_mut() {
-                if !rec.aborted {
-                    // Take the staleness witness from the icache entry,
-                    // never from current memory: a trace must only ever
-                    // validate against the exact bytes its ops decoded
-                    // from (a stale-but-fresh decode after a cross-core
-                    // write would otherwise survive the next serialize).
-                    match self.icache.get(&rip) {
-                        Some(e) if e.mem_gen == rec.mem_gen => {
-                            let mut ok = true;
-                            for &(page, ver) in &e.pages[..e.npages as usize] {
-                                match rec.pages.iter().position(|&(p, _)| p == page) {
-                                    Some(j) => {
-                                        if rec.pages[j].1 != ver {
-                                            ok = false;
-                                            break;
-                                        }
-                                    }
-                                    None => rec.pages.push((page, ver)),
-                                }
-                            }
-                            if ok && rec.ops.len() < MAX_OPS {
-                                rec.ops.push(TraceOp {
-                                    rip,
-                                    inst,
-                                    len: len as u8,
-                                });
-                            } else {
-                                rec.aborted = true;
-                            }
-                        }
-                        _ => rec.aborted = true,
-                    }
-                }
-            }
-        }
-        self.exec(inst, len, mem, clock, cost)
-    }
-
     /// Closes any in-progress recording at a block exit.
     fn trace_finalize_recording(&mut self) {
-        let flush_gen = self.flush_gen;
-        if let Some(tc) = self.trace.as_deref_mut() {
-            if tc.rec.is_some() {
-                tc.finalize(flush_gen);
-            }
+        if self.trace.rec.is_some() {
+            self.trace.finalize(self.flush_gen);
         }
     }
 

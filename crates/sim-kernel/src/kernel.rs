@@ -1571,7 +1571,9 @@ impl Kernel {
             }
         });
         let on_step = record.as_mut().map(|f| f as StepObserver);
+        let vsyscalls = t.cpu.vsyscalls;
         let block = t.cpu.run_block(space, clock, &cost, budget, on_step, hook);
+        stats.vdso_calls += t.cpu.vsyscalls - vsyscalls;
         if pend > 0 {
             flush_syscall_stats(
                 stats,
@@ -1583,7 +1585,6 @@ impl Kernel {
                 pend,
             );
         }
-        stats.vdso_calls += block.vdso_calls;
         self.exec_trace = trace;
         self.charge(block.cycles);
         self.retire(pid, tid, block.steps);
@@ -1675,16 +1676,23 @@ impl Kernel {
                 if p.exit_status.is_some() {
                     return;
                 }
-                let Process { space, threads, .. } = p;
+                let Process {
+                    space,
+                    threads,
+                    stats,
+                    ..
+                } = p;
                 let Some(t) = threads.iter_mut().find(|t| t.tid == tid) else {
                     return;
                 };
                 if t.state != ThreadState::Runnable {
                     return;
                 }
-                let rip = t.cpu.rip;
+                let (rip, vsyscalls) = (t.cpu.rip, t.cpu.vsyscalls);
                 t.cpu.set_seed_flush(true);
-                (t.cpu.step(space, clock, &cost), rip)
+                let step = t.cpu.step(space, clock, &cost);
+                stats.vdso_calls += t.cpu.vsyscalls - vsyscalls;
+                (step, rip)
             };
             self.charge(step.cycles);
             if sim_obs::enabled() {
@@ -1703,11 +1711,6 @@ impl Kernel {
                     clock: self.clock,
                     event: step.event,
                 });
-            }
-            if matches!(step.inst, Some(sim_isa::Inst::Vsyscall)) {
-                if let Some(p) = self.procs.get_mut(&pid) {
-                    p.stats.vdso_calls += 1;
-                }
             }
             if self.block_exit(pid, tid, step.event) {
                 return;

@@ -14,8 +14,12 @@ pub(crate) enum Disp {
     /// Completed with a return value; advance past the instruction.
     Ret(u64),
     /// Would block: leave `rip` on the instruction and park the thread.
-    /// The syscall re-executes (and re-pays kernel entry) on wake — matching
-    /// a restarted syscall.
+    /// On wake the `syscall` step retires again, at 0 cycles, and
+    /// `handle_syscall` sees `restarting`: the call resumes in-kernel, as
+    /// a restarted syscall does. It charges no second kernel entry and
+    /// skips the SUD check, the tracer enter stop, the audit tag, the
+    /// fault-plan occurrence and the interposer layer chain, then
+    /// dispatches to the syscall table again.
     Block(Wait),
     /// Completed with a return value *and* parks the thread (sleep-style:
     /// the syscall must not re-execute on wake).

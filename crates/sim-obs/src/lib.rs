@@ -595,21 +595,19 @@ pub fn disable() -> Option<Box<Recorder>> {
 }
 
 /// Maps a mapped-region basename (e.g. `libk23.so`) to an interposer
-/// label so syscalls issued from that region are attributed to it.
-/// Idempotent; registrations persist across enable/disable cycles.
+/// label so syscalls issued from that region are attributed to it. The
+/// latest registration of a basename wins, so of two mechanisms sharing
+/// a library the one installed last is attributed; registrations persist
+/// across enable/disable cycles.
 pub fn register_region_path(region: &str, label: &str) {
-    let base = basename(region).to_string();
+    let base = basename(region);
     REGION_PATHS.with(|m| {
         let mut m = m.borrow_mut();
-        if !m.iter().any(|(r, _)| *r == base) {
-            m.push((base, label.to_string()));
+        match m.iter_mut().find(|(r, _)| r == base) {
+            Some((_, l)) => *l = label.to_string(),
+            None => m.push((base.to_string(), label.to_string())),
         }
     });
-}
-
-/// Clears region registrations (test isolation helper).
-pub fn clear_region_paths() {
-    REGION_PATHS.with(|m| m.borrow_mut().clear());
 }
 
 /// Attributes retired instructions inside `[start, end)` of guest `pid`
@@ -643,14 +641,6 @@ pub fn register_span_range(pid: u64, start: u64, end: u64, stage: &str) {
     if inserted {
         SPAN_CUR.with(|c| c.set(SPAN_CUR_INVALID));
     }
-}
-
-/// Clears span-range registrations. [`enable`] does this automatically;
-/// this entry point exists for callers that want a clean table without
-/// (re)starting a recording session.
-pub fn clear_span_ranges() {
-    SPAN_RANGES.with(|m| m.borrow_mut().clear());
-    SPAN_CUR.with(|c| c.set(SPAN_CUR_INVALID));
 }
 
 fn basename(path: &str) -> &str {
@@ -1303,7 +1293,6 @@ mod tests {
 
     #[test]
     fn syscall_latency_attributes_to_registered_path() {
-        clear_region_paths();
         register_region_path("/usr/lib/libk23.so", "K23-default");
         enable(ObsConfig::default());
         set_cpu(1, 1);
@@ -1312,7 +1301,6 @@ mod tests {
         syscall_enter(400, 1, 0x4000, "app", "write");
         syscall_exit(520, 1, 5, "write");
         let rec = disable().expect("recorder");
-        clear_region_paths();
         assert_eq!(rec.paths, vec!["direct".to_string(), "K23-default".to_string()]);
         assert_eq!(rec.latency[&1].count, 1);
         assert_eq!(rec.latency[&1].sum, 240);
@@ -1424,7 +1412,6 @@ mod tests {
 
     #[test]
     fn audit_tags_count_without_events_unless_opted_in() {
-        clear_region_paths();
         register_region_path("/usr/lib/libzpoline.so", "zpoline-default");
         enable(ObsConfig::default());
         set_cpu(1, 1);
@@ -1448,7 +1435,6 @@ mod tests {
         audit_tag(10, 1, 0x4000, "app", AuditMark::Bypass("P1a-exec"));
         audit_tag(20, 2, 0x4000, "app", AuditMark::Control);
         let rec = disable().expect("recorder");
-        clear_region_paths();
         assert_eq!(rec.total_events(), 1, "only bypasses become events");
         assert_eq!(
             rec.rings[&(1, 1)].events[0].kind,
@@ -1540,7 +1526,6 @@ mod tests {
         span_step(40, 0x2000); // exit: 20 cycles in range
         span_step(50, 0x3000); // outside: fast path
         let rec = disable().expect("recorder");
-        clear_span_ranges();
         let id = rec
             .stages
             .iter()
@@ -1567,7 +1552,6 @@ mod tests {
         span_step(40, 0x1200); // re-enter
         span_step(60, 0x9000); // exit
         let rec = disable().expect("recorder");
-        clear_span_ranges();
         let h = &rec.stage_cycles[&0];
         assert_eq!(h.count, 2, "span split at the switch");
         assert_eq!(h.sum, (30 - 10) + (60 - 40));

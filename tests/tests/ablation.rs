@@ -87,6 +87,9 @@ enum Guest {
     /// A self-looping trace whose terminal `call` rewrites its own code
     /// once: see [`self_patching_loop`].
     SelfPatch,
+    /// A hot loop that stores into another hot loop's code from inside
+    /// its own replay: see [`cross_trace_store`].
+    CrossTraceStore,
     /// Calls into a nop sled at falling offsets, some of whose runs cross
     /// from one executable page into the next: see [`sled_across_pages`].
     SledAcrossPages,
@@ -213,6 +216,65 @@ fn self_patching_loop() -> (Vec<u8>, i64) {
     (prog.bytes, (sum & 0x7f) as i64)
 }
 
+/// Iterations of each loop per phase of [`cross_trace_store`].
+const PHASE_ITERS: u64 = 40;
+
+/// Three phases of two hot loops on two code pages, each loop entered by
+/// a `jmp`, so its trace is entered on its first iteration. Loop A
+/// stores `phase + 1` into the immediate of loop B's `mov rax, imm`
+/// [`PHASE_ITERS`] times; loop B then adds that immediate into r14 as
+/// often. A `fence` after the first phase lets B's trace form again in
+/// the second: B's first-phase decodes then fail revalidation and are
+/// decoded afresh, so its recording does not mix two versions of its
+/// page. No serialization point follows, so in the
+/// third phase nothing but A's stores, made inside A's replay, can
+/// unlink B's trace before B runs it with the second phase's immediate.
+/// Returns the code and the exit status that proves each phase's bytes
+/// ran.
+fn cross_trace_store() -> (Vec<u8>, i64) {
+    const B_PAGE: u64 = CODE_BASE + 0x1000;
+    let mut a = Asm::new();
+    a.mov_imm(Reg::R14, 0);
+    a.mov_imm(Reg::R13, 1);
+    a.lea_label(Reg::Rdi, "b_loop");
+    a.add_imm(Reg::Rdi, 2); // `mov rax, imm64`'s immediate
+    a.label("phase");
+    a.mov_imm(Reg::Rbx, PHASE_ITERS);
+    a.jmp("a_loop");
+    a.label("a_loop");
+    a.store(Reg::Rdi, 0, Reg::R13);
+    a.sub_imm(Reg::Rbx, 1);
+    a.jnz("a_loop");
+    a.mov_imm(Reg::Rbx, PHASE_ITERS);
+    a.jmp("b_loop");
+    a.label("after_b");
+    a.cmp_imm(Reg::R13, 1);
+    a.jnz("next");
+    a.fence();
+    a.label("next");
+    a.add_imm(Reg::R13, 1);
+    a.cmp_imm(Reg::R13, 4);
+    a.jnz("phase");
+    a.mov_reg(Reg::Rdi, Reg::R14);
+    a.and_imm(Reg::Rdi, 0x7f);
+    a.mov_imm(Reg::Rax, nr::SYS_EXIT_GROUP);
+    a.syscall();
+    pad_to(&mut a, B_PAGE - CODE_BASE);
+    a.label("b_loop");
+    a.mov_imm(Reg::Rax, 0);
+    a.add_reg(Reg::R14, Reg::Rax);
+    a.sub_imm(Reg::Rbx, 1);
+    a.jnz("b_loop");
+    a.jmp("after_b");
+    let prog = a.finish_program();
+    assert!(
+        prog.sym("after_b") < B_PAGE - CODE_BASE,
+        "loop A's code spills onto B's page"
+    );
+    let sum = PHASE_ITERS * (1 + 2 + 3);
+    (prog.bytes, (sum & 0x7f) as i64)
+}
+
 /// A booted kernel with `guest` spawned.
 fn boot_guest(guest: Guest) -> (Kernel, Pid) {
     let raw = |code: Vec<u8>| {
@@ -242,6 +304,7 @@ fn boot_guest(guest: Guest) -> (Kernel, Pid) {
             raw(a.finish())
         }
         Guest::SelfPatch => raw(self_patching_loop().0),
+        Guest::CrossTraceStore => raw(cross_trace_store().0),
         Guest::SledAcrossPages => raw(sled_across_pages().0),
         Guest::SledIntoNoExec => raw(sled_into_no_exec().0),
     }
@@ -313,18 +376,20 @@ fn assert_streams_equal(name: &str, got: &[TraceEntry], oracle: &[TraceEntry]) {
 /// Plain run: every engine's instruction stream, final clock, and exit
 /// status match the stepwise oracle bit-for-bit, and with no session
 /// configured the retired-instruction clock — credited by the stepwise
-/// and block loops alike — counts every recorded step. Three guests: the
+/// and block loops alike — counts every recorded step. Four guests: the
 /// syscall stress loop, sqlite-sim's `sub rcx, 1; jnz` loop (whose trace
 /// must wrap in place rather than return to the dispatcher every
-/// iteration), and a self-looping trace that rewrites its own code
-/// (whose store onto its own page must stop the wrap, so the new bytes
-/// run).
+/// iteration), a self-looping trace that rewrites its own code (whose
+/// store onto its own page must stop the wrap, so the new bytes run),
+/// and a loop whose replayed stores rewrite another loop's code (they
+/// must unlink the other loop's trace, so its new bytes run).
 #[test]
 fn engine_matrix_streams_identical() {
     for guest in [
         Guest::Micro(5_000),
         Guest::CountDown(20_000),
         Guest::SelfPatch,
+        Guest::CrossTraceStore,
     ] {
         let mut oracle: Option<(Vec<TraceEntry>, u64, Option<i64>)> = None;
         for (name, cfg) in engines() {
@@ -363,6 +428,10 @@ fn engine_matrix_streams_identical() {
                     patched,
                     "the patched bytes never ran"
                 );
+            }
+            Guest::CrossTraceStore => {
+                let patched = Some(cross_trace_store().1);
+                assert_eq!(oracle.expect("ran").2, patched, "a phase's bytes never ran");
             }
             Guest::Micro(_) | Guest::SledAcrossPages | Guest::SledIntoNoExec => {}
         }

@@ -274,6 +274,37 @@ fn k23_run_attributes_forwarded_syscalls() {
     assert!(s.contains("K23-default"), "summary attributes the K23 path");
 }
 
+/// Of two mechanisms that share a library, syscalls are attributed to
+/// the one installed last. Region-path registrations persist on a host
+/// thread, and zpoline-ultra shares zpoline's library, sud-armed sud's:
+/// run in turn on one thread, each run attributes ls-sim's syscalls to
+/// its own label alone, with its own `<label>/kernel` stage.
+#[test]
+fn path_labels_follow_the_mechanism_installed_last() {
+    const APP: &str = "/usr/bin/ls-sim";
+    for (name, label) in [
+        ("zpoline", "zpoline-default"),
+        ("zpoline-ultra", "zpoline-ultra"),
+        ("sud", "SUD"),
+        ("sud-armed", "SUD-no-interposition"),
+    ] {
+        let ip = bench::cli::mechanism(name).expect("registered");
+        let mut k = bench::cli::fresh_world();
+        sim_obs::enable(ObsConfig::default());
+        let res =
+            bench::cli::run_to_exit(&mut k, ip.as_ref(), APP, &[APP.to_string()], u64::MAX / 4);
+        let rec = sim_obs::disable().expect("recorder");
+        res.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(rec.paths, ["direct", label], "{name}: attribution paths");
+        let stage = format!("{label}/kernel");
+        assert!(
+            rec.stages.contains(&stage),
+            "{name}: no {stage} stage in {:?}",
+            rec.stages
+        );
+    }
+}
+
 /// Per-syscall overhead ordering across mechanisms, measured by the
 /// differencing microbenchmark (paper Table 4/5 trend): ptrace costs the
 /// most, then SUD signal delivery; rewriting mechanisms (zpoline,

@@ -52,8 +52,6 @@ fn run_coreutil(name: &str, stepwise: bool, profile: bool, observe: bool) -> (Pr
         })
         .expect("offline phase");
     }
-    sim_obs::clear_region_paths();
-    sim_obs::clear_span_ranges();
     k.configure(engine_cfg(stepwise, profile));
     if observe {
         sim_obs::enable(ObsConfig {
@@ -88,8 +86,6 @@ fn run_server(
         let log = offline_log.as_ref().expect("offline log collected");
         bench::cli::install_log(&mut k, Some(log));
     }
-    sim_obs::clear_region_paths();
-    sim_obs::clear_span_ranges();
     k.configure(engine_cfg(stepwise, true));
     sim_obs::enable(ObsConfig {
         micro_events: false,

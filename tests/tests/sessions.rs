@@ -60,8 +60,6 @@ fn run(base: EngineConfig, plan: &FaultPlan, sessions: bool) -> Run {
     let mut cfg = base.fault(plan.clone());
     if sessions {
         cfg = cfg.profile(PERIOD).record().audit(ip.coverage());
-        sim_obs::clear_region_paths();
-        sim_obs::clear_span_ranges();
         sim_obs::enable(ObsConfig::default());
     }
     k.configure(cfg);
