@@ -129,6 +129,13 @@ pub struct Cpu {
     /// icache. Entries may be stale (decode already evicted); a store
     /// prunes those inside its window.
     icache_index: FastMap<u64, Vec<u64>>,
+    /// Bumped whenever a page gains its first `icache_index` entry (see
+    /// `code_free`).
+    index_epoch: u64,
+    /// `(page, index_epoch)`: the last page a store's window fell in
+    /// wholly and left with no `icache_index` entry and no trace, and the
+    /// epoch then (see [`Cpu::invalidate_icache_range`]).
+    code_free: (u64, u64),
     /// Serialization generation: bumped by [`Cpu::flush_icache`]. Cached
     /// decodes whose `fresh_gen` lags are revalidated against page content
     /// versions before reuse (identical memory decodes identically, so this
@@ -193,6 +200,9 @@ impl Cpu {
             pkru: Pkru::ALL_ACCESS,
             icache: FastMap::default(),
             icache_index: FastMap::default(),
+            index_epoch: 0,
+            // No epoch reaches u64::MAX: no page is code-free yet.
+            code_free: (0, u64::MAX),
             flush_gen: 0,
             seed_flush: false,
             last_serialize_stamp: None,
@@ -336,15 +346,39 @@ impl Cpu {
     /// and nothing outside it is inspected. Cross-page decodes are
     /// registered under every page they touch, so a store into either
     /// page finds them.
+    ///
+    /// A store whose window lies wholly in the page the core last found
+    /// code-free returns after two compares, with nothing probed.
+    /// `code_free` holds that page and the `index_epoch` at which a store
+    /// whose window lay wholly in it left it with no `icache_index` entry
+    /// and, through its own page loop, no trace. `fetch_decode` bumps the
+    /// epoch whenever a page gains its first entry, so while the epoch
+    /// stands no decode has been registered under the page since. Every
+    /// live decode's rip is indexed under each page its bytes touch (an
+    /// entry goes only with its decode), so no live decode touches the
+    /// page. A trace or a recording holds only ops whose decodes were
+    /// live when recorded (and a decode a recording holds stays live until
+    /// a flush or an overlapping store, either of which aborts it). So an
+    /// op on the page recorded after that store needs a decode registered
+    /// after it, which would have bumped the epoch, and a trace or
+    /// recording that held one before was unlinked or aborted by it. The
+    /// probes would find nothing: the return leaves the icache, its index,
+    /// the trace cache and `trace_replay_break` as the walk would, and the
+    /// trace cache needs no epoch of its own.
     fn invalidate_icache_range(&mut self, addr: u64, len: u64) {
         let end = addr.saturating_add(len);
+        let lo = addr.saturating_sub(9);
+        let last = Self::page_of(end - 1); // len >= 1 always
+        let (free, epoch) = self.code_free;
+        if (lo ^ free) | (last ^ free) < sim_mem::PAGE_SIZE && epoch == self.index_epoch {
+            return;
+        }
         // Traces are registered under every page their ops' bytes touch,
         // so unlinking only needs the pages the store itself hits (an op
         // straddling in from the previous page is indexed under this one
         // too). Page-granular is coarser than the icache's byte-overlap
         // rule below, which is safe: cold execution is architecturally
         // identical, an unlink only costs re-warming.
-        let last = Self::page_of(end - 1); // len >= 1 always
         let mut page = Self::page_of(addr);
         loop {
             self.trace.unlink_page(page);
@@ -362,7 +396,6 @@ impl Cpu {
         if self.icache.is_empty() {
             return;
         }
-        let lo = addr.saturating_sub(9);
         let first = Self::page_of(lo);
         let Cpu {
             icache,
@@ -402,6 +435,9 @@ impl Cpu {
         }
         if removed > 0 {
             sim_obs::icache_invalidate(addr, removed);
+        }
+        if first == last && !icache_index.contains_key(&last) {
+            self.code_free = (last, self.index_epoch);
         }
     }
 
@@ -450,7 +486,11 @@ impl Cpu {
                     entry.pages[entry.npages as usize] =
                         (page, mem.page_version(page).unwrap_or(0));
                     entry.npages += 1;
-                    let rips = self.icache_index.entry(page).or_default();
+                    let epoch = &mut self.index_epoch;
+                    let rips = self.icache_index.entry(page).or_insert_with(|| {
+                        *epoch += 1;
+                        Vec::new()
+                    });
                     if let Err(at) = rips.binary_search(&self.rip) {
                         rips.insert(at, self.rip);
                     }

@@ -74,14 +74,21 @@ fn flush_syscall_stats(
 
 /// Services a trivial syscall at `site` in place: one whose dispatch is
 /// a pure return value with no kernel state touched beyond the
-/// statistics (see [`crate::sys::trivial_ret`]). Applies the
-/// kernel-entry serialization and the return's register effects and
-/// returns the syscall number; returns `None`, with no effect, for any
-/// other syscall.
+/// statistics (see [`crate::sys::trivial_ret`]). Under SUD (`sud`) it
+/// serves only what [`Kernel::handle_syscall`]'s dispatch check lets
+/// through: `site` in the allowlisted range, or a readable selector that
+/// is not BLOCK. Applies the kernel-entry serialization and the return's
+/// register effects and returns the syscall number. Returns `None` for
+/// any other syscall, with no effect, and for a BLOCK or unreadable
+/// selector after the serialization alone, which `handle_syscall` then
+/// repeats as a coalesced no-op: reading such a selector writes nothing
+/// (only a first read of a mapped, untouched page allocates a frame, and
+/// that page reads 0, ALLOW).
 #[inline]
 fn serve_trivial(
     cpu: &mut Cpu,
-    space: &AddressSpace,
+    space: &mut AddressSpace,
+    sud: Option<crate::process::Sud>,
     pid: Pid,
     tid: Tid,
     site: u64,
@@ -89,8 +96,17 @@ fn serve_trivial(
     let nr_ = cpu.get(Reg::Rax);
     let ret = crate::sys::trivial_ret(nr_, pid, tid)?;
     // Kernel entry serializes the instruction stream (coalesced to a
-    // stamp compare while nothing in the space was written).
+    // stamp compare while nothing in the space was written), before the
+    // selector read, in `handle_syscall`'s order.
     cpu.serialize(space);
+    if let Some(s) = sud {
+        let selector = s.selector(space);
+        let through = s.in_allowlist(site)
+            || selector.is_some_and(|b| b != nr::SYSCALL_DISPATCH_FILTER_BLOCK);
+        if !through {
+            return None;
+        }
+    }
     cpu.syscall_return(site, ret);
     Some(nr_)
 }
@@ -479,19 +495,25 @@ impl Kernel {
         });
     }
 
+    /// Lands the deferred writes that are due, in the order they were
+    /// deferred, and keeps the rest queued in place. Returns at once when
+    /// nothing is deferred, as in every scheduler round of a run without
+    /// torn rewrites.
     fn flush_due_writes(&mut self) {
-        let clock = self.clock;
-        let mut rest = Vec::new();
-        for w in std::mem::take(&mut self.deferred) {
-            if w.due <= clock {
-                if let Some(p) = self.procs.get_mut(&w.pid) {
-                    let _ = p.space.write_raw(w.addr, &[w.byte]);
-                }
-            } else {
-                rest.push(w);
-            }
+        if self.deferred.is_empty() {
+            return;
         }
-        self.deferred = rest;
+        let clock = self.clock;
+        let procs = &mut self.procs;
+        self.deferred.retain(|w| {
+            if w.due > clock {
+                return true;
+            }
+            if let Some(p) = procs.get_mut(&w.pid) {
+                let _ = p.space.write_raw(w.addr, &[w.byte]);
+            }
+            false
+        });
     }
 
     // ---- process lifecycle -------------------------------------------------
@@ -1490,20 +1512,21 @@ impl Kernel {
     /// accounting. Returns the event that ended the block and the steps
     /// left of the slice, or `None` when the thread cannot run.
     ///
-    /// Under [`Kernel::hot_slice_ok`] this is the direct path: the block's
-    /// kernel hook serves trivial syscalls in place (`serve_trivial`),
-    /// each one starting a new slice as a kernel entry does, and starts
-    /// the next slice in place when one runs out, since the scheduler
-    /// round that would follow has no write to flush, no fault round to
-    /// advance and only this thread to run. Both stop at the run deadline,
-    /// where the scheduler stops. Otherwise the hook passes every syscall
-    /// on to [`Kernel::block_exit`] and ends the block with the slice, and
-    /// the next session boundary caps the block.
+    /// This is the direct path, in two parts. Under [`Kernel::restart_ok`]
+    /// the block's kernel hook starts the next slice in place when one
+    /// runs out. Under [`Kernel::serve_ok`] as well, it serves trivial
+    /// syscalls in place (`serve_trivial`), each one starting a new slice
+    /// as a kernel entry does, and adds SUD's slow-path charge on a
+    /// SUD-armed thread, as `handle_syscall` does. Both stop at the run
+    /// deadline, where the scheduler stops. Otherwise the hook passes the
+    /// syscall on to [`Kernel::block_exit`], or ends the block with the
+    /// slice, and the next session boundary caps the block.
     fn run_blocks(&mut self, pid: Pid, tid: Tid, remaining: u64) -> Option<(StepEvent, u64)> {
         let budget = self.next_stop().map_or(remaining, |stop| {
             remaining.min(stop.saturating_sub(self.retired).max(1))
         });
-        let hot = self.hot_slice_ok(pid, tid);
+        let restart = self.restart_ok(pid, tid);
+        let serve = restart && self.serve_ok(pid, tid);
         let (cost, deadline, clock) = (self.cost, self.run_deadline, self.clock);
         let p = self
             .procs
@@ -1521,8 +1544,10 @@ impl Kernel {
             .iter_mut()
             .find(|t| t.tid == tid && t.state == ThreadState::Runnable)?;
         t.cpu.set_seed_flush(false);
-        // Only syscalls the hook passes can arm SUD or set `restarting`.
-        let serve = hot && !t.restarting && t.sud.is_none();
+        // Only syscalls the hook passes can arm or disarm SUD; the
+        // selector is guest memory, so `serve_trivial` reads it per call.
+        let sud = t.sud;
+        let sud_charge = if sud.is_some() { cost.sud_slowpath } else { 0 };
         // Pending syscall-statistics run: `pend` occurrences of syscall
         // `pend_nr` issued from `pend_site`, not yet folded into
         // `ProcStats`. The stress loops this path serves issue the same
@@ -1531,9 +1556,9 @@ impl Kernel {
         let (mut pend_nr, mut pend_site, mut pend) = (0u64, 0u64, 0u64);
         let hook = |cpu: &mut Cpu, space: &mut AddressSpace, site: Option<u64>, at: u64| {
             let charge = match site {
-                None if hot => 0,
+                None if restart => 0,
                 Some(site) if serve => {
-                    let Some(nr_) = serve_trivial(cpu, space, pid, tid, site) else {
+                    let Some(nr_) = serve_trivial(cpu, space, sud, pid, tid, site) else {
                         return HookAction::Pass;
                     };
                     if pend > 0 && (pend_nr != nr_ || pend_site != site) {
@@ -1551,7 +1576,7 @@ impl Kernel {
                     pend_nr = nr_;
                     pend_site = site;
                     pend += 1;
-                    cost.kernel_entry + crate::sys::service_cost(nr_, 0)
+                    cost.kernel_entry + sud_charge + crate::sys::service_cost(nr_, 0)
                 }
                 _ => return HookAction::Pass,
             };
@@ -1588,41 +1613,63 @@ impl Kernel {
         self.exec_trace = trace;
         self.charge(block.cycles);
         self.retire(pid, tid, block.steps);
-        // Nothing caps a hot block, so `budget` equals `remaining`
-        // wherever the hook served; elsewhere a session boundary may have
-        // held `budget` below it.
+        // No session boundary caps a block the hook may restart or serve
+        // in, so `budget` equals `remaining` wherever it did; elsewhere a
+        // boundary may have held `budget` below it.
         Some((block.event, remaining - budget + block.slice_left))
     }
 
-    /// True when the block loop's direct path may run (see
-    /// [`Kernel::run_blocks`]): no instrumentation (obs, fault, profiler,
-    /// record or audit session, interposer stack, tracers) is armed, the
-    /// machine has exactly one process with exactly one runnable thread
-    /// (the current one), no seccomp filter is installed, no deferred
-    /// writes are queued, and the run deadline is not reached. It decides
-    /// two things: whether the block's syscall hook serves trivial
-    /// syscalls, and whether a slice that runs out restarts in place. The
-    /// one place that lists what a direct path must stand down for: every
-    /// other syscall takes [`Kernel::handle_syscall`]. Nothing the direct
-    /// path serves can invalidate these conditions; everything that could
-    /// (arming syscalls, hostcalls, thread creation) ends the block first.
-    fn hot_slice_ok(&self, pid: Pid, tid: Tid) -> bool {
+    /// True when a slice of `(pid, tid)` that runs out may start the next
+    /// one in place (see [`Kernel::run_blocks`]): no sim-obs recorder and
+    /// no fault, profiler or record session is live, no write is
+    /// deferred, the run deadline is not reached, and `(pid, tid)` is the
+    /// machine's only runnable thread. The scheduler round that would
+    /// follow then has no event to emit, no write to flush, no fault
+    /// round to advance and only this thread to run. Exited processes and
+    /// blocked threads do not close it, for two reasons. A block can wake
+    /// no thread without passing a syscall to [`Kernel::handle_syscall`],
+    /// which ends the block; hostcalls end it too, and the next block
+    /// asks again. And [`Kernel::run`] wakes a `Wait::Sleep` sleeper only
+    /// when nothing is runnable, so a `nanosleep` does not end while
+    /// another thread stays runnable. The restart relies on that rule: a
+    /// change that wakes due sleepers beside runnable threads must also
+    /// stand the restart down while a sleeper is due.
+    fn restart_ok(&self, pid: Pid, tid: Tid) -> bool {
         !sim_obs::enabled()
             && self.fault.is_none()
-            && self.stack.is_none()
             && self.prof.is_none()
             && self.record.is_none()
-            && self.audit.is_none()
-            && self.tracers.is_empty()
             && self.deferred.is_empty()
             && self.clock < self.run_deadline
-            && self.procs.len() == 1
+            && self.procs.iter().all(|(&p, proc_)| {
+                proc_
+                    .threads
+                    .iter()
+                    .all(|t| t.state != ThreadState::Runnable || (p, t.tid) == (pid, tid))
+            })
+    }
+
+    /// True when, given [`Kernel::restart_ok`], the block's hook may also
+    /// serve trivial syscalls of `(pid, tid)` in place: there is no
+    /// interposer stack and no audit session, no tracer that stops at
+    /// syscalls is attached to `pid`, `pid` has no seccomp filter, and the
+    /// thread is not restarting a blocked syscall. Each of these acts on
+    /// every kernel entry and on nothing else, so they close only the
+    /// serving; `restart_ok`'s sessions act at slice ends too. A tracer
+    /// without `trace_syscalls` stops only at exec, fork, exit and fatal
+    /// signals, which no trivial syscall reaches. SUD is checked per call
+    /// (`serve_trivial`), since its selector is guest memory. None of
+    /// these can change inside a block: arming syscalls, hostcalls and
+    /// blocking calls all end it first.
+    fn serve_ok(&self, pid: Pid, tid: Tid) -> bool {
+        self.stack.is_none()
+            && self.audit.is_none()
+            && !self
+                .tracers
+                .get(&pid)
+                .is_some_and(|t| t.opts.trace_syscalls)
             && self.procs.get(&pid).is_some_and(|p| {
-                p.exit_status.is_none()
-                    && p.seccomp.is_none()
-                    && p.threads.len() == 1
-                    && p.threads[0].tid == tid
-                    && p.threads[0].state == ThreadState::Runnable
+                p.seccomp.is_none() && p.thread(tid).is_some_and(|t| !t.restarting)
             })
     }
 
@@ -1768,10 +1815,7 @@ impl Kernel {
             t.cpu.serialize(space);
             let (nr_, args) = t.cpu.syscall_args();
             let sud = t.sud;
-            let selector = sud.and_then(|s| {
-                let mut b = [0u8; 1];
-                space.read_raw(s.selector_addr, &mut b).ok().map(|_| b[0])
-            });
+            let selector = sud.and_then(|s| s.selector(space));
             (nr_, args, sud, selector, restarting)
         };
 
@@ -2441,6 +2485,279 @@ mod tests {
                 assert_eq!(oracle.last().map(|s| s.0), Some(RunExit::AllExited));
                 for cfg in [EngineConfig::new(), EngineConfig::new().profile(1 << 40)] {
                     assert_eq!(stops(cfg), oracle, "body {body}, chunk {chunk}");
+                }
+            }
+        }
+    }
+
+    /// A machine the direct path serves beside other processes, threads,
+    /// tracers or SUD (see [`direct_path_legs_stop_where_the_stepwise_oracle_stops`]).
+    #[derive(Clone, Copy, Debug)]
+    enum Leg {
+        /// A forked child loops while its parent waits in `wait4`; then
+        /// the parent loops beside the exited child.
+        WaitChild,
+        /// The parent loops while a forked child waits in a pipe read,
+        /// then writes the byte the child exits with.
+        PipeReader,
+        /// The loop under a tracer attached without `trace_syscalls`.
+        QuietTracer,
+        /// The loop under SUD with its selector ALLOW (its page untouched,
+        /// so the first read maps it).
+        SudAllow,
+        /// The loop under SUD with its selector BLOCK and every site in
+        /// the allowlisted range.
+        SudAllowlisted,
+        /// The loop under SUD with its selector BLOCK: every `getpid`
+        /// takes SIGSYS, whose handler counts it in memory and returns
+        /// through an allowlisted `rt_sigreturn`.
+        SudBlock,
+        /// The loop beside a second thread that counts its own `getpid`
+        /// iterations in memory; the exit status adds that count, so it
+        /// shows how the two interleaved.
+        TwoThreads,
+    }
+
+    /// Where the SUD legs keep their selector byte.
+    const SELECTOR: u64 = 0x8_0600;
+    /// Where `Leg::SudBlock`'s handler and `Leg::TwoThreads`' second
+    /// thread count.
+    const COUNTER: u64 = 0x8_0700;
+    /// Where `wait4` stores a child's exit status.
+    const STATUS: u64 = 0x8_0800;
+
+    /// Emits `iters` iterations of `body` `add r12, 1`s and a `getpid`
+    /// whose result is added into r12, counted down in r13, at label
+    /// `name`.
+    fn emit_getpid_loop(a: &mut Asm, name: &str, iters: u64, body: usize) {
+        a.mov_imm(Reg::R13, iters);
+        a.label(name);
+        for _ in 0..body {
+            a.add_imm(Reg::R12, 1);
+        }
+        a.mov_imm(Reg::Rax, nr::SYS_GETPID);
+        a.syscall();
+        a.add_reg(Reg::R12, Reg::Rax);
+        a.sub_imm(Reg::R13, 1);
+        a.jnz(name);
+    }
+
+    /// Emits `r12 += [addr]`.
+    fn emit_add_word(a: &mut Asm, addr: u64) {
+        a.mov_imm(Reg::R11, addr);
+        a.load(Reg::Rcx, Reg::R11, 0);
+        a.add_reg(Reg::R12, Reg::Rcx);
+    }
+
+    /// Emits `[addr] += 1`.
+    fn emit_count(a: &mut Asm, addr: u64) {
+        a.mov_imm(Reg::R11, addr);
+        a.load(Reg::Rcx, Reg::R11, 0);
+        a.add_imm(Reg::Rcx, 1);
+        a.store(Reg::R11, 0, Reg::Rcx);
+    }
+
+    /// Emits a store of the byte `v` at `addr`.
+    fn emit_store_byte(a: &mut Asm, addr: u64, v: u64) {
+        a.mov_imm(Reg::R11, addr);
+        a.mov_imm(Reg::Rcx, v);
+        a.store_byte(Reg::R11, 0, Reg::Rcx);
+    }
+
+    /// Emits `exit_group(r12 & 0x7f)`.
+    fn emit_exit_r12(a: &mut Asm) {
+        a.mov_reg(Reg::Rdi, Reg::R12);
+        a.and_imm(Reg::Rdi, 0x7f);
+        a.mov_imm(Reg::Rax, nr::SYS_EXIT_GROUP);
+        a.syscall();
+    }
+
+    /// Emits `syscall nr_(args…)` in ABI registers.
+    fn emit_call(a: &mut Asm, nr_: u64, args: &[u64]) {
+        for (&r, &v) in [Reg::Rdi, Reg::Rsi, Reg::Rdx, Reg::R10, Reg::R8]
+            .iter()
+            .zip(args)
+        {
+            a.mov_imm(r, v);
+        }
+        a.mov_imm(Reg::Rax, nr_);
+        a.syscall();
+    }
+
+    /// Emits `prctl(PR_SET_SYSCALL_USER_DISPATCH, ON, start, len,
+    /// SELECTOR)`.
+    fn emit_sud_on(a: &mut Asm, start: u64, len: u64) {
+        emit_call(
+            a,
+            nr::SYS_PRCTL,
+            &[
+                nr::PR_SET_SYSCALL_USER_DISPATCH,
+                nr::PR_SYS_DISPATCH_ON,
+                start,
+                len,
+                SELECTOR,
+            ],
+        );
+    }
+
+    /// `leg`'s guest, its loops `body` adds long, and the kernel it runs
+    /// in.
+    fn direct_path_leg(leg: Leg, body: usize) -> Kernel {
+        const ITERS: u64 = 300;
+        let mut a = Asm::new();
+        match leg {
+            Leg::WaitChild => {
+                emit_call(&mut a, nr::SYS_FORK, &[]);
+                a.test_reg(Reg::Rax, Reg::Rax);
+                a.jnz("parent");
+                emit_getpid_loop(&mut a, "child", ITERS, body);
+                emit_exit_r12(&mut a);
+                a.label("parent");
+                emit_call(&mut a, nr::SYS_WAIT4, &[u64::MAX, STATUS, 0]);
+                emit_getpid_loop(&mut a, "loop", ITERS, body);
+                emit_add_word(&mut a, STATUS);
+            }
+            Leg::PipeReader => {
+                emit_call(&mut a, nr::SYS_PIPE, &[0x8_0100]);
+                a.mov_imm(Reg::R11, 0x8_0100);
+                a.load(Reg::R14, Reg::R11, 0);
+                emit_call(&mut a, nr::SYS_FORK, &[]);
+                a.test_reg(Reg::Rax, Reg::Rax);
+                a.jnz("parent");
+                a.mov_reg(Reg::Rdi, Reg::R14);
+                a.shl_imm(Reg::Rdi, 32);
+                a.shr_imm(Reg::Rdi, 32);
+                a.mov_imm(Reg::Rsi, 0x8_0200);
+                a.mov_imm(Reg::Rdx, 1);
+                a.mov_imm(Reg::Rax, nr::SYS_READ);
+                a.syscall();
+                a.mov_imm(Reg::R11, 0x8_0200);
+                a.load_byte(Reg::R12, Reg::R11, 0);
+                emit_exit_r12(&mut a);
+                a.label("parent");
+                emit_getpid_loop(&mut a, "loop", ITERS, body);
+                a.mov_imm(Reg::R11, 0x8_0300);
+                a.store(Reg::R11, 0, Reg::R12);
+                a.mov_reg(Reg::Rdi, Reg::R14);
+                a.shr_imm(Reg::Rdi, 32);
+                a.mov_imm(Reg::Rsi, 0x8_0300);
+                a.mov_imm(Reg::Rdx, 1);
+                a.mov_imm(Reg::Rax, nr::SYS_WRITE);
+                a.syscall();
+                emit_call(&mut a, nr::SYS_WAIT4, &[u64::MAX, STATUS, 0]);
+                emit_add_word(&mut a, STATUS);
+            }
+            Leg::QuietTracer => emit_getpid_loop(&mut a, "loop", ITERS, body),
+            Leg::SudAllow => {
+                emit_sud_on(&mut a, 0, 0);
+                emit_getpid_loop(&mut a, "loop", ITERS, body);
+            }
+            Leg::SudAllowlisted => {
+                emit_store_byte(&mut a, SELECTOR, nr::SYSCALL_DISPATCH_FILTER_BLOCK as u64);
+                emit_sud_on(&mut a, 0x1000, 0x10000);
+                emit_getpid_loop(&mut a, "loop", ITERS, body);
+            }
+            Leg::SudBlock => {
+                a.lea_label(Reg::Rsi, "handler");
+                a.mov_imm(Reg::Rdi, nr::SIGSYS);
+                a.mov_imm(Reg::Rax, nr::SYS_RT_SIGACTION);
+                a.syscall();
+                emit_store_byte(&mut a, SELECTOR, nr::SYSCALL_DISPATCH_FILTER_BLOCK as u64);
+                a.lea_label(Reg::Rdx, "handler");
+                a.mov_imm(Reg::R10, 0x100);
+                a.mov_imm(Reg::R8, SELECTOR);
+                a.mov_imm(Reg::Rdi, nr::PR_SET_SYSCALL_USER_DISPATCH);
+                a.mov_imm(Reg::Rsi, nr::PR_SYS_DISPATCH_ON);
+                a.mov_imm(Reg::Rax, nr::SYS_PRCTL);
+                a.syscall();
+                emit_getpid_loop(&mut a, "loop", ITERS, body);
+                emit_store_byte(&mut a, SELECTOR, nr::SYSCALL_DISPATCH_FILTER_ALLOW as u64);
+                emit_add_word(&mut a, COUNTER);
+                emit_exit_r12(&mut a);
+                a.label("handler");
+                emit_count(&mut a, COUNTER);
+                a.mov_imm(Reg::Rax, nr::SYS_RT_SIGRETURN);
+                a.syscall();
+            }
+            Leg::TwoThreads => {
+                emit_call(&mut a, nr::SYS_CLONE, &[0, 0x8_8000]);
+                a.test_reg(Reg::Rax, Reg::Rax);
+                a.jz("second");
+                emit_getpid_loop(&mut a, "loop", ITERS, body);
+                emit_add_word(&mut a, COUNTER);
+                emit_exit_r12(&mut a);
+                a.label("second");
+                emit_count(&mut a, COUNTER);
+                emit_getpid_loop(&mut a, "second_loop", 1, body);
+                a.jmp("second");
+            }
+        }
+        emit_exit_r12(&mut a);
+        let (mut k, pid) = kernel_with(a.finish());
+        if let Leg::QuietTracer = leg {
+            let tracer = Rc::new(RefCell::new(crate::ptrace_if::CountingTracer::default()));
+            k.attach_tracer(pid, tracer, TraceOpts::default());
+        }
+        k
+    }
+
+    /// The direct path serves and restarts the one thread the scheduler
+    /// would run alone, beside exited and blocked processes, a tracer
+    /// that does not stop at syscalls and SUD whose dispatch check lets
+    /// the call through, and adds SUD's slow-path charge; it stands down
+    /// for a BLOCK selector (SIGSYS) and beside a second runnable thread.
+    /// For loop bodies on both sides of the 64-step slice, every leg's
+    /// `(RunExit, clock, retired)` at each stop of repeated `run(chunk)`
+    /// calls, and every process's exit status and statistics, equal the
+    /// stepwise oracle's.
+    #[test]
+    fn direct_path_legs_stop_where_the_stepwise_oracle_stops() {
+        type Stops = Vec<(RunExit, u64, u64)>;
+        type Outcome = Vec<(Option<i64>, crate::process::ProcStats)>;
+        let legs = [
+            Leg::WaitChild,
+            Leg::PipeReader,
+            Leg::QuietTracer,
+            Leg::SudAllow,
+            Leg::SudAllowlisted,
+            Leg::SudBlock,
+            Leg::TwoThreads,
+        ];
+        for leg in legs {
+            for body in [10, 100] {
+                for chunk in [97, 1_001, 10_007, u64::MAX / 4] {
+                    let run = |cfg: EngineConfig| -> (Stops, Outcome) {
+                        let mut k = direct_path_leg(leg, body);
+                        k.configure(cfg);
+                        let mut stops = Vec::new();
+                        loop {
+                            let exit = k.run(chunk);
+                            stops.push((exit, k.clock, k.retired()));
+                            if exit != RunExit::Budget {
+                                break;
+                            }
+                        }
+                        let outcome = k
+                            .pids()
+                            .into_iter()
+                            .map(|pid| {
+                                let p = k.process(pid).expect("proc");
+                                (p.exit_status, p.stats.clone())
+                            })
+                            .collect();
+                        (stops, outcome)
+                    };
+                    let oracle = run(EngineConfig::stepwise());
+                    assert_eq!(
+                        oracle.0.last().map(|s| s.0),
+                        Some(RunExit::AllExited),
+                        "{leg:?}"
+                    );
+                    assert_eq!(
+                        run(EngineConfig::new()),
+                        oracle,
+                        "{leg:?}, body {body}, chunk {chunk}"
+                    );
                 }
             }
         }

@@ -28,6 +28,16 @@ impl Sud {
     pub fn in_allowlist(&self, rip: u64) -> bool {
         rip >= self.range_start && rip < self.range_start.saturating_add(self.range_len)
     }
+
+    /// The selector byte, read kernel-side from `space` (`None` when it
+    /// is unmapped).
+    pub(crate) fn selector(&self, space: &mut AddressSpace) -> Option<u8> {
+        let mut b = [0u8; 1];
+        space
+            .read_raw(self.selector_addr, &mut b)
+            .ok()
+            .map(|_| b[0])
+    }
 }
 
 /// A seccomp filter action for one syscall number.

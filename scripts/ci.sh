@@ -9,28 +9,46 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
+# `step NAME` closes the running step with its wall time and opens NAME
+# (`step ""` only closes), so every run shows the tier-1 suite against
+# its 50 s warm budget and how long the RESULTS.txt compare took.
+step_name=""
+step_t0=0
+step() {
+    local now=${EPOCHREALTIME/./}
+    if [[ -n $step_name ]]; then
+        local us=$((now - step_t0))
+        printf '    %d.%d s: %s\n' $((us / 1000000)) $((us % 1000000 / 100000)) "$step_name"
+    fi
+    step_name=$1
+    step_t0=$now
+    if [[ -n $step_name ]]; then
+        echo "==> $step_name"
+    fi
+}
+
+step "cargo build --release"
 cargo build --release
 
 # --no-fail-fast: every test binary runs even after one fails, so one
 # broken pin cannot hide the others.
-echo "==> cargo test -q --no-fail-fast"
+step "cargo test -q --no-fail-fast"
 cargo test -q --no-fail-fast
 
-echo "==> cargo clippy -- -D warnings"
+step "cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Private items too: only then does rustdoc resolve the intra-doc links in
 # private docs, which are the ones a deleted function leaves stale.
-echo "==> cargo doc --document-private-items, warnings denied"
+step "cargo doc --document-private-items, warnings denied"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
 
 # Refresh after an intentional change with
 #   K23_BENCH_SCALE=10 cargo run --release -q -p bench --bin all > RESULTS.txt
-echo "==> paper tables at scale 10 (bench --bin all) vs RESULTS.txt"
+step "paper tables at scale 10 (bench --bin all) vs RESULTS.txt"
 K23_BENCH_SCALE=10 target/release/all | cmp - RESULTS.txt
 
-echo "==> perfbench self-tests (the benchmark still builds against the crates' public API)"
+step "perfbench self-tests (the benchmark still builds against the crates' public API)"
 cargo test --manifest-path perfbench/Cargo.toml
 
 # One short run at standard sizes; the result line reads "correct": true only
@@ -45,7 +63,7 @@ perfbench_correct() {
     fi
 }
 
-echo "==> perfbench epoll-10k + observed-server + paper-tables (simulated output vs recorded sim_digest)"
+step "perfbench epoll-10k + observed-server + paper-tables (simulated output vs recorded sim_digest)"
 perfbench_correct --workload epoll-10k
 perfbench_correct --workload observed-server --seed 1
 perfbench_correct --workload paper-tables
@@ -57,7 +75,8 @@ perfbench_correct --workload paper-tables
 #   cargo run --release -q -p bench --bin simperf -- --json BENCH_simperf.json
 # keeping the committed `block` row at or above the one it replaces, so
 # the floor never falls (the gate reads only `determinism` and `block`).
-echo "==> simperf gate (engine determinism + throughput floor vs BENCH_simperf.json)"
+step "simperf gate (engine determinism + throughput floor vs BENCH_simperf.json)"
 cargo run --release -q -p bench --bin simperf -- --gate BENCH_simperf.json
 
+step ""
 echo "==> ci.sh: all green"

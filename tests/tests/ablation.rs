@@ -96,6 +96,9 @@ enum Guest {
     /// A nop sled that crosses a page and runs into a page mprotected
     /// non-executable: see [`sled_into_no_exec`].
     SledIntoNoExec,
+    /// A function written by own stores into a page the core memoizes as
+    /// code-free, then rewritten by one: see [`code_free_page_rewrite`].
+    CodeFreeRewrite,
 }
 
 /// Where `RwxLoader` maps the code.
@@ -275,6 +278,69 @@ fn cross_trace_store() -> (Vec<u8>, i64) {
     (prog.bytes, (sum & 0x7f) as i64)
 }
 
+/// Where [`code_free_page_rewrite`] writes its function: a page of the
+/// RWX mapping that no code occupies and no fetch has touched.
+const FRESH_PAGE: u64 = CODE_BASE + 0x3000;
+
+/// Calls of [`code_free_page_rewrite`]'s function per phase.
+const FRESH_CALLS: u64 = 100;
+
+/// Eight-byte own stores write a function, `mov rax, 1; add r14, rax;
+/// jmp r15`, into [`FRESH_PAGE`]. No decode touches the page yet, so the
+/// first store leaves it memoized as code-free and the rest return
+/// early. A loop calls the function [`FRESH_CALLS`] times, long enough
+/// for its trace to form, with `jmp` and the return address in r15: a
+/// `call` would push onto the stack page and move the memo there. One
+/// own store then rewrites the `mov`'s immediate to 2, and the loop runs
+/// again with no serialization point in between. The function's first
+/// decode gave the page its first `icache_index` entry, which must void
+/// the memo, so the store drops the stale decode and unlinks the trace
+/// through the page, and the second phase adds 2 per call. Returns the
+/// code and the exit status that proves the new bytes ran.
+fn code_free_page_rewrite() -> (Vec<u8>, i64) {
+    let mut f = Asm::new();
+    f.mov_imm(Reg::Rax, 1);
+    f.add_reg(Reg::R14, Reg::Rax);
+    f.jmp_reg(Reg::R15);
+    let mut f = f.finish();
+    f.resize(f.len().next_multiple_of(8), 0xcc);
+    let mut a = Asm::new();
+    a.mov_imm(Reg::R14, 0);
+    // Far enough into the page that every store's window stays in it.
+    a.mov_imm(Reg::Rdi, FRESH_PAGE + 0x40);
+    for (i, word) in f.chunks(8).enumerate() {
+        a.mov_imm(
+            Reg::Rcx,
+            u64::from_le_bytes(word.try_into().expect("8 bytes")),
+        );
+        a.store(Reg::Rdi, 8 * i as i32, Reg::Rcx);
+    }
+    for phase in ["first", "second"] {
+        if phase == "second" {
+            a.mov_imm(Reg::Rcx, 2);
+            a.store(Reg::Rdi, 2, Reg::Rcx); // `mov rax, imm64`'s immediate
+        }
+        a.mov_imm(Reg::Rbx, FRESH_CALLS);
+        a.label(phase);
+        a.lea_label(Reg::R15, &format!("{phase}_back"));
+        a.jmp_reg(Reg::Rdi);
+        a.label(&format!("{phase}_back"));
+        a.sub_imm(Reg::Rbx, 1);
+        a.jnz(phase);
+    }
+    a.mov_reg(Reg::Rdi, Reg::R14);
+    a.and_imm(Reg::Rdi, 0x7f);
+    a.mov_imm(Reg::Rax, nr::SYS_EXIT_GROUP);
+    a.syscall();
+    let code = a.finish();
+    assert!(
+        CODE_BASE + (code.len() as u64) < FRESH_PAGE,
+        "the code reaches the fresh page"
+    );
+    let sum = FRESH_CALLS * (1 + 2);
+    (code, (sum & 0x7f) as i64)
+}
+
 /// A booted kernel with `guest` spawned.
 fn boot_guest(guest: Guest) -> (Kernel, Pid) {
     let raw = |code: Vec<u8>| {
@@ -307,6 +373,7 @@ fn boot_guest(guest: Guest) -> (Kernel, Pid) {
         Guest::CrossTraceStore => raw(cross_trace_store().0),
         Guest::SledAcrossPages => raw(sled_across_pages().0),
         Guest::SledIntoNoExec => raw(sled_into_no_exec().0),
+        Guest::CodeFreeRewrite => raw(code_free_page_rewrite().0),
     }
 }
 
@@ -376,13 +443,17 @@ fn assert_streams_equal(name: &str, got: &[TraceEntry], oracle: &[TraceEntry]) {
 /// Plain run: every engine's instruction stream, final clock, and exit
 /// status match the stepwise oracle bit-for-bit, and with no session
 /// configured the retired-instruction clock — credited by the stepwise
-/// and block loops alike — counts every recorded step. Four guests: the
+/// and block loops alike — counts every recorded step. Five guests: the
 /// syscall stress loop, sqlite-sim's `sub rcx, 1; jnz` loop (whose trace
 /// must wrap in place rather than return to the dispatcher every
 /// iteration), a self-looping trace that rewrites its own code (whose
 /// store onto its own page must stop the wrap, so the new bytes run),
-/// and a loop whose replayed stores rewrite another loop's code (they
-/// must unlink the other loop's trace, so its new bytes run).
+/// a loop whose replayed stores rewrite another loop's code (they
+/// must unlink the other loop's trace, so its new bytes run), and a
+/// function rewritten on a page the core had memoized as code-free
+/// before the function first ran (the store must still find its decode
+/// and trace, so the new bytes run). The stepwise oracle shares the
+/// store invalidation, so only the exit statuses can show a fault there.
 #[test]
 fn engine_matrix_streams_identical() {
     for guest in [
@@ -390,6 +461,7 @@ fn engine_matrix_streams_identical() {
         Guest::CountDown(20_000),
         Guest::SelfPatch,
         Guest::CrossTraceStore,
+        Guest::CodeFreeRewrite,
     ] {
         let mut oracle: Option<(Vec<TraceEntry>, u64, Option<i64>)> = None;
         for (name, cfg) in engines() {
@@ -432,6 +504,14 @@ fn engine_matrix_streams_identical() {
             Guest::CrossTraceStore => {
                 let patched = Some(cross_trace_store().1);
                 assert_eq!(oracle.expect("ran").2, patched, "a phase's bytes never ran");
+            }
+            Guest::CodeFreeRewrite => {
+                let patched = Some(code_free_page_rewrite().1);
+                assert_eq!(
+                    oracle.expect("ran").2,
+                    patched,
+                    "the rewritten immediate never ran"
+                );
             }
             Guest::Micro(_) | Guest::SledAcrossPages | Guest::SledIntoNoExec => {}
         }
