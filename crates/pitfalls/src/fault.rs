@@ -259,8 +259,8 @@ pub fn plan_for(scenario: Scenario, seed: u64, baseline: &ProbeRun) -> FaultPlan
 /// One evaluated cell.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// Canonical mechanism name.
-    pub mech: &'static str,
+    /// The registry spec evaluated: a mechanism, or a composed stack.
+    pub spec: &'static str,
     /// Scenario injected.
     pub scenario: Scenario,
     /// The exact plan injected (replayable).
@@ -274,32 +274,33 @@ pub struct Cell {
     pub baseline_exit: Option<i64>,
 }
 
-/// Evaluates one (mechanism, scenario) cell at `seed`, given the
-/// mechanism's clean baseline run.
-pub fn evaluate_cell(mech: &'static str, scenario: Scenario, seed: u64, baseline: &ProbeRun) -> Cell {
-    let plan = plan_for(scenario, seed, baseline);
-    let faulted = run_probe(mech, Some(&plan));
-    Cell {
-        mech,
-        scenario,
-        survived: faulted.exit == baseline.exit && faulted.output == baseline.output,
-        exit: faulted.exit,
-        baseline_exit: baseline.exit,
-        plan,
-    }
-}
-
-/// Evaluates the full matrix at `seed`: one clean baseline per mechanism,
-/// then every scenario against it.
-pub fn full_fault_matrix(seed: u64) -> Vec<Cell> {
+/// Evaluates every scenario at `seed` under each of `specs` (registry
+/// specs: bare mechanisms or composed stacks), each against one clean
+/// baseline run of its spec.
+pub fn sweep(specs: &[&'static str], seed: u64) -> Vec<Cell> {
     let mut cells = Vec::new();
-    for mech in MECHANISMS {
-        let baseline = run_probe(mech, None);
+    for &spec in specs {
+        let baseline = run_probe(spec, None);
         for scenario in Scenario::ALL {
-            cells.push(evaluate_cell(mech, scenario, seed, &baseline));
+            let plan = plan_for(scenario, seed, &baseline);
+            let faulted = run_probe(spec, Some(&plan));
+            cells.push(Cell {
+                spec,
+                scenario,
+                survived: faulted.exit == baseline.exit && faulted.output == baseline.output,
+                exit: faulted.exit,
+                baseline_exit: baseline.exit,
+                plan,
+            });
         }
     }
     cells
+}
+
+/// Evaluates the full matrix at `seed`: every scenario under every
+/// mechanism.
+pub fn full_fault_matrix(seed: u64) -> Vec<Cell> {
+    sweep(&MECHANISMS, seed)
 }
 
 /// Re-runs one cell from its printed replay line: the probe under `spec`
@@ -344,7 +345,7 @@ pub fn render_fault_matrix(seed: u64, cells: &[Cell]) -> String {
         for mech in MECHANISMS {
             let cell = cells
                 .iter()
-                .find(|c| c.mech == mech && c.scenario == scenario)
+                .find(|c| c.spec == mech && c.scenario == scenario)
                 .expect("cell evaluated");
             out.push_str(&format!("{:>12}", if cell.survived { "✓" } else { "✗" }));
         }
@@ -356,7 +357,7 @@ pub fn render_fault_matrix(seed: u64, cells: &[Cell]) -> String {
         for c in failing {
             out.push_str(&format!(
                 "  simfault --replay {} '{}'\n",
-                c.mech,
+                c.spec,
                 c.plan.encode()
             ));
         }

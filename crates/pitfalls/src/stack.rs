@@ -16,7 +16,7 @@
 //! not, and under zpoline's env-clearing gap *no* layer survives the exec
 //! because the base itself loses its handler library.
 
-use crate::fault::{plan_for, run_probe, Scenario};
+use crate::fault::{sweep, Scenario, MECHANISMS};
 use crate::pocs;
 use interpose::registry::parse_spec;
 use interpose::{Interposer, InterposerStack};
@@ -69,55 +69,39 @@ impl StackCell {
     }
 }
 
-/// Evaluates the full composed matrix at `seed`: one clean baseline per
-/// stack, every scenario against it, and — for the composition-only
-/// column — every distinct *base* mechanism's verdicts at the same seed.
+/// Evaluates the full composed matrix at `seed`: every scenario under
+/// every stack, and, for the composition-only column, each stack's *base*
+/// mechanism at the same seed. A base that is itself one of [`STACKS`]
+/// takes its verdicts from that row; the others are swept once each.
 pub fn full_stack_matrix(seed: u64) -> Vec<StackCell> {
     crate::register_all();
-    // Per-base verdicts, computed once per distinct base.
-    let mut base_verdicts: Vec<(String, Vec<(Scenario, bool)>)> = Vec::new();
-    let mut base_survived = |base: &str, scenario: Scenario| -> bool {
-        if !base_verdicts.iter().any(|(b, _)| b == base) {
-            let baseline = run_probe(base, None);
-            let verdicts = Scenario::ALL
-                .into_iter()
-                .map(|sc| {
-                    let plan = plan_for(sc, seed, &baseline);
-                    let faulted = run_probe(base, Some(&plan));
-                    let ok =
-                        faulted.exit == baseline.exit && faulted.output == baseline.output;
-                    (sc, ok)
-                })
-                .collect();
-            base_verdicts.push((base.to_string(), verdicts));
-        }
-        base_verdicts
-            .iter()
-            .find(|(b, _)| b == base)
-            .and_then(|(_, vs)| vs.iter().find(|(sc, _)| *sc == scenario))
-            .map(|(_, ok)| *ok)
-            .expect("verdict just computed")
-    };
-
-    let mut cells = Vec::new();
-    for spec in STACKS {
-        let (base, _) = parse_spec(spec).expect("STACKS entries parse");
-        let baseline = run_probe(spec, None);
-        for scenario in Scenario::ALL {
-            let plan = plan_for(scenario, seed, &baseline);
-            let faulted = run_probe(spec, Some(&plan));
-            cells.push(StackCell {
-                spec,
-                scenario,
-                survived: faulted.exit == baseline.exit && faulted.output == baseline.output,
-                base_survived: base_survived(&base, scenario),
-                exit: faulted.exit,
-                baseline_exit: baseline.exit,
-                plan,
-            });
-        }
-    }
-    cells
+    let base_of = |spec: &str| parse_spec(spec).expect("STACKS entries parse").0;
+    let other_bases: Vec<&'static str> = MECHANISMS
+        .into_iter()
+        .filter(|m| !STACKS.contains(m) && STACKS.iter().any(|s| base_of(s) == *m))
+        .collect();
+    let stacks = sweep(&STACKS, seed);
+    let bases = sweep(&other_bases, seed);
+    stacks
+        .iter()
+        .map(|c| {
+            let base = base_of(c.spec);
+            let base_cell = stacks
+                .iter()
+                .chain(&bases)
+                .find(|b| b.spec == base && b.scenario == c.scenario)
+                .expect("every base swept");
+            StackCell {
+                spec: c.spec,
+                scenario: c.scenario,
+                plan: c.plan.clone(),
+                survived: c.survived,
+                base_survived: base_cell.survived,
+                exit: c.exit,
+                baseline_exit: c.baseline_exit,
+            }
+        })
+        .collect()
 }
 
 /// Renders the composed matrix (stack rows × scenario columns), the

@@ -110,10 +110,10 @@ impl EngineConfig {
 
     /// Enables the interposition coverage ledger, auditing every retired
     /// syscall against `spec` (a mechanism's expected-coverage
-    /// declaration, `interpose::Interposer::coverage`). Auditing closes
-    /// the block loop's direct path so every syscall reaches the dispatch
-    /// choke point; with no session configured the direct path is
-    /// untouched.
+    /// declaration, `interpose::Interposer::coverage`). Auditing stops
+    /// the block loop's direct path from serving syscalls, so every
+    /// syscall reaches the dispatch choke point; with no session
+    /// configured the direct path is untouched.
     pub fn audit(mut self, spec: crate::audit::AuditSpec) -> EngineConfig {
         self.audit = Some(spec);
         self

@@ -237,12 +237,16 @@ pub struct Kernel {
     /// multi-worker workloads); read through [`Kernel::cycles_of`].
     thread_cycles: sim_cpu::FastMap<(Pid, Tid), u64>,
     current: Option<(Pid, Tid)>,
-    /// Clock deadline of the current [`Kernel::run`] call. The scheduler
-    /// returns `RunExit::Budget` at the first slice end at or past it; the
-    /// direct path, which starts slices in place, checks it at the same
-    /// slice ends (each served syscall and each slice that runs out), so
-    /// every engine stops on the same instruction.
-    run_deadline: u64,
+    /// The clock before which the current round's slices may restart in
+    /// place, set by each round of [`Kernel::run`]: `Some` for the round's
+    /// only runnable thread when no fault, profiler or record session is
+    /// live, bounded by the run deadline and the next timer (a sleeper's
+    /// wake time or a deferred write's due time). At the first slice end
+    /// at or past it the round that follows has work the restart would
+    /// skip: returning `RunExit::Budget`, waking a sleeper, landing a
+    /// write. A hostcall clears it for the rest of its slice (see
+    /// [`Kernel::run_blocks`]).
+    restart_until: Option<u64>,
     /// Scheduler engine (see [`EngineConfig`]).
     engine: Engine,
     /// The retired-instruction clock every session is positioned on (see
@@ -281,7 +285,7 @@ impl Kernel {
             rng_state: 0x5eed,
             thread_cycles: sim_cpu::FastMap::default(),
             current: None,
-            run_deadline: u64::MAX,
+            restart_until: None,
             engine: Engine::Block,
             retired: 0,
             fault: None,
@@ -1059,9 +1063,15 @@ impl Kernel {
 
     /// Runs until every process exits, no progress is possible, or
     /// `max_cycles` have elapsed.
+    ///
+    /// Each round is the one pass over thread states and timers: it lands
+    /// the deferred writes that are due, wakes every sleeper whose time
+    /// has come (beside runnable threads too), lists the runnable threads
+    /// and finds the next timer, then runs one slice of each runnable
+    /// thread. A sleep that cannot end before `u64::MAX` sets its timer
+    /// there, which counts as none.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
         let deadline = self.clock.saturating_add(max_cycles);
-        self.run_deadline = deadline;
         // The runnable list is rebuilt every scheduler round (i.e. after
         // every slice-ending event, so typically once per syscall); reuse
         // one buffer across rounds to keep the round allocation-free.
@@ -1071,42 +1081,42 @@ impl Kernel {
                 return RunExit::Stop;
             }
             self.flush_due_writes();
+            let clock = self.clock;
+            // The next timer's clock, or u64::MAX when none is set.
+            let mut next_timer = self.deferred.iter().fold(u64::MAX, |t, w| t.min(w.due));
             runnable.clear();
-            for (pid, p) in &self.procs {
-                for t in &p.threads {
+            for (pid, p) in self.procs.iter_mut() {
+                for t in &mut p.threads {
+                    if let ThreadState::Blocked(Wait::Sleep { until }) = t.state {
+                        if until <= clock {
+                            t.state = ThreadState::Runnable;
+                        } else {
+                            next_timer = next_timer.min(until);
+                        }
+                    }
                     if t.state == ThreadState::Runnable {
                         runnable.push((*pid, t.tid));
                     }
                 }
             }
             if runnable.is_empty() {
-                // Advance time to the next sleeper or deferred write.
-                let next_sleep = self
-                    .procs
-                    .values()
-                    .flat_map(|p| p.threads.iter())
-                    .filter_map(|t| match t.state {
-                        ThreadState::Blocked(Wait::Sleep { until }) => Some(until),
-                        _ => None,
-                    })
-                    .min();
-                let next_write = self.deferred.iter().map(|w| w.due).min();
-                match (next_sleep, next_write) {
-                    (None, None) => {
-                        return if self.procs.values().all(|p| p.exit_status.is_some()) {
-                            RunExit::AllExited
-                        } else {
-                            RunExit::Deadlock
-                        };
-                    }
-                    (a, b) => {
-                        let due = a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX));
-                        self.clock = self.clock.max(due);
-                        self.wake_where(|_, w| matches!(w, Wait::Sleep { until } if *until <= due));
-                        continue;
-                    }
+                // Advance time to the next timer; the next round lands the
+                // write or wakes the sleeper.
+                if next_timer == u64::MAX {
+                    return if self.procs.values().all(|p| p.exit_status.is_some()) {
+                        RunExit::AllExited
+                    } else {
+                        RunExit::Deadlock
+                    };
                 }
+                self.clock = next_timer;
+                continue;
             }
+            let alone = runnable.len() == 1
+                && self.fault.is_none()
+                && self.prof.is_none()
+                && self.record.is_none();
+            self.restart_until = alone.then_some(next_timer.min(deadline));
             // Adversarial scheduler perturbation: rotate the fair runnable
             // order by a seed-derived amount on plan-chosen rounds. The
             // round number is architectural (one per rebuild), so both
@@ -1301,10 +1311,10 @@ impl Kernel {
         }
     }
 
-    /// Record bookkeeping at syscall completion (`Disp::Ret` /
-    /// `RetThenBlock`): captures (record) or verifies (verify) the
-    /// completion record. Recorded cycles are the clock delta from kernel
-    /// entry — for restarted calls that includes blocked time.
+    /// Record bookkeeping at syscall completion (`Disp::Ret`): captures
+    /// (record) or verifies (verify) the completion record. Recorded
+    /// cycles are the clock delta from kernel entry — for restarted calls
+    /// that includes blocked time.
     fn record_syscall_ret(&mut self, pid: Pid, tid: Tid, nr_: u64, site: u64, ret: u64) {
         let (clock, retired) = (self.clock, self.retired);
         let Some(rs) = self.record.as_mut() else {
@@ -1512,22 +1522,27 @@ impl Kernel {
     /// accounting. Returns the event that ended the block and the steps
     /// left of the slice, or `None` when the thread cannot run.
     ///
-    /// This is the direct path, in two parts. Under [`Kernel::restart_ok`]
-    /// the block's kernel hook starts the next slice in place when one
-    /// runs out. Under [`Kernel::serve_ok`] as well, it serves trivial
+    /// This is the direct path, in two parts. While the round set
+    /// [`Kernel::restart_until`](Kernel#structfield.restart_until), the
+    /// block's kernel hook starts the next slice in place when one runs
+    /// out. Under [`Kernel::serve_ok`] as well, it serves trivial
     /// syscalls in place (`serve_trivial`), each one starting a new slice
     /// as a kernel entry does, and adds SUD's slow-path charge on a
-    /// SUD-armed thread, as `handle_syscall` does. Both stop at the run
-    /// deadline, where the scheduler stops. Otherwise the hook passes the
-    /// syscall on to [`Kernel::block_exit`], or ends the block with the
-    /// slice, and the next session boundary caps the block.
+    /// SUD-armed thread, as `handle_syscall` does. Both stop at the first
+    /// slice end at or past the round's bound, where the round that
+    /// follows has work to do. No block can change that work without
+    /// ending first: every syscall the hook passes on ends the slice, and
+    /// a hostcall, which can wake or spawn threads or defer a write,
+    /// clears the bound for the rest of its slice. Otherwise the hook
+    /// passes the syscall on to [`Kernel::block_exit`], or ends the block
+    /// with the slice, and the next session boundary caps the block.
     fn run_blocks(&mut self, pid: Pid, tid: Tid, remaining: u64) -> Option<(StepEvent, u64)> {
         let budget = self.next_stop().map_or(remaining, |stop| {
             remaining.min(stop.saturating_sub(self.retired).max(1))
         });
-        let restart = self.restart_ok(pid, tid);
-        let serve = restart && self.serve_ok(pid, tid);
-        let (cost, deadline, clock) = (self.cost, self.run_deadline, self.clock);
+        let bound = self.restart_until;
+        let serve = bound.is_some() && self.serve_ok(pid, tid);
+        let (cost, clock) = (self.cost, self.clock);
         let p = self
             .procs
             .get_mut(&pid)
@@ -1555,8 +1570,11 @@ impl Kernel {
         // lookup and five counter adds per run instead of per call.
         let (mut pend_nr, mut pend_site, mut pend) = (0u64, 0u64, 0u64);
         let hook = |cpu: &mut Cpu, space: &mut AddressSpace, site: Option<u64>, at: u64| {
+            let Some(bound) = bound else {
+                return HookAction::Pass;
+            };
             let charge = match site {
-                None if restart => 0,
+                None => 0,
                 Some(site) if serve => {
                     let Some(nr_) = serve_trivial(cpu, space, sud, pid, tid, site) else {
                         return HookAction::Pass;
@@ -1580,7 +1598,7 @@ impl Kernel {
                 }
                 _ => return HookAction::Pass,
             };
-            let budget = if at + charge < deadline { SLICE } else { 0 };
+            let budget = if at + charge < bound { SLICE } else { 0 };
             HookAction::Handled { charge, budget }
         };
         let mut trace = self.exec_trace.take();
@@ -1619,50 +1637,23 @@ impl Kernel {
         Some((block.event, remaining - budget + block.slice_left))
     }
 
-    /// True when a slice of `(pid, tid)` that runs out may start the next
-    /// one in place (see [`Kernel::run_blocks`]): no sim-obs recorder and
-    /// no fault, profiler or record session is live, no write is
-    /// deferred, the run deadline is not reached, and `(pid, tid)` is the
-    /// machine's only runnable thread. The scheduler round that would
-    /// follow then has no event to emit, no write to flush, no fault
-    /// round to advance and only this thread to run. Exited processes and
-    /// blocked threads do not close it, for two reasons. A block can wake
-    /// no thread without passing a syscall to [`Kernel::handle_syscall`],
-    /// which ends the block; hostcalls end it too, and the next block
-    /// asks again. And [`Kernel::run`] wakes a `Wait::Sleep` sleeper only
-    /// when nothing is runnable, so a `nanosleep` does not end while
-    /// another thread stays runnable. The restart relies on that rule: a
-    /// change that wakes due sleepers beside runnable threads must also
-    /// stand the restart down while a sleeper is due.
-    fn restart_ok(&self, pid: Pid, tid: Tid) -> bool {
-        !sim_obs::enabled()
-            && self.fault.is_none()
-            && self.prof.is_none()
-            && self.record.is_none()
-            && self.deferred.is_empty()
-            && self.clock < self.run_deadline
-            && self.procs.iter().all(|(&p, proc_)| {
-                proc_
-                    .threads
-                    .iter()
-                    .all(|t| t.state != ThreadState::Runnable || (p, t.tid) == (pid, tid))
-            })
-    }
-
-    /// True when, given [`Kernel::restart_ok`], the block's hook may also
-    /// serve trivial syscalls of `(pid, tid)` in place: there is no
-    /// interposer stack and no audit session, no tracer that stops at
-    /// syscalls is attached to `pid`, `pid` has no seccomp filter, and the
-    /// thread is not restarting a blocked syscall. Each of these acts on
-    /// every kernel entry and on nothing else, so they close only the
-    /// serving; `restart_ok`'s sessions act at slice ends too. A tracer
-    /// without `trace_syscalls` stops only at exec, fork, exit and fatal
-    /// signals, which no trivial syscall reaches. SUD is checked per call
-    /// (`serve_trivial`), since its selector is guest memory. None of
-    /// these can change inside a block: arming syscalls, hostcalls and
-    /// blocking calls all end it first.
+    /// True when, given the round's restart bound, the block's hook may
+    /// also serve trivial syscalls of `(pid, tid)` in place: there is no
+    /// sim-obs recorder, interposer stack or audit session, no tracer that
+    /// stops at syscalls is attached to `pid`, `pid` has no seccomp
+    /// filter, and the thread is not restarting a blocked syscall. Each of
+    /// these acts on every kernel entry, which serving skips, and on
+    /// nothing at a lone thread's slice end, so they close only the
+    /// serving; the fault, profiler and record sessions act at slice ends
+    /// too, so they close the restart. A tracer without `trace_syscalls`
+    /// stops only at exec, fork, exit and fatal signals, which no trivial
+    /// syscall reaches. SUD is checked per call (`serve_trivial`), since
+    /// its selector is guest memory. None of these can change inside a
+    /// block: arming syscalls, hostcalls and blocking calls all end it
+    /// first.
     fn serve_ok(&self, pid: Pid, tid: Tid) -> bool {
-        self.stack.is_none()
+        !sim_obs::enabled()
+            && self.stack.is_none()
             && self.audit.is_none()
             && !self
                 .tracers
@@ -1684,6 +1675,9 @@ impl Kernel {
             StepEvent::Syscall { site, .. } => self.handle_syscall(pid, tid, site),
             StepEvent::Hlt => self.kill_process(pid, 0),
             StepEvent::Int3 => {
+                // A hostcall can wake or spawn threads or defer a write:
+                // the round's restart bound no longer holds.
+                self.restart_until = None;
                 self.handle_int3(pid, tid);
                 return false;
             }
@@ -2080,14 +2074,6 @@ impl Kernel {
                     o.trace_syscalls
                 });
                 sim_obs::syscall_exit(self.clock, nr_, ret, nr::syscall_name(nr_));
-                crate::stack::RealOutcome::Ret(ret)
-            }
-            crate::sys::Disp::RetThenBlock(ret, wait) => {
-                if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
-                    t.state = ThreadState::Blocked(wait);
-                }
-                self.record_syscall_ret(pid, tid, nr_, site, ret);
-                self.syscall_return(pid, tid, site, nr_, ret);
                 crate::stack::RealOutcome::Ret(ret)
             }
             crate::sys::Disp::Block(wait) => {
@@ -2516,24 +2502,39 @@ mod tests {
         /// iterations in memory; the exit status adds that count, so it
         /// shows how the two interleaved.
         TwoThreads,
+        /// The loop beside a second thread that sleeps 1,500 cycles and
+        /// counts its wakes in memory, forever; the exit status adds that
+        /// count.
+        Sleeper,
+        /// The loop adds `WORD` every iteration; a write deferred before
+        /// the run sets it to 5 at 2,000 cycles.
+        Deferred,
+        /// As `Deferred`, but a hostcall at the guest's first instruction
+        /// defers the write, inside a slice the round let restart.
+        HostcallDefers,
     }
 
     /// Where the SUD legs keep their selector byte.
     const SELECTOR: u64 = 0x8_0600;
-    /// Where `Leg::SudBlock`'s handler and `Leg::TwoThreads`' second
-    /// thread count.
+    /// Where `Leg::SudBlock`'s handler and the second threads of
+    /// `Leg::TwoThreads` and `Leg::Sleeper` count.
     const COUNTER: u64 = 0x8_0700;
     /// Where `wait4` stores a child's exit status.
     const STATUS: u64 = 0x8_0800;
+    /// The word the deferred-write legs' loop adds.
+    const WORD: u64 = 0x8_0900;
 
-    /// Emits `iters` iterations of `body` `add r12, 1`s and a `getpid`
-    /// whose result is added into r12, counted down in r13, at label
-    /// `name`.
-    fn emit_getpid_loop(a: &mut Asm, name: &str, iters: u64, body: usize) {
+    /// Emits `iters` iterations of `body` `add r12, 1`s, `r12 += [word]`
+    /// when a `word` is given, and a `getpid` whose result is added into
+    /// r12, counted down in r13, at label `name`.
+    fn emit_getpid_loop(a: &mut Asm, name: &str, iters: u64, body: usize, word: Option<u64>) {
         a.mov_imm(Reg::R13, iters);
         a.label(name);
         for _ in 0..body {
             a.add_imm(Reg::R12, 1);
+        }
+        if let Some(addr) = word {
+            emit_add_word(a, addr);
         }
         a.mov_imm(Reg::Rax, nr::SYS_GETPID);
         a.syscall();
@@ -2610,11 +2611,11 @@ mod tests {
                 emit_call(&mut a, nr::SYS_FORK, &[]);
                 a.test_reg(Reg::Rax, Reg::Rax);
                 a.jnz("parent");
-                emit_getpid_loop(&mut a, "child", ITERS, body);
+                emit_getpid_loop(&mut a, "child", ITERS, body, None);
                 emit_exit_r12(&mut a);
                 a.label("parent");
                 emit_call(&mut a, nr::SYS_WAIT4, &[u64::MAX, STATUS, 0]);
-                emit_getpid_loop(&mut a, "loop", ITERS, body);
+                emit_getpid_loop(&mut a, "loop", ITERS, body, None);
                 emit_add_word(&mut a, STATUS);
             }
             Leg::PipeReader => {
@@ -2635,7 +2636,7 @@ mod tests {
                 a.load_byte(Reg::R12, Reg::R11, 0);
                 emit_exit_r12(&mut a);
                 a.label("parent");
-                emit_getpid_loop(&mut a, "loop", ITERS, body);
+                emit_getpid_loop(&mut a, "loop", ITERS, body, None);
                 a.mov_imm(Reg::R11, 0x8_0300);
                 a.store(Reg::R11, 0, Reg::R12);
                 a.mov_reg(Reg::Rdi, Reg::R14);
@@ -2647,15 +2648,15 @@ mod tests {
                 emit_call(&mut a, nr::SYS_WAIT4, &[u64::MAX, STATUS, 0]);
                 emit_add_word(&mut a, STATUS);
             }
-            Leg::QuietTracer => emit_getpid_loop(&mut a, "loop", ITERS, body),
+            Leg::QuietTracer => emit_getpid_loop(&mut a, "loop", ITERS, body, None),
             Leg::SudAllow => {
                 emit_sud_on(&mut a, 0, 0);
-                emit_getpid_loop(&mut a, "loop", ITERS, body);
+                emit_getpid_loop(&mut a, "loop", ITERS, body, None);
             }
             Leg::SudAllowlisted => {
                 emit_store_byte(&mut a, SELECTOR, nr::SYSCALL_DISPATCH_FILTER_BLOCK as u64);
                 emit_sud_on(&mut a, 0x1000, 0x10000);
-                emit_getpid_loop(&mut a, "loop", ITERS, body);
+                emit_getpid_loop(&mut a, "loop", ITERS, body, None);
             }
             Leg::SudBlock => {
                 a.lea_label(Reg::Rsi, "handler");
@@ -2670,7 +2671,7 @@ mod tests {
                 a.mov_imm(Reg::Rsi, nr::PR_SYS_DISPATCH_ON);
                 a.mov_imm(Reg::Rax, nr::SYS_PRCTL);
                 a.syscall();
-                emit_getpid_loop(&mut a, "loop", ITERS, body);
+                emit_getpid_loop(&mut a, "loop", ITERS, body, None);
                 emit_store_byte(&mut a, SELECTOR, nr::SYSCALL_DISPATCH_FILTER_ALLOW as u64);
                 emit_add_word(&mut a, COUNTER);
                 emit_exit_r12(&mut a);
@@ -2683,20 +2684,45 @@ mod tests {
                 emit_call(&mut a, nr::SYS_CLONE, &[0, 0x8_8000]);
                 a.test_reg(Reg::Rax, Reg::Rax);
                 a.jz("second");
-                emit_getpid_loop(&mut a, "loop", ITERS, body);
+                emit_getpid_loop(&mut a, "loop", ITERS, body, None);
                 emit_add_word(&mut a, COUNTER);
                 emit_exit_r12(&mut a);
                 a.label("second");
                 emit_count(&mut a, COUNTER);
-                emit_getpid_loop(&mut a, "second_loop", 1, body);
+                emit_getpid_loop(&mut a, "second_loop", 1, body, None);
                 a.jmp("second");
+            }
+            Leg::Sleeper => {
+                emit_call(&mut a, nr::SYS_CLONE, &[0, 0x8_8000]);
+                a.test_reg(Reg::Rax, Reg::Rax);
+                a.jz("sleeper");
+                emit_getpid_loop(&mut a, "loop", ITERS, body, None);
+                emit_add_word(&mut a, COUNTER);
+                emit_exit_r12(&mut a);
+                a.label("sleeper");
+                emit_call(&mut a, nr::SYS_NANOSLEEP, &[1_500]);
+                emit_count(&mut a, COUNTER);
+                a.jmp("sleeper");
+            }
+            Leg::Deferred => emit_getpid_loop(&mut a, "loop", ITERS, body, Some(WORD)),
+            Leg::HostcallDefers => {
+                a.int3();
+                emit_getpid_loop(&mut a, "loop", ITERS, body, Some(WORD));
             }
         }
         emit_exit_r12(&mut a);
         let (mut k, pid) = kernel_with(a.finish());
-        if let Leg::QuietTracer = leg {
-            let tracer = Rc::new(RefCell::new(crate::ptrace_if::CountingTracer::default()));
-            k.attach_tracer(pid, tracer, TraceOpts::default());
+        match leg {
+            Leg::QuietTracer => {
+                let tracer = Rc::new(RefCell::new(crate::ptrace_if::CountingTracer::default()));
+                k.attach_tracer(pid, tracer, TraceOpts::default());
+            }
+            Leg::Deferred => k.defer_write_u8(pid, WORD, 5, 2_000),
+            Leg::HostcallDefers => {
+                k.hostcall_sites.insert((pid, 0x1000), "defer".to_string());
+                k.register_hostcall("defer", |k, pid, _| k.defer_write_u8(pid, WORD, 5, 2_000));
+            }
+            _ => {}
         }
         k
     }
@@ -2706,10 +2732,12 @@ mod tests {
     /// that does not stop at syscalls and SUD whose dispatch check lets
     /// the call through, and adds SUD's slow-path charge; it stands down
     /// for a BLOCK selector (SIGSYS) and beside a second runnable thread.
-    /// For loop bodies on both sides of the 64-step slice, every leg's
-    /// `(RunExit, clock, retired)` at each stop of repeated `run(chunk)`
-    /// calls, and every process's exit status and statistics, equal the
-    /// stepwise oracle's.
+    /// Its restarts stop at the round's next timer: a sleeper's wake time
+    /// and a deferred write's due time, also one a hostcall defers
+    /// inside the slice. For loop bodies on both sides of the 64-step
+    /// slice, every leg's `(RunExit, clock, retired)` at each stop of
+    /// repeated `run(chunk)` calls, and every process's exit status and
+    /// statistics, equal the stepwise oracle's.
     #[test]
     fn direct_path_legs_stop_where_the_stepwise_oracle_stops() {
         type Stops = Vec<(RunExit, u64, u64)>;
@@ -2722,6 +2750,9 @@ mod tests {
             Leg::SudAllowlisted,
             Leg::SudBlock,
             Leg::TwoThreads,
+            Leg::Sleeper,
+            Leg::Deferred,
+            Leg::HostcallDefers,
         ];
         for leg in legs {
             for body in [10, 100] {
@@ -2760,6 +2791,49 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A sleeper wakes when its time comes, also beside a thread that
+    /// never blocks: the main thread sleeps 1,000 cycles and exits 9
+    /// while a cloned thread spins and then loops on `jmp`.
+    #[test]
+    fn sleeper_wakes_beside_a_spinning_thread() {
+        let mut a = Asm::new();
+        emit_call(&mut a, nr::SYS_CLONE, &[0, 0x8_8000]);
+        a.test_reg(Reg::Rax, Reg::Rax);
+        a.jz("spinner");
+        emit_call(&mut a, nr::SYS_NANOSLEEP, &[1_000]);
+        emit_exit(&mut a, 9);
+        a.label("spinner");
+        a.mov_imm(Reg::Rcx, 100_000);
+        a.label("spin");
+        a.sub_imm(Reg::Rcx, 1);
+        a.jnz("spin");
+        a.label("halt");
+        a.jmp("halt");
+        let code = a.finish();
+        for cfg in [EngineConfig::stepwise(), EngineConfig::new()] {
+            let (mut k, pid) = kernel_with(code.clone());
+            k.configure(cfg);
+            assert_eq!(k.run(5_000_000), RunExit::AllExited);
+            assert_eq!(k.process(pid).expect("proc").exit_status, Some(9));
+        }
+    }
+
+    /// A sleep that cannot end before `u64::MAX` sets no timer, so a
+    /// thread that sleeps that long with nothing else to run is a
+    /// deadlock, not a host overflow.
+    #[test]
+    fn endless_sleep_alone_is_a_deadlock() {
+        let mut a = Asm::new();
+        emit_call(&mut a, nr::SYS_NANOSLEEP, &[u64::MAX]);
+        emit_exit(&mut a, 0);
+        let code = a.finish();
+        for cfg in [EngineConfig::stepwise(), EngineConfig::new()] {
+            let (mut k, _) = kernel_with(code.clone());
+            k.configure(cfg);
+            assert_eq!(k.run(5_000_000), RunExit::Deadlock);
         }
     }
 

@@ -11,7 +11,10 @@ use std::collections::BTreeMap;
 /// How a syscall dispatch concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Disp {
-    /// Completed with a return value; advance past the instruction.
+    /// Completed with a return value; advance past the instruction. A
+    /// call that returns and then parks its thread (`nanosleep`) sets the
+    /// thread's state itself and returns this, so it gets the syscall-exit
+    /// tracer stop every returning call gets; the scheduler round wakes it.
     Ret(u64),
     /// Would block: leave `rip` on the instruction and park the thread.
     /// On wake the `syscall` step retires again, at 0 cycles, and
@@ -21,9 +24,6 @@ pub(crate) enum Disp {
     /// fault-plan occurrence and the interposer layer chain, then
     /// dispatches to the syscall table again.
     Block(Wait),
-    /// Completed with a return value *and* parks the thread (sleep-style:
-    /// the syscall must not re-execute on wake).
-    RetThenBlock(u64, Wait),
     /// The handler already arranged control flow (exit, execve, sigreturn).
     NoReturn,
 }
@@ -220,13 +220,14 @@ impl Kernel {
             nr::SYS_PIPE => self.sys_pipe(pid, args),
             nr::SYS_DUP => self.sys_dup(pid, args),
             nr::SYS_NANOSLEEP => {
-                let cycles = args[0]; // simplified ABI: rdi = cycles to sleep
-                Disp::RetThenBlock(
-                    0,
-                    Sleep {
-                        until: self.clock + cycles,
-                    },
-                )
+                // Simplified ABI: rdi = cycles to sleep. A sleep that cannot
+                // end before u64::MAX saturates there, which `Kernel::run`
+                // reads as no timer: it never ends.
+                let until = self.clock.saturating_add(args[0]);
+                if let Some(t) = self.process_mut(pid).and_then(|p| p.thread_mut(tid)) {
+                    t.state = ThreadState::Blocked(Sleep { until });
+                }
+                Disp::Ret(0)
             }
             nr::SYS_SOCKET => {
                 let fd = self

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: release build, the tier-1 suite, lint and rustdoc with warnings
 # denied, the paper tables against RESULTS.txt, the benchmark's self-checks
-# and the one host-time floor.
+# and the one host-time floor; then the non-test line count, ungated.
 # Every committed MATRIX_* and BENCH_* artifact is pinned by `cargo test`
 # (BENCH_simperf.json's host-time floor aside); this script runs no `sim*`
 # sweep of its own.
@@ -77,6 +77,11 @@ perfbench_correct --workload paper-tables
 # the floor never falls (the gate reads only `determinism` and `block`).
 step "simperf gate (engine determinism + throughput floor vs BENCH_simperf.json)"
 cargo run --release -q -p bench --bin simperf -- --gate BENCH_simperf.json
+
+# Informational, no gate: the non-test line count that ROADMAP aim 2 tracks,
+# per crate and in total (scripts/loc.sh alone lists every file too).
+step "non-test Rust lines (scripts/loc.sh)"
+scripts/loc.sh | sed '1,/^$/d'
 
 step ""
 echo "==> ci.sh: all green"

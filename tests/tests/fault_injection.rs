@@ -100,14 +100,14 @@ fn fault_matrix_verdicts_are_pinned() {
     };
     let cells = full_fault_matrix(7);
     for cell in &cells {
-        assert_eq!(cell.baseline_exit, Some(0), "{}: baseline must be clean", cell.mech);
+        assert_eq!(cell.baseline_exit, Some(0), "{}: baseline must be clean", cell.spec);
         assert_eq!(
             cell.survived,
-            expected(cell.mech, cell.scenario),
+            expected(cell.spec, cell.scenario),
             "{} × {:?} flipped (replay: simfault --replay {} '{}')",
-            cell.mech,
+            cell.spec,
             cell.scenario,
-            cell.mech,
+            cell.spec,
             cell.plan.encode()
         );
     }
