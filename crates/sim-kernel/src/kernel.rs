@@ -6,11 +6,12 @@ use crate::config::{Engine, EngineConfig, FaultSession, ProfSession};
 use crate::net::Net;
 use crate::nr;
 use crate::process::{
-    Pid, Process, SeccompAction, SigAction, Source, Thread, ThreadState, Tid, Wait,
+    Pid, Process, SeccompAction, SigAction, Source, SudVerdict, Thread, ThreadState, Tid, Wait,
 };
 use crate::ptrace_if::{Stop, TraceOpts, Tracer, TracerAction};
 use crate::record::RecordSession;
 use crate::signal::{self, SigInfo};
+use crate::sys::Disp;
 use crate::vfs::Vfs;
 use sim_cpu::{CostModel, Cpu, FastMap, HookAction, Step, StepEvent, StepObserver};
 use sim_fault::{FaultKind, PermFlip};
@@ -75,15 +76,15 @@ fn flush_syscall_stats(
 /// Services a trivial syscall at `site` in place: one whose dispatch is
 /// a pure return value with no kernel state touched beyond the
 /// statistics (see [`crate::sys::trivial_ret`]). Under SUD (`sud`) it
-/// serves only what [`Kernel::handle_syscall`]'s dispatch check lets
-/// through: `site` in the allowlisted range, or a readable selector that
-/// is not BLOCK. Applies the kernel-entry serialization and the return's
-/// register effects and returns the syscall number. Returns `None` for
-/// any other syscall, with no effect, and for a BLOCK or unreadable
-/// selector after the serialization alone, which `handle_syscall` then
-/// repeats as a coalesced no-op: reading such a selector writes nothing
-/// (only a first read of a mapped, untouched page allocates a frame, and
-/// that page reads 0, ALLOW).
+/// serves only what SUD's dispatch check lets through
+/// ([`crate::process::Sud::verdict`]). Applies the kernel-entry
+/// serialization and the return's register effects and returns the
+/// syscall number. Returns `None` for any other syscall, with no effect,
+/// and for a SIGSYS or kill verdict after the serialization alone, which
+/// [`Kernel::handle_syscall`] then repeats as a coalesced no-op: reading
+/// a BLOCK or unreadable selector writes nothing (only a first read of a
+/// mapped, untouched page allocates a frame, and that page reads 0,
+/// ALLOW).
 #[inline]
 fn serve_trivial(
     cpu: &mut Cpu,
@@ -99,13 +100,8 @@ fn serve_trivial(
     // stamp compare while nothing in the space was written), before the
     // selector read, in `handle_syscall`'s order.
     cpu.serialize(space);
-    if let Some(s) = sud {
-        let selector = s.selector(space);
-        let through = s.in_allowlist(site)
-            || selector.is_some_and(|b| b != nr::SYSCALL_DISPATCH_FILTER_BLOCK);
-        if !through {
-            return None;
-        }
+    if sud.is_some_and(|s| s.verdict(site, s.selector(space)) != SudVerdict::Through) {
+        return None;
     }
     cpu.syscall_return(site, ret);
     Some(nr_)
@@ -227,7 +223,6 @@ pub struct Kernel {
     next_tid: Tid,
     tracers: HashMap<Pid, TracerSlot>,
     hostcall_impls: HashMap<String, HostcallFn>,
-    hostcall_sites: HashMap<(Pid, u64), String>,
     loader: Option<Rc<dyn ExecLoader>>,
     deferred: Vec<DeferredWrite>,
     /// xorshift state behind [`Kernel::next_random`]: `getrandom` bytes
@@ -279,7 +274,6 @@ impl Kernel {
             next_tid: 1,
             tracers: HashMap::new(),
             hostcall_impls: HashMap::new(),
-            hostcall_sites: HashMap::new(),
             loader: None,
             deferred: Vec::new(),
             rng_state: 0x5eed,
@@ -415,6 +409,13 @@ impl Kernel {
     /// True if `pid` is currently traced.
     pub fn is_traced(&self, pid: Pid) -> bool {
         self.tracers.contains_key(&pid)
+    }
+
+    /// True if `pid`'s tracer stops at its syscalls (`trace_syscalls`).
+    fn traces_syscalls(&self, pid: Pid) -> bool {
+        self.tracers
+            .get(&pid)
+            .is_some_and(|t| t.opts.trace_syscalls)
     }
 
     /// Tracer memory read (charged as one ptrace round trip).
@@ -598,6 +599,7 @@ impl Kernel {
             p.vdso_base = img.vdso_base;
             p.symbols = img.symbols;
             p.lib_bases = img.lib_bases;
+            p.hostcall_sites = img.hostcall_sites;
             p.symcache = None;
             // Stack layers survive exec only if they opted in, and the
             // chain-site resolution is stale either way (the new image may
@@ -611,11 +613,6 @@ impl Kernel {
             // P1a: a covered image exec'd away; bypasses now classify as
             // the post-exec gap until the mechanism re-marks itself live.
             a.note_exec(pid, was_live);
-        }
-
-        self.hostcall_sites.retain(|(p, _), _| *p != pid);
-        for (name, addr) in img.hostcall_sites {
-            self.hostcall_sites.insert((pid, addr), name);
         }
 
         // PTRACE_EVENT_EXEC
@@ -695,7 +692,7 @@ impl Kernel {
     /// Routes one syscall through the layer chain (see `stack.rs` for the
     /// dispatch contract) and applies whatever the chain's top produced.
     fn chain_dispatch(&mut self, mut ctx: crate::stack::SyscallCtx, injected: Option<FaultKind>, obs: bool) {
-        use crate::stack::{Chain, RealOutcome, SysResult};
+        use crate::stack::{Chain, SysResult};
         let crate::stack::SyscallCtx { pid, tid, nr: nr_, site, .. } = ctx;
         let (layers, order) = {
             let sess = self.stack.as_ref().expect("chain_applies checked");
@@ -715,8 +712,8 @@ impl Kernel {
         }
         let mut chain = Chain::new(layers, order, injected, obs);
         let fin = chain.call_next(self, &mut ctx);
-        match (chain.real_outcome(), fin) {
-            (Some(RealOutcome::Sigreturn), SysResult::Value(_)) => {
+        match (chain.real, fin) {
+            (Some(Disp::NoReturn), SysResult::Value(_)) if ctx.nr == nr::SYS_RT_SIGRETURN => {
                 // The composition hazard (nested sigreturn × chained
                 // handlers): a layer marshalled "the return value" of a
                 // control transfer, so its epilogue runs on the frame the
@@ -725,7 +722,7 @@ impl Kernel {
                 // SIGSEGV kill.
                 self.kill_process(pid, 128 + nr::SIGSEGV as i64);
             }
-            (Some(RealOutcome::Ret(v)), SysResult::Value(w)) if w != v => {
+            (Some(Disp::Ret(v)), SysResult::Value(w)) if w != v => {
                 // A layer rewrote the result on the way out.
                 if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
                     t.cpu.set(Reg::Rax, w);
@@ -1299,15 +1296,13 @@ impl Kernel {
         }
     }
 
-    /// Record bookkeeping at kernel entry: stamps the clock the recorded
-    /// service cycles are measured from (skipped for in-kernel restarts,
-    /// which resume the original entry).
-    fn record_syscall_entry(&mut self, pid: Pid, tid: Tid, restarting: bool) {
+    /// Record bookkeeping at first kernel entry: stamps the clock the
+    /// recorded service cycles are measured from (a resumed call keeps
+    /// its first entry's stamp).
+    fn record_syscall_entry(&mut self, pid: Pid, tid: Tid) {
         let clock = self.clock;
         if let Some(rs) = self.record.as_mut() {
-            if !restarting {
-                rs.entry_clock.insert((pid, tid), clock);
-            }
+            rs.entry_clock.insert((pid, tid), clock);
         }
     }
 
@@ -1655,10 +1650,7 @@ impl Kernel {
         !sim_obs::enabled()
             && self.stack.is_none()
             && self.audit.is_none()
-            && !self
-                .tracers
-                .get(&pid)
-                .is_some_and(|t| t.opts.trace_syscalls)
+            && !self.traces_syscalls(pid)
             && self.procs.get(&pid).is_some_and(|p| {
                 p.seccomp.is_none() && p.thread(tid).is_some_and(|t| !t.restarting)
             })
@@ -1765,12 +1757,12 @@ impl Kernel {
             Some(cpu) => cpu.rip.wrapping_sub(1),
             None => return,
         };
-        let Some(name) = self.hostcall_sites.get(&(pid, site)).cloned() else {
-            // Unregistered breakpoint: fatal SIGTRAP.
-            self.kill_process(pid, 128 + nr::SIGTRAP as i64);
-            return;
-        };
-        let Some(f) = self.hostcall_impls.get(&name).cloned() else {
+        let f = self.procs.get(&pid).and_then(|p| {
+            let (name, _) = p.hostcall_sites.iter().rfind(|(_, a)| *a == site)?;
+            self.hostcall_impls.get(name).cloned()
+        });
+        let Some(f) = f else {
+            // Unregistered breakpoint or handler: fatal SIGTRAP.
             self.kill_process(pid, 128 + nr::SIGTRAP as i64);
             return;
         };
@@ -1778,21 +1770,27 @@ impl Kernel {
         (f.borrow_mut())(self, pid, tid);
     }
 
-    /// Resolves the mapped-region name containing `site` through the
-    /// stats path's per-process memo ([`region_of`]).
-    fn site_region(&mut self, pid: Pid, site: u64) -> String {
-        match self.procs.get_mut(&pid) {
-            Some(p) => region_of(&mut p.region_cache, &p.space, site).clone(),
-            None => "?".to_string(),
+    /// Folds one executed syscall into `pid`'s statistics.
+    fn count_syscall(&mut self, pid: Pid, nr_: u64, site: u64) {
+        if let Some(p) = self.procs.get_mut(&pid) {
+            let Process {
+                stats,
+                space,
+                region_cache,
+                interposer_live,
+                ..
+            } = p;
+            flush_syscall_stats(stats, region_cache, space, *interposer_live, nr_, site, 1);
         }
     }
 
     /// Kernel entry for a `syscall`/`sysenter` at `site`: SUD dispatch,
     /// ptrace stops, seccomp, statistics, fault injection, and the
     /// syscall table. Every syscall the block loop's direct path does not
-    /// serve takes this walk, on every engine.
+    /// serve takes this walk, on every engine. A call resumed after
+    /// `Disp::Block` skips the first-entry work: it is counted and
+    /// dispatched again, below any interposer chain.
     fn handle_syscall(&mut self, pid: Pid, tid: Tid, site: u64) {
-        let cost = self.cost;
         // Gather thread state.
         let (nr_, args, sud, selector, restarting) = {
             let Some(p) = self.procs.get_mut(&pid) else {
@@ -1812,13 +1810,28 @@ impl Kernel {
             let selector = sud.and_then(|s| s.selector(space));
             (nr_, args, sud, selector, restarting)
         };
+        if restarting {
+            // The call resumes in-kernel: its first entry ran the entry
+            // charges, the SUD check, the tracer stop, seccomp, the audit
+            // tag, the fault-plan occurrence and the layers; the block
+            // undid only its count.
+            self.count_syscall(pid, nr_, site);
+            self.chain_real_dispatch(pid, tid, nr_, args, site, None);
+            return;
+        }
 
         // Observability: open the syscall span (one per architectural
-        // syscall — a restart resumes the span opened at first entry) and
-        // observe the SUD selector byte for flip detection.
+        // syscall) and observe the SUD selector byte for flip detection.
+        // The issuing region is resolved once, for this and the audit tag,
+        // through the stats path's per-process memo.
         let obs = sim_obs::enabled();
-        if obs && !restarting {
-            let region = self.site_region(pid, site);
+        let region = if obs || self.audit.is_some() {
+            let p = self.procs.get_mut(&pid).expect("gathered above");
+            region_of(&mut p.region_cache, &p.space, site).clone()
+        } else {
+            String::new()
+        };
+        if obs {
             sim_obs::syscall_enter(self.clock, nr_, site, &region, nr::syscall_name(nr_));
             if let Some(sel) = selector {
                 sim_obs::sud_selector(self.clock, sel);
@@ -1826,120 +1839,84 @@ impl Kernel {
         }
 
         // Kernel entry cost; SUD arming puts every entry on the slow path.
-        // A restarted (previously blocked) syscall resumes in-kernel: no
-        // second entry, no re-dispatch, no second tracer stop.
-        if !restarting {
-            self.charge(cost.kernel_entry);
-            if sud.is_some() {
-                self.charge(cost.sud_slowpath);
-            }
+        self.charge(self.cost.kernel_entry);
+        if sud.is_some() {
+            self.charge(self.cost.sud_slowpath);
         }
-        self.record_syscall_entry(pid, tid, restarting);
+        self.record_syscall_entry(pid, tid);
+        let verdict = sud.map_or(SudVerdict::Through, |s| s.verdict(site, selector));
 
-        // Coverage audit: tag each architectural syscall once, at first
-        // entry (a restart resumes in-kernel — the tag stands). The SUD
-        // outcome is predicted from the same state the dispatch check
-        // below reads, so tagging here also covers the SIGSYS early
-        // return.
-        if !restarting && self.audit.is_some() {
-            let region = self.site_region(pid, site);
-            let traced = self
-                .tracers
-                .get(&pid)
-                .is_some_and(|t| t.opts.trace_syscalls);
-            let live = self.procs.get(&pid).is_some_and(|p| p.interposer_live);
-            let in_allowlist = sud.is_some_and(|s| s.in_allowlist(site));
-            let view = crate::audit::SyscallView {
-                region: &region,
-                traced,
-                live,
-                sud_armed: sud.is_some(),
-                in_allowlist,
-                will_sigsys: sud.is_some()
-                    && !in_allowlist
-                    && selector == Some(nr::SYSCALL_DISPATCH_FILTER_BLOCK),
-                selector_allow: selector == Some(nr::SYSCALL_DISPATCH_FILTER_ALLOW),
-            };
-            let tag = self
-                .audit
-                .as_mut()
-                .expect("checked above")
-                .classify(pid, site, &view);
+        // Coverage audit: tag each architectural syscall once. The SUD
+        // verdict is the one the dispatch check below acts on, so tagging
+        // here also covers the SIGSYS early return.
+        let view = self.audit.is_some().then(|| crate::audit::SyscallView {
+            region: &region,
+            traced: self.traces_syscalls(pid),
+            live: self.procs.get(&pid).is_some_and(|p| p.interposer_live),
+            sud_armed: sud.is_some(),
+            in_allowlist: sud.is_some_and(|s| s.in_allowlist(site)),
+            will_sigsys: verdict == SudVerdict::Sigsys,
+            selector_allow: selector == Some(nr::SYSCALL_DISPATCH_FILTER_ALLOW),
+        });
+        if let (Some(view), Some(a)) = (view, self.audit.as_mut()) {
+            let tag = a.classify(pid, site, &view);
             if obs {
                 let mark = match tag {
                     crate::audit::AuditTag::Path => sim_obs::AuditMark::Path,
                     crate::audit::AuditTag::Control => sim_obs::AuditMark::Control,
                     crate::audit::AuditTag::Double => sim_obs::AuditMark::Double,
-                    crate::audit::AuditTag::Bypassed(sig) => {
-                        sim_obs::AuditMark::Bypass(sig.code())
-                    }
+                    crate::audit::AuditTag::Bypassed(sig) => sim_obs::AuditMark::Bypass(sig.code()),
                 };
                 sim_obs::audit_tag(self.clock, nr_, site, &region, mark);
             }
         }
 
         // SUD dispatch check (before anything else, as in Linux).
-        let sud_check = if restarting { None } else { sud };
-        if let Some(s) = sud_check {
-            if !s.in_allowlist(site) {
-                match selector {
-                    Some(nr::SYSCALL_DISPATCH_FILTER_BLOCK) => {
-                        // Deliver SIGSYS; saved context resumes after the
-                        // syscall instruction.
-                        if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
-                            t.cpu.rip = site + 2;
-                        }
-                        if let Some(p) = self.procs.get_mut(&pid) {
-                            p.stats.sigsys_count += 1;
-                        }
-                        if obs {
-                            sim_obs::sigsys(self.clock, nr_, site, nr::syscall_name(nr_));
-                            sim_obs::span_enter(self.clock, "sud/sigsys-deliver");
-                        }
-                        self.deliver_signal(
-                            pid,
-                            tid,
-                            SigInfo {
-                                signo: nr::SIGSYS,
-                                syscall: nr_,
-                                call_addr: site,
-                                ..SigInfo::default()
-                            },
-                        );
-                        if obs {
-                            sim_obs::span_exit(self.clock);
-                        }
-                        return;
-                    }
-                    Some(_) => {}
-                    None => {
-                        // Unreadable selector: Linux kills the task.
-                        self.kill_process(pid, 128 + nr::SIGSYS as i64);
-                        return;
+        match verdict {
+            SudVerdict::Through => {}
+            SudVerdict::Sigsys => {
+                // Deliver SIGSYS; saved context resumes after the syscall
+                // instruction.
+                if let Some(p) = self.procs.get_mut(&pid) {
+                    p.stats.sigsys_count += 1;
+                    if let Some(t) = p.thread_mut(tid) {
+                        t.cpu.rip = site + 2;
                     }
                 }
+                if obs {
+                    sim_obs::sigsys(self.clock, nr_, site, nr::syscall_name(nr_));
+                    sim_obs::span_enter(self.clock, "sud/sigsys-deliver");
+                }
+                self.deliver_signal(
+                    pid,
+                    tid,
+                    SigInfo {
+                        signo: nr::SIGSYS,
+                        syscall: nr_,
+                        call_addr: site,
+                        ..SigInfo::default()
+                    },
+                );
+                if obs {
+                    sim_obs::span_exit(self.clock);
+                }
+                return;
+            }
+            SudVerdict::Kill => {
+                self.kill_process(pid, 128 + nr::SIGSYS as i64);
+                return;
             }
         }
 
-        // ptrace syscall-enter stop (not repeated for in-kernel restarts).
-        // The tracer may rewrite the tracee's registers (PTRACE_SETREGS) —
-        // the syscall then executes with the *modified* arguments, exactly
-        // as on Linux.
-        let enter_action = if restarting {
-            TracerAction::Continue
-        } else {
-            self.tracer_stop(
-            pid,
-            tid,
-            Stop::SyscallEnter {
-                nr: nr_,
-                args,
-                site,
-            },
-            |o| o.trace_syscalls,
-            )
+        // ptrace syscall-enter stop. The tracer may rewrite the tracee's
+        // registers (PTRACE_SETREGS) — the syscall then executes with the
+        // *modified* arguments, exactly as on Linux.
+        let enter = Stop::SyscallEnter {
+            nr: nr_,
+            args,
+            site,
         };
-        match enter_action {
+        match self.tracer_stop(pid, tid, enter, |o| o.trace_syscalls) {
             TracerAction::Continue | TracerAction::Detach => {}
             TracerAction::Kill => return,
             TracerAction::SkipSyscall { ret } => {
@@ -1948,7 +1925,8 @@ impl Kernel {
             }
         }
 
-        // seccomp filter (installed filters survive execve, as on Linux).
+        // seccomp filter, at entry only, as on Linux (installed filters
+        // survive execve).
         let seccomp_action = self
             .procs
             .get(&pid)
@@ -1975,50 +1953,28 @@ impl Kernel {
         else {
             return;
         };
-
-        {
-            let Some(p) = self.procs.get_mut(&pid) else {
-                return;
-            };
-            let Process {
-                stats,
-                space,
-                region_cache,
-                interposer_live,
-                ..
-            } = p;
-            flush_syscall_stats(stats, region_cache, space, *interposer_live, nr_, site, 1);
-        }
+        self.count_syscall(pid, nr_, site);
 
         // sim-fault errno injection: decided purely by (plan, nr,
         // executed-occurrence index). Occurrences count only once the
-        // interposer is live and never for in-kernel restarts, so the
-        // numbering is architectural — identical under both engines.
-        let injected = if self.fault.is_some() && !restarting {
-            let live = self.procs.get(&pid).is_some_and(|p| p.interposer_live);
-            match self.fault.as_mut() {
-                Some(fs) if live => {
-                    let occ = fs.occurrences.entry(nr_).or_insert(0);
-                    let idx = *occ;
-                    *occ += 1;
-                    fs.plan.syscall_fault(nr_, idx)
-                }
-                _ => None,
+        // interposer is live, so the numbering is architectural —
+        // identical under both engines.
+        let injected = match self.fault.as_mut() {
+            Some(fs) if self.procs.get(&pid).is_some_and(|p| p.interposer_live) => {
+                let occ = fs.occurrences.entry(nr_).or_insert(0);
+                let idx = *occ;
+                *occ += 1;
+                fs.plan.syscall_fault(nr_, idx)
             }
-        } else {
-            None
+            _ => None,
         };
-        if let Some(kind) = injected {
-            if obs {
-                sim_obs::fault_errno(self.clock, nr_, kind.tag());
-            }
+        if let (true, Some(kind)) = (obs, injected) {
+            sim_obs::fault_errno(self.clock, nr_, kind.tag());
         }
 
         // Dispatch — through the interposer chain when a composed stack
         // covers this (process, site), otherwise straight to the kernel.
-        // In-kernel restarts never re-enter the chain: the layers ran at
-        // first entry; the retry completes below them.
-        if !restarting && self.chain_applies(pid, site) {
+        if self.chain_applies(pid, site) {
             let ctx = crate::stack::SyscallCtx { pid, tid, nr: nr_, args, site };
             self.chain_dispatch(ctx, injected, obs);
         } else {
@@ -2039,7 +1995,8 @@ impl Kernel {
     /// The real kernel dispatch and its architectural effects (registers,
     /// blocking, record/trace/obs exits) — the bottom of the interposer
     /// chain, and the whole dispatch step when no chain applies. Applies
-    /// `injected` exactly as the pre-chain dispatch did.
+    /// `injected` exactly as the pre-chain dispatch did. Returns the
+    /// `Disp` it completed.
     pub(crate) fn chain_real_dispatch(
         &mut self,
         pid: Pid,
@@ -2048,11 +2005,11 @@ impl Kernel {
         args: [u64; 6],
         site: u64,
         injected: Option<FaultKind>,
-    ) -> crate::stack::RealOutcome {
+    ) -> Disp {
         let disp = match injected {
-            Some(FaultKind::Eintr) => crate::sys::Disp::Ret(nr::err(nr::EINTR)),
-            Some(FaultKind::Eagain) => crate::sys::Disp::Ret(nr::err(nr::EAGAIN)),
-            Some(FaultKind::Enomem) => crate::sys::Disp::Ret(nr::err(nr::ENOMEM)),
+            Some(FaultKind::Eintr) => Disp::Ret(nr::err(nr::EINTR)),
+            Some(FaultKind::Eagain) => Disp::Ret(nr::err(nr::EAGAIN)),
+            Some(FaultKind::Enomem) => Disp::Ret(nr::err(nr::ENOMEM)),
             Some(FaultKind::Partial) => {
                 // Cap the transfer length: the call executes with faithful
                 // side effects and itself returns the short count.
@@ -2065,7 +2022,7 @@ impl Kernel {
             None => self.sys_dispatch(pid, tid, nr_, args, site),
         };
         match disp {
-            crate::sys::Disp::Ret(ret) => {
+            Disp::Ret(ret) => {
                 if let Some(t) = self.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
                     t.cpu.syscall_return(site, ret);
                 }
@@ -2074,9 +2031,8 @@ impl Kernel {
                     o.trace_syscalls
                 });
                 sim_obs::syscall_exit(self.clock, nr_, ret, nr::syscall_name(nr_));
-                crate::stack::RealOutcome::Ret(ret)
             }
-            crate::sys::Disp::Block(wait) => {
+            Disp::Block(wait) => {
                 // rip stays at the syscall instruction: the thread retries on
                 // wake. Undo the "executed" count — it will be recounted.
                 if let Some(p) = self.procs.get_mut(&pid) {
@@ -2097,16 +2053,10 @@ impl Kernel {
                         t.restarting = true;
                     }
                 }
-                crate::stack::RealOutcome::Opaque
             }
-            crate::sys::Disp::NoReturn => {
-                if nr_ == nr::SYS_RT_SIGRETURN {
-                    crate::stack::RealOutcome::Sigreturn
-                } else {
-                    crate::stack::RealOutcome::Opaque
-                }
-            }
+            Disp::NoReturn => {}
         }
+        disp
     }
 
     // ---- fork/clone helpers used by sys.rs -----------------------------------
@@ -2135,6 +2085,7 @@ impl Kernel {
         child.vdso_base = parent.vdso_base;
         child.symbols = parent.symbols.clone();
         child.lib_bases = parent.lib_bases.clone();
+        child.hostcall_sites = parent.hostcall_sites.clone();
         child.interposer_live = parent.interposer_live;
         child.seccomp = parent.seccomp.clone();
         // Stack-layer membership: only layers that opted into fork
@@ -2177,35 +2128,18 @@ impl Kernel {
         if let Some(p) = self.procs.get_mut(&pid) {
             p.children.push(child_pid);
         }
-        // Duplicate hostcall wiring (same image).
-        let copies: Vec<(u64, String)> = self
-            .hostcall_sites
-            .iter()
-            .filter(|((p, _), _)| *p == pid)
-            .map(|((_, a), n)| (*a, n.clone()))
-            .collect();
-        for (a, n) in copies {
-            self.hostcall_sites.insert((child_pid, a), n);
-        }
         self.maybe_trace_fork(pid, child_pid, tid);
-        if let Some(a) = &mut self.audit {
+        if self.audit.is_some() {
             // Fork-propagation audit: a child born outside the mechanism's
             // reach (no inherited liveness, no tracer follow) while the
             // parent was covered is a fork-gap shadow.
-            let parent_covered = self.procs.get(&pid).is_some_and(|p| p.interposer_live)
-                || self
-                    .tracers
-                    .get(&pid)
-                    .is_some_and(|t| t.opts.trace_syscalls);
-            let child_covered = self
-                .procs
-                .get(&child_pid)
-                .is_some_and(|p| p.interposer_live)
-                || self
-                    .tracers
-                    .get(&child_pid)
-                    .is_some_and(|t| t.opts.trace_syscalls);
-            a.note_fork(child_pid, parent_covered, child_covered);
+            let covered = |pid| {
+                self.procs.get(&pid).is_some_and(|p| p.interposer_live) || self.traces_syscalls(pid)
+            };
+            let (parent, child) = (covered(pid), covered(child_pid));
+            if let Some(a) = self.audit.as_mut() {
+                a.note_fork(child_pid, parent, child);
+            }
         }
         child_pid
     }
@@ -2311,8 +2245,23 @@ mod tests {
         (k, pid)
     }
 
+    /// Records every tracer stop it sees.
+    #[derive(Default)]
+    struct StopLog(Vec<Stop>);
+
+    impl Tracer for StopLog {
+        fn on_stop(&mut self, _: &mut Kernel, _: Pid, _: Tid, stop: &Stop) -> TracerAction {
+            self.0.push(stop.clone());
+            TracerAction::Continue
+        }
+    }
+
     /// A blocked syscall resumes in-kernel: exactly one kernel entry is
     /// charged even though the instruction re-executes after the wake.
+    /// The resume also skips the rest of the first-entry work: under a
+    /// tracer that stops at syscalls the read makes one enter stop and
+    /// one exit stop, an audit session tags it once, and a fault plan
+    /// whose only errno fault is its second occurrence never fires.
     #[test]
     fn blocked_syscall_pays_single_kernel_entry() {
         // pipe(fds); read(rfd) [blocks]; parent thread writes after a sleep…
@@ -2341,6 +2290,7 @@ mod tests {
         a.mov_imm(Reg::Rax, nr::SYS_READ);
         a.label("read_site");
         a.syscall();
+        a.mov_reg(Reg::R12, Reg::Rax);
         a.mov_imm(Reg::Rdi, 0);
         a.mov_imm(Reg::Rax, nr::SYS_EXIT_GROUP);
         a.syscall();
@@ -2362,14 +2312,55 @@ mod tests {
         a.jmp("halt");
         let prog = a.finish_program();
         let read_site = 0x1000 + prog.sym("read_site");
-        let (mut k, pid) = kernel_with(prog.bytes);
-        let exit = k.run(10_000_000_000);
-        assert_eq!(exit, RunExit::AllExited);
-        let p = k.process(pid).expect("proc");
-        assert_eq!(p.exit_status, Some(0));
-        // The read executed exactly once in the stats even though it blocked
-        // and retried.
-        assert_eq!(p.stats.syscalls_at_site(read_site), 1);
+        let run = |setup: &dyn Fn(&mut Kernel, Pid)| {
+            let (mut k, pid) = kernel_with(prog.bytes.clone());
+            setup(&mut k, pid);
+            let exit = k.run(10_000_000_000);
+            assert_eq!(exit, RunExit::AllExited);
+            let p = k.process(pid).expect("proc");
+            assert_eq!(p.exit_status, Some(0));
+            // The read executed exactly once in the stats even though it
+            // blocked and retried, and returned its byte.
+            assert_eq!(p.stats.syscalls_at_site(read_site), 1);
+            assert_eq!(p.threads[0].cpu.get(Reg::R12), 1);
+            (k, pid)
+        };
+        run(&|_, _| {});
+
+        let log = Rc::new(RefCell::new(StopLog::default()));
+        let opts = TraceOpts {
+            trace_syscalls: true,
+            ..TraceOpts::default()
+        };
+        run(&|k, pid| k.attach_tracer(pid, log.clone(), opts));
+        let stops = &log.borrow().0;
+        let enters = stops
+            .iter()
+            .filter(|s| matches!(s, Stop::SyscallEnter { site, .. } if *site == read_site));
+        assert_eq!(enters.count(), 1);
+        let exits = stops
+            .iter()
+            .filter(|s| matches!(s, Stop::SyscallExit { nr, .. } if *nr == nr::SYS_READ));
+        assert_eq!(exits.count(), 1);
+
+        let audit = EngineConfig::new().audit(crate::audit::AuditSpec::none("native"));
+        let (k, pid) = run(&|k, _| k.configure(audit.clone()));
+        let ledger = k.audit_ledger().expect("audit session");
+        let tag = (crate::audit::Signature::Uncovered, read_site);
+        assert_eq!(ledger.per_proc[&pid].bypass_sites.get(&tag), Some(&1));
+
+        let second_read_fails = sim_fault::FaultPlan {
+            syscall_faults: vec![sim_fault::SyscallFault {
+                nr: nr::SYS_READ,
+                occurrence: 1,
+                kind: FaultKind::Eintr,
+            }],
+            ..sim_fault::FaultPlan::zero(0)
+        };
+        run(&|k, pid| {
+            k.configure(EngineConfig::new().fault(second_read_fails.clone()));
+            k.mark_interposer_live(pid);
+        });
     }
 
     /// Deferred writes land exactly at their due time.
@@ -2498,6 +2489,9 @@ mod tests {
         /// takes SIGSYS, whose handler counts it in memory and returns
         /// through an allowlisted `rt_sigreturn`.
         SudBlock,
+        /// The loop under SUD with an unmapped selector: the first
+        /// `getpid` kills the process with 128 + SIGSYS.
+        SudUnreadable,
         /// The loop beside a second thread that counts its own `getpid`
         /// iterations in memory; the exit status adds that count, so it
         /// shows how the two interleaved.
@@ -2516,6 +2510,8 @@ mod tests {
 
     /// Where the SUD legs keep their selector byte.
     const SELECTOR: u64 = 0x8_0600;
+    /// `Leg::SudUnreadable`'s selector address, which nothing maps.
+    const UNMAPPED: u64 = 0x50_0000;
     /// Where `Leg::SudBlock`'s handler and the second threads of
     /// `Leg::TwoThreads` and `Leg::Sleeper` count.
     const COUNTER: u64 = 0x8_0700;
@@ -2680,6 +2676,11 @@ mod tests {
                 a.mov_imm(Reg::Rax, nr::SYS_RT_SIGRETURN);
                 a.syscall();
             }
+            Leg::SudUnreadable => {
+                let (set, on) = (nr::PR_SET_SYSCALL_USER_DISPATCH, nr::PR_SYS_DISPATCH_ON);
+                emit_call(&mut a, nr::SYS_PRCTL, &[set, on, 0, 0, UNMAPPED]);
+                emit_getpid_loop(&mut a, "loop", ITERS, body, None);
+            }
             Leg::TwoThreads => {
                 emit_call(&mut a, nr::SYS_CLONE, &[0, 0x8_8000]);
                 a.test_reg(Reg::Rax, Reg::Rax);
@@ -2719,7 +2720,8 @@ mod tests {
             }
             Leg::Deferred => k.defer_write_u8(pid, WORD, 5, 2_000),
             Leg::HostcallDefers => {
-                k.hostcall_sites.insert((pid, 0x1000), "defer".to_string());
+                let p = k.process_mut(pid).expect("proc");
+                p.hostcall_sites.push(("defer".to_string(), 0x1000));
                 k.register_hostcall("defer", |k, pid, _| k.defer_write_u8(pid, WORD, 5, 2_000));
             }
             _ => {}
@@ -2731,7 +2733,8 @@ mod tests {
     /// would run alone, beside exited and blocked processes, a tracer
     /// that does not stop at syscalls and SUD whose dispatch check lets
     /// the call through, and adds SUD's slow-path charge; it stands down
-    /// for a BLOCK selector (SIGSYS) and beside a second runnable thread.
+    /// for a BLOCK selector (SIGSYS), an unreadable one (the kill) and
+    /// beside a second runnable thread.
     /// Its restarts stop at the round's next timer: a sleeper's wake time
     /// and a deferred write's due time, also one a hostcall defers
     /// inside the slice. For loop bodies on both sides of the 64-step
@@ -2749,6 +2752,7 @@ mod tests {
             Leg::SudAllow,
             Leg::SudAllowlisted,
             Leg::SudBlock,
+            Leg::SudUnreadable,
             Leg::TwoThreads,
             Leg::Sleeper,
             Leg::Deferred,
@@ -2784,6 +2788,9 @@ mod tests {
                         Some(RunExit::AllExited),
                         "{leg:?}"
                     );
+                    if let Leg::SudUnreadable = leg {
+                        assert_eq!(oracle.1[0].0, Some(128 + nr::SIGSYS as i64));
+                    }
                     assert_eq!(
                         run(EngineConfig::new()),
                         oracle,

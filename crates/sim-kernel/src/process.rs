@@ -38,6 +38,30 @@ impl Sud {
             .ok()
             .map(|_| b[0])
     }
+
+    /// SUD's dispatch check on a syscall issued from `site` while the
+    /// selector reads `selector`: an allowlisted site, or a readable
+    /// selector that is not BLOCK, lets the call through; BLOCK delivers
+    /// SIGSYS; an unreadable selector kills the task, as on Linux.
+    pub(crate) fn verdict(&self, site: u64, selector: Option<u8>) -> SudVerdict {
+        match selector {
+            _ if self.in_allowlist(site) => SudVerdict::Through,
+            Some(nr::SYSCALL_DISPATCH_FILTER_BLOCK) => SudVerdict::Sigsys,
+            Some(_) => SudVerdict::Through,
+            None => SudVerdict::Kill,
+        }
+    }
+}
+
+/// What SUD's dispatch check does with one syscall ([`Sud::verdict`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SudVerdict {
+    /// The call reaches the kernel.
+    Through,
+    /// The call traps: SIGSYS is delivered.
+    Sigsys,
+    /// The process is killed with SIGSYS.
+    Kill,
 }
 
 /// A seccomp filter action for one syscall number.
@@ -477,14 +501,19 @@ pub struct Process {
     pub symbols: BTreeMap<String, u64>,
     /// Base address of each loaded region, keyed by region name.
     pub lib_bases: BTreeMap<String, u64>,
-    /// Installed seccomp filter, if any (checked on every dispatch; like
-    /// Linux, it cannot be removed once installed).
+    /// Installed seccomp filter, if any (checked at every first kernel
+    /// entry, not when a blocked call resumes; like Linux, it cannot be
+    /// removed once installed).
     pub seccomp: Option<SeccompFilter>,
     /// Active-layer bitmask of the installed interposer stack: bit *i*
     /// set means layer *i* of the session interposes this process. Zero
     /// (the default) leaves the chain inert. Fork/execve filter it by the
     /// layers' propagation flags.
     pub stack_mask: u64,
+    /// Hostcall sites of the loaded image: (registered handler name,
+    /// guest vaddr of `int3`), as the loader lists them. Fork copies them
+    /// and exec replaces them.
+    pub(crate) hostcall_sites: Vec<(String, u64)>,
     /// Cached chain-site resolution for the stack's site filter:
     /// `(symbols.len() key, sorted site addresses)`, invalidated on exec
     /// and whenever the symbol table changes size.
@@ -545,6 +574,7 @@ impl Process {
             lib_bases: BTreeMap::new(),
             seccomp: None,
             stack_mask: 0,
+            hostcall_sites: Vec::new(),
             chain_sites: None,
             region_cache: sim_cpu::FastMap::default(),
             symcache: None,

@@ -35,6 +35,7 @@
 
 use crate::kernel::Kernel;
 use crate::process::{Pid, Tid};
+use crate::sys::Disp;
 use sim_fault::FaultKind;
 use std::rc::Rc;
 
@@ -49,28 +50,6 @@ pub enum SysResult {
     /// `execve`, thread exit, a blocked syscall): there is no return
     /// value to marshal, and the saved frame below the chain is gone.
     Control,
-}
-
-/// Outcome of the real kernel dispatch, as recorded by the chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RealOutcome {
-    /// The syscall returned `rax` normally (registers already applied).
-    Ret(u64),
-    /// `rt_sigreturn` restored a saved signal context — the specific
-    /// control transfer the composition-hazard check keys on.
-    Sigreturn,
-    /// Any other no-return outcome: exit, successful `execve`, or an
-    /// in-kernel block (the syscall completes on wake, below the chain).
-    Opaque,
-}
-
-impl RealOutcome {
-    fn as_result(self) -> SysResult {
-        match self {
-            RealOutcome::Ret(v) => SysResult::Value(v),
-            RealOutcome::Sigreturn | RealOutcome::Opaque => SysResult::Control,
-        }
-    }
 }
 
 /// One layer's syscall hook.
@@ -203,7 +182,8 @@ pub struct Chain {
     /// Cursor into `order`: the next layer `call_next` invokes.
     pos: usize,
     injected: Option<FaultKind>,
-    real: Option<RealOutcome>,
+    /// What the real dispatch completed, once it ran.
+    pub(crate) real: Option<Disp>,
     obs: bool,
 }
 
@@ -252,17 +232,20 @@ impl Chain {
     /// (and its injected fault, if any) runs exactly once; later calls
     /// return the cached outcome instead of re-executing the syscall.
     pub fn call_real(&mut self, k: &mut Kernel, ctx: &mut SyscallCtx) -> SysResult {
-        if let Some(r) = self.real {
-            return r.as_result();
+        let injected = &mut self.injected;
+        let disp = *self.real.get_or_insert_with(|| {
+            k.chain_real_dispatch(
+                ctx.pid,
+                ctx.tid,
+                ctx.nr,
+                ctx.args,
+                ctx.site,
+                injected.take(),
+            )
+        });
+        match disp {
+            Disp::Ret(v) => SysResult::Value(v),
+            Disp::Block(_) | Disp::NoReturn => SysResult::Control,
         }
-        let injected = self.injected.take();
-        let out = k.chain_real_dispatch(ctx.pid, ctx.tid, ctx.nr, ctx.args, ctx.site, injected);
-        self.real = Some(out);
-        out.as_result()
-    }
-
-    /// The real dispatch's outcome, once it ran.
-    pub fn real_outcome(&self) -> Option<RealOutcome> {
-        self.real
     }
 }

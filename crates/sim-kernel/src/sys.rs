@@ -19,10 +19,12 @@ pub(crate) enum Disp {
     /// Would block: leave `rip` on the instruction and park the thread.
     /// On wake the `syscall` step retires again, at 0 cycles, and
     /// `handle_syscall` sees `restarting`: the call resumes in-kernel, as
-    /// a restarted syscall does. It charges no second kernel entry and
-    /// skips the SUD check, the tracer enter stop, the audit tag, the
-    /// fault-plan occurrence and the interposer layer chain, then
-    /// dispatches to the syscall table again.
+    /// a restarted syscall does. It skips all first-entry work (the obs
+    /// enter event, the entry charges, the record entry stamp, the audit
+    /// tag, the SUD check, the tracer enter stop, seccomp, the fault-plan
+    /// occurrence and the interposer layer chain); it is counted again,
+    /// since the block undid its count, and dispatched to the syscall
+    /// table again.
     Block(Wait),
     /// The handler already arranged control flow (exit, execve, sigreturn).
     NoReturn,
@@ -657,7 +659,9 @@ impl Kernel {
         let Some(p) = self.process_mut(pid) else {
             return Disp::Ret(err(nr::ENOENT));
         };
-        let len = len.div_ceil(sim_mem::PAGE_SIZE) * sim_mem::PAGE_SIZE;
+        let Some(len) = len.checked_next_multiple_of(sim_mem::PAGE_SIZE) else {
+            return Disp::Ret(err(nr::ENOMEM));
+        };
         let base = if flags & MAP_FIXED != 0 || (addr != 0 && !p.space.is_mapped(addr)) {
             addr
         } else {
@@ -1039,8 +1043,11 @@ impl Kernel {
         let is_dir = self.vfs.is_dir(&path) as u64;
         // stat buffer: mode at +24, size at +48 (matching the real layout's
         // interesting fields).
+        let Some(size_at) = args[2].checked_add(48) else {
+            return Disp::Ret(err(nr::EFAULT));
+        };
         let _ = self.guest_write(pid, args[2] + 24, &is_dir.to_le_bytes());
-        let _ = self.guest_write(pid, args[2] + 48, &size.to_le_bytes());
+        let _ = self.guest_write(pid, size_at, &size.to_le_bytes());
         Disp::Ret(0)
     }
 

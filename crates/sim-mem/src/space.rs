@@ -309,15 +309,17 @@ impl AddressSpace {
     }
 
     /// Finds a free page-aligned range of `len` bytes at or above `hint`.
+    /// When no range fits below the top of the address space, the start
+    /// returned is one whose end overflows, which [`AddressSpace::map`]
+    /// rejects.
     pub fn find_free(&self, hint: u64, len: u64) -> u64 {
-        let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
         let mut cand = Self::page_base(hint.max(PAGE_SIZE));
         let mut sorted = self.mappings();
         sorted.retain(|m| m.end > cand);
         loop {
             let conflict = sorted
                 .iter()
-                .find(|m| cand < m.end && m.start < cand + len)
+                .find(|m| cand < m.end && m.start < cand.saturating_add(len))
                 .copied();
             match conflict {
                 None => return cand,
@@ -422,9 +424,11 @@ impl AddressSpace {
         mut f: impl FnMut(&mut Frame),
     ) -> Result<(), Fault> {
         let start = Self::page_base(addr);
+        // An end past the last page boundary lies in the top page, which
+        // no mapping can cover: the walk faults at the first unmapped page.
         let end = addr
             .checked_add(len)
-            .map(|e| Self::page_base(e + PAGE_SIZE - 1))
+            .and_then(|e| e.checked_next_multiple_of(PAGE_SIZE))
             .unwrap_or(u64::MAX);
         let mut base = start;
         while base < end {
