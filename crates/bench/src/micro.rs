@@ -79,7 +79,7 @@ pub fn install_micro(vfs: &mut Vfs, iterations: u64) -> Result<(), String> {
         .map_err(|e| format!("write {MICRO_CFG}: {e}"))
 }
 
-/// The stress thread's cycles for `n` iterations under `ip`, after K23's
+/// The cycles the run of `n` iterations under `ip` takes, after K23's
 /// offline phase when `ip` needs one.
 fn total_cycles(ip: &dyn Interposer, n: u64) -> u64 {
     let mut k = boot_kernel();
@@ -97,7 +97,7 @@ fn total_cycles(ip: &dyn Interposer, n: u64) -> u64 {
     let pid = ip
         .spawn(&mut k, MICRO_APP, &[], &[])
         .expect("spawn microbench");
-    let tid = k.process(pid).expect("proc").threads[0].tid;
+    let start = k.clock;
     let exit = k.run(u64::MAX / 4);
     assert_eq!(exit, RunExit::AllExited, "{}", ip.label());
     assert_eq!(
@@ -106,7 +106,7 @@ fn total_cycles(ip: &dyn Interposer, n: u64) -> u64 {
         "{} run failed",
         ip.label()
     );
-    k.cycles_of(pid, tid)
+    k.clock - start
 }
 
 /// Per-iteration cycles under an arbitrary interposer instance:

@@ -21,7 +21,7 @@ impl Tracer for EmptyHookTracer {
     fn on_stop(&mut self, _k: &mut Kernel, _pid: Pid, _tid: u64, stop: &Stop) -> TracerAction {
         if let Stop::SyscallEnter { .. } = stop {
             self.interposed += 1;
-            sim_obs::ptrace_hook();
+            sim_obs::count(|c| c.ptrace_hooks += 1);
         }
         TracerAction::Continue
     }

@@ -191,28 +191,11 @@ impl LayerHook for RecorderLayer {
 pub struct SandboxLayer {
     /// The denied syscall number.
     pub deny_nr: u64,
-    /// pid → denied-call count.
-    pub denied: RefCell<BTreeMap<Pid, u64>>,
-}
-
-impl SandboxLayer {
-    fn new() -> SandboxLayer {
-        SandboxLayer {
-            deny_nr: nr::SYS_NONEXISTENT,
-            denied: RefCell::new(BTreeMap::new()),
-        }
-    }
-
-    /// Denied calls by `pid`.
-    pub fn denied_count(&self, pid: Pid) -> u64 {
-        self.denied.borrow().get(&pid).copied().unwrap_or(0)
-    }
 }
 
 impl LayerHook for SandboxLayer {
     fn on_syscall(&self, k: &mut Kernel, ctx: &mut SyscallCtx, chain: &mut Chain) -> SysResult {
         if ctx.nr == self.deny_nr {
-            *self.denied.borrow_mut().entry(ctx.pid).or_insert(0) += 1;
             return SysResult::Value(nr::err(nr::EPERM));
         }
         chain.call_next(k, ctx)
@@ -252,7 +235,9 @@ impl LayerHandle {
             "tracer" => LayerHandle::Tracer(Rc::new(TracerLayer::default())),
             "recorder" => LayerHandle::Recorder(Rc::new(RecorderLayer::new(false))),
             "recorder-safe" => LayerHandle::Recorder(Rc::new(RecorderLayer::new(true))),
-            "sandbox" => LayerHandle::Sandbox(Rc::new(SandboxLayer::new())),
+            "sandbox" => LayerHandle::Sandbox(Rc::new(SandboxLayer {
+                deny_nr: nr::SYS_NONEXISTENT,
+            })),
             other => panic!("unknown layer {other:?} (parse_spec admits only known layers)"),
         }
     }

@@ -5,6 +5,7 @@ use crate::fasthash::FastMap;
 use crate::trace::{TraceCache, TraceOp, MAX_OPS};
 use sim_isa::{decode, Cond, Inst, Reg};
 use sim_mem::{AddressSpace, Fault, Pkru};
+use sim_obs::EventKind;
 
 /// Arithmetic flags.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -235,7 +236,7 @@ impl Cpu {
     /// bytes decode identically, so reuse is exact); seed mode drops the
     /// cache wholesale like the original engine.
     pub fn flush_icache(&mut self) {
-        sim_obs::icache_flush();
+        sim_obs::count(|c| c.icache_flushes += 1);
         // An unconditional flush must not be coalesced with a later
         // serialize call, and invalidates any trace being recorded (its
         // ops were captured under the pre-flush generation).
@@ -269,7 +270,7 @@ impl Cpu {
         }
         let stamp = mem.write_stamp();
         if self.last_serialize_stamp == Some(stamp) {
-            sim_obs::icache_flush_coalesced();
+            sim_obs::count(|c| c.icache_flush_coalesced += 1);
             return;
         }
         self.flush_icache();
@@ -434,7 +435,8 @@ impl Cpu {
             page += sim_mem::PAGE_SIZE;
         }
         if removed > 0 {
-            sim_obs::icache_invalidate(addr, removed);
+            let entries = removed;
+            sim_obs::event(None, EventKind::IcacheInvalidate { addr, entries });
         }
         if first == last && !icache_index.contains_key(&last) {
             self.code_free = (last, self.index_epoch);
@@ -444,7 +446,7 @@ impl Cpu {
     fn fetch_decode(&mut self, mem: &mut AddressSpace) -> Result<(Inst, usize), StepEvent> {
         if let Some(e) = self.icache.get_mut(&self.rip) {
             if e.fresh_gen == self.flush_gen {
-                sim_obs::icache_fresh_hit();
+                sim_obs::count(|c| c.icache_fresh_hits += 1);
                 return Ok((e.inst, e.len as usize));
             }
             // A serialization point passed since this decode. Reuse it only
@@ -457,7 +459,7 @@ impl Cpu {
             }
             if valid {
                 e.fresh_gen = self.flush_gen;
-                sim_obs::icache_revalidate(self.rip);
+                sim_obs::event(None, EventKind::IcacheRevalidate { rip: self.rip });
                 return Ok((e.inst, e.len as usize));
             }
             self.icache.remove(&self.rip); // index pruned lazily
@@ -500,7 +502,7 @@ impl Cpu {
                     page += sim_mem::PAGE_SIZE;
                 }
                 self.icache.insert(self.rip, entry);
-                sim_obs::icache_decode();
+                sim_obs::count(|c| c.icache_decodes += 1);
                 Ok((inst, len))
             }
             Err(_) => Err(StepEvent::Fault(Fault {
@@ -968,9 +970,9 @@ impl Cpu {
                 if let Some(idx) = idx {
                     if obs {
                         if from_trace {
-                            sim_obs::trace_link();
+                            sim_obs::count(|c| c.trace_links += 1);
                         } else {
-                            sim_obs::trace_enter();
+                            sim_obs::count(|c| c.trace_entries += 1);
                         }
                     }
                     match self.exec_trace(
@@ -987,7 +989,7 @@ impl Cpu {
                     ) {
                         TraceRun::Event(event) => {
                             if obs {
-                                sim_obs::block_len(steps);
+                                sim_obs::count(|c| c.block_lengths.record(steps));
                             }
                             return BlockExit {
                                 event,
@@ -1047,7 +1049,7 @@ impl Cpu {
                             continue;
                         }
                     }
-                    sim_obs::block_len(steps);
+                    sim_obs::count(|c| c.block_lengths.record(steps));
                     return BlockExit {
                         event,
                         cycles,
@@ -1072,7 +1074,7 @@ impl Cpu {
             }
         }
         self.trace_finalize_recording();
-        sim_obs::block_len(steps);
+        sim_obs::count(|c| c.block_lengths.record(steps));
         BlockExit {
             event: StepEvent::Executed,
             cycles,
@@ -1124,7 +1126,7 @@ impl Cpu {
         }
         if valid {
             t.fresh_gen = flush_gen;
-            sim_obs::trace_revalidate();
+            sim_obs::count(|c| c.trace_revalidations += 1);
             Some(idx)
         } else {
             tc.unlink_entry(rip);
@@ -1278,7 +1280,7 @@ impl Cpu {
             let op = ops[i];
             if self.rip != op.rip {
                 if obs {
-                    sim_obs::trace_side_exit();
+                    sim_obs::count(|c| c.trace_side_exits += 1);
                 }
                 break TraceRun::SideExit;
             }
@@ -1364,7 +1366,7 @@ impl Cpu {
                 // back to cold fetch, which sees the new bytes (x86
                 // coherent SMC).
                 if obs {
-                    sim_obs::trace_side_exit();
+                    sim_obs::count(|c| c.trace_side_exits += 1);
                 }
                 break TraceRun::SideExit;
             }
@@ -1374,11 +1376,13 @@ impl Cpu {
         *cycles = lcycles;
         self.replaying = None;
         // Occupancy bookkeeping (host-side only; never observable by the
-        // guest): one enter per dispatch plus one per in-place wrap, every
-        // step retired inside the trace, and the exit kind.
+        // guest): the dispatch, one enter per dispatch plus one per
+        // in-place wrap, every step retired inside the trace, and the
+        // exit kind.
         let t = self.trace.get_mut(idx);
         t.ops = ops;
         t.enters += 1 + wraps;
+        t.dispatches += 1;
         t.steps += lsteps - steps0;
         if matches!(run, TraceRun::SideExit) {
             t.side_exits += 1;

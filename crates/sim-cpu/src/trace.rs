@@ -68,6 +68,9 @@ pub struct Trace {
     /// Replay dispatches into this trace, plus its in-place self-loop
     /// wraps.
     pub enters: u64,
+    /// Replay dispatches alone: how often the dispatcher entered this
+    /// trace, each replay then wrapping in place as long as it can.
+    pub dispatches: u64,
     /// Instructions retired from inside this trace across all replays.
     pub steps: u64,
     /// Replays that left through a guard or break rather than `Done`.
@@ -178,7 +181,7 @@ impl TraceCache {
         if let Some(idx) = self.by_entry.remove(&rip) {
             self.pool[idx as usize].valid = false;
             self.heat.remove(&rip);
-            sim_obs::trace_unlink(1);
+            sim_obs::count(|c| c.trace_unlinks += 1);
         }
     }
 
@@ -204,7 +207,7 @@ impl TraceCache {
             }
         }
         if unlinked > 0 {
-            sim_obs::trace_unlink(unlinked);
+            sim_obs::count(|c| c.trace_unlinks += unlinked);
         }
     }
 
@@ -227,7 +230,7 @@ impl TraceCache {
         };
         if rec.aborted || rec.ops.is_empty() {
             if rec.aborted {
-                sim_obs::trace_abort();
+                sim_obs::count(|c| c.trace_aborts += 1);
             }
             return;
         }
@@ -245,7 +248,10 @@ impl TraceCache {
             self.page_index.entry(page).or_default().push(idx);
         }
         self.by_entry.insert(rec.entry, idx);
-        sim_obs::trace_form(rec.ops.len() as u64);
+        sim_obs::count(|c| {
+            c.trace_forms += 1;
+            c.trace_lengths.record(rec.ops.len() as u64);
+        });
         self.pool.push(Trace {
             entry: rec.entry,
             ops: rec.ops,
@@ -254,6 +260,7 @@ impl TraceCache {
             fresh_gen: flush_gen,
             valid: true,
             enters: 0,
+            dispatches: 0,
             steps: 0,
             side_exits: 0,
         });
@@ -261,7 +268,7 @@ impl TraceCache {
 
     /// Per-trace occupancy snapshot over the current pool (dead traces
     /// included while they retain their counters): `(entry rip, op count,
-    /// enters, replayed steps, side exits)`, hottest first.
+    /// enters, dispatches, replayed steps, side exits)`, hottest first.
     pub fn stats(&self) -> Vec<TraceStat> {
         let mut out: Vec<TraceStat> = self
             .pool
@@ -271,6 +278,7 @@ impl TraceCache {
                 entry: t.entry,
                 ops: t.ops.len() as u64,
                 enters: t.enters,
+                dispatches: t.dispatches,
                 steps: t.steps,
                 side_exits: t.side_exits,
             })
@@ -286,6 +294,7 @@ pub struct TraceStat {
     pub entry: u64,
     pub ops: u64,
     pub enters: u64,
+    pub dispatches: u64,
     pub steps: u64,
     pub side_exits: u64,
 }

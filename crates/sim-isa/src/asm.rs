@@ -211,14 +211,6 @@ impl Asm {
     pub fn sub_reg(&mut self, dst: Reg, src: Reg) -> &mut Self {
         self.inst(Inst::SubReg(dst, src))
     }
-    /// `and %src, %dst`
-    pub fn and_reg(&mut self, dst: Reg, src: Reg) -> &mut Self {
-        self.inst(Inst::AndReg(dst, src))
-    }
-    /// `or %src, %dst`
-    pub fn or_reg(&mut self, dst: Reg, src: Reg) -> &mut Self {
-        self.inst(Inst::OrReg(dst, src))
-    }
     /// `xor %src, %dst`
     pub fn xor_reg(&mut self, dst: Reg, src: Reg) -> &mut Self {
         self.inst(Inst::XorReg(dst, src))
@@ -247,14 +239,6 @@ impl Asm {
     pub fn and_imm(&mut self, r: Reg, imm: i32) -> &mut Self {
         self.inst(Inst::AndImm(r, imm))
     }
-    /// `or $imm, %r`
-    pub fn or_imm(&mut self, r: Reg, imm: i32) -> &mut Self {
-        self.inst(Inst::OrImm(r, imm))
-    }
-    /// `xor $imm, %r`
-    pub fn xor_imm(&mut self, r: Reg, imm: i32) -> &mut Self {
-        self.inst(Inst::XorImm(r, imm))
-    }
     /// `cmp $imm, %r`
     pub fn cmp_imm(&mut self, r: Reg, imm: i32) -> &mut Self {
         self.inst(Inst::CmpImm(r, imm))
@@ -266,14 +250,6 @@ impl Asm {
     /// `shr $imm, %r`
     pub fn shr_imm(&mut self, r: Reg, imm: u8) -> &mut Self {
         self.inst(Inst::ShrImm(r, imm))
-    }
-    /// `shl %cl, %r`
-    pub fn shl_cl(&mut self, r: Reg) -> &mut Self {
-        self.inst(Inst::ShlCl(r))
-    }
-    /// `shr %cl, %r`
-    pub fn shr_cl(&mut self, r: Reg) -> &mut Self {
-        self.inst(Inst::ShrCl(r))
     }
     /// `bt %idx, (%base)` — CF = bit `idx` of the bit string at `base`
     pub fn bt_mem(&mut self, base: Reg, idx: Reg) -> &mut Self {

@@ -370,11 +370,6 @@ impl Inst {
         // Cheap enough to compute by encoding; instruction lengths are <= 10.
         self.encode().len()
     }
-
-    /// True for the two instructions that enter the kernel.
-    pub fn is_syscall(&self) -> bool {
-        matches!(self, Inst::Syscall | Inst::Sysenter)
-    }
 }
 
 fn encode_alu_reg(out: &mut Vec<u8>, opcode: u8, dst: Reg, src: Reg) {

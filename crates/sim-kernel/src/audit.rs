@@ -1,7 +1,8 @@
 //! sim-audit: the kernel-side interposition coverage ledger.
 //!
-//! The simulator's dispatch choke point sees every syscall that actually
-//! enters the kernel — the ground truth no interposer has. An
+//! The kernel's entry observation sees every syscall that actually
+//! enters the kernel, walked or served in place by the block loop's
+//! direct path — the ground truth no interposer has. An
 //! [`AuditSession`] correlates that stream with what the configured
 //! mechanism *claims* to cover (its [`AuditSpec`], declared per mechanism
 //! via `interpose::Interposer::coverage`) and tags each architectural
@@ -21,9 +22,10 @@
 //! `interposer_live`, SUD thread state, the selector byte, tracer
 //! attachment, stack masks) advances identically under the stepwise and
 //! block engines, so coverage tables are byte-deterministic
-//! across engines and runs. When no session is configured the fast
-//! syscall paths stay enabled and nothing changes — auditing off is
-//! zero-overhead (see the invisibility proptests in `tests/audit.rs`).
+//! across engines and runs. A session closes no fast syscall path: the
+//! direct path serves the same calls with auditing on and off and tags
+//! each one it serves, and auditing off costs nothing (see the
+//! invisibility proptests in `tests/audit.rs`).
 //!
 //! vDSO calls never enter the kernel at all; they are folded into the
 //! ledger at report time ([`crate::Kernel::audit_ledger`]) from the

@@ -110,10 +110,10 @@ impl EngineConfig {
 
     /// Enables the interposition coverage ledger, auditing every retired
     /// syscall against `spec` (a mechanism's expected-coverage
-    /// declaration, `interpose::Interposer::coverage`). Auditing stops
-    /// the block loop's direct path from serving syscalls, so every
-    /// syscall reaches the dispatch choke point; with no session
-    /// configured the direct path is untouched.
+    /// declaration, `interpose::Interposer::coverage`). Auditing changes
+    /// no path: the block loop's direct path serves the same syscalls
+    /// with or without a session and tags each one it serves, as the
+    /// full kernel entry tags the rest.
     pub fn audit(mut self, spec: crate::audit::AuditSpec) -> EngineConfig {
         self.audit = Some(spec);
         self

@@ -18,6 +18,7 @@ use sim_fault::{FaultKind, PermFlip};
 use sim_record::{Divergence, Rec};
 use sim_isa::Reg;
 use sim_mem::{AddressSpace, Perms, PAGE_SIZE};
+use sim_obs::EventKind;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -79,8 +80,9 @@ fn flush_syscall_stats(
 /// serves only what SUD's dispatch check lets through
 /// ([`crate::process::Sud::verdict`]). Applies the kernel-entry
 /// serialization and the return's register effects and returns the
-/// syscall number. Returns `None` for any other syscall, with no effect,
-/// and for a SIGSYS or kill verdict after the serialization alone, which
+/// syscall number, its return value and the selector byte it read.
+/// Returns `None` for any other syscall, with no effect, and for a SIGSYS
+/// or kill verdict after the serialization alone, which
 /// [`Kernel::handle_syscall`] then repeats as a coalesced no-op: reading
 /// a BLOCK or unreadable selector writes nothing (only a first read of a
 /// mapped, untouched page allocates a frame, and that page reads 0,
@@ -93,18 +95,82 @@ fn serve_trivial(
     pid: Pid,
     tid: Tid,
     site: u64,
-) -> Option<u64> {
+) -> Option<(u64, u64, Option<u8>)> {
     let nr_ = cpu.get(Reg::Rax);
     let ret = crate::sys::trivial_ret(nr_, pid, tid)?;
     // Kernel entry serializes the instruction stream (coalesced to a
     // stamp compare while nothing in the space was written), before the
     // selector read, in `handle_syscall`'s order.
     cpu.serialize(space);
-    if sud.is_some_and(|s| s.verdict(site, s.selector(space)) != SudVerdict::Through) {
+    let selector = sud.and_then(|s| s.selector(space));
+    if sud.is_some_and(|s| s.verdict(site, selector) != SudVerdict::Through) {
         return None;
     }
     cpu.syscall_return(site, ret);
-    Some(nr_)
+    Some((nr_, ret, selector))
+}
+
+/// One syscall's kernel entry as its observers, sim-obs and the audit
+/// session, see it. [`Entry::observe`] is the one place either observes
+/// a kernel entry, shared by [`Kernel::handle_syscall`] and the direct
+/// path's hook (see [`Kernel::run_blocks`]), so a call the hook serves is
+/// observed exactly as a walked one.
+struct Entry<'a> {
+    pid: Pid,
+    nr: u64,
+    site: u64,
+    /// The clock at kernel entry.
+    at: u64,
+    /// The entry charges: kernel entry, plus SUD's slow path when armed.
+    charge: u64,
+    /// The name of the mapped region issuing the call.
+    region: &'a str,
+    sud: Option<crate::process::Sud>,
+    /// The selector byte, when SUD is armed and the byte is readable.
+    selector: Option<u8>,
+    /// A tracer stops at the process's syscalls.
+    traced: bool,
+    /// The process's interposer marked itself live.
+    live: bool,
+}
+
+impl Entry<'_> {
+    /// The obs enter event at the entry clock, the SUD selector
+    /// observation, and the classification by `audit`, tallied in obs
+    /// once the entry charges are paid. Changes nothing the run reads.
+    fn observe(&self, audit: Option<&mut crate::audit::AuditSession>) {
+        let obs = sim_obs::enabled();
+        let (nr_, site, region) = (self.nr, self.site, self.region);
+        if obs {
+            sim_obs::syscall_enter(self.at, nr_, site, region, nr::syscall_name(nr_));
+            if let Some(sel) = self.selector {
+                sim_obs::sud_selector(self.at, sel);
+            }
+        }
+        let Some(a) = audit else {
+            return;
+        };
+        let sud = self.sud;
+        let view = crate::audit::SyscallView {
+            region,
+            traced: self.traced,
+            live: self.live,
+            sud_armed: sud.is_some(),
+            in_allowlist: sud.is_some_and(|s| s.in_allowlist(site)),
+            will_sigsys: sud.is_some_and(|s| s.verdict(site, self.selector) == SudVerdict::Sigsys),
+            selector_allow: self.selector == Some(nr::SYSCALL_DISPATCH_FILTER_ALLOW),
+        };
+        let tag = a.classify(self.pid, site, &view);
+        if obs {
+            let mark = match tag {
+                crate::audit::AuditTag::Path => sim_obs::AuditMark::Path,
+                crate::audit::AuditTag::Control => sim_obs::AuditMark::Control,
+                crate::audit::AuditTag::Double => sim_obs::AuditMark::Double,
+                crate::audit::AuditTag::Bypassed(sig) => sim_obs::AuditMark::Bypass(sig.code()),
+            };
+            sim_obs::audit_tag(self.at + self.charge, nr_, site, region, mark);
+        }
+    }
 }
 
 /// A host function invocable from guest code via an `int3` hostcall site.
@@ -228,9 +294,9 @@ pub struct Kernel {
     /// xorshift state behind [`Kernel::next_random`]: `getrandom` bytes
     /// and exec-time ASLR seeds, deterministic from a fixed start value.
     rng_state: u64,
-    /// Cycles consumed attributed per thread (wall-clock estimation for
-    /// multi-worker workloads); read through [`Kernel::cycles_of`].
-    thread_cycles: sim_cpu::FastMap<(Pid, Tid), u64>,
+    /// Cycles each thread's slices took, tallied once per slice by
+    /// [`Kernel::run_slice`]; read through [`Kernel::cycles_of`].
+    thread_cycles: FastMap<(Pid, Tid), u64>,
     current: Option<(Pid, Tid)>,
     /// The clock before which the current round's slices may restart in
     /// place, set by each round of [`Kernel::run`]: `Some` for the round's
@@ -277,7 +343,7 @@ impl Kernel {
             loader: None,
             deferred: Vec::new(),
             rng_state: 0x5eed,
-            thread_cycles: sim_cpu::FastMap::default(),
+            thread_cycles: FastMap::default(),
             current: None,
             restart_until: None,
             engine: Engine::Block,
@@ -372,19 +438,15 @@ impl Kernel {
             .map(|t| &mut t.cpu)
     }
 
-    /// Charges cycles to the global clock, attributing them to the thread
-    /// currently executing (if any).
+    /// Charges cycles to the global clock.
     pub fn charge(&mut self, cycles: u64) {
         self.clock += cycles;
         if sim_obs::enabled() {
             sim_obs::set_clock(self.clock);
         }
-        if let Some(key) = self.current {
-            *self.thread_cycles.entry(key).or_insert(0) += cycles;
-        }
     }
 
-    /// Cycles attributed to one thread so far.
+    /// Cycles the slices of `(pid, tid)` took so far.
     pub fn cycles_of(&self, pid: Pid, tid: Tid) -> u64 {
         self.thread_cycles.get(&(pid, tid)).copied().unwrap_or(0)
     }
@@ -943,7 +1005,8 @@ impl Kernel {
         }
         self.charge(2 * self.cost.context_switch);
         if obs {
-            sim_obs::tracer_stop(self.clock, stop.kind_name());
+            let kind = stop.kind_name();
+            sim_obs::event(Some(self.clock), EventKind::TracerStop { kind });
         }
         let action = tracer.borrow_mut().on_stop(self, pid, tid, &stop);
         if obs {
@@ -1392,7 +1455,8 @@ impl Kernel {
                 serialized = true;
             }
             if obs {
-                sim_obs::fault_flip(clock, base, true);
+                let (page, restore) = (base, true);
+                sim_obs::event(Some(clock), EventKind::FaultPermFlip { page, restore });
             }
             // A restore is logged as a flip to the restored protection:
             // replay does not need to know the pre-flip history.
@@ -1415,7 +1479,8 @@ impl Kernel {
             if let Some(saved) = saved {
                 serialized = true;
                 if obs {
-                    sim_obs::fault_flip(clock, base, false);
+                    let (page, restore) = (base, false);
+                    sim_obs::event(Some(clock), EventKind::FaultPermFlip { page, restore });
                 }
                 self.record_emit(Rec::Flip {
                     retired: at,
@@ -1449,7 +1514,8 @@ impl Kernel {
                 .get(&pid)
                 .is_some_and(|p| p.sigactions.contains_key(&signo));
             if obs {
-                sim_obs::fault_signal(clock, signo, has_handler);
+                let delivered = has_handler;
+                sim_obs::event(Some(clock), EventKind::FaultSignal { signo, delivered });
             }
             self.record_emit(Rec::Signal {
                 retired: at,
@@ -1477,16 +1543,17 @@ impl Kernel {
     /// enforced by the determinism regression tests.
     fn run_slice(&mut self, pid: Pid, tid: Tid) {
         if sim_obs::enabled() {
+            sim_obs::set_cpu(pid, tid);
             if self.current != Some((pid, tid)) {
-                sim_obs::context_switch(self.clock, pid, tid);
-            } else {
-                sim_obs::set_cpu(pid, tid);
+                sim_obs::event(Some(self.clock), EventKind::ContextSwitch);
             }
         }
+        let start = self.clock;
         match self.engine {
             Engine::Stepwise => self.run_slice_stepwise(pid, tid),
             Engine::Block => self.run_slice_blocks(pid, tid),
         }
+        *self.thread_cycles.entry((pid, tid)).or_insert(0) += self.clock - start;
     }
 
     /// Block-based slice: [`Cpu::run_block`] executes straight-line guest
@@ -1523,7 +1590,11 @@ impl Kernel {
     /// out. Under [`Kernel::serve_ok`] as well, it serves trivial
     /// syscalls in place (`serve_trivial`), each one starting a new slice
     /// as a kernel entry does, and adds SUD's slow-path charge on a
-    /// SUD-armed thread, as `handle_syscall` does. Both stop at the first
+    /// SUD-armed thread, as `handle_syscall` does. Under sim-obs or an
+    /// audit session it observes each served call through
+    /// [`Entry::observe`] and emits its exit event at the entry clock plus
+    /// the charge, so a served call's events and audit tag are a walked
+    /// one's. Both stop at the first
     /// slice end at or past the round's bound, where the round that
     /// follows has work to do. No block can change that work without
     /// ending first: every syscall the hook passes on ends the slice, and
@@ -1537,7 +1608,9 @@ impl Kernel {
         });
         let bound = self.restart_until;
         let serve = bound.is_some() && self.serve_ok(pid, tid);
+        let observed = sim_obs::enabled() || self.audit.is_some();
         let (cost, clock) = (self.cost, self.clock);
+        let audit = &mut self.audit;
         let p = self
             .procs
             .get_mut(&pid)
@@ -1557,7 +1630,7 @@ impl Kernel {
         // Only syscalls the hook passes can arm or disarm SUD; the
         // selector is guest memory, so `serve_trivial` reads it per call.
         let sud = t.sud;
-        let sud_charge = if sud.is_some() { cost.sud_slowpath } else { 0 };
+        let entry_charge = cost.kernel_entry + sud.map_or(0, |_| cost.sud_slowpath);
         // Pending syscall-statistics run: `pend` occurrences of syscall
         // `pend_nr` issued from `pend_site`, not yet folded into
         // `ProcStats`. The stress loops this path serves issue the same
@@ -1571,7 +1644,8 @@ impl Kernel {
             let charge = match site {
                 None => 0,
                 Some(site) if serve => {
-                    let Some(nr_) = serve_trivial(cpu, space, sud, pid, tid, site) else {
+                    let Some((nr_, ret, selector)) = serve_trivial(cpu, space, sud, pid, tid, site)
+                    else {
                         return HookAction::Pass;
                     };
                     if pend > 0 && (pend_nr != nr_ || pend_site != site) {
@@ -1589,7 +1663,26 @@ impl Kernel {
                     pend_nr = nr_;
                     pend_site = site;
                     pend += 1;
-                    cost.kernel_entry + sud_charge + crate::sys::service_cost(nr_, 0)
+                    let charge = entry_charge + crate::sys::service_cost(nr_, 0);
+                    if observed {
+                        // Observed as `handle_syscall` observes it, where
+                        // `serve_ok` rules out a tracer stopping here.
+                        let entry = Entry {
+                            pid,
+                            nr: nr_,
+                            site,
+                            at,
+                            charge: entry_charge,
+                            region: region_of(region_cache, space, site),
+                            sud,
+                            selector,
+                            traced: false,
+                            live: *interposer_live,
+                        };
+                        entry.observe(audit.as_mut());
+                        sim_obs::syscall_exit(at + charge, nr_, ret, nr::syscall_name(nr_));
+                    }
+                    charge
                 }
                 _ => return HookAction::Pass,
             };
@@ -1634,22 +1727,21 @@ impl Kernel {
 
     /// True when, given the round's restart bound, the block's hook may
     /// also serve trivial syscalls of `(pid, tid)` in place: there is no
-    /// sim-obs recorder, interposer stack or audit session, no tracer that
-    /// stops at syscalls is attached to `pid`, `pid` has no seccomp
-    /// filter, and the thread is not restarting a blocked syscall. Each of
-    /// these acts on every kernel entry, which serving skips, and on
+    /// interposer stack, no tracer that stops at syscalls is attached to
+    /// `pid`, `pid` has no seccomp filter, and the thread is not
+    /// restarting a blocked syscall. Each of these changes what a syscall
+    /// does at every kernel entry, which serving skips, and acts on
     /// nothing at a lone thread's slice end, so they close only the
     /// serving; the fault, profiler and record sessions act at slice ends
     /// too, so they close the restart. A tracer without `trace_syscalls`
     /// stops only at exec, fork, exit and fatal signals, which no trivial
     /// syscall reaches. SUD is checked per call (`serve_trivial`), since
-    /// its selector is guest memory. None of these can change inside a
-    /// block: arming syscalls, hostcalls and blocking calls all end it
-    /// first.
+    /// its selector is guest memory. Observers never close the path: the
+    /// hook observes a served call through [`Entry::observe`], as
+    /// `handle_syscall` does. None of these can change inside a block:
+    /// arming syscalls, hostcalls and blocking calls all end it first.
     fn serve_ok(&self, pid: Pid, tid: Tid) -> bool {
-        !sim_obs::enabled()
-            && self.stack.is_none()
-            && self.audit.is_none()
+        self.stack.is_none()
             && !self.traces_syscalls(pid)
             && self.procs.get(&pid).is_some_and(|p| {
                 p.seccomp.is_none() && p.thread(tid).is_some_and(|t| !t.restarting)
@@ -1674,8 +1766,8 @@ impl Kernel {
                 return false;
             }
             StepEvent::Fault(f) => {
-                if sim_obs::enabled() && f.reason == sim_mem::FaultReason::PkuDenied {
-                    sim_obs::pku_fault(self.clock, f.addr);
+                if f.reason == sim_mem::FaultReason::PkuDenied {
+                    sim_obs::event(Some(self.clock), EventKind::PkuFault { addr: f.addr });
                 }
                 self.deliver_signal(
                     pid,
@@ -1820,56 +1912,30 @@ impl Kernel {
             return;
         }
 
-        // Observability: open the syscall span (one per architectural
-        // syscall) and observe the SUD selector byte for flip detection.
-        // The issuing region is resolved once, for this and the audit tag,
-        // through the stats path's per-process memo.
+        // Observation (sim-obs, the audit tag), then the kernel entry
+        // cost; SUD arming puts every entry on the slow path.
         let obs = sim_obs::enabled();
-        let region = if obs || self.audit.is_some() {
+        let charge = self.cost.kernel_entry + sud.map_or(0, |_| self.cost.sud_slowpath);
+        if obs || self.audit.is_some() {
+            let traced = self.traces_syscalls(pid);
             let p = self.procs.get_mut(&pid).expect("gathered above");
-            region_of(&mut p.region_cache, &p.space, site).clone()
-        } else {
-            String::new()
-        };
-        if obs {
-            sim_obs::syscall_enter(self.clock, nr_, site, &region, nr::syscall_name(nr_));
-            if let Some(sel) = selector {
-                sim_obs::sud_selector(self.clock, sel);
-            }
+            let entry = Entry {
+                pid,
+                nr: nr_,
+                site,
+                at: self.clock,
+                charge,
+                region: region_of(&mut p.region_cache, &p.space, site),
+                sud,
+                selector,
+                traced,
+                live: p.interposer_live,
+            };
+            entry.observe(self.audit.as_mut());
         }
-
-        // Kernel entry cost; SUD arming puts every entry on the slow path.
-        self.charge(self.cost.kernel_entry);
-        if sud.is_some() {
-            self.charge(self.cost.sud_slowpath);
-        }
+        self.charge(charge);
         self.record_syscall_entry(pid, tid);
         let verdict = sud.map_or(SudVerdict::Through, |s| s.verdict(site, selector));
-
-        // Coverage audit: tag each architectural syscall once. The SUD
-        // verdict is the one the dispatch check below acts on, so tagging
-        // here also covers the SIGSYS early return.
-        let view = self.audit.is_some().then(|| crate::audit::SyscallView {
-            region: &region,
-            traced: self.traces_syscalls(pid),
-            live: self.procs.get(&pid).is_some_and(|p| p.interposer_live),
-            sud_armed: sud.is_some(),
-            in_allowlist: sud.is_some_and(|s| s.in_allowlist(site)),
-            will_sigsys: verdict == SudVerdict::Sigsys,
-            selector_allow: selector == Some(nr::SYSCALL_DISPATCH_FILTER_ALLOW),
-        });
-        if let (Some(view), Some(a)) = (view, self.audit.as_mut()) {
-            let tag = a.classify(pid, site, &view);
-            if obs {
-                let mark = match tag {
-                    crate::audit::AuditTag::Path => sim_obs::AuditMark::Path,
-                    crate::audit::AuditTag::Control => sim_obs::AuditMark::Control,
-                    crate::audit::AuditTag::Double => sim_obs::AuditMark::Double,
-                    crate::audit::AuditTag::Bypassed(sig) => sim_obs::AuditMark::Bypass(sig.code()),
-                };
-                sim_obs::audit_tag(self.clock, nr_, site, &region, mark);
-            }
-        }
 
         // SUD dispatch check (before anything else, as in Linux).
         match verdict {
@@ -1884,7 +1950,9 @@ impl Kernel {
                     }
                 }
                 if obs {
-                    sim_obs::sigsys(self.clock, nr_, site, nr::syscall_name(nr_));
+                    // SIGSYS cuts the call short: its exit returns u64::MAX.
+                    sim_obs::event(Some(self.clock), EventKind::Sigsys { nr: nr_, site });
+                    sim_obs::syscall_exit(self.clock, nr_, u64::MAX, nr::syscall_name(nr_));
                     sim_obs::span_enter(self.clock, "sud/sigsys-deliver");
                 }
                 self.deliver_signal(
@@ -1969,7 +2037,8 @@ impl Kernel {
             _ => None,
         };
         if let (true, Some(kind)) = (obs, injected) {
-            sim_obs::fault_errno(self.clock, nr_, kind.tag());
+            let kind = kind.tag();
+            sim_obs::event(Some(self.clock), EventKind::FaultErrno { nr: nr_, kind });
         }
 
         // Dispatch — through the interposer chain when a composed stack
@@ -2506,6 +2575,13 @@ mod tests {
         /// As `Deferred`, but a hostcall at the guest's first instruction
         /// defers the write, inside a slice the round let restart.
         HostcallDefers,
+        /// `SudAllow`'s guest under a sim-obs recorder, whose Chrome-trace
+        /// JSON must match too.
+        Obs,
+        /// `SudAllow`'s guest, its process marked live, under an audit
+        /// session for a SUD mechanism (so its calls tag as SUD-off and
+        /// selector-rewrite bypasses), whose ledger must match too.
+        Audit,
     }
 
     /// Where the SUD legs keep their selector byte.
@@ -2645,7 +2721,7 @@ mod tests {
                 emit_add_word(&mut a, STATUS);
             }
             Leg::QuietTracer => emit_getpid_loop(&mut a, "loop", ITERS, body, None),
-            Leg::SudAllow => {
+            Leg::SudAllow | Leg::Obs | Leg::Audit => {
                 emit_sud_on(&mut a, 0, 0);
                 emit_getpid_loop(&mut a, "loop", ITERS, body, None);
             }
@@ -2719,6 +2795,7 @@ mod tests {
                 k.attach_tracer(pid, tracer, TraceOpts::default());
             }
             Leg::Deferred => k.defer_write_u8(pid, WORD, 5, 2_000),
+            Leg::Audit => k.mark_interposer_live(pid),
             Leg::HostcallDefers => {
                 let p = k.process_mut(pid).expect("proc");
                 p.hostcall_sites.push(("defer".to_string(), 0x1000));
@@ -2734,17 +2811,21 @@ mod tests {
     /// that does not stop at syscalls and SUD whose dispatch check lets
     /// the call through, and adds SUD's slow-path charge; it stands down
     /// for a BLOCK selector (SIGSYS), an unreadable one (the kill) and
-    /// beside a second runnable thread.
+    /// beside a second runnable thread. Under a sim-obs recorder or an
+    /// audit session it serves too, and observes what it serves as the
+    /// oracle's kernel entry does.
     /// Its restarts stop at the round's next timer: a sleeper's wake time
     /// and a deferred write's due time, also one a hostcall defers
     /// inside the slice. For loop bodies on both sides of the 64-step
     /// slice, every leg's `(RunExit, clock, retired)` at each stop of
-    /// repeated `run(chunk)` calls, and every process's exit status and
-    /// statistics, equal the stepwise oracle's.
+    /// repeated `run(chunk)` calls, every process's exit status and
+    /// statistics, the recorder's Chrome-trace JSON and the audit ledger
+    /// equal the stepwise oracle's.
     #[test]
     fn direct_path_legs_stop_where_the_stepwise_oracle_stops() {
         type Stops = Vec<(RunExit, u64, u64)>;
         type Outcome = Vec<(Option<i64>, crate::process::ProcStats)>;
+        type Observed = (Option<String>, Option<crate::audit::AuditLedger>);
         let legs = [
             Leg::WaitChild,
             Leg::PipeReader,
@@ -2757,11 +2838,25 @@ mod tests {
             Leg::Sleeper,
             Leg::Deferred,
             Leg::HostcallDefers,
+            Leg::Obs,
+            Leg::Audit,
         ];
+        let sud_spec = crate::audit::AuditSpec {
+            mechanism: "sud".to_string(),
+            via_sigsys: true,
+            ..crate::audit::AuditSpec::default()
+        };
         for leg in legs {
             for body in [10, 100] {
                 for chunk in [97, 1_001, 10_007, u64::MAX / 4] {
-                    let run = |cfg: EngineConfig| -> (Stops, Outcome) {
+                    let run = |cfg: EngineConfig| -> (Stops, Outcome, Observed) {
+                        let cfg = match leg {
+                            Leg::Audit => cfg.audit(sud_spec.clone()),
+                            _ => cfg,
+                        };
+                        if let Leg::Obs = leg {
+                            sim_obs::enable(sim_obs::ObsConfig::default());
+                        }
                         let mut k = direct_path_leg(leg, body);
                         k.configure(cfg);
                         let mut stops = Vec::new();
@@ -2780,7 +2875,8 @@ mod tests {
                                 (p.exit_status, p.stats.clone())
                             })
                             .collect();
-                        (stops, outcome)
+                        let json = sim_obs::disable().map(|r| r.chrome_trace_json());
+                        (stops, outcome, (json, k.audit_ledger()))
                     };
                     let oracle = run(EngineConfig::stepwise());
                     assert_eq!(
@@ -2788,8 +2884,20 @@ mod tests {
                         Some(RunExit::AllExited),
                         "{leg:?}"
                     );
-                    if let Leg::SudUnreadable = leg {
-                        assert_eq!(oracle.1[0].0, Some(128 + nr::SIGSYS as i64));
+                    match leg {
+                        Leg::SudUnreadable => {
+                            assert_eq!(oracle.1[0].0, Some(128 + nr::SIGSYS as i64));
+                        }
+                        Leg::Obs => {
+                            assert!(oracle.2 .0.as_ref().is_some_and(|j| j.contains("getpid")))
+                        }
+                        Leg::Audit => {
+                            let totals = oracle.2 .1.as_ref().expect("ledger").totals();
+                            let rewrites =
+                                totals.bypassed[&crate::audit::Signature::SelectorRewrite];
+                            assert!(rewrites >= 300, "{rewrites} selector-rewrite bypasses");
+                        }
+                        _ => {}
                     }
                     assert_eq!(
                         run(EngineConfig::new()),

@@ -179,6 +179,7 @@ impl Kernel {
             nr::SYS_MMAP => self.sys_mmap(pid, args),
             nr::SYS_MPROTECT => self.sys_mprotect(pid, args, None),
             nr::SYS_PKEY_MPROTECT => self.sys_mprotect(pid, args, Some(args[3] as u8)),
+            nr::SYS_MUNMAP if bad_page_range(args[0], args[1], true) => Disp::Ret(err(nr::EINVAL)),
             nr::SYS_MUNMAP => {
                 if let Some(p) = self.process_mut(pid) {
                     p.space.unmap(args[0], args[1]);
@@ -655,6 +656,11 @@ impl Kernel {
     fn sys_mmap(&mut self, pid: Pid, args: [u64; 6]) -> Disp {
         const MAP_FIXED: u64 = 0x10;
         let (addr, len, prot, flags) = (args[0], args[1], args[2], args[3]);
+        let fixed = flags & MAP_FIXED != 0;
+        // Without MAP_FIXED the address is only a hint.
+        if bad_page_range(if fixed { addr } else { 0 }, len, true) {
+            return Disp::Ret(err(nr::EINVAL));
+        }
         let perms = prot_to_perms(prot);
         let Some(p) = self.process_mut(pid) else {
             return Disp::Ret(err(nr::ENOENT));
@@ -662,7 +668,7 @@ impl Kernel {
         let Some(len) = len.checked_next_multiple_of(sim_mem::PAGE_SIZE) else {
             return Disp::Ret(err(nr::ENOMEM));
         };
-        let base = if flags & MAP_FIXED != 0 || (addr != 0 && !p.space.is_mapped(addr)) {
+        let base = if fixed || (addr != 0 && !p.space.is_mapped(addr)) {
             addr
         } else {
             p.space.find_free(0x7000_0000_0000, len)
@@ -675,6 +681,9 @@ impl Kernel {
 
     fn sys_mprotect(&mut self, pid: Pid, args: [u64; 6], pkey: Option<u8>) -> Disp {
         let (addr, len, prot) = (args[0], args[1], args[2]);
+        if bad_page_range(addr, len, false) {
+            return Disp::Ret(err(nr::EINVAL));
+        }
         let perms = prot_to_perms(prot);
         let Some(p) = self.process_mut(pid) else {
             return Disp::Ret(err(nr::ENOENT));
@@ -957,9 +966,9 @@ impl Kernel {
                     range_len: args[3],
                     selector_addr: args[4],
                 });
-                if sim_obs::enabled() {
-                    sim_obs::sud_arm(self.clock, args[4]);
-                }
+                let selector_addr = args[4];
+                let armed = sim_obs::EventKind::SudArm { selector_addr };
+                sim_obs::event(Some(self.clock), armed);
                 Disp::Ret(0)
             }
             nr::PR_SYS_DISPATCH_OFF => {
@@ -1320,6 +1329,14 @@ impl Kernel {
             Err(e) => Disp::Ret(e),
         }
     }
+}
+
+/// Linux's first check of a memory syscall's range (`mmap`, `munmap`,
+/// `mprotect`, `pkey_mprotect`): true, for `-EINVAL`, when `addr` lies
+/// off a page boundary or, where the call needs a length (`needs_len`:
+/// `mmap`, `munmap`), `len` is zero.
+fn bad_page_range(addr: u64, len: u64, needs_len: bool) -> bool {
+    !addr.is_multiple_of(sim_mem::PAGE_SIZE) || (needs_len && len == 0)
 }
 
 fn prot_to_perms(prot: u64) -> sim_mem::Perms {

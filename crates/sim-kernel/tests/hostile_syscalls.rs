@@ -151,7 +151,6 @@ fn mprotect_into_the_top_page_fails_with_enomem() {
     let top = u64::MAX - 0xfff;
     for (nr_, addr, len) in [
         (nr::SYS_MPROTECT, top, 16),
-        (nr::SYS_MPROTECT, u64::MAX - 10, 3),
         (nr::SYS_PKEY_MPROTECT, top, 16),
     ] {
         let status = status_on_both(&|a: &mut Asm| emit_call(a, nr_, [addr, len, 1, 1, 0, 0]));
@@ -162,6 +161,44 @@ fn mprotect_into_the_top_page_fails_with_enomem() {
             nr::syscall_name(nr_)
         );
     }
+}
+
+/// Malformed ranges: a start off a page boundary, and an empty `mmap`.
+/// Linux answers each with `-EINVAL` before it looks at any mapping, so
+/// an unaligned `munmap` or `mprotect` acts on nothing, not on the page
+/// that holds its start.
+#[test]
+fn malformed_memory_ranges_fail_with_einval() {
+    const FIXED: u64 = 0x32;
+    for (nr_, args) in [
+        (nr::SYS_MMAP, [0, 0, 3, 0x22, 0, 0]),
+        (nr::SYS_MMAP, [0x7000_0000_0001, 0x1000, 3, FIXED, 0, 0]),
+        (nr::SYS_MPROTECT, [STACK + 1, 1, 1, 0, 0, 0]),
+        (nr::SYS_MPROTECT, [u64::MAX - 10, 3, 1, 1, 0, 0]),
+        (nr::SYS_PKEY_MPROTECT, [STACK + 1, 1, 1, 1, 0, 0]),
+        (nr::SYS_MUNMAP, [STACK + 3, 0x1000, 0, 0, 0, 0]),
+        (nr::SYS_MUNMAP, [u64::MAX - 10, 0x1000, 0, 0, 0, 0]),
+        (nr::SYS_MUNMAP, [STACK, 0, 0, 0, 0, 0]),
+    ] {
+        let status = status_on_both(&|a: &mut Asm| emit_call(a, nr_, args));
+        assert_eq!(
+            status,
+            Some(-nr::EINVAL),
+            "{}{args:#x?}",
+            nr::syscall_name(nr_)
+        );
+    }
+    // The stack page the unaligned calls named is still mapped and
+    // writable: a store to it and an exit with the stored byte succeed.
+    let status = status_on_both(&|a: &mut Asm| {
+        emit_call(a, nr::SYS_MPROTECT, [STACK + 1, 1, 1, 0, 0, 0]);
+        emit_call(a, nr::SYS_MUNMAP, [STACK + 3, 0x1000, 0, 0, 0, 0]);
+        a.mov_imm(Reg::R11, STACK);
+        a.mov_imm(Reg::Rcx, 42);
+        a.store_byte(Reg::R11, 0, Reg::Rcx);
+        a.load_byte(Reg::Rax, Reg::R11, 0);
+    });
+    assert_eq!(status, Some(42));
 }
 
 /// A stat buffer whose fields lie past the top of the address space.

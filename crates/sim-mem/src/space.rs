@@ -489,11 +489,11 @@ impl AddressSpace {
         let idx = Self::tlb_index(base);
         let e = self.tlb[idx];
         if e.stamp == self.tlb_gen && e.base == base {
-            sim_obs::tlb_hit();
+            sim_obs::count(|c| c.tlb_hits += 1);
             return Some((e.slot, e.perms, e.pkey));
         }
         let slot = self.materialize_slot(base)?;
-        sim_obs::tlb_fill(base);
+        sim_obs::event(None, sim_obs::EventKind::TlbFill { page: base });
         let f = &self.frames[slot as usize];
         let (perms, pkey) = (f.perms, f.pkey);
         self.tlb[idx] = TlbEntry {
@@ -590,7 +590,7 @@ impl AddressSpace {
         access: Access,
         pkru: Pkru,
     ) -> Result<u32, Fault> {
-        sim_obs::page_run(run as u64);
+        sim_obs::count(|c| c.page_runs.record(run as u64));
         let (slot, perms, pkey) = self.load_page(Self::page_base(a)).ok_or(Fault {
             addr: a,
             access,
@@ -869,7 +869,7 @@ impl AddressSpace {
             let base = Self::page_base(a);
             let off = (a - base) as usize;
             let run = (PAGE_SIZE as usize - off).min(len - done);
-            sim_obs::page_run(run as u64);
+            sim_obs::count(|c| c.page_runs.record(run as u64));
             let (slot, _, _) = self.load_page(base).ok_or(Fault {
                 addr: a,
                 access,

@@ -568,8 +568,8 @@ fn svg_escape_truncate(name: &str, width: f64) -> String {
 #[cfg(test)]
 mod tests {
     use crate::{
-        disable, enable, profile_sample, span_enter, span_exit, syscall_enter, syscall_exit,
-        tracer_stop, EventKind, ObsConfig,
+        disable, enable, event, profile_sample, span_enter, span_exit, syscall_enter, syscall_exit,
+        EventKind, ObsConfig,
     };
 
     #[test]
@@ -578,7 +578,8 @@ mod tests {
         crate::set_cpu(1, 1);
         syscall_enter(100, 0, 0x1000, "app", "read");
         syscall_exit(250, 0, 42, "read");
-        tracer_stop(300, "syscall-enter");
+        let kind = "syscall-enter";
+        event(Some(300), EventKind::TracerStop { kind });
         let rec = disable().expect("recorder");
         let json = rec.chrome_trace_json();
         let parsed = sjson::parse(json.as_bytes()).expect("valid json");

@@ -420,7 +420,46 @@ impl Recorder {
         }
     }
 
-    fn record(&mut self, cpu: (u64, u64), clock: u64, kind: EventKind) {
+    /// The one place an event meets its counter: bumps the counter `kind`
+    /// feeds, then stamps it into `cpu`'s ring at `clock`, the
+    /// microarchitectural kinds only under [`ObsConfig::micro_events`] and
+    /// [`EventKind::AuditBypass`] only under [`ObsConfig::audit_events`].
+    /// A syscall exit and the two span kinds feed no counter.
+    #[inline]
+    fn event(&mut self, cpu: (u64, u64), clock: u64, kind: EventKind) {
+        let c = &mut self.counters;
+        match kind {
+            EventKind::SyscallEnter { .. } => c.syscalls += 1,
+            EventKind::Sigsys { .. } => c.sigsys += 1,
+            EventKind::TracerStop { .. } => c.tracer_stops += 1,
+            EventKind::ContextSwitch => c.ctx_switches += 1,
+            EventKind::SudArm { .. } => c.sud_arms += 1,
+            EventKind::SudSelectorFlip { .. } => c.sud_selector_flips += 1,
+            EventKind::PkuFault { .. } => c.pku_faults += 1,
+            EventKind::FaultErrno { .. } => c.faults_errno += 1,
+            EventKind::FaultSignal { .. } => c.faults_signal += 1,
+            EventKind::FaultPermFlip { .. } => c.faults_flip += 1,
+            EventKind::TlbFill { .. } => c.tlb_fills += 1,
+            EventKind::IcacheRevalidate { .. } => c.icache_revalidations += 1,
+            EventKind::IcacheInvalidate { entries, .. } => {
+                c.icache_invalidations += 1;
+                c.icache_invalidated_entries += entries;
+            }
+            EventKind::AuditBypass { .. } => c.audit_bypassed += 1,
+            EventKind::SyscallExit { .. }
+            | EventKind::SpanEnter { .. }
+            | EventKind::SpanExit { .. } => {}
+        }
+        let kept = match kind {
+            EventKind::TlbFill { .. }
+            | EventKind::IcacheRevalidate { .. }
+            | EventKind::IcacheInvalidate { .. } => self.cfg.micro_events,
+            EventKind::AuditBypass { .. } => self.cfg.audit_events,
+            _ => true,
+        };
+        if !kept {
+            return;
+        }
         let cap = self.cfg.ring_capacity;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -500,7 +539,7 @@ impl Recorder {
             self.latency.entry(p.path).or_default().record(latency);
             let stage = self.kernel_stage(p.path);
             self.stage_cycles.entry(stage).or_default().record(latency);
-            self.record(
+            self.event(
                 cpu,
                 clock,
                 EventKind::SyscallExit {
@@ -571,7 +610,7 @@ thread_local! {
     static SPAN_CUR: Cell<SpanCur> = const { Cell::new(SPAN_CUR_INVALID) };
 }
 
-/// Fast gate checked by every tracepoint; `false` unless [`enable`] is
+/// Fast gate checked by every entry point; `false` unless [`enable`] is
 /// active on this host thread.
 #[inline]
 pub fn enabled() -> bool {
@@ -680,8 +719,46 @@ pub fn set_cpu(pid: u64, tid: u64) {
 }
 
 // ---------------------------------------------------------------------
-// Architectural tracepoints (kernel layer; caller passes the sim clock).
+// Entry points. The kernel passes its simulated clock; the engine layer
+// (sim-mem, sim-cpu) stamps with the clock last published via
+// `set_clock`.
 // ---------------------------------------------------------------------
+
+/// Stamps `kind` on the current CPU: bumps the counter the kind feeds and
+/// records it, under the [`ObsConfig::micro_events`] and
+/// [`ObsConfig::audit_events`] gates. `clock` is the simulated clock to
+/// stamp, which also becomes the published clock; `None` stamps the clock
+/// last published with [`set_clock`], as the engine-layer kinds (TLB
+/// fills, icache revalidations and invalidations) do. A syscall's enter
+/// and exit and a span's two ends pair up, so they have their own entry
+/// points ([`syscall_enter`], [`span_enter`] and the rest); a SIGSYS
+/// cuts the pending syscall short, so the kernel follows its event with a
+/// [`syscall_exit`] whose `ret` is `u64::MAX`.
+#[inline]
+pub fn event(clock: Option<u64>, kind: EventKind) {
+    if !enabled() {
+        return;
+    }
+    let clock = match clock {
+        Some(c) => {
+            set_clock(c);
+            c
+        }
+        None => CLOCK.with(|c| c.get()),
+    };
+    let cpu = CPU.with(|c| c.get());
+    with_rec(|r| r.event(cpu, clock, kind));
+}
+
+/// Bumps counters or histograms that no event carries (TLB hits, page
+/// runs, icache and trace-cache traffic, block lengths, ptrace hooks):
+/// `f` gets the recorder's [`Counters`].
+#[inline]
+pub fn count(f: impl FnOnce(&mut Counters)) {
+    if enabled() {
+        with_rec(|r| f(&mut r.counters));
+    }
+}
 
 /// Syscall entry. `region` is the mapped-region name containing the
 /// syscall site (resolved to an interposer path); `name` the syscall's
@@ -699,9 +776,8 @@ pub fn syscall_enter(clock: u64, nr: u64, site: u64, region: &str, name: &'stati
             Some(l) => r.path_id(l),
             None => 0,
         };
-        r.counters.syscalls += 1;
         r.pending.insert(cpu, Pending { clock, path });
-        r.record(
+        r.event(
             cpu,
             clock,
             EventKind::SyscallEnter {
@@ -726,64 +802,6 @@ pub fn syscall_exit(clock: u64, nr: u64, ret: u64, name: &'static str) {
     with_rec(|r| r.close_pending(cpu, clock, ret, nr, name));
 }
 
-/// SUD blocked the syscall; closes the pending span with `ret =
-/// u64::MAX` and emits a SIGSYS instant.
-#[inline]
-pub fn sigsys(clock: u64, nr: u64, site: u64, name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    set_clock(clock);
-    let cpu = CPU.with(|c| c.get());
-    with_rec(|r| {
-        r.counters.sigsys += 1;
-        r.record(cpu, clock, EventKind::Sigsys { nr, site });
-        r.close_pending(cpu, clock, u64::MAX, nr, name);
-    });
-}
-
-/// A ptrace stop round-trip completed (after its context-switch charge).
-#[inline]
-pub fn tracer_stop(clock: u64, kind: &'static str) {
-    if !enabled() {
-        return;
-    }
-    set_clock(clock);
-    let cpu = CPU.with(|c| c.get());
-    with_rec(|r| {
-        r.counters.tracer_stops += 1;
-        r.record(cpu, clock, EventKind::TracerStop { kind });
-    });
-}
-
-/// Scheduler switched to `(pid, tid)`; also retargets [`set_cpu`].
-#[inline]
-pub fn context_switch(clock: u64, pid: u64, tid: u64) {
-    if !enabled() {
-        return;
-    }
-    set_clock(clock);
-    set_cpu(pid, tid);
-    with_rec(|r| {
-        r.counters.ctx_switches += 1;
-        r.record((pid, tid), clock, EventKind::ContextSwitch);
-    });
-}
-
-/// SUD armed via prctl.
-#[inline]
-pub fn sud_arm(clock: u64, selector_addr: u64) {
-    if !enabled() {
-        return;
-    }
-    set_clock(clock);
-    let cpu = CPU.with(|c| c.get());
-    with_rec(|r| {
-        r.counters.sud_arms += 1;
-        r.record(cpu, clock, EventKind::SudArm { selector_addr });
-    });
-}
-
 /// Kernel observed the SUD selector byte at syscall entry; emits a flip
 /// event when it differs from this CPU's previous observation.
 #[inline]
@@ -795,78 +813,9 @@ pub fn sud_selector(clock: u64, value: u8) {
     let cpu = CPU.with(|c| c.get());
     with_rec(|r| {
         if r.last_selector.insert(cpu, value) != Some(value) {
-            r.counters.sud_selector_flips += 1;
-            r.record(cpu, clock, EventKind::SudSelectorFlip { value });
+            r.event(cpu, clock, EventKind::SudSelectorFlip { value });
         }
     });
-}
-
-/// A protection-key (PKU) fault was raised for `addr`.
-#[inline]
-pub fn pku_fault(clock: u64, addr: u64) {
-    if !enabled() {
-        return;
-    }
-    set_clock(clock);
-    let cpu = CPU.with(|c| c.get());
-    with_rec(|r| {
-        r.counters.pku_faults += 1;
-        r.record(cpu, clock, EventKind::PkuFault { addr });
-    });
-}
-
-/// `sim-fault` injected an errno (or partial-transfer cap) into the
-/// current syscall.
-#[inline]
-pub fn fault_errno(clock: u64, nr: u64, kind: &'static str) {
-    if !enabled() {
-        return;
-    }
-    set_clock(clock);
-    let cpu = CPU.with(|c| c.get());
-    with_rec(|r| {
-        r.counters.faults_errno += 1;
-        r.record(cpu, clock, EventKind::FaultErrno { nr, kind });
-    });
-}
-
-/// `sim-fault` injected an asynchronous signal at an instruction
-/// boundary (or deterministically skipped it: no handler registered).
-#[inline]
-pub fn fault_signal(clock: u64, signo: u64, delivered: bool) {
-    if !enabled() {
-        return;
-    }
-    set_clock(clock);
-    let cpu = CPU.with(|c| c.get());
-    with_rec(|r| {
-        r.counters.faults_signal += 1;
-        r.record(cpu, clock, EventKind::FaultSignal { signo, delivered });
-    });
-}
-
-/// `sim-fault` flipped (restore = false) or restored (restore = true)
-/// a page's permissions.
-#[inline]
-pub fn fault_flip(clock: u64, page: u64, restore: bool) {
-    if !enabled() {
-        return;
-    }
-    set_clock(clock);
-    let cpu = CPU.with(|c| c.get());
-    with_rec(|r| {
-        r.counters.faults_flip += 1;
-        r.record(cpu, clock, EventKind::FaultPermFlip { page, restore });
-    });
-}
-
-/// An interposer's ptrace hook observed a syscall-enter stop.
-#[inline]
-pub fn ptrace_hook() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.ptrace_hooks += 1);
 }
 
 /// How the kernel's coverage audit tagged one syscall (the obs-side
@@ -913,11 +862,8 @@ pub fn audit_tag(clock: u64, nr: u64, site: u64, region: &str, mark: AuditMark) 
                 slot[2] += 1;
             }
             AuditMark::Bypass(sig) => {
-                r.counters.audit_bypassed += 1;
                 slot[1] += 1;
-                if r.cfg.audit_events {
-                    r.record(cpu, clock, EventKind::AuditBypass { nr, site, sig });
-                }
+                r.event(cpu, clock, EventKind::AuditBypass { nr, site, sig });
             }
         }
     });
@@ -939,7 +885,7 @@ pub fn span_enter(clock: u64, stage: &str) {
     with_rec(|r| {
         let id = r.stage_id(stage);
         r.span_stack.entry(cpu).or_default().push((id, clock));
-        r.record(cpu, clock, EventKind::SpanEnter { stage: id });
+        r.event(cpu, clock, EventKind::SpanEnter { stage: id });
     });
 }
 
@@ -957,7 +903,7 @@ pub fn span_exit(clock: u64) {
         if let Some((id, t0)) = r.span_stack.get_mut(&cpu).and_then(|s| s.pop()) {
             let dur = clock.saturating_sub(t0);
             r.stage_cycles.entry(id).or_default().record(dur);
-            r.record(cpu, clock, EventKind::SpanExit { stage: id, dur });
+            r.event(cpu, clock, EventKind::SpanExit { stage: id, dur });
         }
     });
 }
@@ -1022,7 +968,7 @@ fn span_step_slow(clock: u64, rip: u64, pid: u64, tid: u64) {
         if prev.pid != u64::MAX && prev.in_range {
             let dur = clock.saturating_sub(prev.enter_clock);
             r.stage_cycles.entry(prev.stage).or_default().record(dur);
-            r.record(
+            r.event(
                 (prev.pid, prev.tid),
                 clock,
                 EventKind::SpanExit {
@@ -1034,7 +980,7 @@ fn span_step_slow(clock: u64, rip: u64, pid: u64, tid: u64) {
         let (in_range, stage) = match &stage_name {
             Some(n) => {
                 let id = r.stage_id(n);
-                r.record((pid, tid), clock, EventKind::SpanEnter { stage: id });
+                r.event((pid, tid), clock, EventKind::SpanEnter { stage: id });
                 (true, id)
             }
             None => (false, 0),
@@ -1072,191 +1018,6 @@ pub fn profile_sample(clock: u64, frames: &[String]) {
     });
 }
 
-// ---------------------------------------------------------------------
-// Microarchitectural tracepoints (engine layer; stamped from the clock
-// last published via `set_clock`). Ring events additionally require
-// `ObsConfig::micro_events`.
-// ---------------------------------------------------------------------
-
-#[inline]
-pub fn tlb_hit() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.tlb_hits += 1);
-}
-
-#[inline]
-pub fn tlb_fill(page: u64) {
-    if !enabled() {
-        return;
-    }
-    let cpu = CPU.with(|c| c.get());
-    let clock = CLOCK.with(|c| c.get());
-    with_rec(|r| {
-        r.counters.tlb_fills += 1;
-        if r.cfg.micro_events {
-            r.record(cpu, clock, EventKind::TlbFill { page });
-        }
-    });
-}
-
-/// Records the length in bytes of one contiguous page-run access.
-#[inline]
-pub fn page_run(len: u64) {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.page_runs.record(len));
-}
-
-#[inline]
-pub fn icache_fresh_hit() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.icache_fresh_hits += 1);
-}
-
-#[inline]
-pub fn icache_revalidate(rip: u64) {
-    if !enabled() {
-        return;
-    }
-    let cpu = CPU.with(|c| c.get());
-    let clock = CLOCK.with(|c| c.get());
-    with_rec(|r| {
-        r.counters.icache_revalidations += 1;
-        if r.cfg.micro_events {
-            r.record(cpu, clock, EventKind::IcacheRevalidate { rip });
-        }
-    });
-}
-
-#[inline]
-pub fn icache_decode() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.icache_decodes += 1);
-}
-
-/// A store invalidated `entries` decoded instructions at `addr`.
-#[inline]
-pub fn icache_invalidate(addr: u64, entries: u64) {
-    if !enabled() {
-        return;
-    }
-    let cpu = CPU.with(|c| c.get());
-    let clock = CLOCK.with(|c| c.get());
-    with_rec(|r| {
-        r.counters.icache_invalidations += 1;
-        r.counters.icache_invalidated_entries += entries;
-        if r.cfg.micro_events {
-            r.record(cpu, clock, EventKind::IcacheInvalidate { addr, entries });
-        }
-    });
-}
-
-#[inline]
-pub fn icache_flush() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.icache_flushes += 1);
-}
-
-/// A serialization point was coalesced away: the address space's write
-/// stamp was unchanged since the last real flush, so every cached decode
-/// would have revalidated trivially.
-#[inline]
-pub fn icache_flush_coalesced() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.icache_flush_coalesced += 1);
-}
-
-/// A hot block chain was promoted into a trace of `ops` instructions.
-#[inline]
-pub fn trace_form(ops: u64) {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| {
-        r.counters.trace_forms += 1;
-        r.counters.trace_lengths.record(ops);
-    });
-}
-
-/// Execution entered a validated trace from the cold dispatcher.
-#[inline]
-pub fn trace_enter() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.trace_entries += 1);
-}
-
-/// A trace's terminal branch jumped directly into a successor trace
-/// without returning to the dispatcher.
-#[inline]
-pub fn trace_link() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.trace_links += 1);
-}
-
-/// Control flow left a trace before its terminal op (branch went the
-/// other way); execution fell back to the dispatcher.
-#[inline]
-pub fn trace_side_exit() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.trace_side_exits += 1);
-}
-
-/// A trace survived a generation bump: one `mem_gen` compare plus a
-/// per-page version walk confirmed its decode is still current.
-#[inline]
-pub fn trace_revalidate() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.trace_revalidations += 1);
-}
-
-/// `n` traces were unlinked (invalidated) by a store, protection flip,
-/// or failed revalidation.
-#[inline]
-pub fn trace_unlink(n: u64) {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.trace_unlinks += n);
-}
-
-/// An in-progress trace recording was aborted (SMC, flush, or overlap
-/// with a store) before it could form.
-#[inline]
-pub fn trace_abort() {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.trace_aborts += 1);
-}
-
-/// Records the number of steps retired by one `run_block` invocation.
-#[inline]
-pub fn block_len(steps: u64) {
-    if !enabled() {
-        return;
-    }
-    with_rec(|r| r.counters.block_lengths.record(steps));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1266,10 +1027,10 @@ mod tests {
         assert!(!enabled());
         syscall_enter(1, 0, 0x1000, "app", "read");
         syscall_exit(2, 0, 0, "read");
-        tlb_hit();
-        tlb_fill(0x2000);
-        block_len(9);
-        context_switch(3, 1, 1);
+        count(|c| c.tlb_hits += 1);
+        event(None, EventKind::TlbFill { page: 0x2000 });
+        count(|c| c.block_lengths.record(9));
+        event(Some(3), EventKind::ContextSwitch);
         assert!(disable().is_none());
     }
 
@@ -1279,8 +1040,9 @@ mod tests {
             ring_capacity: 4,
             ..ObsConfig::default()
         });
+        set_cpu(1, 1);
         for i in 0..10 {
-            context_switch(i, 1, 1);
+            event(Some(i), EventKind::ContextSwitch);
         }
         let rec = disable().expect("recorder");
         let ring = &rec.rings[&(1, 1)];
@@ -1313,7 +1075,9 @@ mod tests {
         enable(ObsConfig::default());
         set_cpu(2, 3);
         syscall_enter(10, 500, 0x9000, "app", "nonexistent");
-        sigsys(25, 500, 0x9000, "nonexistent");
+        let (nr, site) = (500, 0x9000);
+        event(Some(25), EventKind::Sigsys { nr, site });
+        syscall_exit(25, 500, u64::MAX, "nonexistent");
         let rec = disable().expect("recorder");
         assert_eq!(rec.counters.sigsys, 1);
         let evs = &rec.rings[&(2, 3)].events;
@@ -1344,8 +1108,8 @@ mod tests {
         enable(ObsConfig::default());
         set_cpu(1, 1);
         set_clock(7);
-        tlb_fill(0x1000);
-        icache_revalidate(0x400);
+        event(None, EventKind::TlbFill { page: 0x1000 });
+        event(None, EventKind::IcacheRevalidate { rip: 0x400 });
         let rec = disable().expect("recorder");
         assert_eq!(rec.counters.tlb_fills, 1);
         assert_eq!(rec.counters.icache_revalidations, 1);
@@ -1357,7 +1121,7 @@ mod tests {
         });
         set_cpu(1, 1);
         set_clock(7);
-        tlb_fill(0x1000);
+        event(None, EventKind::TlbFill { page: 0x1000 });
         let rec = disable().expect("recorder");
         assert_eq!(rec.total_events(), 1);
         assert_eq!(
@@ -1472,9 +1236,10 @@ mod tests {
     #[test]
     fn events_carry_monotonic_sequence_numbers() {
         enable(ObsConfig::default());
-        context_switch(5, 1, 1);
-        context_switch(5, 2, 1);
-        context_switch(5, 1, 1);
+        for pid in [1, 2, 1] {
+            set_cpu(pid, 1);
+            event(Some(5), EventKind::ContextSwitch);
+        }
         let rec = disable().expect("recorder");
         let mut seqs: Vec<u64> = rec
             .rings

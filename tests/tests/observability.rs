@@ -6,6 +6,7 @@
 //! under the multi-threaded test harness precisely because the recorder
 //! is thread-local — each test drives its own simulated machine.
 
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bench::micro::{install_micro, per_iteration_cycles, per_iteration_cycles_with, MICRO_APP};
@@ -13,8 +14,10 @@ use bench::Config;
 use interpose::{Interposer, PtraceInterposer, SudInterposer};
 use k23::{OfflineSession, Variant, K23};
 use k23_tests::{smc_guest, smc_guest_param, RwxLoader};
+use pitfalls::fault::{plan_for, Scenario};
 use proptest::prelude::*;
-use sim_kernel::{EngineConfig, Kernel, RunExit};
+use sim_isa::{Asm, Reg};
+use sim_kernel::{nr, EngineConfig, Kernel, RunExit};
 use sim_loader::boot_kernel;
 use sim_obs::ObsConfig;
 
@@ -178,7 +181,8 @@ proptest! {
             let mut emitted = 0u64;
             for i in 0..switches {
                 // Rotate over three simulated CPUs so several rings fill.
-                sim_obs::context_switch(i, 1, (i % 3) + 1);
+                sim_obs::set_cpu(1, (i % 3) + 1);
+                sim_obs::event(Some(i), sim_obs::EventKind::ContextSwitch);
                 emitted += 1;
             }
             for i in 0..spans {
@@ -342,4 +346,171 @@ fn per_interposer_overhead_ordering_matches_table4_trend() {
         zpoline < k23,
         "zpoline-default ({zpoline:.0}) below K23-default ({k23:.0}) per Table 5"
     );
+}
+
+/// Runs the syscall-500 stress guest for `n` iterations under `ip` on
+/// the block engine, with an audit session against `ip`'s coverage
+/// claim when `audit`, and returns the kernel and the guest's pid.
+fn run_micro_under(ip: &dyn Interposer, n: u64, audit: bool) -> (Kernel, sim_kernel::Pid) {
+    let mut k = boot_kernel();
+    install_micro(&mut k.vfs, n).expect("microbench installs");
+    ip.install(&mut k);
+    let pid = ip.spawn(&mut k, MICRO_APP, &[], &[]).expect("spawn");
+    let cfg = EngineConfig::new();
+    k.configure(if audit { cfg.audit(ip.coverage()) } else { cfg });
+    assert_eq!(k.run(u64::MAX / 4), RunExit::AllExited, "{}", ip.label());
+    assert_eq!(k.process(pid).and_then(|p| p.exit_status), Some(0));
+    (k, pid)
+}
+
+/// Observers never pick the path: the syscall-500 stress guest (5,000
+/// iterations, native, block engine) forms, dispatches and enters its
+/// traces alike with sim-obs on and off and with an audit session on and
+/// off. The direct path serves its calls in place under both observers,
+/// so the loop's trace is dispatched once and wraps in place, and a
+/// traced run replays what the untraced run does.
+#[test]
+fn observers_leave_the_block_engine_its_traces() {
+    let trace_stats = |obs: bool, audit: bool| {
+        if obs {
+            sim_obs::enable(ObsConfig::default());
+        }
+        let (mut k, pid) = run_micro_under(&interpose::Native, 5_000, audit);
+        assert_eq!(sim_obs::disable().is_some(), obs);
+        let tid = k.process(pid).expect("proc").threads[0].tid;
+        k.cpu_mut(pid, tid).expect("cpu").trace_stats()
+    };
+    let plain = trace_stats(false, false);
+    assert!(!plain.is_empty(), "the stress loop formed a trace");
+    assert_eq!(trace_stats(true, false), plain, "under sim-obs");
+    assert_eq!(trace_stats(false, true), plain, "under an audit session");
+}
+
+/// For each event kind that feeds a counter, the counter and the number
+/// of ring events of that kind, plus `IcacheInvalidate`'s summed
+/// `entries` beside `icache_invalidated_entries`.
+fn counters_beside_events(rec: &sim_obs::Recorder) -> BTreeMap<&'static str, (u64, u64)> {
+    use sim_obs::EventKind as K;
+    let c = &rec.counters;
+    let mut t = BTreeMap::from([
+        ("SyscallEnter", (c.syscalls, 0)),
+        ("Sigsys", (c.sigsys, 0)),
+        ("TracerStop", (c.tracer_stops, 0)),
+        ("ContextSwitch", (c.ctx_switches, 0)),
+        ("SudArm", (c.sud_arms, 0)),
+        ("SudSelectorFlip", (c.sud_selector_flips, 0)),
+        ("PkuFault", (c.pku_faults, 0)),
+        ("FaultErrno", (c.faults_errno, 0)),
+        ("FaultSignal", (c.faults_signal, 0)),
+        ("FaultPermFlip", (c.faults_flip, 0)),
+        ("TlbFill", (c.tlb_fills, 0)),
+        ("IcacheRevalidate", (c.icache_revalidations, 0)),
+        ("IcacheInvalidate", (c.icache_invalidations, 0)),
+        ("IcacheEntries", (c.icache_invalidated_entries, 0)),
+        ("AuditBypass", (c.audit_bypassed, 0)),
+    ]);
+    let mut bump = |name, by| t.get_mut(name).expect("listed").1 += by;
+    for ev in rec.rings.values().flat_map(|r| &r.events) {
+        match ev.kind {
+            K::SyscallEnter { .. } => bump("SyscallEnter", 1),
+            K::Sigsys { .. } => bump("Sigsys", 1),
+            K::TracerStop { .. } => bump("TracerStop", 1),
+            K::ContextSwitch => bump("ContextSwitch", 1),
+            K::SudArm { .. } => bump("SudArm", 1),
+            K::SudSelectorFlip { .. } => bump("SudSelectorFlip", 1),
+            K::PkuFault { .. } => bump("PkuFault", 1),
+            K::FaultErrno { .. } => bump("FaultErrno", 1),
+            K::FaultSignal { .. } => bump("FaultSignal", 1),
+            K::FaultPermFlip { .. } => bump("FaultPermFlip", 1),
+            K::TlbFill { .. } => bump("TlbFill", 1),
+            K::IcacheRevalidate { .. } => bump("IcacheRevalidate", 1),
+            K::IcacheInvalidate { entries, .. } => {
+                bump("IcacheInvalidate", 1);
+                bump("IcacheEntries", entries);
+            }
+            K::AuditBypass { .. } => bump("AuditBypass", 1),
+            K::SyscallExit { .. } | K::SpanEnter { .. } | K::SpanExit { .. } => {}
+        }
+    }
+    t
+}
+
+/// Every counter an event kind feeds equals the number of that kind's
+/// events in the rings, with every event recorded (`micro_events` and
+/// `audit_events` on, rings that never drop). Between them the runs
+/// raise every such kind: SUD and ptrace stress, the fault probe under a
+/// plan with errno, signal and permission-flip faults, the SMC guest
+/// (TLB fills, icache revalidations) under an audit session, and a bare
+/// guest that rewrites its own code (an icache invalidation) and takes a
+/// protection-key fault.
+#[test]
+fn every_counter_equals_its_events() {
+    let cfg = ObsConfig {
+        ring_capacity: 1 << 24,
+        micro_events: true,
+        audit_events: true,
+    };
+    let mut seen = BTreeMap::new();
+    let mut check = |run: &str, rec: Box<sim_obs::Recorder>| {
+        assert_eq!(rec.total_dropped(), 0, "{run}");
+        for (kind, (counter, events)) in counters_beside_events(&rec) {
+            assert_eq!(counter, events, "{run}: {kind} counter vs events");
+            *seen.entry(kind).or_insert(0) += events;
+        }
+    };
+
+    let (sud, ptrace) = (SudInterposer::new(), PtraceInterposer::new());
+    for ip in [&sud as &dyn Interposer, &ptrace] {
+        sim_obs::enable(cfg.clone());
+        run_micro_under(ip, 50, false);
+        check(&ip.label(), sim_obs::disable().expect("recorder"));
+    }
+
+    let mech = "zpoline";
+    let baseline = pitfalls::fault::run_probe(mech, None);
+    let mut plan = plan_for(Scenario::Errno, 3, &baseline);
+    plan.signal_window = plan_for(Scenario::Signal, 3, &baseline).signal_window;
+    plan.perm_flips = plan_for(Scenario::PermFlip, 3, &baseline).perm_flips;
+    sim_obs::enable(cfg.clone());
+    pitfalls::fault::run_probe(mech, Some(&plan));
+    check("fault probe", sim_obs::disable().expect("recorder"));
+
+    let (rec, ..) = run_smc_traced(false, Some(cfg.clone()), smc_guest(), true);
+    check("SMC guest, audited", rec.expect("recorder"));
+
+    // Rewrite an executed instruction's first byte with itself, then
+    // mmap a page, give it protection key 1, deny key 1's access, load.
+    let mut a = Asm::new();
+    a.label("patch");
+    a.lea_label(Reg::R11, "patch");
+    a.load_byte(Reg::Rdx, Reg::R11, 0);
+    a.store_byte(Reg::R11, 0, Reg::Rdx);
+    for (nr_, args) in [
+        (nr::SYS_MMAP, [0x40_0000, 0x1000, 3, 0x32]),
+        (nr::SYS_PKEY_MPROTECT, [0x40_0000, 0x1000, 3, 1]),
+    ] {
+        for (&r, v) in [Reg::Rdi, Reg::Rsi, Reg::Rdx, Reg::R10].iter().zip(args) {
+            a.mov_imm(r, v);
+        }
+        a.mov_imm(Reg::Rax, nr_);
+        a.syscall();
+    }
+    a.mov_imm(Reg::Rax, 1 << 2);
+    a.wrpkru();
+    a.mov_imm(Reg::Rdi, 0x40_0000);
+    a.load(Reg::Rbx, Reg::Rdi, 0);
+    a.mov_imm(Reg::Rdi, 0);
+    a.mov_imm(Reg::Rax, nr::SYS_EXIT_GROUP);
+    a.syscall();
+    sim_obs::enable(cfg);
+    let mut k = Kernel::new();
+    k.set_loader(Rc::new(RwxLoader(a.finish())));
+    let pid = k.spawn("/bin/bare", &[], &[], None).expect("spawn");
+    assert_eq!(k.run(1_000_000), RunExit::AllExited);
+    let status = k.process(pid).and_then(|p| p.exit_status);
+    assert_eq!(status, Some(128 + nr::SIGSEGV as i64), "the load faults");
+    check("bare guest", sim_obs::disable().expect("recorder"));
+
+    let missing: Vec<_> = seen.iter().filter(|(_, &n)| n == 0).collect();
+    assert!(missing.is_empty(), "kinds no run raised: {missing:?}");
 }
